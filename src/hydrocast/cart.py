@@ -1,12 +1,22 @@
 """Binary regression tree with squared-error splits.
 
 The weak learner behind both the boosted feature selector and the random
-forest. Growth is greedy and top-down: at every node each candidate
-feature is scanned at the midpoints between consecutive distinct sorted
-values, and the split minimizing the summed squared error of the two
-children wins. Ties go to the lowest feature index, then the smallest
-threshold, so fitting is deterministic. Routing sends ``value <=
-threshold`` to the left child.
+forest. Growth is greedy, top-down, depth-first and left-first: at every
+node each candidate feature is scanned at the midpoints between
+consecutive distinct sorted values, and the split minimizing the summed
+squared error of the two children wins. Ties go to the lowest feature
+index, then the smallest threshold, so fitting is deterministic. A
+candidate whose best SSE is NaN or +inf (overflow on huge targets) never
+wins. Routing sends ``value <= threshold`` to the left child.
+
+The search is exact, in the presort form of XGBoost's exact greedy
+algorithm (Chen & Guestrin 2016): each tree stable-sorts its allowed
+columns once, and every split hands each child the rows of that order
+that route to it, which keeps the order sorted with tied values in
+ascending row order. A node then scores all its candidate features
+together with one cumulative sum per statistic. When ``features_per_node``
+is set, each node draws its candidates from the tree's seeded generator
+just before its own search, so the draws follow the node order above.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, ShapeMismatch
+from .errors import EmptyInput, NonFiniteInput, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -192,84 +202,120 @@ def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("training data must be finite")
+        raise NonFiniteInput("training data must be finite")
 
     n_features = X.shape[1]
     if cfg.feature_subset is not None:
         allowed = cfg.feature_subset
         if allowed and (allowed[0] < 0 or allowed[-1] >= n_features):
-            raise ValueError(f"feature_subset out of range for {n_features} features")
+            raise ShapeMismatch(f"feature_subset out of range for {n_features} features")
     else:
         allowed = tuple(range(n_features))
 
-    rng = np.random.default_rng(cfg.seed)
-    root = _grow(X, y, np.arange(X.shape[0]), 0, cfg, allowed, rng)
+    # The one sort of the tree: row j of ``order`` lists the sample rows by
+    # their value of feature allowed[j], ties in ascending row order, and
+    # ``values`` holds those sorted values. Nodes only partition the two.
+    columns = np.ascontiguousarray(X[:, list(allowed)].T)
+    order = np.argsort(columns, axis=1, kind="stable")
+    values = np.take_along_axis(columns, order, axis=1)
+    grower = _Grower(columns, y, np.asarray(allowed, dtype=np.intp), cfg)
+    root = grower.grow(np.arange(X.shape[0]), order, values, 0)
     return RegressionTree(root, n_features)
 
 
-def _grow(X, y, idx, depth, cfg, allowed, rng):
-    y_node = y[idx]
-    n = idx.size
-    if (
-        n < 2 * cfg.min_samples_leaf
-        or (cfg.max_depth is not None and depth >= cfg.max_depth)
-        or y_node.max() == y_node.min()
-    ):
-        return Leaf(float(y_node.mean()), int(n))
+class _Grower:
+    """Depth-first, left-first growth of one tree over its presorted columns."""
 
-    candidates = allowed
-    if cfg.features_per_node is not None and cfg.features_per_node < len(allowed):
-        picked = rng.choice(len(allowed), size=cfg.features_per_node, replace=False)
-        candidates = tuple(allowed[i] for i in sorted(picked.tolist()))
+    def __init__(self, columns, y, allowed, cfg: TreeConfig):
+        self.columns = columns
+        self.y = y
+        self.allowed = allowed
+        self.cfg = cfg
+        self.draw = cfg.features_per_node is not None and cfg.features_per_node < allowed.size
+        self.rng = np.random.default_rng(cfg.seed)
 
-    best = _best_split(X, y_node, idx, candidates, cfg.min_samples_leaf)
-    if best is None:
-        return Leaf(float(y_node.mean()), int(n))
+    def may_split(self, n, depth) -> bool:
+        cfg = self.cfg
+        return n >= 2 * cfg.min_samples_leaf and (cfg.max_depth is None or depth < cfg.max_depth)
 
-    feature, threshold = best
-    left_mask = X[idx, feature] <= threshold
-    left = _grow(X, y, idx[left_mask], depth + 1, cfg, allowed, rng)
-    right = _grow(X, y, idx[~left_mask], depth + 1, cfg, allowed, rng)
-    return Internal(feature, threshold, left, right)
+    def grow(self, idx, order, values, depth):
+        """Subtree over the rows ``idx`` (ascending), given their sorted columns.
 
+        ``order`` and ``values`` may be None for a node that ``may_split``
+        rules out, which is a leaf.
+        """
+        y_node = self.y[idx]
+        n = idx.size
+        if not self.may_split(n, depth) or y_node.max() == y_node.min():
+            return Leaf(float(y_node.mean()), int(n))
 
-def _best_split(X, y_node, idx, candidates, min_leaf):
-    """Scan midpoint thresholds of each candidate; lowest total child SSE wins.
-
-    Candidates must be in ascending order: ties on SSE keep the first
-    (lowest) feature, and np.argmin keeps the smallest threshold within a
-    feature.
-    """
-    n = y_node.size
-    yc = y_node - y_node.mean()  # SSE is shift-invariant; centering helps precision
-    best_sse = np.inf
-    best = None
-    positions = np.arange(1, n)
-    for feature in candidates:
-        x = X[idx, feature]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = yc[order]
-        valid = xs[1:] > xs[:-1]
-        if min_leaf > 1:
-            valid &= (positions >= min_leaf) & (n - positions >= min_leaf)
-        cut = np.nonzero(valid)[0]
-        if cut.size == 0:
-            continue
-        c1 = np.cumsum(ys)
-        c2 = np.cumsum(ys * ys)
-        n_left = cut + 1.0
-        n_right = n - n_left
-        sum_left = c1[cut]
-        sq_left = c2[cut]
-        sse = (sq_left - sum_left * sum_left / n_left) + (
-            (c2[-1] - sq_left) - (c1[-1] - sum_left) ** 2 / n_right
+        rows = None
+        if self.draw:
+            picked = self.rng.choice(self.allowed.size, size=self.cfg.features_per_node, replace=False)
+            rows = np.sort(picked)
+        best = _best_split(
+            self.y,
+            y_node.mean(),
+            order if rows is None else order[rows],
+            values if rows is None else values[rows],
+            self.cfg.min_samples_leaf,
         )
-        j = int(np.argmin(sse))
-        if sse[j] < best_sse:
-            best_sse = sse[j]
-            best = (feature, float((xs[cut[j]] + xs[cut[j] + 1]) / 2.0))
-    return best
+        if best is None:
+            return Leaf(float(y_node.mean()), int(n))
+
+        row, threshold = best
+        if rows is not None:
+            row = int(rows[row])
+        go_left = self.columns[row] <= threshold
+        left_rows = go_left[idx]
+        in_left = go_left[order]
+        children = []
+        for child_idx, in_child in ((idx[left_rows], in_left), (idx[~left_rows], ~in_left)):
+            m = child_idx.size
+            if self.may_split(m, depth + 1):
+                # Boolean selection keeps each row of order/values in its
+                # sorted order, so the child needs no sort of its own.
+                k = order.shape[0]
+                children.append(self.grow(
+                    child_idx, order[in_child].reshape(k, m), values[in_child].reshape(k, m), depth + 1
+                ))
+            else:
+                children.append(self.grow(child_idx, None, None, depth + 1))
+        return Internal(int(self.allowed[row]), threshold, *children)
+
+
+def _best_split(y, mean, order, values, min_leaf):
+    """Best (row of ``order``, threshold) over all candidates, or None.
+
+    Scores every cut of every candidate at once. Cuts inside a run of tied
+    values, or leaving fewer than ``min_leaf`` rows on a side, score +inf.
+    The winner is the first candidate row holding the lowest per-row
+    minimum and, within it, the smallest threshold. A row whose minimum is
+    NaN or +inf (overflowing SSE) never wins.
+    """
+    k, n = order.shape
+    if k == 0:
+        return None
+    ys = y[order] - mean  # SSE is shift-invariant; centering helps precision
+    c1 = np.cumsum(ys, axis=1)
+    c2 = np.cumsum(ys * ys, axis=1)
+    # Cut p puts the rows at sorted positions 0..p on the left.
+    lo, hi = min_leaf - 1, n - min_leaf
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    n_right = n - n_left
+    sum_left = c1[:, lo:hi]
+    sq_left = c2[:, lo:hi]
+    sse = (sq_left - sum_left * sum_left / n_left) + (
+        (c2[:, -1:] - sq_left) - (c1[:, -1:] - sum_left) ** 2 / n_right
+    )
+    sse[values[:, lo + 1:hi + 1] == values[:, lo:hi]] = np.inf
+    per_row = sse.min(axis=1)
+    per_row[np.isnan(per_row)] = np.inf
+    row = int(per_row.argmin())
+    if per_row[row] == np.inf:
+        return None
+    cut = lo + int(sse[row].argmin())
+    return row, float((values[row, cut] + values[row, cut + 1]) / 2.0)
 
 
 def training_mse(tree: RegressionTree, X, y) -> float:

@@ -75,6 +75,10 @@ class ShapeMismatch(HydrocastError):
     pass
 
 
+class NonFiniteInput(HydrocastError):
+    pass
+
+
 class NonFiniteResidual(HydrocastError):
     pass
 

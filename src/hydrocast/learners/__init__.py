@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DuplicateKind
+from ..errors import DuplicateKind, NonFiniteInput, ShapeMismatch, TooFewSamples
 from .base import (
     KIND_ORDER,
     KNN,
@@ -57,18 +57,18 @@ def fit(spec: LearnerSpec, X_train, y_train, feature_indices=None) -> FittedMode
     X = np.asarray(X_train, dtype=np.float64)
     y = np.asarray(y_train, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError(f"X {X.shape} incompatible with y {y.shape}")
+        raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
     if X.shape[0] < 2:
-        raise ValueError("need at least 2 training samples")
+        raise TooFewSamples("need at least 2 training samples")
     if X.shape[1] < 1:
-        raise ValueError("need at least 1 feature")
+        raise ShapeMismatch("need at least 1 feature")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("training data must be finite")
+        raise NonFiniteInput("training data must be finite")
     if feature_indices is None:
         feature_indices = range(X.shape[1])
     feature_indices = tuple(feature_indices)
     if len(feature_indices) != X.shape[1]:
-        raise ValueError("feature_indices must match the matrix width")
+        raise ShapeMismatch("feature_indices must match the matrix width")
 
     if spec.kind == LR:
         return fit_lr(spec.hyper, X, y, feature_indices)

@@ -20,7 +20,9 @@ from .cart import RegressionTree, TreeConfig, fit_tree
 from .errors import (
     EmptyInput,
     LengthMismatch,
+    NonFiniteInput,
     NonFiniteResidual,
+    TooFewSamples,
     ZeroNormColumn,
     ZeroNormVector,
 )
@@ -204,9 +206,9 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
     if X.shape[0] != y.shape[0] or y.ndim != 1:
         raise LengthMismatch(f"X {X.shape} incompatible with y {y.shape}")
     if X.shape[0] < 2:
-        raise ValueError("boosting needs at least 2 samples")
+        raise TooFewSamples("boosting needs at least 2 samples")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("training data must be finite")
+        raise NonFiniteInput("training data must be finite")
 
     n, d = X.shape
     subset_size = cfg.feature_subset_size or math.ceil(math.sqrt(d))

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from hydrocast.cart import Internal, Leaf, RegressionTree
+
 
 def pearson_direct(a, p):
     n = len(a)
@@ -62,3 +64,76 @@ def best_depth1_splits(X, y, min_leaf=1, tol=1e-9):
     best = min(s[0] for s in splits)
     scale = max(1.0, abs(best))
     return best, [s for s in splits if s[0] <= best + tol * scale]
+
+
+def reference_fit_tree(X, y, cfg):
+    """The CART growth rule one feature and one node at a time.
+
+    Each node argsorts every candidate column afresh and scans its cut
+    positions on its own; the fitted tree must equal ``cart.fit_tree``'s
+    node for node. Takes valid, finite input only.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n_features = X.shape[1]
+    allowed = cfg.feature_subset if cfg.feature_subset is not None else tuple(range(n_features))
+    rng = np.random.default_rng(cfg.seed)
+
+    def grow(idx, depth):
+        y_node = y[idx]
+        n = idx.size
+        if (
+            n < 2 * cfg.min_samples_leaf
+            or (cfg.max_depth is not None and depth >= cfg.max_depth)
+            or y_node.max() == y_node.min()
+        ):
+            return Leaf(float(y_node.mean()), int(n))
+        candidates = allowed
+        if cfg.features_per_node is not None and cfg.features_per_node < len(allowed):
+            picked = rng.choice(len(allowed), size=cfg.features_per_node, replace=False)
+            candidates = tuple(allowed[i] for i in sorted(picked.tolist()))
+        best = best_split(idx, y_node, candidates)
+        if best is None:
+            return Leaf(float(y_node.mean()), int(n))
+        feature, threshold = best
+        left_mask = X[idx, feature] <= threshold
+        left = grow(idx[left_mask], depth + 1)
+        right = grow(idx[~left_mask], depth + 1)
+        return Internal(feature, threshold, left, right)
+
+    def best_split(idx, y_node, candidates):
+        # Ties on SSE keep the first (lowest) feature; np.argmin keeps the
+        # smallest threshold within a feature.
+        n = y_node.size
+        min_leaf = cfg.min_samples_leaf
+        yc = y_node - y_node.mean()
+        best_sse = np.inf
+        best = None
+        positions = np.arange(1, n)
+        for feature in candidates:
+            x = X[idx, feature]
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            ys = yc[order]
+            valid = xs[1:] > xs[:-1]
+            if min_leaf > 1:
+                valid &= (positions >= min_leaf) & (n - positions >= min_leaf)
+            cut = np.nonzero(valid)[0]
+            if cut.size == 0:
+                continue
+            c1 = np.cumsum(ys)
+            c2 = np.cumsum(ys * ys)
+            n_left = cut + 1.0
+            n_right = n - n_left
+            sum_left = c1[cut]
+            sq_left = c2[cut]
+            sse = (sq_left - sum_left * sum_left / n_left) + (
+                (c2[-1] - sq_left) - (c1[-1] - sum_left) ** 2 / n_right
+            )
+            j = int(np.argmin(sse))
+            if sse[j] < best_sse:
+                best_sse = sse[j]
+                best = (feature, float((xs[cut[j]] + xs[cut[j] + 1]) / 2.0))
+        return best
+
+    return RegressionTree(grow(np.arange(X.shape[0]), 0), n_features)

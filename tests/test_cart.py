@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hydrocast.cart import Internal, Leaf, RegressionTree, TreeConfig, fit_tree, training_mse
-from hydrocast.errors import EmptyInput, ShapeMismatch
+from hydrocast.errors import EmptyInput, NonFiniteInput, ShapeMismatch
 
-from oracles import best_depth1_splits
+from oracles import best_depth1_splits, reference_fit_tree
 
 
 def random_case(rng, max_n=8, max_d=3):
@@ -195,6 +195,10 @@ def test_shape_and_empty_errors():
         fit_tree(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ShapeMismatch):
         fit_tree(np.zeros((4, 2)), np.zeros(3))
+    with pytest.raises(ShapeMismatch):
+        fit_tree(np.zeros((4, 2)), np.zeros(4), TreeConfig(feature_subset=(2,)))
+    with pytest.raises(NonFiniteInput):
+        fit_tree(np.array([[0.0], [np.inf]]), np.zeros(2))
     tree = fit_tree(np.arange(4.0).reshape(-1, 1), np.array([0.0, 0, 1, 1]))
     with pytest.raises(ShapeMismatch):
         tree.predict(np.zeros(2))
@@ -212,3 +216,59 @@ def test_prediction_is_deterministic():
     np.testing.assert_array_equal(
         tree.predict_batch(X), np.array([tree.predict(row) for row in X])
     )
+
+
+def oracle_case(rng, family):
+    """(X, y) of one of four shapes the split search must get exactly right."""
+    n = int(rng.integers(2, 41))
+    d = int(rng.integers(1, 6))
+    if family == "ties":  # few distinct values per column
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+        y = rng.integers(-3, 4, size=n).astype(float)
+    elif family == "constant_column":
+        X = rng.standard_normal((n, d))
+        X[:, int(rng.integers(d))] = 2.5
+        y = rng.standard_normal(n)
+    elif family == "huge":  # squares near the float64 limit: SSE overflows
+        X = rng.integers(0, 5, size=(n, d)) * 1e150
+        y = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(152, 154, size=n)
+    else:
+        X = rng.standard_normal((n, d))
+        y = X[:, 0] + rng.standard_normal(n)
+    return X, y
+
+
+def test_fit_tree_matches_per_feature_reference():
+    rng = np.random.default_rng(31)
+    families = ("ties", "constant_column", "huge", "normal")
+    overflowed = huge_splits = 0
+    for case in range(600):
+        family = families[case % 4]
+        X, y = oracle_case(rng, family)
+        d = X.shape[1]
+        subset = None
+        if case % 5 == 0:
+            subset = tuple(rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False).tolist())
+        cfg = TreeConfig(
+            max_depth=(None, 1, 3)[case % 3],
+            min_samples_leaf=int(rng.integers(1, 6)),
+            feature_subset=subset,
+            features_per_node=int(rng.integers(1, d + 1)) if case % 2 else None,
+            seed=case,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = fit_tree(X, y, cfg)
+            assert tree.to_dict() == reference_fit_tree(X, y, cfg).to_dict(), (case, cfg)
+            if family == "huge":
+                overflowed += bool(np.isinf(np.cumsum(np.square(y - y.mean()))).any())
+                huge_splits += isinstance(tree.root, Internal)
+    assert overflowed > 20 and huge_splits > 20
+
+
+def test_empty_feature_subset_gives_single_leaf():
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.array([0.0, 0, 0, 1, 1, 1])
+    tree = fit_tree(X, y, TreeConfig(feature_subset=()))
+    assert isinstance(tree.root, Leaf)
+    assert tree.root.value == 0.5
+    assert tree.root.n == 6

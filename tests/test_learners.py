@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from hydrocast.cart import TreeConfig, fit_tree
-from hydrocast.errors import DuplicateKind, ShapeMismatch, SingularSystem
+from hydrocast.errors import (
+    DuplicateKind,
+    NonFiniteInput,
+    ShapeMismatch,
+    SingularSystem,
+    TooFewSamples,
+)
 from hydrocast.learners import (
     KIND_ORDER,
     LearnerSpec,
@@ -276,6 +282,20 @@ def test_fit_all_tags_failing_kind():
     with pytest.raises(SingularSystem) as err:
         fit_all([LearnerSpec("lr", LRConfig(ridge_fallback=False))], X, y)
     assert "[lr]" in str(err.value)
+
+
+def test_fit_data_errors():
+    spec = LearnerSpec("lr")
+    with pytest.raises(ShapeMismatch):
+        fit(spec, np.ones((3, 2)), np.ones(4))
+    with pytest.raises(TooFewSamples):
+        fit(spec, np.ones((1, 2)), np.ones(1))
+    with pytest.raises(ShapeMismatch):
+        fit(spec, np.ones((3, 0)), np.ones(3))
+    with pytest.raises(NonFiniteInput):
+        fit(spec, np.array([[1.0], [np.inf], [2.0]]), np.ones(3))
+    with pytest.raises(ShapeMismatch):
+        fit(spec, np.ones((3, 2)), np.ones(3), feature_indices=(0,))
 
 
 def test_spec_validation():

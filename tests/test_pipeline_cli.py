@@ -241,6 +241,22 @@ def test_partial_failure_records_errors_and_continues(tmp_path):
     assert len(report["rows"]) == 5  # p01 still made it through
 
 
+def test_too_few_rows_fails_only_that_point(tmp_path):
+    data = synth(tmp_path)
+    healthy, tiny = (load_csv(data, p) for p in REFERENCE_POINTS[:2])
+    mixed = tmp_path / "mixed.csv"
+    write_csv([healthy, tiny.take(range(2))], mixed)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(mixed, out))
+    assert main(["run", "--config", str(cfg)]) == 2
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == ["30_67.5"]
+    for name in ("selection.json", "models.json", "evaluation.json"):
+        assert (out / "27.5_67.5" / name).exists()
+    report = json.loads((out / "report.json").read_text())
+    assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(27.5, 67.5)}
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["select", "--no-such-flag"])

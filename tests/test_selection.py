@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from hydrocast.cart import TreeConfig
-from hydrocast.errors import LengthMismatch, ZeroNormColumn, ZeroNormVector
+from hydrocast.errors import (
+    LengthMismatch,
+    NonFiniteInput,
+    TooFewSamples,
+    ZeroNormColumn,
+    ZeroNormVector,
+)
 from hydrocast.selection import (
     BoostConfig,
     ColinearityConfig,
@@ -143,6 +149,13 @@ def test_zero_norm_column_rejected():
     with pytest.raises(ZeroNormColumn) as err:
         prune_colinear(X)
     assert err.value.index == 0
+
+
+def test_boosting_data_errors():
+    with pytest.raises(TooFewSamples):
+        fit_boosted(np.ones((1, 3)), np.ones(1))
+    with pytest.raises(NonFiniteInput):
+        fit_boosted(np.array([[1.0], [np.nan]]), np.ones(2))
 
 
 def test_gamma_validation():
