@@ -49,7 +49,6 @@ from .learners import (
     fit_all,
     model_from_dict,
     model_to_dict,
-    predict,
 )
 from .evaluation import (
     EvalResult,

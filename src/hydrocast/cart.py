@@ -7,7 +7,14 @@ consecutive distinct sorted values, and the split minimizing the summed
 squared error of the two children wins. Ties go to the lowest feature
 index, then the smallest threshold, so fitting is deterministic. A
 candidate whose best SSE is NaN or +inf (overflow on huge targets) never
-wins. Routing sends ``value <= threshold`` to the left child.
+wins. Routing sends ``value <= threshold`` to the left child. When the
+midpoint of two neighbouring values ``a < b`` fails ``a <= t < b``
+(adjacent floats, or an overflow past 1.8e308), the threshold is ``a``.
+
+A fitted tree is one set of parallel node arrays in pre-order, the same
+flat node list that ``to_dict`` writes. Growth appends each node as it
+visits it; a split fills in its child links once both subtrees are
+grown. Prediction moves all rows down one tree level per vectorized step.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): each tree stable-sorts its allowed
@@ -55,30 +62,30 @@ class TreeConfig:
             object.__setattr__(self, "feature_subset", tuple(sorted(set(self.feature_subset))))
 
 
-class Leaf:
-    __slots__ = ("value", "n")
-
-    def __init__(self, value: float, n: int):
-        self.value = value
-        self.n = n
-
-
-class Internal:
-    __slots__ = ("feature", "threshold", "left", "right")
-
-    def __init__(self, feature: int, threshold: float, left, right):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-
 class RegressionTree:
-    """A fitted tree; immutable and safe to share across threads."""
+    """A fitted tree as parallel per-node arrays, root at index 0.
 
-    def __init__(self, root, n_features: int):
-        self.root = root
-        self.n_features = n_features
+    Node ``i`` is a leaf when ``left[i] < 0``; it then predicts
+    ``value[i]`` and was fitted on ``n[i]`` rows. Otherwise it sends
+    ``x[feature[i]] <= threshold[i]`` to node ``left[i]`` and the rest to
+    ``right[i]``. The unused fields hold -1 or 0. Fitted trees list their
+    nodes in pre-order, which is the documented serialized node list.
+    Treat the arrays as read-only.
+    """
+
+    def __init__(self, feature, threshold, left, right, value, n, n_features: int):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.n = np.asarray(n, dtype=np.int64)
+        self.n_features = int(n_features)
+
+    @classmethod
+    def _from_nodes(cls, nodes, n_features: int) -> "RegressionTree":
+        """Build from (feature, threshold, left, right, value, n) rows."""
+        return cls(*zip(*nodes), n_features)
 
     def predict(self, x) -> float:
         """Route one feature vector to its leaf value."""
@@ -87,108 +94,74 @@ class RegressionTree:
             raise ShapeMismatch(
                 f"expected feature vector of length {self.n_features}, got {x.shape}"
             )
-        node = self.root
-        while isinstance(node, Internal):
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
+        return float(self.predict_batch(x[None])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        """Vectorized prediction for an (n, d) matrix."""
+        """Vectorized prediction for an (n, d) matrix, one step per tree level."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ShapeMismatch(
                 f"expected (n, {self.n_features}) matrix, got {X.shape}"
             )
-        out = np.empty(X.shape[0], dtype=np.float64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if isinstance(node, Leaf):
-                out[idx] = node.value
-            else:
-                left = X[idx, node.feature] <= node.threshold
-                stack.append((node.left, idx[left]))
-                stack.append((node.right, idx[~left]))
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        live = np.arange(X.shape[0]) if self.left[0] >= 0 else node[:0]
+        while live.size:
+            at = node[live]
+            go_left = X[live, self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+            live = live[self.left[node[live]] >= 0]
+        return self.value[node]
 
     def features_used(self) -> set[int]:
         """Features appearing in at least one internal node."""
-        used: set[int] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Internal):
-                used.add(node.feature)
-                stack.extend((node.left, node.right))
-        return used
+        return set(np.unique(self.feature[self.left >= 0]).tolist())
 
     def node_feature_counts(self) -> dict[int, int]:
         """Feature -> number of internal nodes splitting on it."""
-        counts: dict[int, int] = {}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Internal):
-                counts[node.feature] = counts.get(node.feature, 0) + 1
-                stack.extend((node.left, node.right))
-        return counts
+        features, counts = np.unique(self.feature[self.left >= 0], return_counts=True)
+        return dict(zip(features.tolist(), counts.tolist()))
 
     def depth(self) -> int:
-        def walk(node):
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        level, frontier = 0, np.zeros(1, dtype=np.intp)
+        while True:
+            frontier = frontier[self.left[frontier] >= 0]
+            if not frontier.size:
+                return level
+            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            level += 1
 
     def n_leaves(self) -> int:
-        def walk(node):
-            if isinstance(node, Leaf):
-                return 1
-            return walk(node.left) + walk(node.right)
+        return int(np.count_nonzero(self.left < 0))
 
-        return walk(self.root)
-
-    # Serialization: a flat node list with child links by list index, root
-    # at index 0. Stable format; see README.
+    # Serialization: the node arrays as a flat node list with child links by
+    # list index, root at index 0. Stable format; see README.
     def to_dict(self) -> dict:
-        nodes: list[dict] = []
-
-        def emit(node) -> int:
-            slot = len(nodes)
-            nodes.append(None)
-            if isinstance(node, Leaf):
-                nodes[slot] = {"value": node.value, "n": node.n}
-            else:
-                left = emit(node.left)
-                right = emit(node.right)
-                nodes[slot] = {
-                    "feature": node.feature,
-                    "threshold": node.threshold,
-                    "left": left,
-                    "right": right,
-                }
-            return slot
-
-        emit(self.root)
+        columns = (self.feature, self.threshold, self.left, self.right, self.value, self.n)
+        nodes = [
+            {"value": value, "n": n} if left < 0
+            else {"feature": feature, "threshold": threshold, "left": left, "right": right}
+            for feature, threshold, left, right, value, n in zip(*(c.tolist() for c in columns))
+        ]
         return {"n_features": self.n_features, "nodes": nodes}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegressionTree":
-        nodes = payload["nodes"]
-
-        def build(i: int):
-            spec = nodes[i]
-            if "value" in spec:
-                return Leaf(float(spec["value"]), int(spec["n"]))
-            return Internal(
-                int(spec["feature"]),
-                float(spec["threshold"]),
-                build(spec["left"]),
-                build(spec["right"]),
-            )
-
-        return cls(build(0), int(payload["n_features"]))
+        tree = cls._from_nodes(
+            [
+                (-1, 0.0, -1, -1, float(spec["value"]), int(spec["n"])) if "value" in spec
+                else (int(spec["feature"]), float(spec["threshold"]),
+                      int(spec["left"]), int(spec["right"]), 0.0, 0)
+                for spec in payload["nodes"]
+            ],
+            int(payload["n_features"]),
+        )
+        # Children after their parent: routing then ends at a leaf in fewer
+        # steps than there are nodes, whatever the file holds.
+        parent = np.flatnonzero(tree.left >= 0)
+        for child in (tree.left[parent], tree.right[parent]):
+            if ((child <= parent) | (child >= tree.left.size)).any():
+                raise ShapeMismatch("tree node list: a child link must point past its parent")
+        return tree
 
 
 def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
@@ -219,12 +192,17 @@ def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
     order = np.argsort(columns, axis=1, kind="stable")
     values = np.take_along_axis(columns, order, axis=1)
     grower = _Grower(columns, y, np.asarray(allowed, dtype=np.intp), cfg)
-    root = grower.grow(np.arange(X.shape[0]), order, values, 0)
-    return RegressionTree(root, n_features)
+    grower.grow(np.arange(X.shape[0]), order, values, 0)
+    return RegressionTree._from_nodes(grower.nodes, n_features)
 
 
 class _Grower:
-    """Depth-first, left-first growth of one tree over its presorted columns."""
+    """Depth-first, left-first growth of one tree over its presorted columns.
+
+    Each node is appended to ``nodes`` as it is visited, so the list comes
+    out in pre-order: a split's left child is the next node, and its right
+    child follows the left subtree.
+    """
 
     def __init__(self, columns, y, allowed, cfg: TreeConfig):
         self.columns = columns
@@ -233,21 +211,24 @@ class _Grower:
         self.cfg = cfg
         self.draw = cfg.features_per_node is not None and cfg.features_per_node < allowed.size
         self.rng = np.random.default_rng(cfg.seed)
+        self.nodes: list[tuple] = []
 
     def may_split(self, n, depth) -> bool:
         cfg = self.cfg
         return n >= 2 * cfg.min_samples_leaf and (cfg.max_depth is None or depth < cfg.max_depth)
 
-    def grow(self, idx, order, values, depth):
-        """Subtree over the rows ``idx`` (ascending), given their sorted columns.
+    def leaf(self, y_node) -> None:
+        self.nodes.append((-1, 0.0, -1, -1, float(y_node.mean()), y_node.size))
+
+    def grow(self, idx, order, values, depth) -> None:
+        """Append the subtree over the rows ``idx`` (ascending), given their sorted columns.
 
         ``order`` and ``values`` may be None for a node that ``may_split``
         rules out, which is a leaf.
         """
         y_node = self.y[idx]
-        n = idx.size
-        if not self.may_split(n, depth) or y_node.max() == y_node.min():
-            return Leaf(float(y_node.mean()), int(n))
+        if not self.may_split(idx.size, depth) or y_node.max() == y_node.min():
+            return self.leaf(y_node)
 
         rows = None
         if self.draw:
@@ -261,27 +242,28 @@ class _Grower:
             self.cfg.min_samples_leaf,
         )
         if best is None:
-            return Leaf(float(y_node.mean()), int(n))
+            return self.leaf(y_node)
 
         row, threshold = best
         if rows is not None:
             row = int(rows[row])
+        slot = len(self.nodes)
+        self.nodes.append(None)
         go_left = self.columns[row] <= threshold
         left_rows = go_left[idx]
         in_left = go_left[order]
         children = []
         for child_idx, in_child in ((idx[left_rows], in_left), (idx[~left_rows], ~in_left)):
+            children.append(len(self.nodes))
             m = child_idx.size
             if self.may_split(m, depth + 1):
                 # Boolean selection keeps each row of order/values in its
                 # sorted order, so the child needs no sort of its own.
                 k = order.shape[0]
-                children.append(self.grow(
-                    child_idx, order[in_child].reshape(k, m), values[in_child].reshape(k, m), depth + 1
-                ))
+                self.grow(child_idx, order[in_child].reshape(k, m), values[in_child].reshape(k, m), depth + 1)
             else:
-                children.append(self.grow(child_idx, None, None, depth + 1))
-        return Internal(int(self.allowed[row]), threshold, *children)
+                self.grow(child_idx, None, None, depth + 1)
+        self.nodes[slot] = (int(self.allowed[row]), threshold, *children, 0.0, 0)
 
 
 def _best_split(y, mean, order, values, min_leaf):
@@ -315,7 +297,11 @@ def _best_split(y, mean, order, values, min_leaf):
     if per_row[row] == np.inf:
         return None
     cut = lo + int(sse[row].argmin())
-    return row, float((values[row, cut] + values[row, cut + 1]) / 2.0)
+    a, b = float(values[row, cut]), float(values[row, cut + 1])
+    threshold = (a + b) / 2.0
+    if not a <= threshold < b:  # adjacent floats round up to b; huge ones overflow
+        threshold = a
+    return row, threshold
 
 
 def training_mse(tree: RegressionTree, X, y) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .catalog import IndexPoint, REFERENCE_POINTS
@@ -29,7 +30,6 @@ from .pipeline import (
     synth_seed,
 )
 from .selection import BoostConfig
-from .cart import TreeConfig
 from .synthetic import generate_synthetic, signal_std
 
 DEFAULT_PLANTED = "air_l01,rhum_l01,uwnd_l04,air_l11,rhum_l08"
@@ -133,52 +133,52 @@ def _resolve_points(value) -> tuple[IndexPoint, ...]:
     )
 
 
-def _pick(args_value, file_value, default):
-    if args_value is not None:
-        return args_value
-    if file_value is not None:
-        return file_value
-    return default
+def _pick(*values):
+    """The first value that is set (not None): a flag, then the config file."""
+    return next((value for value in values if value is not None), None)
+
+
+def _given(**fields) -> dict:
+    """The fields that are set, so the dataclass defaults fill in the rest."""
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 def build_pipeline_config(args) -> PipelineConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
-    data_path = _pick(args.data, file_cfg.get("data"), None)
-    output_dir = _pick(args.output, file_cfg.get("output"), None)
+    data_path = _pick(args.data, file_cfg.get("data"))
+    output_dir = _pick(args.output, file_cfg.get("output"))
     if data_path is None:
         raise UsageError("no input data path given (--data or config 'data')")
     if output_dir is None:
         raise UsageError("no output directory given (--output or config 'output')")
 
+    def flag(name):
+        return getattr(args, name, None)
+
     split_cfg = file_cfg.get("split", {})
-    split = SplitSpec(
-        train_fraction=_pick(getattr(args, "train_fraction", None),
-                             split_cfg.get("train_fraction"), 0.9),
-        mode=_pick(getattr(args, "split_mode", None), split_cfg.get("mode"), CHRONOLOGICAL),
-        seed=_pick(getattr(args, "split_seed", None), split_cfg.get("seed"), 0),
-    )
+    split = SplitSpec(**_given(
+        train_fraction=_pick(flag("train_fraction"), split_cfg.get("train_fraction")),
+        mode=_pick(flag("split_mode"), split_cfg.get("mode")),
+        seed=_pick(flag("split_seed"), split_cfg.get("seed")),
+    ))
 
     boost_cfg = file_cfg.get("boost", {})
-    weak_tree = TreeConfig(
-        max_depth=_pick(getattr(args, "tree_depth", None), boost_cfg.get("tree_depth"), 3),
-        min_samples_leaf=boost_cfg.get("min_samples_leaf", 5),
-    )
-    boost = BoostConfig(
-        trees_per_stage=_pick(getattr(args, "trees_per_stage", None),
-                              boost_cfg.get("trees_per_stage"), 100),
-        max_stages=_pick(getattr(args, "max_stages", None), boost_cfg.get("max_stages"), 10),
-        shrinkage=boost_cfg.get("shrinkage", 1.0),
-        stop_tolerance=_pick(getattr(args, "stop_tolerance", None),
-                             boost_cfg.get("stop_tolerance"), 1e-4),
-        weak_tree=weak_tree,
+    weak_tree = replace(BoostConfig().weak_tree, **_given(
+        max_depth=_pick(flag("tree_depth"), boost_cfg.get("tree_depth")),
+        min_samples_leaf=boost_cfg.get("min_samples_leaf"),
+    ))
+    boost = BoostConfig(weak_tree=weak_tree, **_given(
+        trees_per_stage=_pick(flag("trees_per_stage"), boost_cfg.get("trees_per_stage")),
+        max_stages=_pick(flag("max_stages"), boost_cfg.get("max_stages")),
+        shrinkage=boost_cfg.get("shrinkage"),
+        stop_tolerance=_pick(flag("stop_tolerance"), boost_cfg.get("stop_tolerance")),
         feature_subset_size=boost_cfg.get("feature_subset_size"),
-    )
+    ))
 
     learner_cfg = file_cfg.get("learners")
-    if learner_cfg is None:
-        learners = tuple((kind, None) for kind in KIND_ORDER)
-    else:
+    learners = None
+    if learner_cfg is not None:
         learners = []
         for kind in KIND_ORDER:
             if kind not in learner_cfg:
@@ -194,28 +194,28 @@ def build_pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         data_path=data_path,
         output_dir=output_dir,
-        points=_resolve_points(_pick(args.points, file_cfg.get("points"), None)),
-        gamma=_pick(getattr(args, "gamma", None), file_cfg.get("gamma"), 0.9),
-        norm=_pick(getattr(args, "norm", None), file_cfg.get("norm"), "l2"),
-        kappa=_pick(getattr(args, "kappa", None), file_cfg.get("kappa"), 10),
+        points=_resolve_points(_pick(args.points, file_cfg.get("points"))),
         boost=boost,
         split=split,
-        learners=learners,
-        seed=_pick(args.seed, file_cfg.get("seed"), 0),
-        select_on_all=bool(_pick(getattr(args, "select_on_all", None),
-                                 file_cfg.get("select_on_all"), False)),
-        pooled_selection=bool(_pick(getattr(args, "pooled", None),
-                                    file_cfg.get("pooled"), False)),
+        select_on_all=bool(_pick(flag("select_on_all"), file_cfg.get("select_on_all"))),
+        pooled_selection=bool(_pick(flag("pooled"), file_cfg.get("pooled"))),
+        **_given(
+            learners=learners,
+            gamma=_pick(flag("gamma"), file_cfg.get("gamma")),
+            norm=_pick(flag("norm"), file_cfg.get("norm")),
+            kappa=_pick(flag("kappa"), file_cfg.get("kappa")),
+            seed=_pick(args.seed, file_cfg.get("seed")),
+        ),
     )
 
 
 def cmd_synth(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    out = args.out or _pick(args.data, file_cfg.get("data"), None)
+    out = args.out or _pick(args.data, file_cfg.get("data"))
     if out is None:
         raise UsageError("no output CSV path given (--out or --data)")
     master = _pick(args.seed, file_cfg.get("seed"), 0)
-    points = _resolve_points(_pick(args.points, file_cfg.get("points"), None))
+    points = _resolve_points(_pick(args.points, file_cfg.get("points")))
     planted = [name.strip() for name in args.planted.split(",") if name.strip()]
 
     datasets = []
@@ -267,7 +267,7 @@ def cmd_stage(args) -> int:
 
 def cmd_report(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    output_dir = _pick(args.output, file_cfg.get("output"), None)
+    output_dir = _pick(args.output, file_cfg.get("output"))
     if output_dir is None:
         raise UsageError("no output directory given (--output or config 'output')")
     cfg = PipelineConfig(data_path="", output_dir=output_dir)

@@ -39,7 +39,7 @@ __all__ = [
     "LearnerSpec", "FittedModel", "Standardization",
     "RFConfig", "KNNConfig", "SVRConfig", "LRConfig", "MLPConfig",
     "RFModel", "KNNModel", "SVRModel", "LRModel", "MLPModel",
-    "default_specs", "fit", "predict", "fit_all",
+    "default_specs", "fit", "fit_all",
     "model_to_dict", "model_from_dict",
 ]
 
@@ -81,11 +81,6 @@ def fit(spec: LearnerSpec, X_train, y_train, feature_indices=None) -> FittedMode
     if spec.kind == MLP:
         return fit_mlp(spec.hyper, X, y, feature_indices, spec.seed)
     raise ValueError(f"unknown learner kind: {spec.kind!r}")
-
-
-def predict(model: FittedModel, x) -> float:
-    """Deterministic prediction for one feature-restricted vector."""
-    return model.predict(x)
 
 
 def fit_all(specs, X_train, y_train, feature_indices=None) -> dict[str, FittedModel]:

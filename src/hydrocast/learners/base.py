@@ -142,7 +142,8 @@ class FittedModel:
 
     ``predict``/``predict_batch`` expect inputs already restricted and
     ordered to ``feature_indices``; standardization (identity for the tree
-    and linear models) is applied internally.
+    and linear models) is applied internally. Each model implements only
+    ``predict_batch``; ``predict`` is its one-row case.
     """
 
     kind: str = ""
@@ -172,11 +173,11 @@ class FittedModel:
         return X
 
     def predict(self, x) -> float:
-        raise NotImplementedError
+        x = self._check(x)
+        return float(self.predict_batch(x[None])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        X = self._check_batch(X)
-        return np.array([self.predict(row) for row in X])
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError

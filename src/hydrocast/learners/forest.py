@@ -24,10 +24,6 @@ class RFModel(FittedModel):
         self.trees = list(trees)
         self.hyper = hyper
 
-    def predict(self, x) -> float:
-        x = self._check(x)
-        return float(np.mean([tree.predict(x) for tree in self.trees]))
-
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
         out = np.zeros(X.shape[0])

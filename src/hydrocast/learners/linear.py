@@ -24,10 +24,6 @@ class LRModel(FittedModel):
         self.bias = float(bias)
         self.hyper = hyper
 
-    def predict(self, x) -> float:
-        x = self._check(x)
-        return float(self.weights @ x + self.bias)
-
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
         return X @ self.weights + self.bias

@@ -26,10 +26,6 @@ class MLPModel(FittedModel):
         self.y_std = float(y_std)
         self.hyper = hyper
 
-    def predict(self, x) -> float:
-        x = self._check(x)
-        return float(self.predict_batch(x.reshape(1, -1))[0])
-
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
         out = forward(self.params, self.standardization.transform(X))

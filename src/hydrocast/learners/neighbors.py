@@ -21,13 +21,11 @@ class KNNModel(FittedModel):
         self.train_y = np.asarray(train_y, dtype=np.float64)
         self.k = int(k)
 
-    def predict(self, x) -> float:
-        x = self._check(x)
-        z = (x - np.asarray(self.standardization.mean)) / np.asarray(self.standardization.std)
-        dist = np.sqrt(np.sum((self.train_z - z) ** 2, axis=1))
-        order = np.argsort(dist, kind="stable")
-        k = min(self.k, self.train_y.size)
-        return float(self.train_y[order[:k]].mean())
+    def predict_batch(self, X) -> np.ndarray:
+        Z = self.standardization.transform(self._check_batch(X))
+        dist = np.sqrt(np.sum((self.train_z[None, :, :] - Z[:, None, :]) ** 2, axis=2))
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
+        return self.train_y[nearest].mean(axis=1)
 
     def to_dict(self) -> dict:
         payload = self._base_dict(KNNConfig(k=self.k))

@@ -24,11 +24,6 @@ class SVRModel(FittedModel):
         self.bias = float(bias)
         self.hyper = hyper
 
-    def predict(self, x) -> float:
-        x = self._check(x)
-        z = (x - np.asarray(self.standardization.mean)) / np.asarray(self.standardization.std)
-        return float(self.weights @ z + self.bias)
-
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
         return self.standardization.transform(X) @ self.weights + self.bias

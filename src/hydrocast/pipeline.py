@@ -13,13 +13,13 @@ Artifacts (all JSON unless noted):
     <output>/report.json                  all rows plus best model per point
     <output>/selection_summary.json       per-point top lists and occurrence totals
     <output>/report.csv, report.txt       rendered by the report stage
-    <output>/errors.json                  only when some points failed
+    <output>/errors.json                  only when some points failed in the last run
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,18 +82,9 @@ class PipelineConfig:
     pooled_selection: bool = False
 
     def selection_config(self, seed: int) -> SelectionConfig:
-        boost = BoostConfig(
-            trees_per_stage=self.boost.trees_per_stage,
-            max_stages=self.boost.max_stages,
-            shrinkage=self.boost.shrinkage,
-            stop_tolerance=self.boost.stop_tolerance,
-            weak_tree=self.boost.weak_tree,
-            feature_subset_size=self.boost.feature_subset_size,
-            seed=seed,
-        )
         return SelectionConfig(
             colinearity=ColinearityConfig(gamma=self.gamma, norm=self.norm),
-            boost=boost,
+            boost=replace(self.boost, seed=seed),
             kappa=self.kappa,
         )
 
@@ -342,6 +333,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if report is not None:
         stage_report(cfg, TEXT_TABLE)
         stage_report(cfg, CSV_FORMAT)
+    errors_file = Path(cfg.output_dir) / "errors.json"
     if errors:
-        _write_json(Path(cfg.output_dir) / "errors.json", errors)
+        _write_json(errors_file, errors)
+    else:
+        errors_file.unlink(missing_ok=True)  # left by an earlier failed run
     return PipelineResult(result.selections, report, errors)

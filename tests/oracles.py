@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 
-from hydrocast.cart import Internal, Leaf, RegressionTree
-
 
 def pearson_direct(a, p):
     n = len(a)
@@ -30,6 +28,16 @@ def error_std_direct(a, p):
     errs = [abs(a[i] - p[i]) for i in range(len(a))]
     m = sum(errs) / len(errs)
     return math.sqrt(sum((e - m) ** 2 for e in errs) / (len(errs) - 1))
+
+
+def knn_direct(train_z, train_y, k, z):
+    """Mean target of the k training rows nearest to one standardized query.
+
+    Distances are sorted stably, so ties go to the earlier training row.
+    """
+    dist = np.sqrt(np.sum((train_z - z) ** 2, axis=1))
+    order = np.argsort(dist, kind="stable")
+    return float(train_y[order[:k]].mean())
 
 
 def all_depth1_splits(X, y, min_leaf=1):
@@ -70,14 +78,16 @@ def reference_fit_tree(X, y, cfg):
     """The CART growth rule one feature and one node at a time.
 
     Each node argsorts every candidate column afresh and scans its cut
-    positions on its own; the fitted tree must equal ``cart.fit_tree``'s
-    node for node. Takes valid, finite input only.
+    positions on its own. Returns the documented flat node list (a list of
+    dicts, pre-order, root first), which must equal the ``nodes`` of
+    ``cart.fit_tree(...).to_dict()``. Takes valid, finite input only.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_features = X.shape[1]
     allowed = cfg.feature_subset if cfg.feature_subset is not None else tuple(range(n_features))
     rng = np.random.default_rng(cfg.seed)
+    nodes = []
 
     def grow(idx, depth):
         y_node = y[idx]
@@ -87,19 +97,24 @@ def reference_fit_tree(X, y, cfg):
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
             or y_node.max() == y_node.min()
         ):
-            return Leaf(float(y_node.mean()), int(n))
+            nodes.append({"value": float(y_node.mean()), "n": int(n)})
+            return
         candidates = allowed
         if cfg.features_per_node is not None and cfg.features_per_node < len(allowed):
             picked = rng.choice(len(allowed), size=cfg.features_per_node, replace=False)
             candidates = tuple(allowed[i] for i in sorted(picked.tolist()))
         best = best_split(idx, y_node, candidates)
         if best is None:
-            return Leaf(float(y_node.mean()), int(n))
+            nodes.append({"value": float(y_node.mean()), "n": int(n)})
+            return
         feature, threshold = best
+        node = {"feature": feature, "threshold": threshold}
+        nodes.append(node)
         left_mask = X[idx, feature] <= threshold
-        left = grow(idx[left_mask], depth + 1)
-        right = grow(idx[~left_mask], depth + 1)
-        return Internal(feature, threshold, left, right)
+        node["left"] = len(nodes)
+        grow(idx[left_mask], depth + 1)
+        node["right"] = len(nodes)
+        grow(idx[~left_mask], depth + 1)
 
     def best_split(idx, y_node, candidates):
         # Ties on SSE keep the first (lowest) feature; np.argmin keeps the
@@ -133,7 +148,11 @@ def reference_fit_tree(X, y, cfg):
             j = int(np.argmin(sse))
             if sse[j] < best_sse:
                 best_sse = sse[j]
-                best = (feature, float((xs[cut[j]] + xs[cut[j] + 1]) / 2.0))
+                lo, hi = float(xs[cut[j]]), float(xs[cut[j] + 1])
+                mid = (lo + hi) / 2.0
+                # a midpoint that rounds up to hi or overflows falls back to lo
+                best = (feature, mid if lo <= mid < hi else lo)
         return best
 
-    return RegressionTree(grow(np.arange(X.shape[0]), 0), n_features)
+    grow(np.arange(X.shape[0]), 0)
+    return nodes

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hydrocast.cart import Internal, Leaf, TreeConfig, fit_tree
+from hydrocast.cart import TreeConfig, fit_tree
 from hydrocast.catalog import FEATURE_NAMES, REFERENCE_POINTS
 from hydrocast.cli import main
 from hydrocast.evaluation import error_std, mae, pearson
@@ -70,12 +70,13 @@ def test_criterion_3_cart_matches_brute_force():
         y = rng.integers(-5, 6, size=n).astype(float)
         best_sse, optima = best_depth1_splits(X, y)
         tree = fit_tree(X, y, TreeConfig(max_depth=1))
+        root = tree.to_dict()["nodes"][0]
         if not optima or y.max() == y.min():
-            assert isinstance(tree.root, Leaf)
+            assert "value" in root
             continue
         split_cases += 1
-        assert isinstance(tree.root, Internal)
-        feature, threshold = tree.root.feature, tree.root.threshold
+        assert "feature" in root
+        feature, threshold = root["feature"], root["threshold"]
         left = X[:, feature] <= threshold
         yl, yr = y[left], y[~left]
         achieved = float(((yl - yl.mean()) ** 2).sum() + ((yr - yr.mean()) ** 2).sum())

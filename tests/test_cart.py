@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hydrocast.cart import Internal, Leaf, RegressionTree, TreeConfig, fit_tree, training_mse
+from hydrocast.cart import RegressionTree, TreeConfig, fit_tree, training_mse
 from hydrocast.errors import EmptyInput, NonFiniteInput, ShapeMismatch
 
 from oracles import best_depth1_splits, reference_fit_tree
@@ -15,9 +15,14 @@ def random_case(rng, max_n=8, max_d=3):
     return X, y
 
 
+def root_of(tree):
+    return tree.to_dict()["nodes"][0]
+
+
 def root_split_of(tree):
-    assert isinstance(tree.root, Internal)
-    return tree.root.feature, tree.root.threshold
+    root = root_of(tree)
+    assert "feature" in root
+    return root["feature"], root["threshold"]
 
 
 def split_sse(X, y, feature, threshold):
@@ -34,7 +39,7 @@ def test_depth1_matches_brute_force_oracle():
         best_sse, optima = best_depth1_splits(X, y)
         tree = fit_tree(X, y, TreeConfig(max_depth=1))
         if not optima or y.max() == y.min():
-            assert isinstance(tree.root, Leaf)
+            assert "value" in root_of(tree)
             continue
         feature, threshold = root_split_of(tree)
         achieved = split_sse(X, y, feature, threshold)
@@ -55,8 +60,9 @@ def test_constant_target_gives_single_leaf():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.full(10, 3.5)
     tree = fit_tree(X, y)
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.value == 3.5
+    root = root_of(tree)
+    assert "value" in root
+    assert root["value"] == 3.5
     assert tree.predict(np.array([99.0])) == 3.5
     assert tree.features_used() == set()
 
@@ -79,13 +85,18 @@ def test_two_samples_with_leaf_minimum_two():
     X = np.array([[0.0], [1.0]])
     y = np.array([2.0, 4.0])
     tree = fit_tree(X, y, TreeConfig(min_samples_leaf=2))
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.value == 3.0
-    assert tree.root.n == 2
+    root = root_of(tree)
+    assert "value" in root
+    assert root["value"] == 3.0
+    assert root["n"] == 2
 
 
 def test_boundary_value_routes_left():
-    tree = RegressionTree(Internal(0, 1.0, Leaf(-1.0, 1), Leaf(1.0, 1)), 1)
+    tree = RegressionTree.from_dict({"n_features": 1, "nodes": [
+        {"feature": 0, "threshold": 1.0, "left": 1, "right": 2},
+        {"value": -1.0, "n": 1},
+        {"value": 1.0, "n": 1},
+    ]})
     assert tree.predict(np.array([1.0])) == -1.0
     assert tree.predict(np.array([1.0 + 1e-12])) == 1.0
 
@@ -109,20 +120,21 @@ def test_every_leaf_value_is_mean_of_routed_targets():
     X = rng.standard_normal((100, 3))
     y = rng.standard_normal(100)
     tree = fit_tree(X, y, TreeConfig(max_depth=4, min_samples_leaf=3))
+    nodes = tree.to_dict()["nodes"]
 
     def leaf_of(x):
-        node = tree.root
-        while isinstance(node, Internal):
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
+        i = 0
+        while "feature" in nodes[i]:
+            node = nodes[i]
+            i = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+        return i
 
     routed = {}
     for i in range(100):
-        leaf = leaf_of(X[i])
-        routed.setdefault(id(leaf), (leaf, []))[1].append(y[i])
-    for leaf, targets in routed.values():
-        assert leaf.value == pytest.approx(np.mean(targets), abs=1e-12)
-        assert leaf.n == len(targets)
+        routed.setdefault(leaf_of(X[i]), []).append(y[i])
+    for leaf, targets in routed.items():
+        assert nodes[leaf]["value"] == pytest.approx(np.mean(targets), abs=1e-12)
+        assert nodes[leaf]["n"] == len(targets)
 
 
 def test_max_depth_respected():
@@ -139,15 +151,9 @@ def test_min_samples_leaf_respected():
     X = rng.standard_normal((60, 2))
     y = rng.standard_normal(60)
     tree = fit_tree(X, y, TreeConfig(min_samples_leaf=7))
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            assert node.n >= 7
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(tree.root)
+    for node in tree.to_dict()["nodes"]:
+        if "value" in node:
+            assert node["n"] >= 7
 
 
 def test_feature_subset_restricts_splits():
@@ -188,6 +194,17 @@ def test_json_round_trip():
     Xq = rng.standard_normal((20, 3))
     np.testing.assert_array_equal(tree.predict_batch(Xq), clone.predict_batch(Xq))
     assert clone.to_dict() == tree.to_dict()
+
+
+@pytest.mark.parametrize("left, right", [(0, 2), (1, 0), (1, 3), (1, -1)])
+def test_from_dict_rejects_child_links_not_past_the_parent(left, right):
+    payload = {"n_features": 1, "nodes": [
+        {"feature": 0, "threshold": 0.5, "left": left, "right": right},
+        {"value": 0.0, "n": 1},
+        {"value": 1.0, "n": 1},
+    ]}
+    with pytest.raises(ShapeMismatch):
+        RegressionTree.from_dict(payload)
 
 
 def test_shape_and_empty_errors():
@@ -258,10 +275,10 @@ def test_fit_tree_matches_per_feature_reference():
         )
         with np.errstate(over="ignore", invalid="ignore"):
             tree = fit_tree(X, y, cfg)
-            assert tree.to_dict() == reference_fit_tree(X, y, cfg).to_dict(), (case, cfg)
+            assert tree.to_dict()["nodes"] == reference_fit_tree(X, y, cfg), (case, cfg)
             if family == "huge":
                 overflowed += bool(np.isinf(np.cumsum(np.square(y - y.mean()))).any())
-                huge_splits += isinstance(tree.root, Internal)
+                huge_splits += "feature" in root_of(tree)
     assert overflowed > 20 and huge_splits > 20
 
 
@@ -269,6 +286,22 @@ def test_empty_feature_subset_gives_single_leaf():
     X = np.arange(12.0).reshape(6, 2)
     y = np.array([0.0, 0, 0, 1, 1, 1])
     tree = fit_tree(X, y, TreeConfig(feature_subset=()))
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.value == 0.5
-    assert tree.root.n == 6
+    root = root_of(tree)
+    assert "value" in root
+    assert root["value"] == 0.5
+    assert root["n"] == 6
+
+
+@pytest.mark.parametrize("column", [
+    [1.0 + np.finfo(float).eps, 1.0 + 2 * np.finfo(float).eps],  # midpoint rounds up
+    [1.5e308, 1.7e308],  # midpoint overflows to inf
+])
+@pytest.mark.parametrize("max_depth", [None, 1])
+def test_degenerate_midpoint_still_splits(column, max_depth):
+    X = np.array(column).reshape(-1, 1)
+    tree = fit_tree(X, np.array([0.0, 1.0]), TreeConfig(max_depth=max_depth))
+    nodes = tree.to_dict()["nodes"]
+    assert len(nodes) == 3
+    assert column[0] <= nodes[0]["threshold"] < column[1]
+    assert [(node["value"], node["n"]) for node in nodes[1:]] == [(0.0, 1), (1.0, 1)]
+    np.testing.assert_array_equal(tree.predict_batch(X), [0.0, 1.0])

@@ -1,0 +1,55 @@
+"""Pinned digest of the artifacts of a small 1-point run.
+
+The digest covers only artifact parts computed without BLAS, so it is the
+same on every machine: the boosted ranking (``occurrence``,
+``top_features``, ``training_mse_per_stage`` of ``selection.json``) and
+the random forest (``models.json``'s ``rf`` entry). A change to tree
+growth, prediction or serialization that moves any byte of these fails
+here. Update the pin only with a change that means to alter artifacts.
+"""
+
+import hashlib
+import json
+
+from hydrocast.catalog import REFERENCE_POINTS
+from hydrocast.cli import main
+
+PINNED_SHA256 = "e40eafd0f4854d3621bd8b157a5e48e2fd635adaea05c0a7a7e01d7d13b9846f"
+
+
+def test_one_point_run_artifact_digest(tmp_path):
+    data = tmp_path / "data.csv"
+    assert main([
+        "synth", "--samples", "120", "--seed", "7", "--points", "p01",
+        "--noise-rel", "0.1", "--out", str(data),
+    ]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "boost": {"trees_per_stage": 20, "max_stages": 2},
+        "learners": {
+            "rf": {"n_trees": 10},
+            "knn": {},
+            "svr": {"epochs": 20},
+            "lr": {},
+            "mlp": {"epochs": 20},
+        },
+    }))
+    output = tmp_path / "out"
+    assert main([
+        "run", "--config", str(config), "--data", str(data), "--output", str(output),
+        "--points", "p01", "--seed", "7",
+    ]) == 0
+
+    point_dir = output / next(p for p in REFERENCE_POINTS if p.id == "p01").label
+    selection = json.loads((point_dir / "selection.json").read_text())
+    models = json.loads((point_dir / "models.json").read_text())
+    pinned = {
+        "occurrence": selection["occurrence"],
+        "top_features": selection["top_features"],
+        "training_mse_per_stage": selection["training_mse_per_stage"],
+        "rf": models["models"]["rf"],
+    }
+    assert selection["n_stages"] == 2
+    assert len(pinned["rf"]["trees"]) == 10
+    digest = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_SHA256

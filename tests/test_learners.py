@@ -17,7 +17,6 @@ from hydrocast.learners import (
     fit_all,
     model_from_dict,
     model_to_dict,
-    predict,
 )
 from hydrocast.learners.base import (
     KNNConfig,
@@ -30,6 +29,8 @@ from hydrocast.learners.base import (
 from hydrocast.learners.mlp import init_params, loss_and_grads
 from hydrocast.learners.svm import SVRModel
 
+from oracles import knn_direct
+
 
 # --- linear regression ---
 
@@ -41,7 +42,7 @@ def test_lr_recovers_exact_affine_function():
     assert model.weights[0] == pytest.approx(2.0, abs=1e-10)
     assert model.bias == pytest.approx(1.0, abs=1e-10)
     assert np.abs(y - model.predict_batch(X)).mean() < 1e-8
-    assert predict(model, np.array([3.0])) == pytest.approx(7.0, abs=1e-9)
+    assert model.predict(np.array([3.0])) == pytest.approx(7.0, abs=1e-9)
 
 
 def test_lr_multifeature_recovery():
@@ -80,9 +81,9 @@ def test_lr_singular_gram_falls_back_to_ridge():
 
 def test_lr_prediction_contract():
     model = fit(LearnerSpec("lr"), np.arange(10.0).reshape(-1, 1), np.arange(10.0))
-    assert predict(model, np.array([3.0])) == pytest.approx(3.0, abs=1e-9)
+    assert model.predict(np.array([3.0])) == pytest.approx(3.0, abs=1e-9)
     with pytest.raises(ShapeMismatch):
-        predict(model, np.array([1.0, 2.0]))
+        model.predict(np.array([1.0, 2.0]))
 
 
 # --- k nearest neighbors ---
@@ -93,7 +94,7 @@ def test_knn_k1_is_exact_on_training_points():
     y = rng.standard_normal(25)
     model = fit(LearnerSpec("knn", KNNConfig(k=1)), X, y)
     for i in range(25):
-        assert predict(model, X[i]) == y[i]
+        assert model.predict(X[i]) == y[i]
 
 
 def test_knn_k3_hand_case():
@@ -101,14 +102,27 @@ def test_knn_k3_hand_case():
     y = np.array([0.0, 10.0, 20.0, 30.0])
     model = fit(LearnerSpec("knn", KNNConfig(k=3)), X, y)
     # neighbors of 0.9 are x=1, 0, 2 -> mean(10, 0, 20)
-    assert predict(model, np.array([0.9])) == pytest.approx(10.0)
+    assert model.predict(np.array([0.9])) == pytest.approx(10.0)
 
 
 def test_knn_k_larger_than_train_uses_all():
     X = np.array([[0.0], [1.0]])
     y = np.array([2.0, 4.0])
     model = fit(LearnerSpec("knn", KNNConfig(k=10)), X, y)
-    assert predict(model, np.array([0.5])) == pytest.approx(3.0)
+    assert model.predict(np.array([0.5])) == pytest.approx(3.0)
+
+
+def test_knn_batch_matches_per_row_reference():
+    rng = np.random.default_rng(41)
+    for case in range(100):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        # few distinct values make distance ties common
+        X = rng.integers(0, 3, size=(n, d)).astype(float) if case % 2 else rng.standard_normal((n, d))
+        model = fit(LearnerSpec("knn", KNNConfig(k=int(rng.integers(1, 20)))), X, rng.standard_normal(n))
+        Xq = np.vstack([X, rng.integers(0, 3, size=(5, d)).astype(float)])
+        Zq = model.standardization.transform(Xq)
+        expected = [knn_direct(model.train_z, model.train_y, model.k, z) for z in Zq]
+        np.testing.assert_array_equal(model.predict_batch(Xq), expected)
 
 
 # --- random forest ---
@@ -166,7 +180,7 @@ def test_rf_is_deterministic_given_seed():
 
 def test_svr_fixed_parameters_predict_constant():
     model = SVRModel(np.zeros(3), 5.0, SVRConfig(), (0, 1, 2), Standardization.identity(3))
-    assert predict(model, np.array([4.0, -2.0, 0.5])) == 5.0
+    assert model.predict(np.array([4.0, -2.0, 0.5])) == 5.0
 
 
 def test_svr_epsilon_tube_on_noiseless_linear_data():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hydrocast.catalog import REFERENCE_POINTS
-from hydrocast.cli import main
+from hydrocast.cli import build_parser, build_pipeline_config, main
 from hydrocast.dataset import SplitSpec, load_csv, split, write_csv
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
 from hydrocast.selection import BoostConfig, SelectionConfig, run_selection
@@ -226,6 +226,22 @@ def test_flags_override_config_file(tmp_path):
     assert payload["gamma"] == 0.8
     assert payload["kappa"] == 5
     assert len(payload["top_features"]) <= 5
+
+
+def test_no_flags_and_no_config_file_gives_dataclass_defaults():
+    args = build_parser().parse_args(["run", "--data", "data.csv", "--output", "out"])
+    assert build_pipeline_config(args) == PipelineConfig("data.csv", "out")
+
+
+def test_clean_rerun_removes_stale_errors_json(tmp_path):
+    data = synth(tmp_path)  # contains p01 and p02 only
+    out = tmp_path / "out"
+    failing = write_config(tmp_path, small_config(data, out, points="p01,p03"), "failing.json")
+    assert main(["run", "--config", str(failing)]) == 2
+    assert (out / "errors.json").exists()
+    clean = write_config(tmp_path, small_config(data, out, points="p01"), "clean.json")
+    assert main(["run", "--config", str(clean)]) == 0
+    assert not (out / "errors.json").exists()
 
 
 def test_partial_failure_records_errors_and_continues(tmp_path):
