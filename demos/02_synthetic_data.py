@@ -34,7 +34,8 @@ print(f"precip - offset - signal leaves pure noise: std {residual.std():.3f}")
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.csv"
     write_csv(data, path)
-    loaded = load_csv(path, REFERENCE_POINTS[0])
+    # one pass over the file gives every requested point's rows, keyed by label
+    loaded = load_csv(path, REFERENCE_POINTS[:1])[REFERENCE_POINTS[0].label]
     print(f"\nCSV round trip: wrote {len(data)} rows, loaded {len(loaded)} rows, "
           f"features equal: {np.array_equal(loaded.features, data.features)}")
     print("Header starts:", path.read_text().splitlines()[0][:60], "...")

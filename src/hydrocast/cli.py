@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import pipeline
 from .catalog import IndexPoint, REFERENCE_POINTS
 from .dataset import CHRONOLOGICAL, SEEDED_RANDOM, SplitSpec, write_csv
 from .errors import HydrocastError
@@ -240,24 +241,26 @@ def cmd_synth(args) -> int:
 def cmd_stage(args) -> int:
     cfg = build_pipeline_config(args)
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    errors: dict[str, str] = {}
-    if args.command == "select":
-        result = stage_select(cfg)
-        print(f"selected features for {len(result.selections)} points")
-        errors = result.errors
-    elif args.command == "train":
-        fitted = stage_train(cfg, errors)
-        print(f"trained {len(fitted)} points x {len(cfg.learners)} models")
-    elif args.command == "evaluate":
-        report = stage_evaluate(cfg, errors)
-        if report is None:
-            raise HydrocastError("no models found to evaluate; run 'train' first")
-        print(f"evaluated {len(report.rows)} (point, model) pairs")
-    else:  # run
+    if args.command == "run":
         result = run_pipeline(cfg)
         if result.report is not None:
             print(stage_report(cfg, TEXT_TABLE), end="")
         errors = result.errors
+    else:
+        # resolved through the pipeline module, where tests and perfbench hook it
+        datasets = pipeline.load_csv(cfg.data_path, cfg.points)
+        errors: dict[str, str] = {}
+        if args.command == "select":
+            selections = stage_select(cfg, datasets, errors)
+            print(f"selected features for {len(selections)} points")
+        elif args.command == "train":
+            fitted = stage_train(cfg, datasets, errors)
+            print(f"trained {len(fitted)} points x {len(cfg.learners)} models")
+        else:  # evaluate
+            report = stage_evaluate(cfg, datasets, errors)
+            if report is None:
+                raise HydrocastError("no models found to evaluate; run 'train' first")
+            print(f"evaluated {len(report.rows)} (point, model) pairs")
     if errors:
         for key, message in errors.items():
             print(f"error [{key}]: {message}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,10 @@ from .errors import (
     DuplicateTimestamp,
     EmptyDataset,
     FractionOutOfRange,
+    HydrocastError,
+    InvalidTimestamp,
     MissingColumn,
+    NegativePrecipitation,
     NonFiniteValue,
     UnknownColumn,
 )
@@ -100,7 +104,7 @@ class Dataset:
         if not np.isfinite(features).all() or not np.isfinite(precip).all():
             raise ValueError("dataset contains non-finite values")
         if (precip < 0).any():
-            raise ValueError("precipitation values must be nonnegative")
+            raise NegativePrecipitation("precipitation values must be nonnegative")
 
         self.point = point
         self.timestamps = timestamps
@@ -129,7 +133,7 @@ class Dataset:
 def _month_key(timestamp: str) -> int:
     m = _DATE_RE.match(timestamp)
     if not m or not 1 <= int(m.group(2)) <= 12:
-        raise ValueError(f"timestamp must be YYYY-MM with a valid month: {timestamp!r}")
+        raise InvalidTimestamp(timestamp)
     return int(m.group(1)) * 12 + int(m.group(2)) - 1
 
 
@@ -139,48 +143,80 @@ def month_sequence(start: str, n: int) -> list[str]:
     return [f"{k // 12:04d}-{k % 12 + 1:02d}" for k in range(key, key + n)]
 
 
-def load_csv(path, point: IndexPoint) -> Dataset:
-    """Load and validate one index point's rows from a catalog-schema CSV.
+class PointData(dict):
+    """Point label -> that point's ``Dataset``, or the error its rows raised.
 
-    The header must contain exactly the documented columns. Rows are
-    matched to ``point`` by longitude and latitude (1e-6 tolerance).
+    Looking up a failed point raises its error, so it fails only where its
+    rows are used.
     """
+
+    def __getitem__(self, label: str) -> Dataset:
+        data = super().__getitem__(label)
+        if isinstance(data, HydrocastError):
+            raise data
+        return data
+
+
+def load_csv(path, points) -> PointData:
+    """Load and validate the rows of every requested index point in one pass.
+
+    The header must contain exactly the documented columns; a header error
+    is every point's error. A row belongs to each point within 1e-6 of its
+    longitude and latitude. A bad coordinate fails every point that has not
+    failed yet; any other bad value fails only the points of its row.
+    """
+    targets = {point.label: point for point in points}
+    found = {label: ([], array("d")) for label in targets}  # timestamps, values per row
+    failed: dict[str, HydrocastError] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: file is empty") from None
-
-        expected = set(CSV_COLUMNS)
-        seen = set(header)
-        for name in CSV_COLUMNS:
-            if name not in seen:
-                raise MissingColumn(name)
-        for name in header:
-            if name not in expected:
-                raise UnknownColumn(name)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDataset(f"{path}: file is empty")
+            for name in CSV_COLUMNS:
+                if name not in header:
+                    raise MissingColumn(name)
+            for name in header:
+                if name not in CSV_COLUMNS:
+                    raise UnknownColumn(name)
+        except HydrocastError as exc:
+            return PointData.fromkeys(targets, exc)
         col = {name: header.index(name) for name in CSV_COLUMNS}
+        value_cols = [(col[name], name) for name in FEATURE_NAMES + ("precip",)]
 
-        timestamps, rows, precip = [], [], []
-        feature_cols = [col[name] for name in FEATURE_NAMES]
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
-            lon = _parse_float(row, col["lon"], row_no, "lon")
-            lat = _parse_float(row, col["lat"], row_no, "lat")
-            if abs(lon - point.lon) > 1e-6 or abs(lat - point.lat) > 1e-6:
+            labels = targets  # a row with bad coordinates could be any point's
+            try:
+                lon = _parse_float(row, col["lon"], row_no, "lon")
+                lat = _parse_float(row, col["lat"], row_no, "lat")
+                labels = [label for label, p in targets.items() if label not in failed
+                          and abs(lon - p.lon) <= 1e-6 and abs(lat - p.lat) <= 1e-6]
+                if labels:
+                    timestamp = row[col["date"]].strip()
+                    values = [_parse_float(row, c, row_no, name) for c, name in value_cols]
+            except HydrocastError as exc:
+                failed.update((label, exc) for label in labels if label not in failed)
                 continue
-            timestamps.append(row[col["date"]].strip())
-            values = np.empty(CATALOG_SIZE, dtype=np.float64)
-            for k, c in enumerate(feature_cols):
-                values[k] = _parse_float(row, c, row_no, FEATURE_NAMES[k])
-            rows.append(values)
-            precip.append(_parse_float(row, col["precip"], row_no, "precip"))
+            for label in labels:
+                found[label][0].append(timestamp)
+                found[label][1].extend(values)
 
-    if not rows:
-        raise EmptyDataset(f"{path}: no rows for point ({point.lon}, {point.lat})")
-    return Dataset(point, timestamps, np.vstack(rows), np.asarray(precip))
+    datasets = PointData(failed)
+    for label, point in targets.items():
+        timestamps, values = found[label]
+        if label in failed:
+            continue
+        try:
+            if not timestamps:
+                raise EmptyDataset(f"{path}: no rows for point ({point.lon}, {point.lat})")
+            table = np.frombuffer(values).reshape(-1, CATALOG_SIZE + 1)
+            datasets[label] = Dataset(point, timestamps, table[:, :-1].copy(), table[:, -1].copy())
+        except HydrocastError as exc:
+            datasets[label] = exc
+    return datasets
 
 
 def _parse_float(row, col_idx, row_no, col_name) -> float:

@@ -41,6 +41,16 @@ class DuplicateTimestamp(HydrocastError):
         super().__init__(f"duplicate timestamp in dataset: {timestamp}")
 
 
+class InvalidTimestamp(HydrocastError):
+    def __init__(self, timestamp):
+        self.timestamp = timestamp
+        super().__init__(f"timestamp must be YYYY-MM with a valid month: {timestamp!r}")
+
+
+class NegativePrecipitation(HydrocastError):
+    pass
+
+
 class EmptyDataset(HydrocastError):
     pass
 
@@ -121,3 +131,9 @@ class ZeroVariance(HydrocastError):
 
 class EmptyReport(HydrocastError):
     pass
+
+
+# --- stored artifacts ---
+
+class DamagedArtifact(HydrocastError):
+    """An artifact file is not valid JSON or lacks the fields its reader needs."""

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DuplicateKind, NonFiniteInput, ShapeMismatch, TooFewSamples
+from ..errors import (
+    DamagedArtifact,
+    DuplicateKind,
+    HydrocastError,
+    NonFiniteInput,
+    ShapeMismatch,
+    TooFewSamples,
+)
 from .base import (
     KIND_ORDER,
     KNN,
@@ -106,7 +113,15 @@ def model_to_dict(model: FittedModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> FittedModel:
-    kind = payload["kind"]
+    """Rebuild a fitted model; a missing or malformed payload raises ``DamagedArtifact``."""
+    if not isinstance(payload, dict):
+        raise DamagedArtifact("model payload is missing or not a JSON object")
+    kind = payload.get("kind")
     if kind not in _MODEL_CLASSES:
-        raise ValueError(f"unknown learner kind in payload: {kind!r}")
-    return _MODEL_CLASSES[kind].from_dict(payload)
+        raise DamagedArtifact(f"unknown learner kind in payload: {kind!r}")
+    try:
+        return _MODEL_CLASSES[kind].from_dict(payload)
+    except HydrocastError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DamagedArtifact(f"malformed {kind} model payload: {exc!r}") from None

@@ -2,8 +2,9 @@
 
 Every stage reads and writes documented file artifacts under the output
 directory, so the stages can run as separate commands and the all-in-one
-runner is literally their composition. One master seed derives every
-sub-seed, and feature selection sees only training rows unless the
+runner is literally their composition. Each command reads the input CSV
+once and hands every stage the per-point datasets. One master seed derives
+every sub-seed, and feature selection sees only training rows unless the
 configuration explicitly opts into selecting on all rows.
 
 Artifacts (all JSON unless noted):
@@ -25,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import FEATURE_NAMES, IndexPoint, REFERENCE_POINTS, column_of
-from .dataset import Dataset, SplitSpec, load_csv, split
-from .errors import HydrocastError
+from .dataset import Dataset, PointData, SplitSpec, load_csv, split
+from .errors import DamagedArtifact, HydrocastError
 from .evaluation import (
     CSV_FORMAT,
     EvalResult,
@@ -118,8 +119,16 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+def _read_json(path: Path, *keys: str) -> dict:
+    """An artifact's payload; one that is not JSON or lacks one of ``keys`` is damaged."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise DamagedArtifact(f"{path}: not valid JSON ({exc})") from None
+    missing = [key for key in keys if not isinstance(payload, dict) or key not in payload]
+    if missing:
+        raise DamagedArtifact(f"{path}: missing {', '.join(missing)}")
+    return payload
 
 
 def _point_payload(point: IndexPoint) -> dict:
@@ -165,17 +174,17 @@ def selection_payload(point: IndexPoint, selection: SelectionResult, seed: int,
     }
 
 
-def stage_select(cfg: PipelineConfig) -> PipelineResult:
+def stage_select(cfg: PipelineConfig, datasets: PointData,
+                 errors: dict[str, str]) -> dict[str, SelectionResult]:
     """Prune and boost-rank features per point; write selection.json files."""
     selections: dict[str, SelectionResult] = {}
-    errors: dict[str, str] = {}
 
     pooled_selection = None
     pooled_seed = derive_seed(cfg.seed, _SEED_BOOST, _POOLED_POINT_CODE)
     if cfg.pooled_selection:
         blocks_X, blocks_y = [], []
         for point in cfg.points:
-            rows = _selection_rows(cfg, load_csv(cfg.data_path, point))
+            rows = _selection_rows(cfg, datasets[point.label])
             blocks_X.append(rows.features)
             blocks_y.append(rows.precip)
         pooled_selection = run_selection(
@@ -185,8 +194,7 @@ def stage_select(cfg: PipelineConfig) -> PipelineResult:
     for idx, point in enumerate(cfg.points):
         label = point.label
         try:
-            data = load_csv(cfg.data_path, point)
-            rows = _selection_rows(cfg, data)
+            rows = _selection_rows(cfg, datasets[label])
             if pooled_selection is not None:
                 selection, seed, pooled = pooled_selection, pooled_seed, True
             else:
@@ -199,26 +207,25 @@ def stage_select(cfg: PipelineConfig) -> PipelineResult:
             )
         except HydrocastError as exc:
             errors[label] = str(exc)
-    return PipelineResult(selections, None, errors)
+    return selections
 
 
-def stage_train(cfg: PipelineConfig, errors: dict[str, str] | None = None) -> dict[str, dict]:
+def stage_train(cfg: PipelineConfig, datasets: PointData,
+                errors: dict[str, str]) -> dict[str, dict]:
     """Fit the configured learners on the selected training columns."""
     fitted: dict[str, dict] = {}
-    errors = errors if errors is not None else {}
     for idx, point in enumerate(cfg.points):
         point_dir = _point_dir(cfg, point)
         selection_file = point_dir / "selection.json"
         if not selection_file.exists():
             continue
         try:
-            payload = _read_json(selection_file)
+            payload = _read_json(selection_file, "top_features")
             columns = [column_of(name) for name in payload["top_features"]]
             if not columns:
                 errors[point.label] = "selection produced no features"
                 continue
-            data = load_csv(cfg.data_path, point)
-            train, _ = split(data, cfg.split)
+            train, _ = split(datasets[point.label], cfg.split)
             models = fit_all(
                 cfg.learner_specs(idx), train.features[:, columns], train.precip, columns
             )
@@ -236,20 +243,19 @@ def stage_train(cfg: PipelineConfig, errors: dict[str, str] | None = None) -> di
     return fitted
 
 
-def stage_evaluate(cfg: PipelineConfig, errors: dict[str, str] | None = None) -> EvaluationReport | None:
+def stage_evaluate(cfg: PipelineConfig, datasets: PointData,
+                   errors: dict[str, str]) -> EvaluationReport | None:
     """Score every stored model on its point's test months."""
     rows: list[EvalResult] = []
-    errors = errors if errors is not None else {}
     for point in cfg.points:
         point_dir = Path(cfg.output_dir) / point.label
         models_file = point_dir / "models.json"
         if not models_file.exists():
             continue
         try:
-            payload = _read_json(models_file)
+            payload = _read_json(models_file, "features", "models")
             columns = [column_of(name) for name in payload["features"]]
-            data = load_csv(cfg.data_path, point)
-            _, test = split(data, cfg.split)
+            _, test = split(datasets[point.label], cfg.split)
         except HydrocastError as exc:
             errors[point.label] = str(exc)
             continue
@@ -257,7 +263,7 @@ def stage_evaluate(cfg: PipelineConfig, errors: dict[str, str] | None = None) ->
         metrics = {}
         for kind, _ in cfg.learners:
             try:
-                model = model_from_dict(payload["models"][kind])
+                model = model_from_dict(payload["models"].get(kind))
                 predicted = model.predict_batch(X_test)
                 row = EvalResult(
                     point,
@@ -281,11 +287,11 @@ def stage_evaluate(cfg: PipelineConfig, errors: dict[str, str] | None = None) ->
         return None
     report = EvaluationReport(rows)
     _write_json(Path(cfg.output_dir) / "report.json", report.to_dict())
-    _write_selection_summary(cfg)
+    _write_selection_summary(cfg, errors)
     return report
 
 
-def _write_selection_summary(cfg: PipelineConfig) -> None:
+def _write_selection_summary(cfg: PipelineConfig, errors: dict[str, str]) -> None:
     top_per_point: dict[str, list[str]] = {}
     totals: dict[str, int] = {}
     membership: dict[str, int] = {}
@@ -293,7 +299,11 @@ def _write_selection_summary(cfg: PipelineConfig) -> None:
         selection_file = Path(cfg.output_dir) / point.label / "selection.json"
         if not selection_file.exists():
             continue
-        payload = _read_json(selection_file)
+        try:
+            payload = _read_json(selection_file, "top_features", "occurrence")
+        except DamagedArtifact as exc:
+            errors[point.label] = str(exc)
+            continue
         top_per_point[point.label] = payload["top_features"]
         for name, count in payload["occurrence"].items():
             totals[name] = totals.get(name, 0) + count
@@ -326,10 +336,11 @@ def stage_report(cfg: PipelineConfig, fmt: str = TEXT_TABLE) -> str:
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """select -> train -> evaluate -> report, sharing one artifact tree."""
-    result = stage_select(cfg)
-    errors = result.errors
-    stage_train(cfg, errors)
-    report = stage_evaluate(cfg, errors)
+    datasets = load_csv(cfg.data_path, cfg.points)
+    errors: dict[str, str] = {}
+    selections = stage_select(cfg, datasets, errors)
+    stage_train(cfg, datasets, errors)
+    report = stage_evaluate(cfg, datasets, errors)
     if report is not None:
         stage_report(cfg, TEXT_TABLE)
         stage_report(cfg, CSV_FORMAT)
@@ -338,4 +349,4 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         _write_json(errors_file, errors)
     else:
         errors_file.unlink(missing_ok=True)  # left by an earlier failed run
-    return PipelineResult(result.selections, report, errors)
+    return PipelineResult(selections, report, errors)

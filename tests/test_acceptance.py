@@ -282,7 +282,7 @@ def test_criterion_8_thirteen_point_report_shape(thirteen_point_run):
 
     point = REFERENCE_POINTS[0]
     payload = json.loads((out / point.label / "selection.json").read_text())
-    train, _ = split_data(load_csv(data, point), SplitSpec())
+    train, _ = split_data(load_csv(data, [point])[point.label], SplitSpec())
     kept, _ = prune_colinear(train.features, ColinearityConfig())
     model = fit_boosted(train.features[:, kept], train.precip,
                         BoostConfig(seed=payload["seed"]))

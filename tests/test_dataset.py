@@ -18,6 +18,7 @@ from hydrocast.errors import (
     EmptyDataset,
     FractionOutOfRange,
     MissingColumn,
+    NegativePrecipitation,
     NonFiniteValue,
     SchemaError,
     UnknownColumn,
@@ -39,7 +40,7 @@ def test_write_then_load_round_trips(tmp_path):
     data = make_dataset(444)
     path = tmp_path / "data.csv"
     write_csv(data, path)
-    loaded = load_csv(path, POINT)
+    loaded = load_csv(path, [POINT])[POINT.label]
     assert len(loaded) == 444
     assert loaded.timestamps == data.timestamps
     np.testing.assert_array_equal(loaded.features, data.features)
@@ -61,15 +62,39 @@ def test_load_filters_rows_by_point(tmp_path):
     d2 = make_dataset(36, point=other, seed=2)
     path = tmp_path / "multi.csv"
     write_csv([d1, d2], path)
-    assert len(load_csv(path, POINT)) == 24
-    assert len(load_csv(path, other)) == 36
+    loaded = load_csv(path, [POINT, other])
+    assert len(loaded[POINT.label]) == 24
+    assert len(loaded[other.label]) == 36
+
+
+def test_one_pass_keeps_each_points_error_apart(tmp_path):
+    other = REFERENCE_POINTS[1]
+    path = tmp_path / "multi.csv"
+    write_csv([make_dataset(24, point=POINT, seed=1), make_dataset(24, point=other, seed=2)], path)
+    lines = path.read_text().splitlines()
+    row = lines[30].split(",")  # one of the second point's rows
+    row[-1] = "-1.0"
+    lines[30] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_csv(path, [POINT, other])
+    assert len(loaded[POINT.label]) == 24
+    with pytest.raises(NegativePrecipitation):
+        loaded[other.label]
+
+    row[1] = "east"  # a bad coordinate belongs to no point, so it fails them all
+    lines[30] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_csv(path, [POINT, other])
+    for point in (POINT, other):
+        with pytest.raises(NonFiniteValue, match="data row 30, column 'lon'"):
+            loaded[point.label]
 
 
 def test_file_with_no_matching_rows_is_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n")
     with pytest.raises(EmptyDataset):
-        load_csv(path, POINT)
+        load_csv(path, [POINT])[POINT.label]
 
 
 def test_unknown_column_rejected(tmp_path):
@@ -77,7 +102,7 @@ def test_unknown_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(header + "\n")
     with pytest.raises((UnknownColumn, SchemaError)):
-        load_csv(path, POINT)
+        load_csv(path, [POINT])[POINT.label]
 
 
 def test_missing_column_rejected(tmp_path):
@@ -85,7 +110,7 @@ def test_missing_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(cols) + "\n")
     with pytest.raises(MissingColumn) as err:
-        load_csv(path, POINT)
+        load_csv(path, [POINT])[POINT.label]
     assert err.value.name == "shum_l05"
 
 
@@ -96,7 +121,7 @@ def test_non_finite_value_rejected(tmp_path):
     text = path.read_text().replace(repr(float(data.features[3, 0])), "nan", 1)
     path.write_text(text)
     with pytest.raises(NonFiniteValue):
-        load_csv(path, POINT)
+        load_csv(path, [POINT])[POINT.label]
 
 
 def test_duplicate_timestamp_rejected(tmp_path):
@@ -107,7 +132,7 @@ def test_duplicate_timestamp_rejected(tmp_path):
     lines.append(lines[1])  # repeat the first data row
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DuplicateTimestamp):
-        load_csv(path, POINT)
+        load_csv(path, [POINT])[POINT.label]
 
 
 def test_crlf_accepted(tmp_path):
@@ -116,7 +141,7 @@ def test_crlf_accepted(tmp_path):
     write_csv(data, path)
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(path.read_text().replace("\n", "\r\n").encode())
-    assert len(load_csv(crlf, POINT)) == 20
+    assert len(load_csv(crlf, [POINT])[POINT.label]) == 20
 
 
 def test_rows_sorted_chronologically(tmp_path):
@@ -126,7 +151,7 @@ def test_rows_sorted_chronologically(tmp_path):
     lines = path.read_text().splitlines()
     shuffled = [lines[0]] + lines[1:][::-1]
     path.write_text("\n".join(shuffled) + "\n")
-    loaded = load_csv(path, POINT)
+    loaded = load_csv(path, [POINT])[POINT.label]
     assert list(loaded.timestamps) == sorted(loaded.timestamps)
     np.testing.assert_array_equal(loaded.features, data.features)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hydrocast.catalog import REFERENCE_POINTS
+from hydrocast import pipeline
 from hydrocast.cli import build_parser, build_pipeline_config, main
 from hydrocast.dataset import SplitSpec, load_csv, split, write_csv
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
@@ -69,7 +70,7 @@ def test_synth_writes_requested_points(tmp_path):
     data = synth(tmp_path)
     for pid in ("p01", "p02"):
         point = next(p for p in REFERENCE_POINTS if p.id == pid)
-        assert len(load_csv(data, point)) == 60
+        assert len(load_csv(data, [point])[point.label]) == 60
 
 
 def test_run_single_point_noiseless_linear_gives_perfect_lr(tmp_path):
@@ -152,8 +153,9 @@ def test_selection_ignores_test_rows(tmp_path):
     assert main(["select", "--config", str(cfg_a)]) == 0
 
     # perturb only the held-out rows (chronological split: the last 8)
-    point = REFERENCE_POINTS[0]
-    full = load_csv(data, point)
+    point, other = REFERENCE_POINTS[:2]
+    loaded = load_csv(data, [point, other])
+    full = loaded[point.label]
     train, test = split(full, SplitSpec())
     perturbed = test.features + 123.456
     stacked = np.vstack([train.features, perturbed])
@@ -163,7 +165,7 @@ def test_selection_ignores_test_rows(tmp_path):
     tampered = tmp_path / "tampered.csv"
     write_csv(
         [Dataset(point, full.timestamps, stacked, precip),
-         load_csv(data, REFERENCE_POINTS[1])],
+         loaded[other.label]],
         tampered,
     )
     out_b = tmp_path / "b"
@@ -192,7 +194,7 @@ def test_selection_matches_inmemory_train_only_run(tmp_path):
     payload = json.loads((out / "27.5_67.5" / "selection.json").read_text())
 
     point = REFERENCE_POINTS[0]
-    train, _ = split(load_csv(data, point), SplitSpec())
+    train, _ = split(load_csv(data, [point])[point.label], SplitSpec())
     cfg = SelectionConfig(
         boost=BoostConfig(trees_per_stage=20, max_stages=2,
                           weak_tree=TreeConfig(max_depth=3, min_samples_leaf=5),
@@ -259,7 +261,8 @@ def test_partial_failure_records_errors_and_continues(tmp_path):
 
 def test_too_few_rows_fails_only_that_point(tmp_path):
     data = synth(tmp_path)
-    healthy, tiny = (load_csv(data, p) for p in REFERENCE_POINTS[:2])
+    loaded = load_csv(data, REFERENCE_POINTS[:2])
+    healthy, tiny = (loaded[p.label] for p in REFERENCE_POINTS[:2])
     mixed = tmp_path / "mixed.csv"
     write_csv([healthy, tiny.take(range(2))], mixed)
     out = tmp_path / "out"
@@ -271,6 +274,102 @@ def test_too_few_rows_fails_only_that_point(tmp_path):
         assert (out / "27.5_67.5" / name).exists()
     report = json.loads((out / "report.json").read_text())
     assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(27.5, 67.5)}
+
+
+def _edit_p02_row(column, value):
+    """Set one column of p02's fourth data row in the CSV file."""
+    def edit(data):
+        lines = [line.split(",") for line in data.read_text().splitlines()]
+        p02 = [cells for cells in lines[1:] if (cells[1], cells[2]) == ("30.0", "67.5")]
+        p02[3][lines[0].index(column)] = value
+        data.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+    return edit
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _edit_json(change):
+    def edit(path):
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+    return edit
+
+
+BAD_P02 = {
+    "negative_precip": (_edit_p02_row("precip", "-1.0"), None, ["30_67.5"]),
+    "bad_date": (_edit_p02_row("date", "2020-13"), None, ["30_67.5"]),
+    "duplicate_timestamp": (_edit_p02_row("date", "1981-01"), None, ["30_67.5"]),  # p02's first month
+    "non_numeric_feature": (_edit_p02_row("air_l05", "n/a"), None, ["30_67.5"]),
+    "truncated_selection": (None, ("selection.json", _truncate), ["30_67.5"]),
+    "truncated_models": (None, ("models.json", _truncate), ["30_67.5"]),
+    "node_without_threshold": (
+        None,
+        ("models.json", _edit_json(
+            lambda p: p["models"]["rf"]["trees"][0]["nodes"][0].pop("threshold"))),
+        ["30_67.5:rf"],
+    ),
+    "selection_without_top_features": (
+        None, ("selection.json", _edit_json(lambda p: p.pop("top_features"))), ["30_67.5"],
+    ),
+    "missing_knn_model": (
+        None, ("models.json", _edit_json(lambda p: p["models"].pop("knn"))), ["30_67.5:knn"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_P02))
+def test_bad_point_fails_alone(tmp_path, monkeypatch, case):
+    edit_csv, damage, expected_keys = BAD_P02[case]
+    data = synth(tmp_path)
+    clean = tmp_path / "clean"
+    cfg = write_config(tmp_path, small_config(data, clean, points="p01"), "clean.json")
+    assert main(["run", "--config", str(cfg)]) == 0
+
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data.read_bytes())
+    if edit_csv is not None:
+        edit_csv(bad)
+    if damage is not None:  # the run writes p02's artifact damaged, as a crash or bad disk would
+        name, spoil = damage
+        write_json = pipeline._write_json
+
+        def write_damaged(path, payload):
+            write_json(path, payload)
+            if path.parent.name == "30_67.5" and path.name == name:
+                spoil(path)
+
+        monkeypatch.setattr(pipeline, "_write_json", write_damaged)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(bad, out), "bad.json")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert list(json.loads((out / "errors.json").read_text())) == expected_keys
+    for name in ("selection.json", "models.json", "evaluation.json"):
+        assert (out / "27.5_67.5" / name).read_bytes() == (clean / "27.5_67.5" / name).read_bytes()
+
+
+def test_each_command_parses_the_csv_once(tmp_path, monkeypatch):
+    data = tmp_path / "three.csv"
+    assert main(["synth", "--samples", "40", "--seed", "7", "--points", "p01,p02,p03",
+                 "--out", str(data)]) == 0
+    calls = []
+    load_csv = pipeline.load_csv
+
+    def counting_load_csv(path, points):
+        calls.append(path)
+        return load_csv(path, points)
+
+    monkeypatch.setattr(pipeline, "load_csv", counting_load_csv)
+    cfg_run = write_config(tmp_path, small_config(data, tmp_path / "a", points="p01,p02,p03"), "a.json")
+    cfg_stages = write_config(tmp_path, small_config(data, tmp_path / "b", points="p01,p02,p03"), "b.json")
+    for command, cfg in (("run", cfg_run), ("select", cfg_stages), ("train", cfg_stages),
+                         ("evaluate", cfg_stages)):
+        calls.clear()
+        assert main([command, "--config", str(cfg)]) == 0
+        assert len(calls) == 1, command
 
 
 def test_usage_error_exits_1():
