@@ -14,16 +14,20 @@ midpoint of two neighbouring values ``a < b`` fails ``a <= t < b``
 A fitted tree is one set of parallel node arrays in pre-order, the same
 flat node list that ``to_dict`` writes. Growth appends each node as it
 visits it; a split fills in its child links once both subtrees are
-grown. Prediction moves all rows down one tree level per vectorized step.
+grown. Prediction lays a forest's node arrays end to end and moves every
+(tree, row) pair down one level per vectorized step; a single tree is
+the one-tree case.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): each tree stable-sorts its allowed
-columns once, and every split hands each child the rows of that order
-that route to it, which keeps the order sorted with tied values in
-ascending row order. A node then scores all its candidate features
-together with one cumulative sum per statistic. When ``features_per_node``
-is set, each node draws its candidates from the tree's seeded generator
-just before its own search, so the draws follow the node order above.
+columns once, or takes their rows of a presort that its caller shares
+across the trees it fits on one matrix. Every split hands each child the
+rows of that order that route to it, which keeps the order sorted with
+tied values in ascending row order. A node then scores all its candidate
+features together with one cumulative sum per statistic. When
+``features_per_node`` is set, each node draws its candidates from the
+tree's seeded generator just before its own search, so the draws follow
+the node order above.
 """
 
 from __future__ import annotations
@@ -97,20 +101,8 @@ class RegressionTree:
         return float(self.predict_batch(x[None])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        """Vectorized prediction for an (n, d) matrix, one step per tree level."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ShapeMismatch(
-                f"expected (n, {self.n_features}) matrix, got {X.shape}"
-            )
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        live = np.arange(X.shape[0]) if self.left[0] >= 0 else node[:0]
-        while live.size:
-            at = node[live]
-            go_left = X[live, self.feature[at]] <= self.threshold[at]
-            node[live] = np.where(go_left, self.left[at], self.right[at])
-            live = live[self.left[node[live]] >= 0]
-        return self.value[node]
+        """Vectorized prediction for an (n, d) matrix: the one-tree ``leaf_values``."""
+        return leaf_values([self], X)[0]
 
     def features_used(self) -> set[int]:
         """Features appearing in at least one internal node."""
@@ -164,8 +156,67 @@ class RegressionTree:
         return tree
 
 
-def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
-    """Grow a squared-error CART tree on ``(X, y)``."""
+def leaf_values(trees, X) -> np.ndarray:
+    """Every tree's prediction for every row of an (n, d) matrix, as a (T, n) array.
+
+    The trees' node arrays are laid end to end, each child link offset by
+    its tree's start, and one vectorized step moves every (tree, row) pair
+    that is still at an internal node down one level.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    for tree in trees:
+        if X.ndim != 2 or X.shape[1] != tree.n_features:
+            raise ShapeMismatch(f"expected (n, {tree.n_features}) matrix, got {X.shape}")
+    n = X.shape[0]
+    if not trees:
+        return np.empty((0, n))
+    sizes = [tree.left.size for tree in trees]
+    starts = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(starts, sizes)
+    left = np.concatenate([tree.left for tree in trees])
+    left = np.where(left >= 0, left + shift, -1)
+    right = np.concatenate([tree.right for tree in trees]) + shift
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    value = np.concatenate([tree.value for tree in trees])
+
+    node = np.repeat(starts, n)  # pair t * n + r: tree t, row r, at its root
+    live = np.flatnonzero(left[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = X[live % n, feature[at]] <= threshold[at]
+        node[live] = np.where(go_left, left[at], right[at])
+        live = live[left[node[live]] >= 0]
+    return value[node].reshape(len(trees), n)
+
+
+def tree_sum(trees, X) -> np.ndarray:
+    """The sum of the trees' predictions, added one tree at a time in list order."""
+    leaves = leaf_values(trees, X)
+    total = np.zeros(leaves.shape[1])
+    for row in leaves:  # this loop, not numpy's reduction strategy, fixes the order
+        total += row
+    return total
+
+
+def presort(X) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's stable argsort and its sorted values, as two (d, n) arrays.
+
+    Row j of the order lists the sample rows by their value of column j,
+    ties in ascending row order.
+    """
+    columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    order = np.argsort(columns, axis=1, kind="stable")
+    return order, np.take_along_axis(columns, order, axis=1)
+
+
+def fit_tree(X, y, cfg: TreeConfig = TreeConfig(), presorted=None) -> RegressionTree:
+    """Grow a squared-error CART tree on ``(X, y)``.
+
+    ``presorted`` is ``presort(X)`` when the caller fits many trees on one
+    matrix; the tree then takes its allowed columns' rows of it instead of
+    sorting them again.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
@@ -185,12 +236,16 @@ def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
     else:
         allowed = tuple(range(n_features))
 
-    # The one sort of the tree: row j of ``order`` lists the sample rows by
-    # their value of feature allowed[j], ties in ascending row order, and
-    # ``values`` holds those sorted values. Nodes only partition the two.
-    columns = np.ascontiguousarray(X[:, list(allowed)].T)
-    order = np.argsort(columns, axis=1, kind="stable")
-    values = np.take_along_axis(columns, order, axis=1)
+    # The one sort of the tree, row j for feature allowed[j]. Nodes only
+    # partition it.
+    features = list(allowed)
+    columns = np.ascontiguousarray(X[:, features].T)
+    if presorted is None:
+        order, values = presort(columns.T)
+    elif any(part.shape != (n_features, X.shape[0]) for part in presorted):
+        raise ShapeMismatch(f"presort does not match X {X.shape}")
+    else:
+        order, values = presorted[0][features], presorted[1][features]
     grower = _Grower(columns, y, np.asarray(allowed, dtype=np.intp), cfg)
     grower.grow(np.arange(X.shape[0]), order, values, 0)
     return RegressionTree._from_nodes(grower.nodes, n_features)

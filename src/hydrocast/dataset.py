@@ -13,6 +13,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -184,19 +185,27 @@ def load_csv(path, points) -> PointData:
             return PointData.fromkeys(targets, exc)
         col = {name: header.index(name) for name in CSV_COLUMNS}
         value_cols = [(col[name], name) for name in FEATURE_NAMES + ("precip",)]
+        take_values = itemgetter(*(c for c, _ in value_cols))
+        near: dict[tuple[str, str], list[str]] = {}  # coordinate cells -> points there
 
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
             labels = targets  # a row with bad coordinates could be any point's
             try:
-                lon = _parse_float(row, col["lon"], row_no, "lon")
-                lat = _parse_float(row, col["lat"], row_no, "lat")
-                labels = [label for label, p in targets.items() if label not in failed
-                          and abs(lon - p.lon) <= 1e-6 and abs(lat - p.lat) <= 1e-6]
+                cells = row[col["lon"]], row[col["lat"]]
+            except IndexError:
+                cells = None
+            try:
+                if cells not in near:
+                    lon = _parse_float(row, col["lon"], row_no, "lon")
+                    lat = _parse_float(row, col["lat"], row_no, "lat")
+                    near[cells] = [label for label, p in targets.items()
+                                   if abs(lon - p.lon) <= 1e-6 and abs(lat - p.lat) <= 1e-6]
+                labels = [label for label in near[cells] if label not in failed]
                 if labels:
                     timestamp = row[col["date"]].strip()
-                    values = [_parse_float(row, c, row_no, name) for c, name in value_cols]
+                    values = _parse_values(row, take_values, value_cols, row_no)
             except HydrocastError as exc:
                 failed.update((label, exc) for label in labels if label not in failed)
                 continue
@@ -217,6 +226,20 @@ def load_csv(path, points) -> PointData:
         except HydrocastError as exc:
             datasets[label] = exc
     return datasets
+
+
+def _parse_values(row, take_values, value_cols, row_no) -> list[float]:
+    """A row's value cells as floats, converted in one call.
+
+    When that fails, the cell-by-cell pass names the first bad column.
+    """
+    try:
+        values = list(map(float, take_values(row)))
+        if all(map(math.isfinite, values)):
+            return values
+    except (ValueError, IndexError):
+        pass
+    return [_parse_float(row, c, row_no, name) for c, name in value_cols]
 
 
 def _parse_float(row, col_idx, row_no, col_name) -> float:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..cart import RegressionTree, TreeConfig, fit_tree
+from ..cart import RegressionTree, TreeConfig, fit_tree, tree_sum
 from .base import RF, FittedModel, RFConfig, Standardization, standardization_from_dict
 
 
@@ -25,11 +25,7 @@ class RFModel(FittedModel):
         self.hyper = hyper
 
     def predict_batch(self, X) -> np.ndarray:
-        X = self._check_batch(X)
-        out = np.zeros(X.shape[0])
-        for tree in self.trees:
-            out += tree.predict_batch(X)
-        return out / len(self.trees)
+        return tree_sum(self.trees, self._check_batch(X)) / len(self.trees)
 
     def to_dict(self) -> dict:
         payload = self._base_dict(self.hyper)

@@ -215,7 +215,7 @@ def stage_train(cfg: PipelineConfig, datasets: PointData,
     """Fit the configured learners on the selected training columns."""
     fitted: dict[str, dict] = {}
     for idx, point in enumerate(cfg.points):
-        point_dir = _point_dir(cfg, point)
+        point_dir = Path(cfg.output_dir) / point.label
         selection_file = point_dir / "selection.json"
         if not selection_file.exists():
             continue
@@ -326,7 +326,11 @@ def _write_selection_summary(cfg: PipelineConfig, errors: dict[str, str]) -> Non
 
 def stage_report(cfg: PipelineConfig, fmt: str = TEXT_TABLE) -> str:
     """Render the stored report; also writes report.csv / report.txt."""
-    report = EvaluationReport.from_dict(_read_json(Path(cfg.output_dir) / "report.json"))
+    path = Path(cfg.output_dir) / "report.json"
+    try:
+        report = EvaluationReport.from_dict(_read_json(path, "rows"))
+    except (KeyError, TypeError) as exc:
+        raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
     rendered = render_report(report, fmt)
     suffix = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
     out = Path(cfg.output_dir) / suffix[fmt]

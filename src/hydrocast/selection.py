@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import RegressionTree, TreeConfig, fit_tree
+from .cart import RegressionTree, TreeConfig, fit_tree, presort, tree_sum
 from .errors import (
     EmptyInput,
     LengthMismatch,
@@ -121,10 +121,7 @@ class BoostedModel:
         X = np.asarray(X, dtype=np.float64)
         out = np.full(X.shape[0], self.base, dtype=np.float64)
         for trees in self.stages:
-            stage_sum = np.zeros(X.shape[0])
-            for tree in trees:
-                stage_sum += tree.predict_batch(X)
-            out += self.shrinkage * stage_sum / len(trees)
+            out += self.shrinkage * tree_sum(trees, X) / len(trees)
         return out
 
     def iter_trees(self):
@@ -214,6 +211,7 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
     subset_size = cfg.feature_subset_size or math.ceil(math.sqrt(d))
     subset_size = min(subset_size, d)
 
+    sorted_X = presort(X)  # shared by every tree; each takes its subset's rows
     current = np.full(n, y.mean())
     mse = [float(np.mean((y - current) ** 2))]
     stages: list[list[RegressionTree]] = []
@@ -225,7 +223,6 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
         if not np.isfinite(residual).all():
             raise NonFiniteResidual(f"residuals diverged at stage {stage}")
         trees = []
-        stage_sum = np.zeros(n)
         for t in range(cfg.trees_per_stage):
             tree_seed = np.random.SeedSequence([cfg.seed, stage, t])
             rng = np.random.default_rng(tree_seed)
@@ -237,10 +234,8 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
                 features_per_node=cfg.weak_tree.features_per_node,
                 seed=int(rng.integers(2**63)),
             )
-            tree = fit_tree(X, residual, tree_cfg)
-            trees.append(tree)
-            stage_sum += tree.predict_batch(X)
-        current = current + cfg.shrinkage * stage_sum / cfg.trees_per_stage
+            trees.append(fit_tree(X, residual, tree_cfg, sorted_X))
+        current = current + cfg.shrinkage * tree_sum(trees, X) / cfg.trees_per_stage
         stages.append(trees)
         mse.append(float(np.mean((y - current) ** 2)))
         prev, new = mse[-2], mse[-1]

@@ -156,3 +156,28 @@ def reference_fit_tree(X, y, cfg):
 
     grow(np.arange(X.shape[0]), 0)
     return nodes
+
+
+def reference_predict(tree, X):
+    """One tree's prediction for every row of X, routed through that tree alone.
+
+    Each step moves the rows still at an internal node down one level; the
+    routing that ``cart.leaf_values`` runs over a whole forest at once.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    live = np.arange(X.shape[0]) if tree.left[0] >= 0 else node[:0]
+    while live.size:
+        at = node[live]
+        go_left = X[live, tree.feature[at]] <= tree.threshold[at]
+        node[live] = np.where(go_left, tree.left[at], tree.right[at])
+        live = live[tree.left[node[live]] >= 0]
+    return tree.value[node]
+
+
+def reference_tree_sum(trees, X):
+    """The trees' predictions added one tree at a time, in list order."""
+    total = np.zeros(np.asarray(X).shape[0])
+    for tree in trees:
+        total += reference_predict(tree, X)
+    return total

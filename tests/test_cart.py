@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from hydrocast.cart import RegressionTree, TreeConfig, fit_tree, training_mse
+from hydrocast.cart import (
+    RegressionTree,
+    TreeConfig,
+    fit_tree,
+    leaf_values,
+    presort,
+    training_mse,
+)
 from hydrocast.errors import EmptyInput, NonFiniteInput, ShapeMismatch
+from hydrocast.learners.base import RFConfig
+from hydrocast.learners.forest import fit_rf
 
-from oracles import best_depth1_splits, reference_fit_tree
+from oracles import best_depth1_splits, reference_fit_tree, reference_predict
 
 
 def random_case(rng, max_n=8, max_d=3):
@@ -221,6 +230,10 @@ def test_shape_and_empty_errors():
         tree.predict(np.zeros(2))
     with pytest.raises(ShapeMismatch):
         tree.predict_batch(np.zeros((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        leaf_values([tree, fit_tree(np.zeros((4, 2)), np.arange(4.0))], np.zeros((3, 1)))
+    with pytest.raises(ShapeMismatch):
+        fit_tree(np.zeros((4, 2)), np.zeros(4), presorted=presort(np.zeros((4, 3))))
 
 
 def test_prediction_is_deterministic():
@@ -276,6 +289,8 @@ def test_fit_tree_matches_per_feature_reference():
         with np.errstate(over="ignore", invalid="ignore"):
             tree = fit_tree(X, y, cfg)
             assert tree.to_dict()["nodes"] == reference_fit_tree(X, y, cfg), (case, cfg)
+            shared = fit_tree(X, y, cfg, presort(X))  # rows of a presort of all columns
+            assert shared.to_dict() == tree.to_dict(), (case, cfg)
             if family == "huge":
                 overflowed += bool(np.isinf(np.cumsum(np.square(y - y.mean()))).any())
                 huge_splits += "feature" in root_of(tree)
@@ -305,3 +320,41 @@ def test_degenerate_midpoint_still_splits(column, max_depth):
     assert column[0] <= nodes[0]["threshold"] < column[1]
     assert [(node["value"], node["n"]) for node in nodes[1:]] == [(0.0, 1), (1.0, 1)]
     np.testing.assert_array_equal(tree.predict_batch(X), [0.0, 1.0])
+
+
+def routing_case(rng):
+    """A mixed list of trees over one feature space, and query rows for them."""
+    d = int(rng.integers(1, 5))
+    n_train = int(rng.integers(2, 60))
+    X = rng.integers(0, 5, size=(n_train, d)).astype(float)  # ties land on thresholds
+    y = rng.standard_normal(n_train)
+    trees = [
+        RegressionTree.from_dict({"n_features": d, "nodes": [{"value": float(y[0]), "n": 1}]}),
+        fit_tree(X, np.full(n_train, 2.0)),  # constant target: a single leaf
+        fit_tree(X, y, TreeConfig(max_depth=1)),  # a stump, or a leaf on constant columns
+        fit_tree(X, y, TreeConfig(max_depth=int(rng.integers(2, 5)), seed=1)),
+    ]
+    rf = RFConfig(n_trees=int(rng.integers(1, 6)), min_samples_leaf=1)
+    trees += fit_rf(rf, X, y, list(range(d)), seed=int(rng.integers(1000))).trees
+    trees = [trees[i] for i in rng.permutation(len(trees))]
+    n = int(rng.choice([0, 1, int(rng.integers(2, 40))]))
+    queries = np.vstack([X, rng.uniform(-1, 5, size=(n_train, d))])
+    return trees, queries[rng.choice(len(queries), size=n)]
+
+
+def test_leaf_values_equals_per_tree_routing_bit_for_bit():
+    rng = np.random.default_rng(37)
+    row_counts, depths = set(), set()
+    for _ in range(150):
+        trees, X = routing_case(rng)
+        got = leaf_values(trees, X)
+        want = np.stack([reference_predict(tree, X) for tree in trees])
+        assert got.shape == want.shape == (len(trees), X.shape[0])
+        assert got.tobytes() == want.tobytes()
+        for tree in trees[:2]:
+            assert tree.predict_batch(X).tobytes() == reference_predict(tree, X).tobytes()
+        row_counts.add(min(X.shape[0], 2))
+        depths.update(tree.depth() for tree in trees)
+    assert row_counts == {0, 1, 2}
+    assert {0, 1} <= depths and max(depths) >= 8
+    assert leaf_values([], np.zeros((3, 2))).shape == (0, 3)

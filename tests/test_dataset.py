@@ -124,6 +124,29 @@ def test_non_finite_value_rejected(tmp_path):
         load_csv(path, [POINT])[POINT.label]
 
 
+@pytest.mark.parametrize("cells, keep, column", [
+    ({9: "inf", 11: "abc"}, None, CSV_COLUMNS[9]),
+    ({10: "abc", 11: "inf"}, None, CSV_COLUMNS[10]),
+    ({}, 50, CSV_COLUMNS[50]),  # the row cut after its first 50 cells
+    ({-1: "nan"}, None, "precip"),
+], ids=["inf_then_abc", "abc_then_inf", "short_row", "nan_precip"])
+def test_bad_row_names_its_first_bad_column(tmp_path, cells, keep, column):
+    other = REFERENCE_POINTS[1]
+    path = tmp_path / "data.csv"
+    write_csv([make_dataset(20, point=POINT, seed=1), make_dataset(20, point=other, seed=2)], path)
+    lines = path.read_text().splitlines()
+    row = lines[7].split(",")[:keep]  # data row 7, a row of the first point
+    for index, value in cells.items():
+        row[index] = value
+    lines[7] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_csv(path, [POINT, other])
+    with pytest.raises(NonFiniteValue) as err:
+        loaded[POINT.label]
+    assert str(err.value) == str(NonFiniteValue(7, column))
+    assert len(loaded[other.label]) == 20
+
+
 def test_duplicate_timestamp_rejected(tmp_path):
     data = make_dataset(20)
     path = tmp_path / "data.csv"

@@ -29,7 +29,7 @@ from hydrocast.learners.base import (
 from hydrocast.learners.mlp import init_params, loss_and_grads
 from hydrocast.learners.svm import SVRModel
 
-from oracles import knn_direct
+from oracles import knn_direct, reference_tree_sum
 
 
 # --- linear regression ---
@@ -174,6 +174,16 @@ def test_rf_is_deterministic_given_seed():
     m2 = fit(LearnerSpec("rf", RFConfig(n_trees=8), seed=9), X, y)
     Xq = rng.standard_normal((20, 3))
     np.testing.assert_array_equal(m1.predict_batch(Xq), m2.predict_batch(Xq))
+
+
+def test_rf_prediction_adds_the_trees_in_order():
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 4, size=(70, 5)).astype(float)
+    y = rng.standard_normal(70) * 10.0 ** rng.integers(-8, 9, size=70)  # order shows in the bits
+    model = fit(LearnerSpec("rf", RFConfig(n_trees=25, min_samples_leaf=1), seed=4), X, y)
+    Xq = np.vstack([X[:10], rng.uniform(-1, 4, size=(15, 5))])
+    want = reference_tree_sum(model.trees, Xq) / len(model.trees)
+    assert model.predict_batch(Xq).tobytes() == want.tobytes()
 
 
 # --- support vector regression ---

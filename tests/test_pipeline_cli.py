@@ -259,6 +259,15 @@ def test_partial_failure_records_errors_and_continues(tmp_path):
     assert len(report["rows"]) == 5  # p01 still made it through
 
 
+def test_point_that_failed_to_load_gets_no_directory(tmp_path):
+    data = synth(tmp_path)  # contains p01 and p02 only
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out, points="p01,p03"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (out / "27.5_67.5" / "models.json").exists()
+    assert not (out / "30_70").exists()
+
+
 def test_too_few_rows_fails_only_that_point(tmp_path):
     data = synth(tmp_path)
     loaded = load_csv(data, REFERENCE_POINTS[:2])
@@ -400,6 +409,22 @@ def test_report_formats(tmp_path, capsys):
     assert main(["report", "--config", str(cfg), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["rows"]) == 10
+
+
+@pytest.mark.parametrize("damage", [
+    lambda report: report.clear(),
+    lambda report: report["rows"][3].pop("mae"),
+    lambda report: report.update(rows=5),
+], ids=["empty_object", "row_without_mae", "rows_not_a_list"])
+def test_report_on_damaged_report_json_exits_2(tmp_path, capsys, damage):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    _edit_json(damage)(out / "report.json")
+    capsys.readouterr()
+    assert main(["report", "--output", str(out)]) == 2
+    assert "report.json" in capsys.readouterr().err
 
 
 def test_run_pipeline_api_returns_results(tmp_path):

@@ -24,6 +24,8 @@ from hydrocast.selection import (
 )
 from hydrocast.synthetic import generate_synthetic
 
+from oracles import reference_tree_sum
+
 
 # --- cosine similarity ---
 
@@ -210,6 +212,22 @@ def test_boosting_is_deterministic():
     m2 = fit_boosted(X, y, cfg)
     assert m1.training_mse_per_stage == m2.training_mse_per_stage
     np.testing.assert_array_equal(m1.predict_batch(X), m2.predict_batch(X))
+
+
+def test_boosted_stage_sums_add_the_trees_in_order():
+    rng = np.random.default_rng(21)
+    X = rng.integers(0, 5, size=(60, 6)).astype(float)
+    y = X[:, 0] * 10.0 ** rng.integers(-6, 7, size=60)  # order shows in the bits
+    cfg = BoostConfig(trees_per_stage=30, max_stages=3, shrinkage=0.5, stop_tolerance=0.0, seed=2)
+    model = fit_boosted(X, y, cfg)
+    assert len(model.stages) == 3
+    current = np.full(60, y.mean())
+    mse = [float(np.mean((y - current) ** 2))]
+    for trees in model.stages:
+        current = current + cfg.shrinkage * reference_tree_sum(trees, X) / len(trees)
+        mse.append(float(np.mean((y - current) ** 2)))
+    assert model.training_mse_per_stage == mse
+    assert model.predict_batch(X).tobytes() == current.tobytes()
 
 
 def test_shrinkage_and_stage_budget_respected():
