@@ -21,15 +21,7 @@ from .errors import HydrocastError
 from .evaluation import CSV_FORMAT, JSON_FORMAT, TEXT_TABLE
 from .learners import KIND_ORDER
 from .learners.base import DEFAULT_CONFIGS
-from .pipeline import (
-    PipelineConfig,
-    run_pipeline,
-    stage_evaluate,
-    stage_report,
-    stage_select,
-    stage_train,
-    synth_seed,
-)
+from .pipeline import PipelineConfig, synth_seed
 from .selection import BoostConfig
 from .synthetic import generate_synthetic, signal_std
 
@@ -109,11 +101,14 @@ def build_parser() -> _Parser:
 
 def _load_config_file(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise UsageError(f"config file must hold a JSON object: {path}")
+    return payload
 
 
 def _resolve_points(value) -> tuple[IndexPoint, ...]:
@@ -145,6 +140,23 @@ def _given(**fields) -> dict:
 
 
 def build_pipeline_config(args) -> PipelineConfig:
+    """The run's settings, checked before any data is read.
+
+    A bad value is a usage error (exit 1), except that the data errors a
+    setting already raises, such as a train fraction outside (0, 1), still
+    exit 2.
+    """
+    try:
+        cfg = _pipeline_config(args)
+        cfg.selection_config(cfg.seed)  # checks gamma, norm and kappa
+    except HydrocastError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config value: {exc}") from None
+    return cfg
+
+
+def _pipeline_config(args) -> PipelineConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
     data_path = _pick(args.data, file_cfg.get("data"))
@@ -240,32 +252,24 @@ def cmd_synth(args) -> int:
 
 def cmd_stage(args) -> int:
     cfg = build_pipeline_config(args)
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    # stages are resolved through the pipeline module, where tests and perfbench hook them
     if args.command == "run":
-        result = run_pipeline(cfg)
+        result = pipeline.run_pipeline(cfg)
         if result.report is not None:
-            print(stage_report(cfg, TEXT_TABLE), end="")
-        errors = result.errors
+            print(pipeline.stage_report(cfg.output_dir, TEXT_TABLE), end="")
     else:
-        # resolved through the pipeline module, where tests and perfbench hook it
-        datasets = pipeline.load_csv(cfg.data_path, cfg.points)
-        errors: dict[str, str] = {}
+        result = pipeline.run_stages(cfg, (args.command,))
         if args.command == "select":
-            selections = stage_select(cfg, datasets, errors)
-            print(f"selected features for {len(selections)} points")
+            print(f"selected features for {len(result.selections)} points")
         elif args.command == "train":
-            fitted = stage_train(cfg, datasets, errors)
-            print(f"trained {len(fitted)} points x {len(cfg.learners)} models")
-        else:  # evaluate
-            report = stage_evaluate(cfg, datasets, errors)
-            if report is None:
-                raise HydrocastError("no models found to evaluate; run 'train' first")
-            print(f"evaluated {len(report.rows)} (point, model) pairs")
-    if errors:
-        for key, message in errors.items():
-            print(f"error [{key}]: {message}", file=sys.stderr)
-        return 2
-    return 0
+            print(f"trained {len(result.trained)} points x {len(cfg.learners)} models")
+        elif result.report is None:
+            raise HydrocastError("no models found to evaluate; run 'train' first")
+        else:
+            print(f"evaluated {len(result.report.rows)} (point, model) pairs")
+    for key, message in result.errors.items():
+        print(f"error [{key}]: {message}", file=sys.stderr)
+    return 2 if result.errors else 0
 
 
 def cmd_report(args) -> int:
@@ -273,9 +277,8 @@ def cmd_report(args) -> int:
     output_dir = _pick(args.output, file_cfg.get("output"))
     if output_dir is None:
         raise UsageError("no output directory given (--output or config 'output')")
-    cfg = PipelineConfig(data_path="", output_dir=output_dir)
     try:
-        rendered = stage_report(cfg, _FORMATS[args.format])
+        rendered = pipeline.stage_report(output_dir, _FORMATS[args.format])
     except FileNotFoundError:
         raise HydrocastError("no report.json found; run 'evaluate' first") from None
     print(rendered, end="")

@@ -204,6 +204,8 @@ def load_csv(path, points) -> PointData:
                                    if abs(lon - p.lon) <= 1e-6 and abs(lat - p.lat) <= 1e-6]
                 labels = [label for label in near[cells] if label not in failed]
                 if labels:
+                    if col["date"] >= len(row):
+                        raise NonFiniteValue(row_no, "date")
                     timestamp = row[col["date"]].strip()
                     values = _parse_values(row, take_values, value_cols, row_no)
             except HydrocastError as exc:

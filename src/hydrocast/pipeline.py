@@ -3,7 +3,8 @@
 Every stage reads and writes documented file artifacts under the output
 directory, so the stages can run as separate commands and the all-in-one
 runner is literally their composition. Each command reads the input CSV
-once and hands every stage the per-point datasets. One master seed derives
+once, then runs its stages for one point after another: a point stops at
+its first failing stage, and the other points go on. One master seed derives
 every sub-seed, and feature selection sees only training rows unless the
 configuration explicitly opts into selecting on all rows.
 
@@ -12,9 +13,10 @@ Artifacts (all JSON unless noted):
     <output>/<lon>_<lat>/models.json      five serialized fitted models
     <output>/<lon>_<lat>/evaluation.json  per-model test metrics
     <output>/report.json                  all rows plus best model per point
-    <output>/selection_summary.json       per-point top lists and occurrence totals
+    <output>/selection_summary.json       top lists and occurrence totals of the evaluated points
     <output>/report.csv, report.txt       rendered by the report stage
-    <output>/errors.json                  only when some points failed in the last run
+    <output>/errors.json                  only when some points failed in the last run;
+                                          keys in point order, <label> or <label>:<model>
 """
 
 from __future__ import annotations
@@ -107,12 +109,7 @@ class PipelineResult:
     selections: dict[str, SelectionResult]
     report: EvaluationReport | None
     errors: dict[str, str]
-
-
-def _point_dir(cfg: PipelineConfig, point: IndexPoint) -> Path:
-    d = Path(cfg.output_dir) / point.label
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    trained: list[str] = field(default_factory=list)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -174,128 +171,106 @@ def selection_payload(point: IndexPoint, selection: SelectionResult, seed: int,
     }
 
 
-def stage_select(cfg: PipelineConfig, datasets: PointData,
-                 errors: dict[str, str]) -> dict[str, SelectionResult]:
-    """Prune and boost-rank features per point; write selection.json files."""
-    selections: dict[str, SelectionResult] = {}
-
-    pooled_selection = None
-    pooled_seed = derive_seed(cfg.seed, _SEED_BOOST, _POOLED_POINT_CODE)
-    if cfg.pooled_selection:
-        blocks_X, blocks_y = [], []
-        for point in cfg.points:
-            rows = _selection_rows(cfg, datasets[point.label])
-            blocks_X.append(rows.features)
-            blocks_y.append(rows.precip)
-        pooled_selection = run_selection(
-            np.vstack(blocks_X), np.concatenate(blocks_y), cfg.selection_config(pooled_seed)
-        )
-
-    for idx, point in enumerate(cfg.points):
-        label = point.label
-        try:
-            rows = _selection_rows(cfg, datasets[label])
-            if pooled_selection is not None:
-                selection, seed, pooled = pooled_selection, pooled_seed, True
-            else:
-                seed, pooled = derive_seed(cfg.seed, _SEED_BOOST, idx), False
-                selection = run_selection(rows.features, rows.precip, cfg.selection_config(seed))
-            selections[label] = selection
-            _write_json(
-                _point_dir(cfg, point) / "selection.json",
-                selection_payload(point, selection, seed, cfg, len(rows), pooled),
-            )
-        except HydrocastError as exc:
-            errors[label] = str(exc)
-    return selections
+def _pooled_selection(cfg: PipelineConfig, datasets: PointData) -> tuple[SelectionResult, int]:
+    """One selection over every point's selection rows, and its seed."""
+    seed = derive_seed(cfg.seed, _SEED_BOOST, _POOLED_POINT_CODE)
+    rows = [_selection_rows(cfg, datasets[point.label]) for point in cfg.points]
+    X = np.vstack([r.features for r in rows])
+    y = np.concatenate([r.precip for r in rows])
+    return run_selection(X, y, cfg.selection_config(seed)), seed
 
 
-def stage_train(cfg: PipelineConfig, datasets: PointData,
-                errors: dict[str, str]) -> dict[str, dict]:
-    """Fit the configured learners on the selected training columns."""
-    fitted: dict[str, dict] = {}
-    for idx, point in enumerate(cfg.points):
-        point_dir = Path(cfg.output_dir) / point.label
-        selection_file = point_dir / "selection.json"
-        if not selection_file.exists():
-            continue
-        try:
-            payload = _read_json(selection_file, "top_features")
-            columns = [column_of(name) for name in payload["top_features"]]
-            if not columns:
-                errors[point.label] = "selection produced no features"
-                continue
-            train, _ = split(datasets[point.label], cfg.split)
-            models = fit_all(
-                cfg.learner_specs(idx), train.features[:, columns], train.precip, columns
-            )
-            fitted[point.label] = models
-            _write_json(
-                point_dir / "models.json",
-                {
-                    "point": _point_payload(point),
-                    "features": payload["top_features"],
-                    "models": {kind: model_to_dict(models[kind]) for kind, _ in cfg.learners},
-                },
-            )
-        except HydrocastError as exc:
-            errors[point.label] = str(exc)
-    return fitted
+def stage_select(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: PointData,
+                 pooled: tuple[SelectionResult, int] | None) -> SelectionResult:
+    """Prune and boost-rank one point's features; write its selection.json.
+
+    ``pooled`` is the shared (selection, seed) of a pooled run.
+    """
+    rows = _selection_rows(cfg, datasets[point.label])
+    if pooled is None:
+        seed = derive_seed(cfg.seed, _SEED_BOOST, idx)
+        selection = run_selection(rows.features, rows.precip, cfg.selection_config(seed))
+    else:
+        selection, seed = pooled
+    point_dir = Path(cfg.output_dir) / point.label
+    point_dir.mkdir(exist_ok=True)
+    _write_json(
+        point_dir / "selection.json",
+        selection_payload(point, selection, seed, cfg, len(rows), pooled is not None),
+    )
+    return selection
 
 
-def stage_evaluate(cfg: PipelineConfig, datasets: PointData,
-                   errors: dict[str, str]) -> EvaluationReport | None:
-    """Score every stored model on its point's test months."""
-    rows: list[EvalResult] = []
-    for point in cfg.points:
-        point_dir = Path(cfg.output_dir) / point.label
-        models_file = point_dir / "models.json"
-        if not models_file.exists():
-            continue
-        try:
-            payload = _read_json(models_file, "features", "models")
-            columns = [column_of(name) for name in payload["features"]]
-            _, test = split(datasets[point.label], cfg.split)
-        except HydrocastError as exc:
-            errors[point.label] = str(exc)
-            continue
-        X_test = test.features[:, columns]
-        metrics = {}
-        for kind, _ in cfg.learners:
-            try:
-                model = model_from_dict(payload["models"].get(kind))
-                predicted = model.predict_batch(X_test)
-                row = EvalResult(
-                    point,
-                    kind,
-                    pearson(test.precip, predicted),
-                    mae(test.precip, predicted),
-                    error_std(test.precip, predicted),
-                    len(test),
-                )
-            except HydrocastError as exc:
-                errors[f"{point.label}:{kind}"] = str(exc)
-                continue
-            rows.append(row)
-            metrics[kind] = {"pearson": row.rho, "mae": row.mae, "std": row.std}
-        _write_json(
-            point_dir / "evaluation.json",
-            {"point": _point_payload(point), "n_test": len(test), "metrics": metrics},
-        )
+def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
+                datasets: PointData) -> dict | None:
+    """Fit the learners on one point's selected training columns; write models.json.
 
-    if not rows:
+    A point without a selection.json is skipped (None).
+    """
+    point_dir = Path(cfg.output_dir) / point.label
+    selection_file = point_dir / "selection.json"
+    if not selection_file.exists():
         return None
-    report = EvaluationReport(rows)
-    _write_json(Path(cfg.output_dir) / "report.json", report.to_dict())
-    _write_selection_summary(cfg, errors)
-    return report
+    payload = _read_json(selection_file, "top_features")
+    columns = [column_of(name) for name in payload["top_features"]]
+    if not columns:
+        raise HydrocastError("selection produced no features")
+    train, _ = split(datasets[point.label], cfg.split)
+    models = fit_all(cfg.learner_specs(idx), train.features[:, columns], train.precip, columns)
+    _write_json(
+        point_dir / "models.json",
+        {
+            "point": _point_payload(point),
+            "features": payload["top_features"],
+            "models": {kind: model_to_dict(models[kind]) for kind, _ in cfg.learners},
+        },
+    )
+    return models
 
 
-def _write_selection_summary(cfg: PipelineConfig, errors: dict[str, str]) -> None:
+def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: PointData,
+                   errors: dict[str, str]) -> list[EvalResult] | None:
+    """Score one point's stored models on its test months; write evaluation.json.
+
+    A model that fails goes into ``errors`` as ``<label>:<kind>``; the rest
+    are still scored. A point without a models.json is skipped (None).
+    """
+    point_dir = Path(cfg.output_dir) / point.label
+    models_file = point_dir / "models.json"
+    if not models_file.exists():
+        return None
+    payload = _read_json(models_file, "features", "models")
+    columns = [column_of(name) for name in payload["features"]]
+    _, test = split(datasets[point.label], cfg.split)
+    X_test = test.features[:, columns]
+    rows: list[EvalResult] = []
+    for kind, _ in cfg.learners:
+        try:
+            predicted = model_from_dict(payload["models"].get(kind)).predict_batch(X_test)
+            rows.append(EvalResult(
+                point,
+                kind,
+                pearson(test.precip, predicted),
+                mae(test.precip, predicted),
+                error_std(test.precip, predicted),
+                len(test),
+            ))
+        except HydrocastError as exc:
+            errors[f"{point.label}:{kind}"] = str(exc)
+    metrics = {r.model_kind: {"pearson": r.rho, "mae": r.mae, "std": r.std} for r in rows}
+    _write_json(
+        point_dir / "evaluation.json",
+        {"point": _point_payload(point), "n_test": len(test), "metrics": metrics},
+    )
+    return rows
+
+
+def _write_selection_summary(cfg: PipelineConfig, points: list[IndexPoint],
+                             errors: dict[str, str]) -> None:
     top_per_point: dict[str, list[str]] = {}
     totals: dict[str, int] = {}
     membership: dict[str, int] = {}
-    for point in cfg.points:
+    for point in points:
         selection_file = Path(cfg.output_dir) / point.label / "selection.json"
         if not selection_file.exists():
             continue
@@ -324,33 +299,68 @@ def _write_selection_summary(cfg: PipelineConfig, errors: dict[str, str]) -> Non
     )
 
 
-def stage_report(cfg: PipelineConfig, fmt: str = TEXT_TABLE) -> str:
+def stage_report(output_dir, fmt: str = TEXT_TABLE) -> str:
     """Render the stored report; also writes report.csv / report.txt."""
-    path = Path(cfg.output_dir) / "report.json"
+    path = Path(output_dir) / "report.json"
     try:
         report = EvaluationReport.from_dict(_read_json(path, "rows"))
     except (KeyError, TypeError) as exc:
         raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
     rendered = render_report(report, fmt)
     suffix = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
-    out = Path(cfg.output_dir) / suffix[fmt]
+    out = Path(output_dir) / suffix[fmt]
     out.write_text(rendered, encoding="utf-8")
     return rendered
 
 
+def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
+    """Run the named stages, in pipeline order, for one point after another.
+
+    The CSV is read once. A point stops at its first error, which is
+    recorded under its label while the other points go on. After the last
+    point, report.json and selection_summary.json are written from the
+    points that evaluate scored.
+    """
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    datasets = load_csv(cfg.data_path, cfg.points)
+    pooled = None
+    if cfg.pooled_selection and "select" in stages:
+        pooled = _pooled_selection(cfg, datasets)
+    result = PipelineResult({}, None, {})
+    rows: list[EvalResult] = []
+    evaluated: list[IndexPoint] = []
+    for idx, point in enumerate(cfg.points):
+        try:
+            if "select" in stages:
+                result.selections[point.label] = stage_select(cfg, idx, point, datasets, pooled)
+            if "train" in stages:
+                if stage_train(cfg, idx, point, datasets) is None:
+                    continue
+                result.trained.append(point.label)
+            if "evaluate" in stages:
+                point_rows = stage_evaluate(cfg, idx, point, datasets, result.errors)
+                if point_rows is None:
+                    continue
+                rows += point_rows
+                evaluated.append(point)
+        except HydrocastError as exc:
+            result.errors[point.label] = str(exc)
+    if rows:
+        result.report = EvaluationReport(rows)
+        _write_json(Path(cfg.output_dir) / "report.json", result.report.to_dict())
+        _write_selection_summary(cfg, evaluated, result.errors)
+    return result
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """select -> train -> evaluate -> report, sharing one artifact tree."""
-    datasets = load_csv(cfg.data_path, cfg.points)
-    errors: dict[str, str] = {}
-    selections = stage_select(cfg, datasets, errors)
-    stage_train(cfg, datasets, errors)
-    report = stage_evaluate(cfg, datasets, errors)
-    if report is not None:
-        stage_report(cfg, TEXT_TABLE)
-        stage_report(cfg, CSV_FORMAT)
+    result = run_stages(cfg, ("select", "train", "evaluate"))
+    if result.report is not None:
+        stage_report(cfg.output_dir, TEXT_TABLE)
+        stage_report(cfg.output_dir, CSV_FORMAT)
     errors_file = Path(cfg.output_dir) / "errors.json"
-    if errors:
-        _write_json(errors_file, errors)
+    if result.errors:
+        _write_json(errors_file, result.errors)
     else:
         errors_file.unlink(missing_ok=True)  # left by an earlier failed run
-    return PipelineResult(selections, report, errors)
+    return result

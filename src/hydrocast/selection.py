@@ -280,6 +280,10 @@ class SelectionConfig:
     boost: BoostConfig = field(default_factory=BoostConfig)
     kappa: int = 10
 
+    def __post_init__(self):
+        if self.kappa < 1:
+            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+
 
 def run_selection(X, y, cfg: SelectionConfig = SelectionConfig()) -> SelectionResult:
     """Prune colinear columns, boost on the survivors, rank, take top kappa.

@@ -147,6 +147,21 @@ def test_bad_row_names_its_first_bad_column(tmp_path, cells, keep, column):
     assert len(loaded[other.label]) == 20
 
 
+def test_short_row_ending_before_a_last_date_column_fails_its_point(tmp_path):
+    other = REFERENCE_POINTS[1]
+    path = tmp_path / "rotated.csv"
+    write_csv([make_dataset(15, point=POINT, seed=1), make_dataset(15, point=other, seed=2)], path)
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    lines = [cells[1:] + cells[:1] for cells in lines]  # the header allows any column order
+    lines[6] = lines[6][:40]  # data row 6, a row of the first point, ends before its date
+    path.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+    loaded = load_csv(path, [POINT, other])
+    with pytest.raises(NonFiniteValue) as err:
+        loaded[POINT.label]
+    assert str(err.value) == str(NonFiniteValue(6, "date"))
+    assert len(loaded[other.label]) == 15
+
+
 def test_duplicate_timestamp_rejected(tmp_path):
     data = make_dataset(20)
     path = tmp_path / "data.csv"

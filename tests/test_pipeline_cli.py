@@ -124,11 +124,13 @@ def test_selection_json_contents(tmp_path):
     assert all(b <= a for a, b in zip(mse, mse[1:]))
 
 
-def test_stage_composition_equals_run(tmp_path):
+@pytest.mark.parametrize("options", [{}, {"pooled": True}, {"select_on_all": True}],
+                         ids=["default", "pooled", "select_on_all"])
+def test_stage_composition_equals_run(tmp_path, options):
     data = synth(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    cfg_a = write_config(tmp_path, small_config(data, out_a), "a.json")
-    cfg_b = write_config(tmp_path, small_config(data, out_b), "b.json")
+    cfg_a = write_config(tmp_path, small_config(data, out_a, **options), "a.json")
+    cfg_b = write_config(tmp_path, small_config(data, out_b, **options), "b.json")
     assert main(["run", "--config", str(cfg_a)]) == 0
     for stage in ("select", "train", "evaluate"):
         assert main([stage, "--config", str(cfg_b)]) == 0
@@ -295,6 +297,50 @@ def _edit_p02_row(column, value):
     return edit
 
 
+def _zero_p02_column(column):
+    """Set one column of every p02 row in the CSV file to zero."""
+    def edit(data):
+        lines = [line.split(",") for line in data.read_text().splitlines()]
+        at = lines[0].index(column)
+        for cells in lines[1:]:
+            if (cells[1], cells[2]) == ("30.0", "67.5"):
+                cells[at] = "0.0"
+        data.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+    return edit
+
+
+def test_rerun_does_not_reuse_a_failed_points_stale_selection(tmp_path):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    _zero_p02_column("air_l05")(data)  # p02's selection now fails: a zero-norm column
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert list(json.loads((out / "errors.json").read_text())) == ["30_67.5"]
+    report = json.loads((out / "report.json").read_text())
+    assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(27.5, 67.5)}
+    assert list(report["best_per_point"]) == ["27.5_67.5"]
+    summary = json.loads((out / "selection_summary.json").read_text())
+    assert list(summary["top_features_per_point"]) == ["27.5_67.5"]
+
+
+def test_errors_json_lists_points_in_configured_order(tmp_path, monkeypatch):
+    data = synth(tmp_path)
+    _zero_p02_column("air_l05")(data)  # p02 fails select
+    write_json = pipeline._write_json
+
+    def write_without_knn(path, payload):  # p01 fails evaluate for its knn model only
+        if path.parent.name == "27.5_67.5" and path.name == "models.json":
+            payload["models"].pop("knn")
+        write_json(path, payload)
+
+    monkeypatch.setattr(pipeline, "_write_json", write_without_knn)
+    cfg = write_config(tmp_path, small_config(data, tmp_path / "out"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    errors = json.loads((tmp_path / "out" / "errors.json").read_text())
+    assert list(errors) == ["27.5_67.5:knn", "30_67.5"]
+
+
 def _truncate(path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
@@ -379,6 +425,29 @@ def test_each_command_parses_the_csv_once(tmp_path, monkeypatch):
         calls.clear()
         assert main([command, "--config", str(cfg)]) == 0
         assert len(calls) == 1, command
+
+
+BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit code
+    "gamma_above_1": (["--gamma", "2"], {}, 1),
+    "kappa_0": (["--kappa", "0"], {}, 1),
+    "max_stages_0": (["--max-stages", "0"], {}, 1),
+    "tree_depth_0": (["--tree-depth", "0"], {}, 1),
+    "knn_k_0": ([], {"learners": {"knn": {"k": 0}}}, 1),
+    "unknown_learner_key": ([], {"learners": {"knn": {"kk": 3}}}, 1),
+    "config_is_a_list": ([], None, 1),
+    "train_fraction_above_1": (["--train-fraction", "1.5"], {}, 2),  # a data error, as before
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG))
+def test_bad_config_value_fails_before_reading_data(tmp_path, capsys, case):
+    flags, payload, code = BAD_CONFIG[case]
+    if payload is not None:  # the data file does not exist, so reading it would exit 2
+        payload = {"data": str(tmp_path / "missing.csv"), "output": str(tmp_path / "out"),
+                   "points": "p01", **payload}
+    cfg = write_config(tmp_path, [] if payload is None else payload)
+    assert main(["run", "--config", str(cfg), *flags]) == code
+    assert capsys.readouterr().err.startswith("hydrocast: ")
 
 
 def test_usage_error_exits_1():
