@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,8 +20,7 @@ from .catalog import IndexPoint, REFERENCE_POINTS
 from .dataset import CHRONOLOGICAL, SEEDED_RANDOM, SplitSpec, write_csv
 from .errors import HydrocastError
 from .evaluation import CSV_FORMAT, JSON_FORMAT, TEXT_TABLE
-from .learners import KIND_ORDER
-from .learners.base import DEFAULT_CONFIGS
+from .learners import MODELS
 from .pipeline import PipelineConfig, synth_seed
 from .selection import BoostConfig
 from .synthetic import generate_synthetic, signal_std
@@ -134,25 +134,45 @@ def _pick(*values):
     return next((value for value in values if value is not None), None)
 
 
+def _section(file_cfg: dict, name: str) -> dict:
+    section = file_cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"config {name!r} must be a JSON object")
+    return section
+
+
+def _int(value):
+    """An integer setting such as a seed; None stays unset."""
+    return None if value is None else int(value)
+
+
 def _given(**fields) -> dict:
     """The fields that are set, so the dataclass defaults fill in the rest."""
     return {name: value for name, value in fields.items() if value is not None}
 
 
-def build_pipeline_config(args) -> PipelineConfig:
-    """The run's settings, checked before any data is read.
+@contextmanager
+def _config_checked():
+    """A bad config value or structure is a usage error (exit 1).
 
-    A bad value is a usage error (exit 1), except that the data errors a
-    setting already raises, such as a train fraction outside (0, 1), still
-    exit 2.
+    The data errors a setting already raises, such as a train fraction
+    outside (0, 1), still exit 2.
     """
     try:
-        cfg = _pipeline_config(args)
-        cfg.selection_config(cfg.seed)  # checks gamma, norm and kappa
+        yield
     except HydrocastError:
         raise
+    except KeyError as exc:
+        raise UsageError(f"bad config value: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad config value: {exc}") from None
+
+
+def build_pipeline_config(args) -> PipelineConfig:
+    """The run's settings, checked before any data is read."""
+    with _config_checked():
+        cfg = _pipeline_config(args)
+        cfg.selection_config(cfg.seed)  # checks gamma, norm and kappa
     return cfg
 
 
@@ -169,14 +189,14 @@ def _pipeline_config(args) -> PipelineConfig:
     def flag(name):
         return getattr(args, name, None)
 
-    split_cfg = file_cfg.get("split", {})
+    split_cfg = _section(file_cfg, "split")
     split = SplitSpec(**_given(
         train_fraction=_pick(flag("train_fraction"), split_cfg.get("train_fraction")),
         mode=_pick(flag("split_mode"), split_cfg.get("mode")),
         seed=_pick(flag("split_seed"), split_cfg.get("seed")),
     ))
 
-    boost_cfg = file_cfg.get("boost", {})
+    boost_cfg = _section(file_cfg, "boost")
     weak_tree = replace(BoostConfig().weak_tree, **_given(
         max_depth=_pick(flag("tree_depth"), boost_cfg.get("tree_depth")),
         min_samples_leaf=boost_cfg.get("min_samples_leaf"),
@@ -193,13 +213,9 @@ def _pipeline_config(args) -> PipelineConfig:
     learners = None
     if learner_cfg is not None:
         learners = []
-        for kind in KIND_ORDER:
-            if kind not in learner_cfg:
-                continue
-            hyper_fields = dict(learner_cfg[kind])
-            if kind == "mlp" and "hidden_sizes" in hyper_fields:
-                hyper_fields["hidden_sizes"] = tuple(hyper_fields["hidden_sizes"])
-            learners.append((kind, DEFAULT_CONFIGS[kind](**hyper_fields)))
+        for kind, model in MODELS.items():
+            if kind in learner_cfg:
+                learners.append((kind, model.config(**dict(learner_cfg[kind]))))
         if not learners:
             raise UsageError("config 'learners' selects no known model kinds")
         learners = tuple(learners)
@@ -217,7 +233,7 @@ def _pipeline_config(args) -> PipelineConfig:
             gamma=_pick(flag("gamma"), file_cfg.get("gamma")),
             norm=_pick(flag("norm"), file_cfg.get("norm")),
             kappa=_pick(flag("kappa"), file_cfg.get("kappa")),
-            seed=_pick(args.seed, file_cfg.get("seed")),
+            seed=_int(_pick(args.seed, file_cfg.get("seed"))),
         ),
     )
 
@@ -227,8 +243,9 @@ def cmd_synth(args) -> int:
     out = args.out or _pick(args.data, file_cfg.get("data"))
     if out is None:
         raise UsageError("no output CSV path given (--out or --data)")
-    master = _pick(args.seed, file_cfg.get("seed"), 0)
-    points = _resolve_points(_pick(args.points, file_cfg.get("points")))
+    with _config_checked():
+        master = int(_pick(args.seed, file_cfg.get("seed"), 0))
+        points = _resolve_points(_pick(args.points, file_cfg.get("points")))
     planted = [name.strip() for name in args.planted.split(",") if name.strip()]
 
     datasets = []

@@ -3,7 +3,8 @@
 Three numbers per (index point, model): Pearson correlation between the
 observed and predicted series, mean absolute error, and the sample
 standard deviation of the absolute errors. Covariance and standard
-deviations use the n-1 convention throughout.
+deviations use the n-1 convention throughout. Each metric refuses a
+non-finite value, so no NaN reaches a report.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import IndexPoint
-from .errors import EmptyReport, LengthMismatch, ZeroVariance
+from .errors import EmptyReport, LengthMismatch, NonFiniteInput, ZeroVariance
 from .learners.base import KIND_ORDER
 
 
@@ -27,6 +28,8 @@ def _pair(actual, predicted, min_len):
         raise LengthMismatch(f"vectors must share a 1-d shape: {a.shape} vs {p.shape}")
     if a.size < min_len:
         raise LengthMismatch(f"need at least {min_len} elements, got {a.size}")
+    if not (np.isfinite(a).all() and np.isfinite(p).all()):
+        raise NonFiniteInput("metrics need finite observed and predicted values")
     return a, p
 
 

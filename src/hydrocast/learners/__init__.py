@@ -3,9 +3,15 @@
 Each model trains on the matrix restricted to the selected features and
 is immutable afterwards; prediction accepts vectors in that same
 restricted column order. All randomness flows from the spec's seed.
+``MODELS`` maps each kind to its model class, whose ``config`` is the
+kind's hyperparameter dataclass; ``fit`` trains a kind through
+``fit_<kind>(hyper, X, y, feature_indices, seed)``, and every model
+serializes through ``FittedModel.to_dict``/``from_dict``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +30,16 @@ from .base import (
     MLP,
     RF,
     SVR,
-    DEFAULT_CONFIGS,
     FittedModel,
     KNNConfig,
-    LearnerSpec,
     LRConfig,
     MLPConfig,
     RFConfig,
     Standardization,
     SVRConfig,
-    default_specs,
 )
 from .forest import RFModel, fit_rf
-from .linear import LRModel, fit_lr
+from .linear import LinearModel, LRModel, fit_lr
 from .mlp import MLPModel, fit_mlp
 from .neighbors import KNNModel, fit_knn
 from .svm import SVRModel, fit_svr
@@ -45,18 +48,39 @@ __all__ = [
     "KIND_ORDER", "RF", "KNN", "SVR", "LR", "MLP",
     "LearnerSpec", "FittedModel", "Standardization",
     "RFConfig", "KNNConfig", "SVRConfig", "LRConfig", "MLPConfig",
-    "RFModel", "KNNModel", "SVRModel", "LRModel", "MLPModel",
-    "default_specs", "fit", "fit_all",
+    "RFModel", "KNNModel", "SVRModel", "LRModel", "MLPModel", "LinearModel", "MODELS",
+    "default_specs", "fit", "fit_all", "fit_rf", "fit_knn", "fit_svr", "fit_lr", "fit_mlp",
     "model_to_dict", "model_from_dict",
 ]
 
-_MODEL_CLASSES = {
-    RF: RFModel,
-    KNN: KNNModel,
-    SVR: SVRModel,
-    LR: LRModel,
-    MLP: MLPModel,
-}
+#: Each kind's model class, in ``KIND_ORDER``.
+MODELS = {model.kind: model for model in (RFModel, KNNModel, SVRModel, LRModel, MLPModel)}
+
+
+@dataclass(frozen=True)
+class LearnerSpec:
+    """Which model to train, with what hyperparameters and seed."""
+
+    kind: str
+    hyper: object = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in MODELS:
+            raise ValueError(f"unknown learner kind: {self.kind!r}")
+        config = MODELS[self.kind].config
+        if self.hyper is None:
+            object.__setattr__(self, "hyper", config())
+        elif not isinstance(self.hyper, config):
+            raise ValueError(f"hyper for {self.kind!r} must be {config.__name__}")
+
+
+def default_specs(seed: int = 0) -> list[LearnerSpec]:
+    """All five models with default hyperparameters and derived seeds."""
+    return [
+        LearnerSpec(kind, seed=int(np.random.SeedSequence([seed, i]).generate_state(1)[0]))
+        for i, kind in enumerate(KIND_ORDER)
+    ]
 
 
 def fit(spec: LearnerSpec, X_train, y_train, feature_indices=None) -> FittedModel:
@@ -77,17 +101,8 @@ def fit(spec: LearnerSpec, X_train, y_train, feature_indices=None) -> FittedMode
     if len(feature_indices) != X.shape[1]:
         raise ShapeMismatch("feature_indices must match the matrix width")
 
-    if spec.kind == LR:
-        return fit_lr(spec.hyper, X, y, feature_indices)
-    if spec.kind == KNN:
-        return fit_knn(spec.hyper, X, y, feature_indices)
-    if spec.kind == RF:
-        return fit_rf(spec.hyper, X, y, feature_indices, spec.seed)
-    if spec.kind == SVR:
-        return fit_svr(spec.hyper, X, y, feature_indices, spec.seed)
-    if spec.kind == MLP:
-        return fit_mlp(spec.hyper, X, y, feature_indices, spec.seed)
-    raise ValueError(f"unknown learner kind: {spec.kind!r}")
+    # looked up by name at call time, so a rebound fit_<kind> is the one that runs
+    return globals()[f"fit_{spec.kind}"](spec.hyper, X, y, feature_indices, spec.seed)
 
 
 def fit_all(specs, X_train, y_train, feature_indices=None) -> dict[str, FittedModel]:
@@ -117,10 +132,10 @@ def model_from_dict(payload: dict) -> FittedModel:
     if not isinstance(payload, dict):
         raise DamagedArtifact("model payload is missing or not a JSON object")
     kind = payload.get("kind")
-    if kind not in _MODEL_CLASSES:
+    if not isinstance(kind, str) or kind not in MODELS:
         raise DamagedArtifact(f"unknown learner kind in payload: {kind!r}")
     try:
-        return _MODEL_CLASSES[kind].from_dict(payload)
+        return MODELS[kind].from_dict(payload)
     except HydrocastError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:

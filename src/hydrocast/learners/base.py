@@ -1,4 +1,4 @@
-"""Shared learner contract: specs, standardization, serialization dispatch."""
+"""Shared learner contract: kinds, hyperparameters, standardization, one codec."""
 
 from __future__ import annotations
 
@@ -77,42 +77,6 @@ class MLPConfig:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 
-DEFAULT_CONFIGS = {
-    RF: RFConfig,
-    KNN: KNNConfig,
-    SVR: SVRConfig,
-    LR: LRConfig,
-    MLP: MLPConfig,
-}
-
-
-@dataclass(frozen=True)
-class LearnerSpec:
-    """Which model to train, with what hyperparameters and seed."""
-
-    kind: str
-    hyper: object = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KIND_ORDER:
-            raise ValueError(f"unknown learner kind: {self.kind!r}")
-        if self.hyper is None:
-            object.__setattr__(self, "hyper", DEFAULT_CONFIGS[self.kind]())
-        elif not isinstance(self.hyper, DEFAULT_CONFIGS[self.kind]):
-            raise ValueError(
-                f"hyper for {self.kind!r} must be {DEFAULT_CONFIGS[self.kind].__name__}"
-            )
-
-
-def default_specs(seed: int = 0) -> list[LearnerSpec]:
-    """All five models with default hyperparameters and derived seeds."""
-    return [
-        LearnerSpec(kind, seed=int(np.random.SeedSequence([seed, i]).generate_state(1)[0]))
-        for i, kind in enumerate(KIND_ORDER)
-    ]
-
-
 @dataclass(frozen=True)
 class Standardization:
     """Per-feature z-score statistics taken from training data only."""
@@ -137,20 +101,42 @@ class Standardization:
         return (X - np.asarray(self.mean)) / np.asarray(self.std)
 
 
+#: (read, write) for a float array field: JSON nested lists <-> ndarray.
+ARRAY = (lambda value: np.asarray(value, dtype=np.float64), lambda array: array.tolist())
+#: (read, write) for a float scalar field.
+FLOAT = (float, float)
+
+
 class FittedModel:
-    """Base for all five fitted models.
+    """Base for all five fitted models, and their one serialization.
+
+    A fitted model is its kind's hyperparameters (``hyper``, an instance
+    of the class's ``config``), the ``feature_indices`` it was trained on,
+    its input ``standardization`` (identity for the tree models and LR),
+    and the fields its class lists in ``state``. Each ``state`` entry is a
+    name with one (read, write) pair that converts the field between its
+    JSON form and memory; the name is both the attribute and the JSON key.
+    ``to_dict`` writes ``kind``, ``hyper``, ``feature_indices`` and
+    ``standardization``, then the state fields in ``state`` order, and
+    ``from_dict`` reads that back.
 
     ``predict``/``predict_batch`` expect inputs already restricted and
-    ordered to ``feature_indices``; standardization (identity for the tree
-    and linear models) is applied internally. Each model implements only
+    ordered to ``feature_indices``. Each model implements only
     ``predict_batch``; ``predict`` is its one-row case.
     """
 
     kind: str = ""
+    config: type = None
+    state: tuple = ()
 
-    def __init__(self, feature_indices, standardization: Standardization):
+    def __init__(self, hyper, feature_indices, standardization: Standardization, **state):
+        names = [name for name, _ in self.state]
+        if set(state) != set(names):
+            raise TypeError(f"{type(self).__name__} takes state {names}, got {list(state)}")
+        self.hyper = hyper
         self.feature_indices = tuple(int(i) for i in feature_indices)
         self.standardization = standardization
+        self.__dict__.update(state)
 
     @property
     def n_features(self) -> int:
@@ -180,19 +166,25 @@ class FittedModel:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    def _base_dict(self, hyper) -> dict:
-        return {
+        payload = {
             "kind": self.kind,
-            "hyper": asdict(hyper) if hyper is not None else {},
+            "hyper": asdict(self.hyper),
             "feature_indices": list(self.feature_indices),
             "standardization": {
                 "mean": list(self.standardization.mean),
                 "std": list(self.standardization.std),
             },
         }
+        for name, (_, write) in self.state:
+            payload[name] = write(getattr(self, name))
+        return payload
 
-
-def standardization_from_dict(payload: dict) -> Standardization:
-    return Standardization(tuple(payload["mean"]), tuple(payload["std"]))
+    @classmethod
+    def from_dict(cls, payload: dict) -> "FittedModel":
+        stats = payload["standardization"]
+        return cls(
+            cls.config(**payload["hyper"]),
+            payload["feature_indices"],
+            Standardization(tuple(stats["mean"]), tuple(stats["std"])),
+            **{name: read(payload[name]) for name, (read, _) in cls.state},
+        )

@@ -13,33 +13,23 @@ import math
 import numpy as np
 
 from ..cart import RegressionTree, TreeConfig, fit_tree, tree_sum
-from .base import RF, FittedModel, RFConfig, Standardization, standardization_from_dict
+from .base import RF, FittedModel, RFConfig, Standardization
+
+
+#: (read, write) for the forest: each tree as its flat node list.
+TREES = (
+    lambda payload: [RegressionTree.from_dict(tree) for tree in payload],
+    lambda trees: [tree.to_dict() for tree in trees],
+)
 
 
 class RFModel(FittedModel):
     kind = RF
-
-    def __init__(self, trees, hyper, feature_indices, standardization):
-        super().__init__(feature_indices, standardization)
-        self.trees = list(trees)
-        self.hyper = hyper
+    config = RFConfig
+    state = (("trees", TREES),)
 
     def predict_batch(self, X) -> np.ndarray:
         return tree_sum(self.trees, self._check_batch(X)) / len(self.trees)
-
-    def to_dict(self) -> dict:
-        payload = self._base_dict(self.hyper)
-        payload["trees"] = [tree.to_dict() for tree in self.trees]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RFModel":
-        return cls(
-            [RegressionTree.from_dict(t) for t in payload["trees"]],
-            RFConfig(**payload["hyper"]),
-            payload["feature_indices"],
-            standardization_from_dict(payload["standardization"]),
-        )
 
 
 def fit_rf(cfg: RFConfig, X, y, feature_indices, seed: int) -> RFModel:
@@ -59,4 +49,4 @@ def fit_rf(cfg: RFConfig, X, y, feature_indices, seed: int) -> RFModel:
             seed=int(rng.integers(2**63)),
         )
         trees.append(fit_tree(X[rows], y[rows], tree_cfg))
-    return RFModel(trees, cfg, feature_indices, Standardization.identity(d))
+    return RFModel(cfg, feature_indices, Standardization.identity(d), trees=trees)

@@ -1,10 +1,12 @@
 """Ordinary least squares via the normal equations.
 
 Features are standardized for conditioning and the solution is
-back-transformed, so the stored weights act on raw inputs. A tiny ridge
-term stands in when the Gram matrix is rank deficient (exact duplicates,
-constant columns); disable the fallback to get a SingularSystem error
-instead.
+back-transformed, so the stored weights act on raw inputs and the model
+keeps the identity standardization: ``(x - 0.0) / 1.0 == x`` exactly, so
+the linear prediction it shares with SVR is the raw ``X @ weights + bias``.
+A tiny ridge term stands in when the Gram matrix is rank deficient (exact
+duplicates, constant columns); disable the fallback to get a
+SingularSystem error instead.
 """
 
 from __future__ import annotations
@@ -12,40 +14,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SingularSystem
-from .base import LR, FittedModel, LRConfig, Standardization, standardization_from_dict
+from .base import ARRAY, FLOAT, LR, FittedModel, LRConfig, Standardization
 
 
-class LRModel(FittedModel):
-    kind = LR
+class LinearModel(FittedModel):
+    """An affine map of the standardized inputs, shared by LR and SVR."""
 
-    def __init__(self, weights, bias, feature_indices, standardization, hyper):
-        super().__init__(feature_indices, standardization)
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.bias = float(bias)
-        self.hyper = hyper
+    state = (("weights", ARRAY), ("bias", FLOAT))
 
     def predict_batch(self, X) -> np.ndarray:
-        X = self._check_batch(X)
-        return X @ self.weights + self.bias
-
-    def to_dict(self) -> dict:
-        payload = self._base_dict(self.hyper)
-        payload["weights"] = self.weights.tolist()
-        payload["bias"] = self.bias
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LRModel":
-        return cls(
-            payload["weights"],
-            payload["bias"],
-            payload["feature_indices"],
-            standardization_from_dict(payload["standardization"]),
-            LRConfig(**payload["hyper"]),
-        )
+        return self.standardization.transform(self._check_batch(X)) @ self.weights + self.bias
 
 
-def fit_lr(cfg: LRConfig, X, y, feature_indices) -> LRModel:
+class LRModel(LinearModel):
+    kind = LR
+    config = LRConfig
+
+
+def fit_lr(cfg: LRConfig, X, y, feature_indices, seed: int = 0) -> LRModel:
+    """Solve the normal equations; ``seed`` is unused (the fit is deterministic)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     stats = Standardization.fit(X)
@@ -68,4 +55,5 @@ def fit_lr(cfg: LRConfig, X, y, feature_indices) -> LRModel:
     mu = np.asarray(stats.mean)
     weights = w_std / sigma
     bias = float(b_std - np.sum(w_std * mu / sigma))
-    return LRModel(weights, bias, feature_indices, Standardization.identity(X.shape[1]), cfg)
+    return LRModel(cfg, feature_indices, Standardization.identity(X.shape[1]),
+                   weights=weights, bias=bias)

@@ -12,44 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NonConvergence
-from .base import MLP, FittedModel, MLPConfig, Standardization, standardization_from_dict
+from .base import FLOAT, MLP, FittedModel, MLPConfig, Standardization
+
+
+#: (read, write) for the layers: one {"W", "b"} object per (W, b) pair.
+LAYERS = (
+    lambda payload: [(np.asarray(layer["W"], dtype=np.float64),
+                      np.asarray(layer["b"], dtype=np.float64)) for layer in payload],
+    lambda layers: [{"W": W.tolist(), "b": b.tolist()} for W, b in layers],
+)
 
 
 class MLPModel(FittedModel):
     kind = MLP
-
-    def __init__(self, params, y_mean, y_std, hyper, feature_indices, standardization):
-        super().__init__(feature_indices, standardization)
-        self.params = [(np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
-                       for W, b in params]
-        self.y_mean = float(y_mean)
-        self.y_std = float(y_std)
-        self.hyper = hyper
+    config = MLPConfig
+    state = (("layers", LAYERS), ("y_mean", FLOAT), ("y_std", FLOAT))
 
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_batch(X)
-        out = forward(self.params, self.standardization.transform(X))
+        out = forward(self.layers, self.standardization.transform(X))
         return self.y_mean + self.y_std * out
-
-    def to_dict(self) -> dict:
-        payload = self._base_dict(self.hyper)
-        payload["layers"] = [{"W": W.tolist(), "b": b.tolist()} for W, b in self.params]
-        payload["y_mean"] = self.y_mean
-        payload["y_std"] = self.y_std
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MLPModel":
-        hyper = payload["hyper"].copy()
-        hyper["hidden_sizes"] = tuple(hyper["hidden_sizes"])
-        return cls(
-            [(layer["W"], layer["b"]) for layer in payload["layers"]],
-            payload["y_mean"],
-            payload["y_std"],
-            MLPConfig(**hyper),
-            payload["feature_indices"],
-            standardization_from_dict(payload["standardization"]),
-        )
 
 
 def init_params(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -138,4 +120,4 @@ def fit_mlp(cfg: MLPConfig, X, y, feature_indices, seed: int) -> MLPModel:
                 )
             params[layer] = tuple(updated)
 
-    return MLPModel(params, y_mean, y_std, cfg, feature_indices, stats)
+    return MLPModel(cfg, feature_indices, stats, layers=params, y_mean=y_mean, y_std=y_std)

@@ -12,37 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NonConvergence
-from .base import SVR, FittedModel, SVRConfig, Standardization, standardization_from_dict
+from .base import SVR, SVRConfig, Standardization
+from .linear import LinearModel
 
 
-class SVRModel(FittedModel):
+class SVRModel(LinearModel):
     kind = SVR
-
-    def __init__(self, weights, bias, hyper, feature_indices, standardization):
-        super().__init__(feature_indices, standardization)
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.bias = float(bias)
-        self.hyper = hyper
-
-    def predict_batch(self, X) -> np.ndarray:
-        X = self._check_batch(X)
-        return self.standardization.transform(X) @ self.weights + self.bias
-
-    def to_dict(self) -> dict:
-        payload = self._base_dict(self.hyper)
-        payload["weights"] = self.weights.tolist()
-        payload["bias"] = self.bias
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SVRModel":
-        return cls(
-            payload["weights"],
-            payload["bias"],
-            SVRConfig(**payload["hyper"]),
-            payload["feature_indices"],
-            standardization_from_dict(payload["standardization"]),
-        )
+    config = SVRConfig
 
 
 def fit_svr(cfg: SVRConfig, X, y, feature_indices, seed: int) -> SVRModel:
@@ -83,4 +59,4 @@ def fit_svr(cfg: SVRConfig, X, y, feature_indices, seed: int) -> SVRModel:
 
     if acc:
         w, b = w_acc / acc, b_acc / acc
-    return SVRModel(w, b, cfg, feature_indices, stats)
+    return SVRModel(cfg, feature_indices, stats, weights=w, bias=float(b))

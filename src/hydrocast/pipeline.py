@@ -56,6 +56,9 @@ _SEED_LEARNER = 2
 _SEED_SYNTH = 3
 _POOLED_POINT_CODE = 10_000
 
+#: The per-point artifacts of select, train and evaluate, in that order.
+_POINT_ARTIFACTS = ("selection.json", "models.json", "evaluation.json")
+
 
 def derive_seed(*parts: int) -> int:
     """Stable 64-bit sub-seed from integer path components."""
@@ -116,15 +119,17 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path, *keys: str) -> dict:
-    """An artifact's payload; one that is not JSON or lacks one of ``keys`` is damaged."""
+def _read_json(path: Path, **fields: type) -> dict:
+    """An artifact's payload; one that is not JSON or whose ``fields`` are missing
+    or not of their given JSON type (``list`` or ``dict``) is damaged."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise DamagedArtifact(f"{path}: not valid JSON ({exc})") from None
-    missing = [key for key in keys if not isinstance(payload, dict) or key not in payload]
-    if missing:
-        raise DamagedArtifact(f"{path}: missing {', '.join(missing)}")
+    bad = [key for key, kind in fields.items()
+           if not isinstance(payload, dict) or not isinstance(payload.get(key), kind)]
+    if bad:
+        raise DamagedArtifact(f"{path}: missing or malformed {', '.join(bad)}")
     return payload
 
 
@@ -211,7 +216,7 @@ def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
     selection_file = point_dir / "selection.json"
     if not selection_file.exists():
         return None
-    payload = _read_json(selection_file, "top_features")
+    payload = _read_json(selection_file, top_features=list)
     columns = [column_of(name) for name in payload["top_features"]]
     if not columns:
         raise HydrocastError("selection produced no features")
@@ -239,7 +244,7 @@ def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: P
     models_file = point_dir / "models.json"
     if not models_file.exists():
         return None
-    payload = _read_json(models_file, "features", "models")
+    payload = _read_json(models_file, features=list, models=dict)
     columns = [column_of(name) for name in payload["features"]]
     _, test = split(datasets[point.label], cfg.split)
     X_test = test.features[:, columns]
@@ -275,7 +280,7 @@ def _write_selection_summary(cfg: PipelineConfig, points: list[IndexPoint],
         if not selection_file.exists():
             continue
         try:
-            payload = _read_json(selection_file, "top_features", "occurrence")
+            payload = _read_json(selection_file, top_features=list, occurrence=dict)
         except DamagedArtifact as exc:
             errors[point.label] = str(exc)
             continue
@@ -303,7 +308,7 @@ def stage_report(output_dir, fmt: str = TEXT_TABLE) -> str:
     """Render the stored report; also writes report.csv / report.txt."""
     path = Path(output_dir) / "report.json"
     try:
-        report = EvaluationReport.from_dict(_read_json(path, "rows"))
+        report = EvaluationReport.from_dict(_read_json(path, rows=list))
     except (KeyError, TypeError) as exc:
         raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
     rendered = render_report(report, fmt)
@@ -317,7 +322,9 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
     """Run the named stages, in pipeline order, for one point after another.
 
     The CSV is read once. A point stops at its first error, which is
-    recorded under its label while the other points go on. After the last
+    recorded under its label while the other points go on; the point's
+    artifacts of the failed stage and of every later stage are deleted, so
+    no later command reads what an earlier run left there. After the last
     point, report.json and selection_summary.json are written from the
     points that evaluate scored.
     """
@@ -332,12 +339,15 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
     for idx, point in enumerate(cfg.points):
         try:
             if "select" in stages:
+                stale = _POINT_ARTIFACTS
                 result.selections[point.label] = stage_select(cfg, idx, point, datasets, pooled)
             if "train" in stages:
+                stale = _POINT_ARTIFACTS[1:]
                 if stage_train(cfg, idx, point, datasets) is None:
                     continue
                 result.trained.append(point.label)
             if "evaluate" in stages:
+                stale = _POINT_ARTIFACTS[2:]
                 point_rows = stage_evaluate(cfg, idx, point, datasets, result.errors)
                 if point_rows is None:
                     continue
@@ -345,6 +355,8 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
                 evaluated.append(point)
         except HydrocastError as exc:
             result.errors[point.label] = str(exc)
+            for name in stale:  # left by an earlier run, they no longer match this one
+                (Path(cfg.output_dir) / point.label / name).unlink(missing_ok=True)
     if rows:
         result.report = EvaluationReport(rows)
         _write_json(Path(cfg.output_dir) / "report.json", result.report.to_dict())

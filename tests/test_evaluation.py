@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hydrocast.catalog import REFERENCE_POINTS, IndexPoint
-from hydrocast.errors import EmptyReport, LengthMismatch, ZeroVariance
+from hydrocast.errors import EmptyReport, LengthMismatch, NonFiniteInput, ZeroVariance
 from hydrocast.evaluation import (
     CSV_FORMAT,
     JSON_FORMAT,
@@ -93,6 +93,14 @@ def test_metric_errors():
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ZeroVariance):
         pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+
+
+@pytest.mark.parametrize("metric", [pearson, mae, error_std])
+def test_metrics_refuse_non_finite_values(metric):
+    with pytest.raises(NonFiniteInput):
+        metric([1.0, 2.0, 3.0], [1.0, np.nan, 3.0])
+    with pytest.raises(NonFiniteInput):
+        metric([1.0, np.inf, 3.0], [1.0, 2.0, 3.0])
 
 
 def test_pearson_clamped_against_rounding():

@@ -3,9 +3,11 @@
 The digest covers only artifact parts computed without BLAS, so it is the
 same on every machine: the boosted ranking (``occurrence``,
 ``top_features``, ``training_mse_per_stage`` of ``selection.json``) and
-the random forest (``models.json``'s ``rf`` entry). A change to tree
-growth, prediction or serialization that moves any byte of these fails
-here. Update the pin only with a change that means to alter artifacts.
+the random forest and the nearest-neighbour model (``models.json``'s
+``rf`` and ``knn`` entries; KNN stores standardized training rows, whose
+mean and std are numpy reductions, not BLAS calls). A change to tree
+growth, standardization, prediction or serialization that moves any byte
+of these fails here. Update the pin only with a change that means to alter artifacts.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import json
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast.cli import main
 
-PINNED_SHA256 = "e40eafd0f4854d3621bd8b157a5e48e2fd635adaea05c0a7a7e01d7d13b9846f"
+PINNED_SHA256 = "22aeb5607a0c0fc480c1a295f52168c75aaf1ab89de4da0334be1217787698a0"
 
 
 def test_one_point_run_artifact_digest(tmp_path):
@@ -48,6 +50,7 @@ def test_one_point_run_artifact_digest(tmp_path):
         "top_features": selection["top_features"],
         "training_mse_per_stage": selection["training_mse_per_stage"],
         "rf": models["models"]["rf"],
+        "knn": models["models"]["knn"],
     }
     assert selection["n_stages"] == 2
     assert len(pinned["rf"]["trees"]) == 10

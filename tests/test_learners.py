@@ -121,7 +121,7 @@ def test_knn_batch_matches_per_row_reference():
         model = fit(LearnerSpec("knn", KNNConfig(k=int(rng.integers(1, 20)))), X, rng.standard_normal(n))
         Xq = np.vstack([X, rng.integers(0, 3, size=(5, d)).astype(float)])
         Zq = model.standardization.transform(Xq)
-        expected = [knn_direct(model.train_z, model.train_y, model.k, z) for z in Zq]
+        expected = [knn_direct(model.train_z, model.train_y, model.hyper.k, z) for z in Zq]
         np.testing.assert_array_equal(model.predict_batch(Xq), expected)
 
 
@@ -189,7 +189,7 @@ def test_rf_prediction_adds_the_trees_in_order():
 # --- support vector regression ---
 
 def test_svr_fixed_parameters_predict_constant():
-    model = SVRModel(np.zeros(3), 5.0, SVRConfig(), (0, 1, 2), Standardization.identity(3))
+    model = SVRModel(SVRConfig(), (0, 1, 2), Standardization.identity(3), weights=np.zeros(3), bias=5.0)
     assert model.predict(np.array([4.0, -2.0, 0.5])) == 5.0
 
 
@@ -257,7 +257,7 @@ def test_mlp_is_deterministic_given_seed():
     y = rng.standard_normal(50)
     m1 = fit(LearnerSpec("mlp", MLPConfig(epochs=50), seed=4), X, y)
     m2 = fit(LearnerSpec("mlp", MLPConfig(epochs=50), seed=4), X, y)
-    for (w1, b1), (w2, b2) in zip(m1.params, m2.params):
+    for (w1, b1), (w2, b2) in zip(m1.layers, m2.layers):
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(b1, b2)
 
@@ -335,6 +335,16 @@ def test_spec_validation():
         SVRConfig(epsilon=-0.1)
 
 
+# models.json keys per kind, in file order, as README documents them
+PAYLOAD_KEYS = {
+    "rf": ["trees"],
+    "knn": ["train_z", "train_y"],
+    "svr": ["weights", "bias"],
+    "lr": ["weights", "bias"],
+    "mlp": ["layers", "y_mean", "y_std"],
+}
+
+
 @pytest.mark.parametrize("kind,hyper", [
     ("lr", None),
     ("knn", KNNConfig(k=2)),
@@ -349,7 +359,11 @@ def test_serialization_round_trip(kind, hyper):
     X = rng.standard_normal((40, 3))
     y = X[:, 0] + rng.standard_normal(40) * 0.1
     model = fit(LearnerSpec(kind, hyper, seed=2), X, y, feature_indices=(4, 9, 13))
-    clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    payload = model_to_dict(model)
+    assert list(payload) == ["kind", "hyper", "feature_indices", "standardization",
+                             *PAYLOAD_KEYS[kind]]
+    clone = model_from_dict(json.loads(json.dumps(payload)))
+    assert json.dumps(model_to_dict(clone)) == json.dumps(payload)
     assert clone.kind == kind
     assert clone.feature_indices == (4, 9, 13)
     Xq = rng.standard_normal((15, 3))

@@ -324,6 +324,23 @@ def test_rerun_does_not_reuse_a_failed_points_stale_selection(tmp_path):
     assert list(summary["top_features_per_point"]) == ["27.5_67.5"]
 
 
+def test_staged_commands_do_not_read_a_failed_points_stale_artifacts(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    _zero_p02_column("air_l05")(data)  # p02's selection now fails: a zero-norm column
+    assert main(["select", "--config", str(cfg)]) == 2
+    for name in ("selection.json", "models.json", "evaluation.json"):
+        assert not (out / "30_67.5" / name).exists()
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("trained 1 points")
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(27.5, 67.5)}
+
+
 def test_errors_json_lists_points_in_configured_order(tmp_path, monkeypatch):
     data = synth(tmp_path)
     _zero_p02_column("air_l05")(data)  # p02 fails select
@@ -372,6 +389,13 @@ BAD_P02 = {
     ),
     "missing_knn_model": (
         None, ("models.json", _edit_json(lambda p: p["models"].pop("knn"))), ["30_67.5:knn"],
+    ),
+    "models_not_an_object": (
+        None, ("models.json", _edit_json(lambda p: p.update(models=[1]))), ["30_67.5"],
+    ),
+    "empty_forest": (  # predicts NaN, which no metric may score
+        None, ("models.json", _edit_json(lambda p: p["models"]["rf"].update(trees=[]))),
+        ["30_67.5:rf"],
     ),
 }
 
@@ -448,6 +472,26 @@ def test_bad_config_value_fails_before_reading_data(tmp_path, capsys, case):
     cfg = write_config(tmp_path, [] if payload is None else payload)
     assert main(["run", "--config", str(cfg), *flags]) == code
     assert capsys.readouterr().err.startswith("hydrocast: ")
+
+
+BAD_CONFIG_STRUCTURE = {  # command, config file entries
+    "split_is_a_list": ("select", {"split": [0.5]}),
+    "point_without_lon_select": ("select", {"points": [{"lat": 67.5, "elev": 10.0}]}),
+    "point_without_lon_synth": ("synth", {"points": [{"lat": 67.5, "elev": 10.0}]}),
+    "points_is_a_number": ("synth", {"points": 5}),
+    "seed_is_text_select": ("select", {"seed": "x"}),
+    "seed_is_text_synth": ("synth", {"seed": "x"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_STRUCTURE))
+def test_bad_config_structure_exits_1(tmp_path, capsys, case):
+    command, entries = BAD_CONFIG_STRUCTURE[case]
+    cfg = write_config(tmp_path, {"data": str(tmp_path / "missing.csv"),
+                                  "output": str(tmp_path / "out"), **entries})
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("hydrocast: ")
+    assert not (tmp_path / "missing.csv").exists()
 
 
 def test_usage_error_exits_1():
