@@ -126,12 +126,12 @@ def feature_from_catalog_index(index: int) -> FeatureId:
 
 
 def column_of(name_or_id) -> int:
-    """0-based matrix column for a feature name or FeatureId."""
+    """0-based matrix column for a feature name or FeatureId; anything else is UnknownName."""
     if isinstance(name_or_id, FeatureId):
         return name_or_id.catalog_index - 1
     try:
         return _NAME_TO_COLUMN[name_or_id]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError is an unhashable value
         raise UnknownName(name_or_id) from None
 
 

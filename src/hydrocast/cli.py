@@ -3,7 +3,9 @@
 Subcommands mirror the pipeline stages (synth, select, train, evaluate,
 report) plus an all-in-one run. Settings come from an optional JSON
 config file with flag overrides winning; see README for the schema.
-Exit codes: 0 success, 1 usage error, 2 data error.
+Each flag's argparse ``dest`` is its config file key (``boost.tree_depth``
+for the ``boost`` section's ``tree_depth``), so flags and file meet in
+``_settings`` alone. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -22,10 +24,14 @@ from .errors import HydrocastError
 from .evaluation import CSV_FORMAT, JSON_FORMAT, TEXT_TABLE
 from .learners import MODELS
 from .pipeline import PipelineConfig, synth_seed
-from .selection import BoostConfig
+from .selection import BoostConfig, ColinearityConfig, SelectionConfig
 from .synthetic import generate_synthetic, signal_std
 
 DEFAULT_PLANTED = "air_l01,rhum_l01,uwnd_l04,air_l11,rhum_l08"
+
+#: The config file's top-level keys; README documents each one.
+_KEYS = ("data", "output", "seed", "gamma", "norm", "kappa", "select_on_all", "pooled",
+         "points", "split", "boost", "learners")
 
 _FORMATS = {"text": TEXT_TABLE, "csv": CSV_FORMAT, "json": JSON_FORMAT}
 
@@ -53,13 +59,15 @@ def _add_pipeline_flags(parser):
     parser.add_argument("--gamma", type=float, help="colinearity threshold")
     parser.add_argument("--norm", choices=["l2", "l1_as_printed"], help="cosine norm")
     parser.add_argument("--kappa", type=int, help="number of features to keep")
-    parser.add_argument("--train-fraction", type=float, help="training share of rows")
-    parser.add_argument("--split-mode", choices=[CHRONOLOGICAL, SEEDED_RANDOM])
-    parser.add_argument("--split-seed", type=int)
-    parser.add_argument("--trees-per-stage", type=int)
-    parser.add_argument("--max-stages", type=int)
-    parser.add_argument("--stop-tolerance", type=float)
-    parser.add_argument("--tree-depth", type=int, help="weak learner depth")
+    parser.add_argument("--train-fraction", dest="split.train_fraction", metavar="FRACTION",
+                        type=float, help="training share of rows")
+    parser.add_argument("--split-mode", dest="split.mode", choices=[CHRONOLOGICAL, SEEDED_RANDOM])
+    parser.add_argument("--split-seed", dest="split.seed", metavar="SEED", type=int)
+    parser.add_argument("--trees-per-stage", dest="boost.trees_per_stage", metavar="N", type=int)
+    parser.add_argument("--max-stages", dest="boost.max_stages", metavar="N", type=int)
+    parser.add_argument("--stop-tolerance", dest="boost.stop_tolerance", metavar="TOL", type=float)
+    parser.add_argument("--tree-depth", dest="boost.tree_depth", metavar="DEPTH", type=int,
+                        help="weak learner depth")
     parser.add_argument("--select-on-all", action="store_true", default=None,
                         help="let selection see all rows, not just training rows")
     parser.add_argument("--pooled", action="store_true", default=None,
@@ -108,7 +116,26 @@ def _load_config_file(path) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file must hold a JSON object: {path}")
+    unknown = [key for key in payload if key not in _KEYS]
+    if unknown:
+        raise UsageError(f"unknown config key {unknown[0]!r} in {path}")
     return payload
+
+
+def _settings(args, *required: str) -> dict:
+    """The config file with each given flag written over its key; a ``required``
+    key left unset is a usage error."""
+    settings = _load_config_file(args.config) if args.config else {}
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is not None and (section or key) in _KEYS:
+            if section:
+                value = {**_section(settings, section), key: value}
+            settings[section or key] = value
+    for key in required:
+        if settings.get(key) is None:
+            raise UsageError(f"no {key} given (--{key} or config {key!r})")
+    return settings
 
 
 def _resolve_points(value) -> tuple[IndexPoint, ...]:
@@ -129,21 +156,17 @@ def _resolve_points(value) -> tuple[IndexPoint, ...]:
     )
 
 
-def _pick(*values):
-    """The first value that is set (not None): a flag, then the config file."""
-    return next((value for value in values if value is not None), None)
-
-
-def _section(file_cfg: dict, name: str) -> dict:
-    section = file_cfg.get(name, {})
+def _section(settings: dict, name: str) -> dict:
+    section = settings.get(name, {})
     if not isinstance(section, dict):
         raise UsageError(f"config {name!r} must be a JSON object")
     return section
 
 
-def _int(value):
-    """An integer setting such as a seed; None stays unset."""
-    return None if value is None else int(value)
+def _seed(settings: dict) -> int:
+    """The master seed; a seed given as text, such as "7", is converted."""
+    seed = settings.get("seed")
+    return PipelineConfig.seed if seed is None else int(seed)
 
 
 def _given(**fields) -> dict:
@@ -170,82 +193,49 @@ def _config_checked():
 
 def build_pipeline_config(args) -> PipelineConfig:
     """The run's settings, checked before any data is read."""
+    settings = _settings(args, "data", "output")
     with _config_checked():
-        cfg = _pipeline_config(args)
-        cfg.selection_config(cfg.seed)  # checks gamma, norm and kappa
-    return cfg
-
-
-def _pipeline_config(args) -> PipelineConfig:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-
-    data_path = _pick(args.data, file_cfg.get("data"))
-    output_dir = _pick(args.output, file_cfg.get("output"))
-    if data_path is None:
-        raise UsageError("no input data path given (--data or config 'data')")
-    if output_dir is None:
-        raise UsageError("no output directory given (--output or config 'output')")
-
-    def flag(name):
-        return getattr(args, name, None)
-
-    split_cfg = _section(file_cfg, "split")
-    split = SplitSpec(**_given(
-        train_fraction=_pick(flag("train_fraction"), split_cfg.get("train_fraction")),
-        mode=_pick(flag("split_mode"), split_cfg.get("mode")),
-        seed=_pick(flag("split_seed"), split_cfg.get("seed")),
-    ))
-
-    boost_cfg = _section(file_cfg, "boost")
-    weak_tree = replace(BoostConfig().weak_tree, **_given(
-        max_depth=_pick(flag("tree_depth"), boost_cfg.get("tree_depth")),
-        min_samples_leaf=boost_cfg.get("min_samples_leaf"),
-    ))
-    boost = BoostConfig(weak_tree=weak_tree, **_given(
-        trees_per_stage=_pick(flag("trees_per_stage"), boost_cfg.get("trees_per_stage")),
-        max_stages=_pick(flag("max_stages"), boost_cfg.get("max_stages")),
-        shrinkage=boost_cfg.get("shrinkage"),
-        stop_tolerance=_pick(flag("stop_tolerance"), boost_cfg.get("stop_tolerance")),
-        feature_subset_size=boost_cfg.get("feature_subset_size"),
-    ))
-
-    learner_cfg = file_cfg.get("learners")
-    learners = None
-    if learner_cfg is not None:
-        learners = []
-        for kind, model in MODELS.items():
-            if kind in learner_cfg:
-                learners.append((kind, model.config(**dict(learner_cfg[kind]))))
-        if not learners:
-            raise UsageError("config 'learners' selects no known model kinds")
-        learners = tuple(learners)
-
-    return PipelineConfig(
-        data_path=data_path,
-        output_dir=output_dir,
-        points=_resolve_points(_pick(args.points, file_cfg.get("points"))),
-        boost=boost,
-        split=split,
-        select_on_all=bool(_pick(flag("select_on_all"), file_cfg.get("select_on_all"))),
-        pooled_selection=bool(_pick(flag("pooled"), file_cfg.get("pooled"))),
-        **_given(
-            learners=learners,
-            gamma=_pick(flag("gamma"), file_cfg.get("gamma")),
-            norm=_pick(flag("norm"), file_cfg.get("norm")),
-            kappa=_pick(flag("kappa"), file_cfg.get("kappa")),
-            seed=_int(_pick(args.seed, file_cfg.get("seed"))),
-        ),
-    )
+        boost = _given(**_section(settings, "boost"))
+        if "seed" in boost:
+            raise UsageError("config 'boost' takes no 'seed'; boosting seeds derive from 'seed'")
+        weak_tree = replace(BoostConfig().weak_tree, **_given(
+            max_depth=boost.pop("tree_depth", None),
+            min_samples_leaf=boost.pop("min_samples_leaf", None),
+        ))
+        selection = SelectionConfig(
+            colinearity=ColinearityConfig(**_given(gamma=settings.get("gamma"),
+                                                   norm=settings.get("norm"))),
+            boost=BoostConfig(weak_tree=weak_tree, **boost),
+            **_given(kappa=settings.get("kappa")),
+        )
+        learners = None
+        if settings.get("learners") is not None:
+            chosen = _section(settings, "learners")
+            if not chosen or any(kind not in MODELS for kind in chosen):
+                raise UsageError(f"config 'learners' must name kinds among {', '.join(MODELS)}")
+            learners = tuple((kind, model.config(**dict(chosen[kind])))
+                             for kind, model in MODELS.items() if kind in chosen)
+        return PipelineConfig(
+            data_path=settings["data"],
+            output_dir=settings["output"],
+            points=_resolve_points(settings.get("points")),
+            selection=selection,
+            split=SplitSpec(**_given(**_section(settings, "split"))),
+            select_on_all=bool(settings.get("select_on_all")),
+            pooled_selection=bool(settings.get("pooled")),
+            seed=_seed(settings),
+            **_given(learners=learners),
+        )
 
 
 def cmd_synth(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    out = args.out or _pick(args.data, file_cfg.get("data"))
+    settings = _settings(args)
+    out = args.out or settings.get("data")
     if out is None:
         raise UsageError("no output CSV path given (--out or --data)")
     with _config_checked():
-        master = int(_pick(args.seed, file_cfg.get("seed"), 0))
-        points = _resolve_points(_pick(args.points, file_cfg.get("points")))
+        master = _seed(settings)
+        points = _resolve_points(settings.get("points"))
     planted = [name.strip() for name in args.planted.split(",") if name.strip()]
 
     datasets = []
@@ -290,10 +280,7 @@ def cmd_stage(args) -> int:
 
 
 def cmd_report(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    output_dir = _pick(args.output, file_cfg.get("output"))
-    if output_dir is None:
-        raise UsageError("no output directory given (--output or config 'output')")
+    output_dir = _settings(args, "output")["output"]
     try:
         rendered = pipeline.stage_report(output_dir, _FORMATS[args.format])
     except FileNotFoundError:

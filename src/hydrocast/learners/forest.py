@@ -16,11 +16,14 @@ from ..cart import RegressionTree, TreeConfig, fit_tree, tree_sum
 from .base import RF, FittedModel, RFConfig, Standardization
 
 
+def _read_trees(payload) -> list[RegressionTree]:
+    if not payload:
+        raise ValueError("a forest needs at least one tree")
+    return [RegressionTree.from_dict(tree) for tree in payload]
+
+
 #: (read, write) for the forest: each tree as its flat node list.
-TREES = (
-    lambda payload: [RegressionTree.from_dict(tree) for tree in payload],
-    lambda trees: [tree.to_dict() for tree in trees],
-)
+TREES = (_read_trees, lambda trees: [tree.to_dict() for tree in trees])
 
 
 class RFModel(FittedModel):

@@ -42,13 +42,7 @@ from .evaluation import (
     render_report,
 )
 from .learners import KIND_ORDER, LearnerSpec, fit_all, model_from_dict, model_to_dict
-from .selection import (
-    BoostConfig,
-    ColinearityConfig,
-    SelectionConfig,
-    SelectionResult,
-    run_selection,
-)
+from .selection import SelectionConfig, SelectionResult, run_selection
 
 # Purpose codes for seed derivation; point index and kind index are appended.
 _SEED_BOOST = 1
@@ -72,15 +66,15 @@ def synth_seed(master: int, point_index: int) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one end-to-end run needs; see README for the file schema."""
+    """Everything one end-to-end run needs; see README for the file schema.
+
+    ``selection.boost.seed`` is replaced per point by one derived from ``seed``.
+    """
 
     data_path: str
     output_dir: str
     points: tuple[IndexPoint, ...] = REFERENCE_POINTS
-    gamma: float = 0.9
-    norm: str = "l2"
-    kappa: int = 10
-    boost: BoostConfig = field(default_factory=BoostConfig)
+    selection: SelectionConfig = field(default_factory=SelectionConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
     learners: tuple = tuple((kind, None) for kind in KIND_ORDER)
     seed: int = 0
@@ -88,11 +82,7 @@ class PipelineConfig:
     pooled_selection: bool = False
 
     def selection_config(self, seed: int) -> SelectionConfig:
-        return SelectionConfig(
-            colinearity=ColinearityConfig(gamma=self.gamma, norm=self.norm),
-            boost=replace(self.boost, seed=seed),
-            kappa=self.kappa,
-        )
+        return replace(self.selection, boost=replace(self.selection.boost, seed=seed))
 
     def learner_specs(self, point_index: int) -> list[LearnerSpec]:
         specs = []
@@ -160,9 +150,9 @@ def selection_payload(point: IndexPoint, selection: SelectionResult, seed: int,
         "selected_on": "all" if cfg.select_on_all else "train",
         "pooled": pooled,
         "n_rows_used": n_rows,
-        "gamma": cfg.gamma,
-        "norm": cfg.norm,
-        "kappa": cfg.kappa,
+        "gamma": cfg.selection.colinearity.gamma,
+        "norm": cfg.selection.colinearity.norm,
+        "kappa": cfg.selection.kappa,
         "kept_after_prune": [FEATURE_NAMES[f] for f in selection.kept_after_prune],
         "dropped_pairs": [
             {"kept": FEATURE_NAMES[i], "dropped": FEATURE_NAMES[j], "cosine": c}

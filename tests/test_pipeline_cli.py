@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,35 @@ def test_flags_override_config_file(tmp_path):
     assert len(payload["top_features"]) <= 5
 
 
+FLAG_KEYS = [  # flag, value, its config file key, where the value lands in PipelineConfig
+    ("--gamma", 0.8, "gamma", "selection.colinearity.gamma"),
+    ("--norm", "l1_as_printed", "norm", "selection.colinearity.norm"),
+    ("--kappa", 5, "kappa", "selection.kappa"),
+    ("--train-fraction", 0.8, "split.train_fraction", "split.train_fraction"),
+    ("--split-mode", "seeded_random", "split.mode", "split.mode"),
+    ("--split-seed", 3, "split.seed", "split.seed"),
+    ("--trees-per-stage", 20, "boost.trees_per_stage", "selection.boost.trees_per_stage"),
+    ("--max-stages", 2, "boost.max_stages", "selection.boost.max_stages"),
+    ("--stop-tolerance", 0.01, "boost.stop_tolerance", "selection.boost.stop_tolerance"),
+    ("--tree-depth", 2, "boost.tree_depth", "selection.boost.weak_tree.max_depth"),
+    ("--select-on-all", True, "select_on_all", "select_on_all"),
+    ("--pooled", True, "pooled", "pooled_selection"),
+]
+
+
+@pytest.mark.parametrize("flag, value, key, field", FLAG_KEYS, ids=[f[0] for f in FLAG_KEYS])
+def test_each_pipeline_flag_sets_its_config_file_key(tmp_path, flag, value, key, field):
+    base = ["run", "--data", "data.csv", "--output", "out"]
+    given = [flag] if value is True else [flag, str(value)]
+    from_flag = build_pipeline_config(build_parser().parse_args(base + given))
+    section, _, name = key.rpartition(".")
+    cfg = write_config(tmp_path, {section: {name: value}} if section else {name: value})
+    from_file = build_pipeline_config(build_parser().parse_args(base + ["--config", str(cfg)]))
+    assert from_flag == from_file
+    assert reduce(getattr, field.split("."), from_flag) == value
+    assert from_flag != PipelineConfig("data.csv", "out")
+
+
 def test_no_flags_and_no_config_file_gives_dataclass_defaults():
     args = build_parser().parse_args(["run", "--data", "data.csv", "--output", "out"])
     assert build_pipeline_config(args) == PipelineConfig("data.csv", "out")
@@ -397,6 +427,13 @@ BAD_P02 = {
         None, ("models.json", _edit_json(lambda p: p["models"]["rf"].update(trees=[]))),
         ["30_67.5:rf"],
     ),
+    "top_feature_not_a_name": (
+        None, ("selection.json", _edit_json(lambda p: p.update(top_features=[[1]]))),
+        ["30_67.5"],
+    ),
+    "model_feature_not_a_name": (
+        None, ("models.json", _edit_json(lambda p: p.update(features=[[1]]))), ["30_67.5"],
+    ),
 }
 
 
@@ -459,6 +496,11 @@ BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit cod
     "knn_k_0": ([], {"learners": {"knn": {"k": 0}}}, 1),
     "unknown_learner_key": ([], {"learners": {"knn": {"kk": 3}}}, 1),
     "config_is_a_list": ([], None, 1),
+    "unknown_boost_key": ([], {"boost": {"max_stage": 2}}, 1),
+    "unknown_split_key": ([], {"split": {"fraction": 0.8}}, 1),
+    "unknown_top_level_key": ([], {"kapa": 3}, 1),
+    "unknown_learner_kind": ([], {"learners": {"rf": {}, "svm": {}}}, 1),
+    "boost_seed": ([], {"boost": {"seed": 5}}, 1),  # each point's boosting seed is derived
     "train_fraction_above_1": (["--train-fraction", "1.5"], {}, 2),  # a data error, as before
 }
 
@@ -547,7 +589,7 @@ def test_run_pipeline_api_returns_results(tmp_path):
         data_path=str(data),
         output_dir=str(out),
         points=tuple(p for p in REFERENCE_POINTS if p.id in ("p01", "p02")),
-        boost=BoostConfig(trees_per_stage=10, max_stages=2),
+        selection=SelectionConfig(boost=BoostConfig(trees_per_stage=10, max_stages=2)),
         seed=7,
     )
     result = run_pipeline(cfg)
