@@ -9,7 +9,6 @@ vwnd (17), giving catalog indices 1..85. Column names follow the
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .errors import UnknownName
@@ -29,9 +28,19 @@ VARIABLE_LEVELS = (
     ("vwnd", 17),
 )
 
-VARIABLES = tuple(name for name, _ in VARIABLE_LEVELS)
 
-CATALOG_SIZE = sum(n for _, n in VARIABLE_LEVELS)  # 85
+def _column_name(variable: str, level: int) -> str:
+    return f"{variable}_l{level:02d}"
+
+
+#: Column names of the 85 predictors in catalog order; the one table that
+#: decides which (variable, level) pairs exist and where each one sits.
+FEATURE_NAMES = tuple(_column_name(variable, level) for variable, n_levels in VARIABLE_LEVELS
+                      for level in range(1, n_levels + 1))
+
+_NAME_TO_COLUMN = {name: i for i, name in enumerate(FEATURE_NAMES)}
+
+CATALOG_SIZE = len(FEATURE_NAMES)  # 85
 
 
 @dataclass(frozen=True, order=True)
@@ -57,24 +66,13 @@ class FeatureId:
     level: PressureLevel
 
     def __post_init__(self):
-        if self.variable not in VARIABLES:
-            raise ValueError(f"unknown variable: {self.variable!r}")
-        max_level = dict(VARIABLE_LEVELS)[self.variable]
-        if self.level.index > max_level:
-            raise ValueError(
-                f"{self.variable} is only measured on levels 1..{max_level}, "
-                f"got level {self.level.index}"
-            )
+        if self.name not in _NAME_TO_COLUMN:
+            raise ValueError(f"{self.variable!r} is not measured on level {self.level.index}")
 
     @property
     def catalog_index(self) -> int:
         """1-based position of this predictor in the catalog (1..85)."""
-        offset = 0
-        for name, n_levels in VARIABLE_LEVELS:
-            if name == self.variable:
-                return offset + self.level.index
-            offset += n_levels
-        raise AssertionError("unreachable")
+        return _NAME_TO_COLUMN[self.name] + 1
 
     @property
     def name(self) -> str:
@@ -83,39 +81,17 @@ class FeatureId:
 
 def feature_name(fid: FeatureId) -> str:
     """Canonical column name, e.g. ``air_l01`` or ``slp_l01``."""
-    return f"{fid.variable}_l{fid.level.index:02d}"
-
-
-_NAME_RE = re.compile(r"^(air|hgt|rhum|shum|slp|uwnd|vwnd)_l(\d{2})$")
+    return _column_name(fid.variable, fid.level.index)
 
 
 def parse_feature_name(name: str) -> FeatureId:
     """Inverse of :func:`feature_name`; raises UnknownName on anything else."""
-    m = _NAME_RE.match(name)
-    if not m:
-        raise UnknownName(name)
-    variable, level = m.group(1), int(m.group(2))
-    max_level = dict(VARIABLE_LEVELS)[variable]
-    if not 1 <= level <= max_level:
-        raise UnknownName(name)
-    return FeatureId(variable, PressureLevel(level))
-
-
-def _build_catalog() -> tuple[FeatureId, ...]:
-    ids = []
-    for variable, n_levels in VARIABLE_LEVELS:
-        for level in range(1, n_levels + 1):
-            ids.append(FeatureId(variable, PressureLevel(level)))
-    return tuple(ids)
+    return CATALOG[column_of(name)]
 
 
 #: All 85 predictors in catalog order; CATALOG[i] has catalog_index i + 1.
-CATALOG = _build_catalog()
-
-#: Column names of the 85 predictors in catalog order.
-FEATURE_NAMES = tuple(feature_name(fid) for fid in CATALOG)
-
-_NAME_TO_COLUMN = {name: i for i, name in enumerate(FEATURE_NAMES)}
+CATALOG = tuple(FeatureId(variable, PressureLevel(int(level)))
+                for variable, level in (name.rsplit("_l", 1) for name in FEATURE_NAMES))
 
 
 def feature_from_catalog_index(index: int) -> FeatureId:

@@ -42,7 +42,7 @@ from .evaluation import (
     render_report,
 )
 from .learners import KIND_ORDER, LearnerSpec, fit_all, model_from_dict, model_to_dict
-from .selection import SelectionConfig, SelectionResult, run_selection
+from .selection import SelectionConfig, SelectionResult, ranked, run_selection
 
 # Purpose codes for seed derivation; point index and kind index are appended.
 _SEED_BOOST = 1
@@ -123,6 +123,11 @@ def _read_json(path: Path, **fields: type) -> dict:
     return payload
 
 
+def _by_rank(counts: dict[int, int]) -> dict[str, int]:
+    """Feature name -> count for the columns that rank, in rank order."""
+    return {FEATURE_NAMES[f]: counts[f] for f in ranked(counts)}
+
+
 def _point_payload(point: IndexPoint) -> dict:
     return {"lon": point.lon, "lat": point.lat, "elev": point.elev, "id": point.id}
 
@@ -132,14 +137,6 @@ def _selection_rows(cfg: PipelineConfig, data: Dataset) -> Dataset:
         return data
     train, _ = split(data, cfg.split)
     return train
-
-
-def _ordered_occurrence(selection: SelectionResult) -> dict[str, int]:
-    items = sorted(
-        ((f, c) for f, c in selection.occurrence.items() if c > 0),
-        key=lambda fc: (-fc[1], fc[0]),
-    )
-    return {FEATURE_NAMES[f]: c for f, c in items}
 
 
 def selection_payload(point: IndexPoint, selection: SelectionResult, seed: int,
@@ -158,7 +155,7 @@ def selection_payload(point: IndexPoint, selection: SelectionResult, seed: int,
             {"kept": FEATURE_NAMES[i], "dropped": FEATURE_NAMES[j], "cosine": c}
             for i, j, c in selection.dropped_pairs
         ],
-        "occurrence": _ordered_occurrence(selection),
+        "occurrence": _by_rank(selection.occurrence),
         "occurrence_total": selection.occurrence_total,
         "top_features": [FEATURE_NAMES[f] for f in selection.top_k],
         "n_stages": selection.n_stages,
@@ -262,34 +259,38 @@ def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: P
 
 def _write_selection_summary(cfg: PipelineConfig, points: list[IndexPoint],
                              errors: dict[str, str]) -> None:
+    """Sum the points' counts by column; a point whose selection.json is damaged, names
+    a feature outside the catalog or holds a count that is not a positive integer adds
+    nothing and goes into ``errors``."""
     top_per_point: dict[str, list[str]] = {}
-    totals: dict[str, int] = {}
-    membership: dict[str, int] = {}
+    totals = dict.fromkeys(range(len(FEATURE_NAMES)), 0)
+    membership = dict.fromkeys(range(len(FEATURE_NAMES)), 0)
     for point in points:
         selection_file = Path(cfg.output_dir) / point.label / "selection.json"
         if not selection_file.exists():
             continue
         try:
             payload = _read_json(selection_file, top_features=list, occurrence=dict)
-        except DamagedArtifact as exc:
+            counts = {column_of(name): count for name, count in payload["occurrence"].items()}
+            top = [column_of(name) for name in payload["top_features"]]
+            if any(type(c) is not int or c < 1 for c in counts.values()):
+                raise DamagedArtifact(f"{selection_file}: an occurrence count is not a positive int")
+        except HydrocastError as exc:
             errors[point.label] = str(exc)
             continue
         top_per_point[point.label] = payload["top_features"]
-        for name, count in payload["occurrence"].items():
-            totals[name] = totals.get(name, 0) + count
-        for name in payload["top_features"]:
-            membership[name] = membership.get(name, 0) + 1
+        for f, count in counts.items():
+            totals[f] += count
+        for f in top:
+            membership[f] += 1
 
-    order = {name: i for i, name in enumerate(FEATURE_NAMES)}
-    totals = dict(sorted(totals.items(), key=lambda kv: (-kv[1], order[kv[0]])))
-    membership = dict(sorted(membership.items(), key=lambda kv: (-kv[1], order[kv[0]])))
     _write_json(
         Path(cfg.output_dir) / "selection_summary.json",
         {
             "top_features_per_point": top_per_point,
-            "occurrence_totals": totals,
+            "occurrence_totals": _by_rank(totals),
             "occurrence_total_sum": sum(totals.values()),
-            "top_feature_membership": membership,
+            "top_feature_membership": _by_rank(membership),
         },
     )
 

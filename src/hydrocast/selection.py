@@ -263,15 +263,16 @@ def rank_features(model: BoostedModel, per_node: bool = False) -> dict[int, int]
     return counts
 
 
+def ranked(counts: dict[int, int]) -> list[int]:
+    """The one ranking rule: columns with a positive count, highest first, ties to the lower."""
+    return sorted((f for f, c in counts.items() if c > 0), key=lambda f: (-counts[f], f))
+
+
 def select_top_k(occurrence: dict[int, int], kappa: int) -> tuple[int, ...]:
-    """Indices with the highest counts; ties to the lower index, zeros excluded."""
+    """The ``kappa`` columns that rank first."""
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    ranked = sorted(
-        (f for f, c in occurrence.items() if c > 0),
-        key=lambda f: (-occurrence[f], f),
-    )
-    return tuple(ranked[:kappa])
+    return tuple(ranked(occurrence)[:kappa])
 
 
 @dataclass(frozen=True)
