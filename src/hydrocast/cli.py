@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
@@ -169,9 +169,37 @@ def _seed(settings: dict) -> int:
     return PipelineConfig.seed if seed is None else int(seed)
 
 
-def _given(**fields) -> dict:
-    """The fields that are set, so the dataclass defaults fill in the rest."""
-    return {name: value for name, value in fields.items() if value is not None}
+def _fits(value, hint) -> bool:
+    """Whether a JSON value is of a field's type; a float field also takes an integer,
+    and only a bool field takes true or false."""
+    if typing.get_origin(hint) is tuple:  # tuple[int, ...] is a JSON list of integers
+        return isinstance(value, (list, tuple)) and all(_fits(v, typing.get_args(hint)[0])
+                                                        for v in value)
+    kinds = typing.get_args(hint) or (hint,)  # int | None gives (int, NoneType)
+    if float in kinds:
+        kinds += (int,)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def _build(cls, /, **fields):
+    """``cls`` from the fields that are set, its defaults filling in the rest; a value
+    not of its field's type is a usage error."""
+    given = {name: value for name, value in fields.items() if value is not None}
+    hints = typing.get_type_hints(cls)
+    for name, value in given.items():
+        if name in hints and not _fits(value, hints[name]):
+            expected = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
+            raise UsageError(f"config value {cls.__name__}.{name} must be {expected}, "
+                             f"got {value!r}")
+    return cls(**given)
+
+
+def _switch(settings: dict, key: str) -> bool:
+    """A true/false setting; unset or null is false."""
+    value = settings.get(key)
+    if value is not None and not isinstance(value, bool):
+        raise UsageError(f"config {key!r} must be true or false, got {value!r}")
+    return bool(value)
 
 
 @contextmanager
@@ -195,36 +223,33 @@ def build_pipeline_config(args) -> PipelineConfig:
     """The run's settings, checked before any data is read."""
     settings = _settings(args, "data", "output")
     with _config_checked():
-        boost = _given(**_section(settings, "boost"))
-        if "seed" in boost:
+        boost = _section(settings, "boost")
+        if boost.get("seed") is not None:
             raise UsageError("config 'boost' takes no 'seed'; boosting seeds derive from 'seed'")
-        weak_tree = replace(BoostConfig().weak_tree, **_given(
-            max_depth=boost.pop("tree_depth", None),
-            min_samples_leaf=boost.pop("min_samples_leaf", None),
-        ))
-        selection = SelectionConfig(
-            colinearity=ColinearityConfig(**_given(gamma=settings.get("gamma"),
-                                                   norm=settings.get("norm"))),
-            boost=BoostConfig(weak_tree=weak_tree, **boost),
-            **_given(kappa=settings.get("kappa")),
+        selection = _build(
+            SelectionConfig,
+            colinearity=_build(ColinearityConfig, gamma=settings.get("gamma"),
+                               norm=settings.get("norm")),
+            boost=_build(BoostConfig, **boost),
+            kappa=settings.get("kappa"),
         )
-        learners = None
+        learners = PipelineConfig.learners
         if settings.get("learners") is not None:
             chosen = _section(settings, "learners")
             if not chosen or any(kind not in MODELS for kind in chosen):
                 raise UsageError(f"config 'learners' must name kinds among {', '.join(MODELS)}")
-            learners = tuple((kind, model.config(**dict(chosen[kind])))
+            learners = tuple((kind, _build(model.config, **_section(chosen, kind)))
                              for kind, model in MODELS.items() if kind in chosen)
         return PipelineConfig(
             data_path=settings["data"],
             output_dir=settings["output"],
             points=_resolve_points(settings.get("points")),
             selection=selection,
-            split=SplitSpec(**_given(**_section(settings, "split"))),
-            select_on_all=bool(settings.get("select_on_all")),
-            pooled_selection=bool(settings.get("pooled")),
+            split=_build(SplitSpec, **_section(settings, "split")),
+            select_on_all=_switch(settings, "select_on_all"),
+            pooled_selection=_switch(settings, "pooled"),
             seed=_seed(settings),
-            **_given(learners=learners),
+            learners=learners,
         )
 
 
@@ -262,8 +287,7 @@ def cmd_stage(args) -> int:
     # stages are resolved through the pipeline module, where tests and perfbench hook them
     if args.command == "run":
         result = pipeline.run_pipeline(cfg)
-        if result.report is not None:
-            print(pipeline.stage_report(cfg.output_dir, TEXT_TABLE), end="")
+        print(result.rendered, end="")
     else:
         result = pipeline.run_stages(cfg, (args.command,))
         if args.command == "select":

@@ -43,14 +43,19 @@ def init_params(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return params
 
 
-def forward(params, Z) -> np.ndarray:
-    a = Z
+def _layers(params, Z):
+    """Every layer's pre-activation, and the activations from ``Z`` on: hidden
+    layers are rectified, the output layer is linear."""
+    pre, activations = [], [Z]
     last = len(params) - 1
     for layer, (W, b) in enumerate(params):
-        a = a @ W + b
-        if layer < last:
-            a = np.maximum(a, 0.0)
-    return a[:, 0]
+        pre.append(activations[-1] @ W + b)
+        activations.append(np.maximum(pre[-1], 0.0) if layer < last else pre[-1])
+    return pre, activations
+
+
+def forward(params, Z) -> np.ndarray:
+    return _layers(params, Z)[1][-1][:, 0]
 
 
 def loss_and_grads(params, Z, targets):
@@ -60,23 +65,12 @@ def loss_and_grads(params, Z, targets):
     from the training loop so finite-difference checks can call it
     directly.
     """
-    n = Z.shape[0]
-    activations = [Z]
-    pre = []
-    a = Z
-    last = len(params) - 1
-    for layer, (W, b) in enumerate(params):
-        z = a @ W + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if layer < last else z
-        activations.append(a)
-
-    pred = activations[-1][:, 0]
-    diff = pred - targets
+    pre, activations = _layers(params, Z)
+    diff = activations[-1][:, 0] - targets
     loss = float(np.mean(diff**2))
 
     grads = [None] * len(params)
-    delta = (2.0 / n) * diff.reshape(-1, 1)
+    delta = (2.0 / Z.shape[0]) * diff.reshape(-1, 1)
     for layer in range(len(params) - 1, -1, -1):
         W, _ = params[layer]
         grads[layer] = (activations[layer].T @ delta, delta.sum(axis=0))
@@ -99,25 +93,19 @@ def fit_mlp(cfg: MLPConfig, X, y, feature_indices, seed: int) -> MLPModel:
     sizes = [Z.shape[1], *cfg.hidden_sizes, 1]
     params = init_params(sizes, rng)
 
-    m = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
-    v = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
+    flat = [array for layer in params for array in layer]  # W0, b0, W1, b1, ...
+    m = [np.zeros_like(p) for p in flat]
+    v = [np.zeros_like(p) for p in flat]
     for step in range(1, cfg.epochs + 1):
         loss, grads = loss_and_grads(params, Z, t_targets)
         if not np.isfinite(loss):
             raise NonConvergence("MLP loss became non-finite")
         bc1 = 1.0 - cfg.beta1**step
         bc2 = 1.0 - cfg.beta2**step
-        for layer in range(len(params)):
-            updated = []
-            for slot in range(2):
-                g = grads[layer][slot]
-                m[layer][slot] = cfg.beta1 * m[layer][slot] + (1 - cfg.beta1) * g
-                v[layer][slot] = cfg.beta2 * v[layer][slot] + (1 - cfg.beta2) * g * g
-                m_hat = m[layer][slot] / bc1
-                v_hat = v[layer][slot] / bc2
-                updated.append(
-                    params[layer][slot] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-                )
-            params[layer] = tuple(updated)
+        for i, g in enumerate(g for layer in grads for g in layer):
+            m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+            v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
+            flat[i] = flat[i] - cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps)
+        params = list(zip(flat[::2], flat[1::2]))
 
     return MLPModel(cfg, feature_indices, stats, layers=params, y_mean=y_mean, y_std=y_std)

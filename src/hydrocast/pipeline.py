@@ -103,6 +103,7 @@ class PipelineResult:
     report: EvaluationReport | None
     errors: dict[str, str]
     trained: list[str] = field(default_factory=list)
+    rendered: str = ""  # run_pipeline's text table, as written to report.txt
 
 
 def _write_json(path: Path, payload) -> None:
@@ -295,14 +296,19 @@ def _write_selection_summary(cfg: PipelineConfig, points: list[IndexPoint],
     )
 
 
-def stage_report(output_dir, fmt: str = TEXT_TABLE) -> str:
-    """Render the stored report; also writes report.csv / report.txt."""
+def stage_report(output_dir, fmt: str = TEXT_TABLE,
+                 report: EvaluationReport | None = None) -> str:
+    """Render ``report``, or else the stored report.json; also writes report.txt,
+    report.csv or report.out.json."""
     path = Path(output_dir) / "report.json"
     try:
-        report = EvaluationReport.from_dict(_read_json(path, rows=list))
-    except (KeyError, TypeError) as exc:
+        if report is None:
+            report = EvaluationReport.from_dict(_read_json(path, rows=list))
+        rendered = render_report(report, fmt)
+    except DamagedArtifact:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # a row field missing or of the wrong type
         raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
-    rendered = render_report(report, fmt)
     suffix = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
     out = Path(output_dir) / suffix[fmt]
     out.write_text(rendered, encoding="utf-8")
@@ -359,8 +365,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """select -> train -> evaluate -> report, sharing one artifact tree."""
     result = run_stages(cfg, ("select", "train", "evaluate"))
     if result.report is not None:
-        stage_report(cfg.output_dir, TEXT_TABLE)
-        stage_report(cfg.output_dir, CSV_FORMAT)
+        result.rendered = stage_report(cfg.output_dir, TEXT_TABLE, result.report)
+        stage_report(cfg.output_dir, CSV_FORMAT, result.report)
     errors_file = Path(cfg.output_dir) / "errors.json"
     if result.errors:
         _write_json(errors_file, result.errors)

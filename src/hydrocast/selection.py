@@ -59,16 +59,18 @@ class BoostConfig:
     Every stage fits ``trees_per_stage`` trees to the residuals and adds
     ``shrinkage`` times their average to the running model. Stages stop at
     ``max_stages`` or when the relative training-MSE improvement falls
-    below ``stop_tolerance``. Each tree sees a random feature subset of
-    ``feature_subset_size`` columns (default: ceil(sqrt(n_features))),
-    drawn from a seed derived per (stage, tree).
+    below ``stop_tolerance``. Each tree grows to at most ``tree_depth``
+    levels with ``min_samples_leaf`` rows per leaf, and sees a random
+    feature subset of ``feature_subset_size`` columns (default:
+    ceil(sqrt(n_features))), drawn from a seed derived per (stage, tree).
     """
 
     trees_per_stage: int = 100
     max_stages: int = 10
     shrinkage: float = 1.0
     stop_tolerance: float = 1e-4
-    weak_tree: TreeConfig = field(default_factory=lambda: TreeConfig(max_depth=3, min_samples_leaf=5))
+    tree_depth: int = 3
+    min_samples_leaf: int = 5
     feature_subset_size: int | None = None
     seed: int = 0
 
@@ -81,6 +83,8 @@ class BoostConfig:
             raise ValueError("shrinkage must be > 0")
         if self.stop_tolerance < 0:
             raise ValueError("stop_tolerance must be >= 0")
+        if self.tree_depth < 1 or self.min_samples_leaf < 1:
+            raise ValueError("tree_depth and min_samples_leaf must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -227,13 +231,8 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
             tree_seed = np.random.SeedSequence([cfg.seed, stage, t])
             rng = np.random.default_rng(tree_seed)
             subset = tuple(sorted(rng.choice(d, size=subset_size, replace=False).tolist()))
-            tree_cfg = TreeConfig(
-                max_depth=cfg.weak_tree.max_depth,
-                min_samples_leaf=cfg.weak_tree.min_samples_leaf,
-                feature_subset=subset,
-                features_per_node=cfg.weak_tree.features_per_node,
-                seed=int(rng.integers(2**63)),
-            )
+            tree_cfg = TreeConfig(max_depth=cfg.tree_depth, min_samples_leaf=cfg.min_samples_leaf,
+                                  feature_subset=subset)
             trees.append(fit_tree(X, residual, tree_cfg, sorted_X))
         current = current + cfg.shrinkage * tree_sum(trees, X) / cfg.trees_per_stage
         stages.append(trees)

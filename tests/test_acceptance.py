@@ -102,7 +102,7 @@ def test_criterion_4_boosting_monotone_and_exact_on_representable_targets():
     y = np.where(x[:, 0] < 0.4, 1.0, 6.0)
     model = fit_boosted(
         x, y, BoostConfig(trees_per_stage=10,
-                          weak_tree=TreeConfig(max_depth=1, min_samples_leaf=1)))
+                          tree_depth=1, min_samples_leaf=1))
     assert model.training_mse_per_stage[-1] < 1e-6
 
     # noiseless two-indicator target, depth-3 weak trees seeing all features
@@ -111,7 +111,7 @@ def test_criterion_4_boosting_monotone_and_exact_on_representable_targets():
     y = 3.0 * (X[:, 0] > 0) + 2.0 * (X[:, 1] > 0.5)
     model = fit_boosted(
         X, y, BoostConfig(trees_per_stage=10, feature_subset_size=4,
-                          weak_tree=TreeConfig(max_depth=3, min_samples_leaf=1)))
+                          tree_depth=3, min_samples_leaf=1))
     assert model.training_mse_per_stage[-1] < 1e-6
     report_pass(4, "training MSE non-increasing on 50 seeds; exact fits reach < 1e-6")
 

@@ -9,9 +9,9 @@ from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast import pipeline
 from hydrocast.cli import build_parser, build_pipeline_config, main
 from hydrocast.dataset import SplitSpec, load_csv, split, write_csv
+from hydrocast.learners import MODELS
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
 from hydrocast.selection import BoostConfig, SelectionConfig, run_selection
-from hydrocast.cart import TreeConfig
 
 POINTS = "p01,p02"
 
@@ -200,7 +200,7 @@ def test_selection_matches_inmemory_train_only_run(tmp_path):
     train, _ = split(load_csv(data, [point])[point.label], SplitSpec())
     cfg = SelectionConfig(
         boost=BoostConfig(trees_per_stage=20, max_stages=2,
-                          weak_tree=TreeConfig(max_depth=3, min_samples_leaf=5),
+                          tree_depth=3, min_samples_leaf=5,
                           seed=derive_seed(7, 1, 0)),
     )
     result = run_selection(train.features, train.precip, cfg)
@@ -243,7 +243,7 @@ FLAG_KEYS = [  # flag, value, its config file key, where the value lands in Pipe
     ("--trees-per-stage", 20, "boost.trees_per_stage", "selection.boost.trees_per_stage"),
     ("--max-stages", 2, "boost.max_stages", "selection.boost.max_stages"),
     ("--stop-tolerance", 0.01, "boost.stop_tolerance", "selection.boost.stop_tolerance"),
-    ("--tree-depth", 2, "boost.tree_depth", "selection.boost.weak_tree.max_depth"),
+    ("--tree-depth", 2, "boost.tree_depth", "selection.boost.tree_depth"),
     ("--select-on-all", True, "select_on_all", "select_on_all"),
     ("--pooled", True, "pooled", "pooled_selection"),
 ]
@@ -265,6 +265,20 @@ def test_each_pipeline_flag_sets_its_config_file_key(tmp_path, flag, value, key,
 def test_no_flags_and_no_config_file_gives_dataclass_defaults():
     args = build_parser().parse_args(["run", "--data", "data.csv", "--output", "out"])
     assert build_pipeline_config(args) == PipelineConfig("data.csv", "out")
+
+
+def test_readme_config_block_gives_the_dataclass_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg_file = write_config(tmp_path, json.loads(block))
+    cfg = build_pipeline_config(build_parser().parse_args(["run", "--config", str(cfg_file)]))
+    defaults = PipelineConfig("data.csv", "out/")
+    assert cfg.selection == defaults.selection
+    assert cfg.split == defaults.split
+    assert cfg.points == defaults.points
+    assert (cfg.select_on_all, cfg.pooled_selection) == (defaults.select_on_all,
+                                                         defaults.pooled_selection)
+    assert dict(cfg.learners) == {kind: MODELS[kind].config() for kind, _ in defaults.learners}
 
 
 def test_clean_rerun_removes_stale_errors_json(tmp_path):
@@ -434,6 +448,14 @@ BAD_P02 = {
     "model_feature_not_a_name": (
         None, ("models.json", _edit_json(lambda p: p.update(features=[[1]]))), ["30_67.5"],
     ),
+    "occurrence_name_unknown": (
+        None, ("selection.json", _edit_json(lambda p: p["occurrence"].update(not_a_feature=3))),
+        ["30_67.5"],
+    ),
+    "occurrence_count_not_int": (
+        None, ("selection.json", _edit_json(lambda p: p["occurrence"].update(air_l01="3"))),
+        ["30_67.5"],
+    ),
 }
 
 
@@ -501,6 +523,11 @@ BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit cod
     "unknown_top_level_key": ([], {"kapa": 3}, 1),
     "unknown_learner_kind": ([], {"learners": {"rf": {}, "svm": {}}}, 1),
     "boost_seed": ([], {"boost": {"seed": 5}}, 1),  # each point's boosting seed is derived
+    "split_seed_text": ([], {"split": {"mode": "seeded_random", "seed": "x"}}, 1),
+    "knn_k_float": ([], {"learners": {"knn": {"k": 2.5}}}, 1),
+    "trees_per_stage_float": ([], {"boost": {"trees_per_stage": 2.5}}, 1),
+    "select_on_all_text": ([], {"select_on_all": "false"}, 1),
+    "pooled_text": ([], {"pooled": "no"}, 1),
     "train_fraction_above_1": (["--train-fraction", "1.5"], {}, 2),  # a data error, as before
 }
 
@@ -570,7 +597,8 @@ def test_report_formats(tmp_path, capsys):
     lambda report: report.clear(),
     lambda report: report["rows"][3].pop("mae"),
     lambda report: report.update(rows=5),
-], ids=["empty_object", "row_without_mae", "rows_not_a_list"])
+    lambda report: report["rows"][0].update(lon="x"),
+], ids=["empty_object", "row_without_mae", "rows_not_a_list", "lon_not_a_number"])
 def test_report_on_damaged_report_json_exits_2(tmp_path, capsys, damage):
     data = synth(tmp_path)
     out = tmp_path / "out"

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hydrocast.cart import TreeConfig
 from hydrocast.errors import (
     LengthMismatch,
     NonFiniteInput,
@@ -184,7 +183,7 @@ def test_noiseless_step_reaches_zero_in_one_stage():
     y = np.where(x[:, 0] < 0.5, 0.0, 10.0)
     cfg = BoostConfig(
         trees_per_stage=10,
-        weak_tree=TreeConfig(max_depth=1, min_samples_leaf=1),
+        tree_depth=1, min_samples_leaf=1,
     )
     model = fit_boosted(x, y, cfg)
     assert len(model.training_mse_per_stage) == 2
@@ -249,7 +248,7 @@ def test_single_leaf_trees_count_zero():
     cfg = BoostConfig(
         trees_per_stage=8,
         max_stages=2,
-        weak_tree=TreeConfig(max_depth=3, min_samples_leaf=10),
+        tree_depth=3, min_samples_leaf=10,
     )
     model = fit_boosted(X, y, cfg)
     counts = rank_features(model)
@@ -265,7 +264,7 @@ def test_forced_single_feature_gets_all_counts():
         trees_per_stage=100,
         max_stages=1,
         feature_subset_size=3,  # every tree sees every feature
-        weak_tree=TreeConfig(max_depth=1, min_samples_leaf=1),
+        tree_depth=1, min_samples_leaf=1,
     )
     model = fit_boosted(X, y, cfg)
     counts = rank_features(model)
@@ -280,7 +279,7 @@ def test_per_node_counting_exceeds_per_tree():
         trees_per_stage=5,
         max_stages=1,
         feature_subset_size=2,
-        weak_tree=TreeConfig(max_depth=3, min_samples_leaf=5),
+        tree_depth=3, min_samples_leaf=5,
     )
     model = fit_boosted(X, y, cfg)
     per_tree = rank_features(model)
