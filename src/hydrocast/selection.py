@@ -263,7 +263,8 @@ def rank_features(model: BoostedModel, per_node: bool = False) -> dict[int, int]
 
 
 def ranked(counts: dict[int, int]) -> list[int]:
-    """The one ranking rule: columns with a positive count, highest first, ties to the lower."""
+    """The one ranking rule: the columns with a positive count, highest count first,
+    ties to the lower column."""
     return sorted((f for f, c in counts.items() if c > 0), key=lambda f: (-counts[f], f))
 
 
