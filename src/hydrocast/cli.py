@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .learners import MODELS
 from .pipeline import PipelineConfig, synth_seed
 from .selection import BoostConfig, ColinearityConfig, SelectionConfig
 from .synthetic import generate_synthetic, signal_std
+from .typed import build, fits
 
 DEFAULT_PLANTED = "air_l01,rhum_l01,uwnd_l04,air_l11,rhum_l08"
 
@@ -150,10 +150,7 @@ def _resolve_points(value) -> tuple[IndexPoint, ...]:
                 raise UsageError(f"unknown bundled point id: {token!r}")
             points.append(by_id[token])
         return tuple(points)
-    return tuple(
-        IndexPoint(float(p["lon"]), float(p["lat"]), float(p["elev"]), p.get("id", ""))
-        for p in value
-    )
+    return tuple(build(IndexPoint, **p) for p in value)
 
 
 def _section(settings: dict, name: str) -> dict:
@@ -166,40 +163,10 @@ def _section(settings: dict, name: str) -> dict:
 def _seed(settings: dict) -> int:
     """The master seed; a seed given as text, such as "7", is converted."""
     seed = settings.get("seed")
-    return PipelineConfig.seed if seed is None else int(seed)
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value is of a field's type; a float field also takes an integer,
-    and only a bool field takes true or false."""
-    if typing.get_origin(hint) is tuple:  # tuple[int, ...] is a JSON list of integers
-        return isinstance(value, (list, tuple)) and all(_fits(v, typing.get_args(hint)[0])
-                                                        for v in value)
-    kinds = typing.get_args(hint) or (hint,)  # int | None gives (int, NoneType)
-    if float in kinds:
-        kinds += (int,)
-    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
-
-
-def _build(cls, /, **fields):
-    """``cls`` from the fields that are set, its defaults filling in the rest; a value
-    not of its field's type is a usage error."""
-    given = {name: value for name, value in fields.items() if value is not None}
-    hints = typing.get_type_hints(cls)
-    for name, value in given.items():
-        if name in hints and not _fits(value, hints[name]):
-            expected = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
-            raise UsageError(f"config value {cls.__name__}.{name} must be {expected}, "
-                             f"got {value!r}")
-    return cls(**given)
-
-
-def _switch(settings: dict, key: str) -> bool:
-    """A true/false setting; unset or null is false."""
-    value = settings.get(key)
-    if value is not None and not isinstance(value, bool):
-        raise UsageError(f"config {key!r} must be true or false, got {value!r}")
-    return bool(value)
+    seed = PipelineConfig.seed if seed is None else int(seed) if isinstance(seed, str) else seed
+    if not fits(seed, int):
+        raise TypeError(f"seed must be int, got {seed!r}")
+    return seed
 
 
 @contextmanager
@@ -213,8 +180,6 @@ def _config_checked():
         yield
     except HydrocastError:
         raise
-    except KeyError as exc:
-        raise UsageError(f"bad config value: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad config value: {exc}") from None
 
@@ -226,11 +191,11 @@ def build_pipeline_config(args) -> PipelineConfig:
         boost = _section(settings, "boost")
         if boost.get("seed") is not None:
             raise UsageError("config 'boost' takes no 'seed'; boosting seeds derive from 'seed'")
-        selection = _build(
+        selection = build(
             SelectionConfig,
-            colinearity=_build(ColinearityConfig, gamma=settings.get("gamma"),
-                               norm=settings.get("norm")),
-            boost=_build(BoostConfig, **boost),
+            colinearity=build(ColinearityConfig, gamma=settings.get("gamma"),
+                              norm=settings.get("norm")),
+            boost=build(BoostConfig, **boost),
             kappa=settings.get("kappa"),
         )
         learners = PipelineConfig.learners
@@ -238,16 +203,17 @@ def build_pipeline_config(args) -> PipelineConfig:
             chosen = _section(settings, "learners")
             if not chosen or any(kind not in MODELS for kind in chosen):
                 raise UsageError(f"config 'learners' must name kinds among {', '.join(MODELS)}")
-            learners = tuple((kind, _build(model.config, **_section(chosen, kind)))
+            learners = tuple((kind, build(model.config, **_section(chosen, kind)))
                              for kind, model in MODELS.items() if kind in chosen)
-        return PipelineConfig(
+        return build(
+            PipelineConfig,
             data_path=settings["data"],
             output_dir=settings["output"],
             points=_resolve_points(settings.get("points")),
             selection=selection,
-            split=_build(SplitSpec, **_section(settings, "split")),
-            select_on_all=_switch(settings, "select_on_all"),
-            pooled_selection=_switch(settings, "pooled"),
+            split=build(SplitSpec, **_section(settings, "split")),
+            select_on_all=settings.get("select_on_all"),
+            pooled_selection=settings.get("pooled"),
             seed=_seed(settings),
             learners=learners,
         )

@@ -19,6 +19,7 @@ import numpy as np
 from .catalog import IndexPoint
 from .errors import EmptyReport, LengthMismatch, NonFiniteInput, ZeroVariance
 from .learners.base import KIND_ORDER
+from .typed import build
 
 
 def _pair(actual, predicted, min_len):
@@ -119,18 +120,10 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvaluationReport":
-        rows = [
-            EvalResult(
-                IndexPoint(r["lon"], r["lat"], r["elev"]),
-                r["model"],
-                r["pearson"],
-                r["mae"],
-                r["std"],
-                r["n_test"],
-            )
-            for r in payload["rows"]
-        ]
-        return cls(rows)
+        return cls(build(EvalResult, model_kind=r["model"], rho=r["pearson"], mae=r["mae"],
+                         std=r["std"], n_test=r["n_test"],
+                         point=build(IndexPoint, lon=r["lon"], lat=r["lat"], elev=r["elev"]))
+                   for r in payload["rows"])
 
 
 TEXT_TABLE = "text-table"

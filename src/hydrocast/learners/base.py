@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
+from ..typed import build
 
 RF = "rf"
 KNN = "knn"
@@ -74,7 +75,6 @@ class MLPConfig:
     def __post_init__(self):
         if not self.hidden_sizes:
             raise ValueError("hidden_sizes must not be empty")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,9 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FittedModel":
-        stats = payload["standardization"]
         return cls(
-            cls.config(**payload["hyper"]),
+            build(cls.config, **payload["hyper"]),
             payload["feature_indices"],
-            Standardization(tuple(stats["mean"]), tuple(stats["std"])),
+            build(Standardization, **payload["standardization"]),
             **{name: read(payload[name]) for name, (read, _) in cls.state},
         )

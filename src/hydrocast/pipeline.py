@@ -300,15 +300,14 @@ def stage_report(output_dir, fmt: str = TEXT_TABLE,
                  report: EvaluationReport | None = None) -> str:
     """Render ``report``, or else the stored report.json; also writes report.txt,
     report.csv or report.out.json."""
-    path = Path(output_dir) / "report.json"
-    try:
-        if report is None:
-            report = EvaluationReport.from_dict(_read_json(path, rows=list))
-        rendered = render_report(report, fmt)
-    except DamagedArtifact:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:  # a row field missing or of the wrong type
-        raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
+    if report is None:
+        path = Path(output_dir) / "report.json"
+        payload = _read_json(path, rows=list)
+        try:
+            report = EvaluationReport.from_dict(payload)
+        except (KeyError, TypeError, ValueError) as exc:  # a row field missing or of the wrong type
+            raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
+    rendered = render_report(report, fmt)
     suffix = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
     out = Path(output_dir) / suffix[fmt]
     out.write_text(rendered, encoding="utf-8")

@@ -1,0 +1,43 @@
+"""The one checked path from a JSON object to one of the program's dataclasses."""
+
+from __future__ import annotations
+
+import functools
+import typing
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def fits(value, hint) -> bool:
+    """Whether a JSON value is of a field's type; a float field also takes an integer,
+    and only a bool field takes true or false."""
+    if typing.get_origin(hint) is tuple:  # tuple[int, ...] is a JSON list of integers
+        return isinstance(value, (list, tuple)) and all(fits(v, typing.get_args(hint)[0])
+                                                        for v in value)
+    kinds = typing.get_args(hint) or (hint,)  # int | None gives (int, NoneType)
+    if float in kinds:
+        kinds += (int,)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def _stored(value, hint):
+    """A value that fits ``hint`` as its field keeps it: a list as a tuple, an int as a float."""
+    if typing.get_origin(hint) is tuple:
+        return tuple(_stored(v, typing.get_args(hint)[0]) for v in value)
+    if type(value) is int and float in (typing.get_args(hint) or (hint,)):
+        return float(value)
+    return value
+
+
+def build(cls, /, **fields):
+    """``cls`` from the fields that are set, its defaults filling in the rest; a value not
+    of its field's type raises ``TypeError``, and a name with no field is ``cls``'s to refuse."""
+    hints = _hints(cls)
+    given = {name: value for name, value in fields.items() if value is not None}
+    for name, value in given.items():
+        if name in hints:
+            if not fits(value, hints[name]):
+                expected = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
+                raise TypeError(f"{cls.__name__}.{name} must be {expected}, got {value!r}")
+            given[name] = _stored(value, hints[name])
+    return cls(**given)
