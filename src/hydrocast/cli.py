@@ -139,6 +139,7 @@ def _settings(args, *required: str) -> dict:
 
 
 def _resolve_points(value) -> tuple[IndexPoint, ...]:
+    """The configured points; a point given twice is a usage error."""
     if value is None or value == "all":
         return REFERENCE_POINTS
     if isinstance(value, str):
@@ -149,8 +150,13 @@ def _resolve_points(value) -> tuple[IndexPoint, ...]:
             if token not in by_id:
                 raise UsageError(f"unknown bundled point id: {token!r}")
             points.append(by_id[token])
-        return tuple(points)
-    return tuple(build(IndexPoint, **p) for p in value)
+    else:
+        points = [build(IndexPoint, **p) for p in value]
+    labels = [point.label for point in points]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise UsageError(f"point {label} is given more than once")
+    return tuple(points)
 
 
 def _section(settings: dict, name: str) -> dict:
@@ -224,25 +230,24 @@ def cmd_synth(args) -> int:
     out = args.out or settings.get("data")
     if out is None:
         raise UsageError("no output CSV path given (--out or --data)")
-    with _config_checked():
-        master = _seed(settings)
-        points = _resolve_points(settings.get("points"))
     planted = [name.strip() for name in args.planted.split(",") if name.strip()]
 
     datasets = []
-    for idx, point in enumerate(points):
-        seed = synth_seed(master, idx)
-        sigma = args.noise_sigma
-        if args.noise_rel is not None:
-            sigma = args.noise_rel * signal_std(
-                planted, args.samples, seed=seed, linear_only=args.linear
+    with _config_checked():  # generate_synthetic refuses a negative sigma or too many planted
+        master = _seed(settings)
+        for idx, point in enumerate(_resolve_points(settings.get("points"))):
+            seed = synth_seed(master, idx)
+            sigma = args.noise_sigma
+            if args.noise_rel is not None:
+                sigma = args.noise_rel * signal_std(
+                    planted, args.samples, seed=seed, linear_only=args.linear
+                )
+            data, _ = generate_synthetic(
+                args.samples, planted, noise_sigma=sigma, seed=seed,
+                point=point, linear_only=args.linear,
             )
-        data, _ = generate_synthetic(
-            args.samples, planted, noise_sigma=sigma, seed=seed,
-            point=point, linear_only=args.linear,
-        )
-        datasets.append(data)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
+            datasets.append(data)
+        Path(out).parent.mkdir(parents=True, exist_ok=True)  # an out path that is not text exits 1
     write_csv(datasets, out)
     print(f"wrote {sum(len(d) for d in datasets)} rows for {len(datasets)} points to {out}")
     return 0

@@ -456,6 +456,16 @@ BAD_P02 = {
         None, ("selection.json", _edit_json(lambda p: p["occurrence"].update(air_l01="3"))),
         ["30_67.5"],
     ),
+    "knn_k_not_int": (
+        None, ("models.json", _edit_json(lambda p: p["models"]["knn"]["hyper"].update(k=2.5))),
+        ["30_67.5:knn"],
+    ),
+    "standardization_mean_text": (
+        None,
+        ("models.json", _edit_json(
+            lambda p: p["models"]["svr"]["standardization"]["mean"].__setitem__(0, "x"))),
+        ["30_67.5:svr"],
+    ),
 }
 
 
@@ -528,6 +538,10 @@ BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit cod
     "trees_per_stage_float": ([], {"boost": {"trees_per_stage": 2.5}}, 1),
     "select_on_all_text": ([], {"select_on_all": "false"}, 1),
     "pooled_text": ([], {"pooled": "no"}, 1),
+    "seed_fraction": ([], {"seed": 2.5}, 1),
+    "seed_true": ([], {"seed": True}, 1),
+    "data_not_text": ([], {"data": 5}, 1),
+    "output_not_text": ([], {"output": 5}, 1),
     "train_fraction_above_1": (["--train-fraction", "1.5"], {}, 2),  # a data error, as before
 }
 
@@ -550,6 +564,14 @@ BAD_CONFIG_STRUCTURE = {  # command, config file entries
     "points_is_a_number": ("synth", {"points": 5}),
     "seed_is_text_select": ("select", {"seed": "x"}),
     "seed_is_text_synth": ("synth", {"seed": "x"}),
+    "point_lon_true": ("select", {"points": [{"lon": True, "lat": 67.5, "elev": 10.0}]}),
+    "point_elev_text": ("select", {"points": [{"lon": 27.5, "lat": 67.5, "elev": "472"}]}),
+    "point_id_number": ("select", {"points": [{"lon": 27.5, "lat": 67.5, "elev": 1.0, "id": 5}]}),
+    "point_unknown_key": ("synth", {"points": [{"lon": 27.5, "lat": 67.5, "elev": 1.0,
+                                                "name": "x"}]}),
+    "point_twice_select": ("select", {"points": "p01,p02,p01"}),
+    "point_twice_synth": ("synth", {"points": [{"lon": 27.5, "lat": 67.5, "elev": 1.0},
+                                               {"lon": 27.5, "lat": 67.5, "elev": 2.0}]}),
 }
 
 
@@ -561,6 +583,19 @@ def test_bad_config_structure_exits_1(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("hydrocast: ")
     assert not (tmp_path / "missing.csv").exists()
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--noise-sigma", "-1"], 1),
+    (["--planted", ",".join(f"air_l{level:02d}" for level in range(1, 12))], 1),  # 11 names
+    (["--samples", "5"], 2),
+    (["--planted", ","], 2),
+], ids=["negative_sigma", "eleven_planted", "five_samples", "nothing_planted"])
+def test_synth_refuses_a_bad_setting_without_a_traceback(tmp_path, capsys, flags, code):
+    out = tmp_path / "data.csv"
+    assert main(["synth", "--points", "p01", "--out", str(out), *flags]) == code
+    assert capsys.readouterr().err.startswith("hydrocast: ")
+    assert not out.exists()
 
 
 def test_usage_error_exits_1():
@@ -598,7 +633,9 @@ def test_report_formats(tmp_path, capsys):
     lambda report: report["rows"][3].pop("mae"),
     lambda report: report.update(rows=5),
     lambda report: report["rows"][0].update(lon="x"),
-], ids=["empty_object", "row_without_mae", "rows_not_a_list", "lon_not_a_number"])
+    lambda report: report["rows"][2].update(mae="x"),
+], ids=["empty_object", "row_without_mae", "rows_not_a_list", "lon_not_a_number",
+        "mae_not_a_number"])
 def test_report_on_damaged_report_json_exits_2(tmp_path, capsys, damage):
     data = synth(tmp_path)
     out = tmp_path / "out"
@@ -606,8 +643,9 @@ def test_report_on_damaged_report_json_exits_2(tmp_path, capsys, damage):
     assert main(["run", "--config", str(cfg)]) == 0
     _edit_json(damage)(out / "report.json")
     capsys.readouterr()
-    assert main(["report", "--output", str(out)]) == 2
-    assert "report.json" in capsys.readouterr().err
+    for fmt in ("text", "csv", "json"):
+        assert main(["report", "--output", str(out), "--format", fmt]) == 2, fmt
+        assert "report.json" in capsys.readouterr().err
 
 
 def test_run_pipeline_api_returns_results(tmp_path):
