@@ -3,32 +3,22 @@
 Run from the repo root:  python3 demos/01_feature_catalog.py
 """
 
-from hydrocast import (
-    CATALOG,
-    PRESSURE_LEVELS_MB,
-    REFERENCE_POINTS,
-    SplitSpec,
-    feature_from_catalog_index,
-    parse_feature_name,
-    split,
-)
+from hydrocast import FEATURE_NAMES, REFERENCE_POINTS, SplitSpec, split
+from hydrocast.catalog import column_of
 from hydrocast.synthetic import generate_synthetic
 
-print("The catalog holds", len(CATALOG), "predictors: seven reanalysis variables")
-print("measured on up to seventeen pressure levels (millibars):")
-print(" ", PRESSURE_LEVELS_MB)
+print("The catalog holds", len(FEATURE_NAMES), "predictors: seven reanalysis variables")
+print("measured on up to seventeen pressure levels, named `<var>_lNN`.")
 
 print("\nBlock layout (catalog index ranges per variable):")
 for variable in ("air", "hgt", "rhum", "shum", "slp", "uwnd", "vwnd"):
-    ids = [f.catalog_index for f in CATALOG if f.variable == variable]
+    ids = [i + 1 for i, name in enumerate(FEATURE_NAMES) if name.rsplit("_l", 1)[0] == variable]
     print(f"  {variable:>5}: {ids[0]:>2} .. {ids[-1]:>2}  ({len(ids)} levels)")
 
-print("\nNames are `<var>_lNN`; a few lookups:")
+print("\nA name's catalog index is its position in FEATURE_NAMES; a few lookups:")
 for idx in (1, 17, 35, 51, 85):
-    fid = feature_from_catalog_index(idx)
-    print(f"  catalog index {idx:>2} -> {fid.name}  ({fid.variable} at {fid.level.millibars} mb)")
-print("  parse_feature_name('vwnd_l17').catalog_index =",
-      parse_feature_name("vwnd_l17").catalog_index)
+    print(f"  catalog index {idx:>2} -> {FEATURE_NAMES[idx - 1]}")
+print("  column_of('vwnd_l17') + 1 =", column_of("vwnd_l17") + 1)
 
 print("\nThe thirteen bundled index points (lon, lat, elev):")
 for p in REFERENCE_POINTS:

@@ -52,7 +52,7 @@ print(render_report(report, "text-table"))
 
 payload = json.dumps(model_to_dict(models["rf"]))
 clone = model_from_dict(json.loads(payload))
-x = test.features[0, cols]
+x = test.features[:1, cols]
 print(f"A fitted model serializes to JSON ({len(payload)} bytes for the forest)")
 print(f"and predicts identically after reload: "
-      f"{models['rf'].predict(x):.4f} == {clone.predict(x):.4f}")
+      f"{models['rf'].predict_batch(x)[0]:.4f} == {clone.predict_batch(x)[0]:.4f}")

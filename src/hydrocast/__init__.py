@@ -6,58 +6,12 @@ five regression models on a 90/10 chronological split, and report Pearson
 correlation, mean absolute error, and error spread per model.
 """
 
-from .catalog import (
-    CATALOG,
-    CATALOG_SIZE,
-    FEATURE_NAMES,
-    PRESSURE_LEVELS_MB,
-    REFERENCE_POINTS,
-    FeatureId,
-    IndexPoint,
-    PressureLevel,
-    column_of,
-    feature_from_catalog_index,
-    feature_name,
-    parse_feature_name,
-)
-from .dataset import CHRONOLOGICAL, SEEDED_RANDOM, Dataset, Sample, SplitSpec, load_csv, split, write_csv
-from .synthetic import SyntheticTruth, generate_synthetic, signal_std
-from .cart import RegressionTree, TreeConfig, fit_tree
-from .selection import (
-    BoostConfig,
-    BoostedModel,
-    ColinearityConfig,
-    SelectionConfig,
-    SelectionResult,
-    cosine_similarity,
-    fit_boosted,
-    prune_colinear,
-    rank_features,
-    run_selection,
-    select_top_k,
-)
-from .learners import (
-    KIND_ORDER,
-    KNNConfig,
-    LearnerSpec,
-    LRConfig,
-    MLPConfig,
-    RFConfig,
-    SVRConfig,
-    default_specs,
-    fit,
-    fit_all,
-    model_from_dict,
-    model_to_dict,
-)
-from .evaluation import (
-    EvalResult,
-    EvaluationReport,
-    error_std,
-    mae,
-    pearson,
-    render_report,
-)
-from .pipeline import PipelineConfig, PipelineResult, run_pipeline
+from .catalog import FEATURE_NAMES, REFERENCE_POINTS
+from .dataset import SplitSpec, load_csv, split, write_csv
+from .synthetic import generate_synthetic
+from .selection import ColinearityConfig, SelectionConfig, prune_colinear, run_selection
+from .learners import default_specs, fit_all, model_from_dict, model_to_dict
+from .evaluation import EvalResult, EvaluationReport, error_std, mae, pearson, render_report
+from .pipeline import PipelineConfig, run_pipeline
 
 __version__ = "0.1.0"

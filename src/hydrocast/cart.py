@@ -91,15 +91,6 @@ class RegressionTree:
         """Build from (feature, threshold, left, right, value, n) rows."""
         return cls(*zip(*nodes), n_features)
 
-    def predict(self, x) -> float:
-        """Route one feature vector to its leaf value."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            raise ShapeMismatch(
-                f"expected feature vector of length {self.n_features}, got {x.shape}"
-            )
-        return float(self.predict_batch(x[None])[0])
-
     def predict_batch(self, X) -> np.ndarray:
         """Vectorized prediction for an (n, d) matrix: the one-tree ``leaf_values``."""
         return leaf_values([self], X)[0]
@@ -107,11 +98,6 @@ class RegressionTree:
     def features_used(self) -> set[int]:
         """Features appearing in at least one internal node."""
         return set(np.unique(self.feature[self.left >= 0]).tolist())
-
-    def node_feature_counts(self) -> dict[int, int]:
-        """Feature -> number of internal nodes splitting on it."""
-        features, counts = np.unique(self.feature[self.left >= 0], return_counts=True)
-        return dict(zip(features.tolist(), counts.tolist()))
 
     def depth(self) -> int:
         level, frontier = 0, np.zeros(1, dtype=np.intp)
@@ -358,7 +344,3 @@ def _best_split(y, mean, order, values, min_leaf):
         threshold = a
     return row, threshold
 
-
-def training_mse(tree: RegressionTree, X, y) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean((y - tree.predict_batch(X)) ** 2))

@@ -1,10 +1,11 @@
-"""Fixed catalog of the 85 hydrological predictors.
+"""The names of the 85 hydrological predictors and the bundled index points.
 
-Seven reanalysis variables are measured on a subset of seventeen pressure
-levels; every (variable, level) pair is one predictor column. The catalog
-order is: air (17), hgt (17), rhum (8), shum (8), slp (1), uwnd (17),
-vwnd (17), giving catalog indices 1..85. Column names follow the
-``<var>_lNN`` scheme, e.g. ``air_l01`` or ``vwnd_l17``.
+Seven reanalysis variables are measured on up to seventeen pressure
+levels; every (variable, level) pair is one predictor column, named
+``<var>_lNN``, e.g. ``air_l01`` or ``vwnd_l17``. ``FEATURE_NAMES`` lists
+the names in catalog order: air (17), hgt (17), rhum (8), shum (8),
+slp (1), uwnd (17), vwnd (17). A name's position in it is its matrix
+column, which ``column_of`` looks up.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnknownName
-
-#: Millibar value of each pressure level, l1 (surface) through l17 (top).
-PRESSURE_LEVELS_MB = (1000, 925, 850, 700, 600, 500, 400, 300, 250, 200,
-                      150, 100, 70, 50, 30, 20, 10)
 
 #: Variables in catalog order with the number of pressure levels each carries.
 VARIABLE_LEVELS = (
@@ -28,14 +25,9 @@ VARIABLE_LEVELS = (
     ("vwnd", 17),
 )
 
-
-def _column_name(variable: str, level: int) -> str:
-    return f"{variable}_l{level:02d}"
-
-
 #: Column names of the 85 predictors in catalog order; the one table that
 #: decides which (variable, level) pairs exist and where each one sits.
-FEATURE_NAMES = tuple(_column_name(variable, level) for variable, n_levels in VARIABLE_LEVELS
+FEATURE_NAMES = tuple(f"{variable}_l{level:02d}" for variable, n_levels in VARIABLE_LEVELS
                       for level in range(1, n_levels + 1))
 
 _NAME_TO_COLUMN = {name: i for i, name in enumerate(FEATURE_NAMES)}
@@ -43,72 +35,12 @@ _NAME_TO_COLUMN = {name: i for i, name in enumerate(FEATURE_NAMES)}
 CATALOG_SIZE = len(FEATURE_NAMES)  # 85
 
 
-@dataclass(frozen=True, order=True)
-class PressureLevel:
-    """One of the seventeen pressure levels, identified by index 1..17."""
-
-    index: int
-
-    def __post_init__(self):
-        if not 1 <= self.index <= len(PRESSURE_LEVELS_MB):
-            raise ValueError(f"pressure level index out of range: {self.index}")
-
-    @property
-    def millibars(self) -> int:
-        return PRESSURE_LEVELS_MB[self.index - 1]
-
-
-@dataclass(frozen=True)
-class FeatureId:
-    """A single predictor: a variable measured at one pressure level."""
-
-    variable: str
-    level: PressureLevel
-
-    def __post_init__(self):
-        if self.name not in _NAME_TO_COLUMN:
-            raise ValueError(f"{self.variable!r} is not measured on level {self.level.index}")
-
-    @property
-    def catalog_index(self) -> int:
-        """1-based position of this predictor in the catalog (1..85)."""
-        return _NAME_TO_COLUMN[self.name] + 1
-
-    @property
-    def name(self) -> str:
-        return feature_name(self)
-
-
-def feature_name(fid: FeatureId) -> str:
-    """Canonical column name, e.g. ``air_l01`` or ``slp_l01``."""
-    return _column_name(fid.variable, fid.level.index)
-
-
-def parse_feature_name(name: str) -> FeatureId:
-    """Inverse of :func:`feature_name`; raises UnknownName on anything else."""
-    return CATALOG[column_of(name)]
-
-
-#: All 85 predictors in catalog order; CATALOG[i] has catalog_index i + 1.
-CATALOG = tuple(FeatureId(variable, PressureLevel(int(level)))
-                for variable, level in (name.rsplit("_l", 1) for name in FEATURE_NAMES))
-
-
-def feature_from_catalog_index(index: int) -> FeatureId:
-    """Look up a predictor by its 1-based catalog index."""
-    if not 1 <= index <= CATALOG_SIZE:
-        raise ValueError(f"catalog index out of range 1..{CATALOG_SIZE}: {index}")
-    return CATALOG[index - 1]
-
-
-def column_of(name_or_id) -> int:
-    """0-based matrix column for a feature name or FeatureId; anything else is UnknownName."""
-    if isinstance(name_or_id, FeatureId):
-        return name_or_id.catalog_index - 1
+def column_of(name) -> int:
+    """0-based matrix column for a feature name; anything else is UnknownName."""
     try:
-        return _NAME_TO_COLUMN[name_or_id]
+        return _NAME_TO_COLUMN[name]
     except (KeyError, TypeError):  # a TypeError is an unhashable value
-        raise UnknownName(name_or_id) from None
+        raise UnknownName(name) from None
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def _settings(args, *required: str) -> dict:
 
 
 def _resolve_points(value) -> tuple[IndexPoint, ...]:
-    """The configured points; a point given twice is a usage error."""
+    """The configured points; an empty list or a point given twice is a usage error."""
     if value is None or value == "all":
         return REFERENCE_POINTS
     if isinstance(value, str):
@@ -152,6 +152,8 @@ def _resolve_points(value) -> tuple[IndexPoint, ...]:
             points.append(by_id[token])
     else:
         points = [build(IndexPoint, **p) for p in value]
+    if not points:
+        raise UsageError("config 'points' lists no point")
     labels = [point.label for point in points]
     for label in labels:
         if labels.count(label) > 1:

@@ -40,15 +40,6 @@ SEEDED_RANDOM = "seeded_random"
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One month at one index point."""
-
-    timestamp: str
-    features: np.ndarray  # shape (85,), catalog order
-    precip: float
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     """How to carve a dataset into train and test portions.
 
@@ -116,9 +107,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.timestamps[i], self.features[i], float(self.precip[i]))
 
     def take(self, indices) -> "Dataset":
         """New dataset restricted to the given row indices (kept in order)."""

@@ -95,10 +95,6 @@ class NonFiniteResidual(HydrocastError):
 
 # --- colinearity pruning ---
 
-class ZeroNormVector(HydrocastError):
-    pass
-
-
 class ZeroNormColumn(HydrocastError):
     def __init__(self, index):
         self.index = index

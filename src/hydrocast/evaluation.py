@@ -163,25 +163,3 @@ def render_report(report: EvaluationReport, fmt: str = TEXT_TABLE) -> str:
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format: {fmt!r}")
 
-
-def parse_report_csv(text: str) -> EvaluationReport:
-    """Inverse of the CSV rendering (numeric content round-trips exactly)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_HEADER:
-        raise ValueError(f"unexpected report header: {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(
-            EvalResult(
-                IndexPoint(float(rec[0]), float(rec[1]), float(rec[2])),
-                rec[3],
-                float(rec[4]),
-                float(rec[5]),
-                float(rec[6]),
-                0,
-            )
-        )
-    return EvaluationReport(rows)

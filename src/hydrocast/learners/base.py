@@ -120,9 +120,8 @@ class FittedModel:
     ``standardization``, then the state fields in ``state`` order, and
     ``from_dict`` reads that back.
 
-    ``predict``/``predict_batch`` expect inputs already restricted and
-    ordered to ``feature_indices``. Each model implements only
-    ``predict_batch``; ``predict`` is its one-row case.
+    ``predict_batch`` expects an (n, d) matrix already restricted and
+    ordered to ``feature_indices``; it is each model's one prediction path.
     """
 
     kind: str = ""
@@ -142,14 +141,6 @@ class FittedModel:
     def n_features(self) -> int:
         return len(self.feature_indices)
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            raise ShapeMismatch(
-                f"expected vector of the {self.n_features} selected features, got {x.shape}"
-            )
-        return x
-
     def _check_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -157,10 +148,6 @@ class FittedModel:
                 f"expected (n, {self.n_features}) matrix, got {X.shape}"
             )
         return X
-
-    def predict(self, x) -> float:
-        x = self._check(x)
-        return float(self.predict_batch(x[None])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         raise NotImplementedError

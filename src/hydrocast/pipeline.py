@@ -110,12 +110,17 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _refuse_constant(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def _read_json(path: Path, **fields: type) -> dict:
-    """An artifact's payload; one that is not JSON or whose ``fields`` are missing
-    or not of their given JSON type (``list`` or ``dict``) is damaged."""
+    """An artifact's payload; one that is not JSON, holds ``NaN`` or ``Infinity``,
+    or whose ``fields`` are missing or not of their given JSON type (``list`` or
+    ``dict``) is damaged."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # undecodable bytes or invalid JSON
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    except ValueError as exc:  # undecodable bytes, invalid JSON or a non-finite literal
         raise DamagedArtifact(f"{path}: not valid JSON ({exc})") from None
     bad = [key for key, kind in fields.items()
            if not isinstance(payload, dict) or not isinstance(payload.get(key), kind)]

@@ -24,7 +24,6 @@ from .errors import (
     NonFiniteResidual,
     TooFewSamples,
     ZeroNormColumn,
-    ZeroNormVector,
 )
 
 L2 = "l2"
@@ -133,23 +132,6 @@ class BoostedModel:
             yield from trees
 
 
-def cosine_similarity(f_i, f_j, norm: str = L2) -> float:
-    """Inner product over the product of vector norms."""
-    a = np.asarray(f_i, dtype=np.float64)
-    b = np.asarray(f_j, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
-        raise LengthMismatch(f"vectors must share a length >= 1: {a.shape} vs {b.shape}")
-    if norm == L2:
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    elif norm == L1_AS_PRINTED:
-        na, nb = np.abs(a).sum(), np.abs(b).sum()
-    else:
-        raise ValueError(f"unknown norm: {norm!r}")
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormVector("cosine undefined for zero-norm vectors")
-    return float(a @ b / (na * nb))
-
-
 def prune_colinear(X, cfg: ColinearityConfig = ColinearityConfig()):
     """Drop near-colinear columns, keeping the earlier of each pair.
 
@@ -244,21 +226,13 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
     return BoostedModel(float(y.mean()), stages, cfg.shrinkage, d, mse)
 
 
-def rank_features(model: BoostedModel, per_node: bool = False) -> dict[int, int]:
-    """Occurrence count per feature over all fitted trees.
-
-    Default counts each feature once per tree that splits on it; with
-    ``per_node`` every internal node counts. Unused features appear with
-    count 0.
-    """
+def rank_features(model: BoostedModel) -> dict[int, int]:
+    """Occurrence count per feature: the number of fitted trees that split on
+    it at least once. Unused features appear with count 0."""
     counts = {f: 0 for f in range(model.n_features)}
     for tree in model.iter_trees():
-        if per_node:
-            for f, c in tree.node_feature_counts().items():
-                counts[f] += c
-        else:
-            for f in tree.features_used():
-                counts[f] += 1
+        for f in tree.features_used():
+            counts[f] += 1
     return counts
 
 

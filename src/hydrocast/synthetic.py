@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import CATALOG_SIZE, FeatureId, IndexPoint, REFERENCE_POINTS, column_of
+from .catalog import CATALOG_SIZE, IndexPoint, REFERENCE_POINTS, column_of
 from .dataset import Dataset, month_sequence
 from .errors import EmptyPlantedSet, TooFewSamples
 
@@ -80,8 +80,8 @@ def generate_synthetic(
 
     Parameters:
         n_samples: number of monthly rows (at least 20)
-        planted: up to 10 features carrying signal; FeatureIds, names,
-            or 0-based column indices
+        planted: up to 10 features carrying signal; names or 0-based
+            column indices
         noise_sigma: standard deviation of additive Gaussian noise
         seed: drives both the feature draw and the noise draw
         point: index point stamped on the rows (first bundled point by default)
@@ -146,7 +146,7 @@ def signal_std(planted, n_samples: int = 444, seed: int = 0, linear_only: bool =
 
 
 def _as_column(p) -> int:
-    if isinstance(p, (FeatureId, str)):
+    if isinstance(p, str):
         return column_of(p)
     index = int(p)
     if not 0 <= index < CATALOG_SIZE:

@@ -173,7 +173,7 @@ def test_criterion_7_learner_sanity():
     Xk = rng.standard_normal((30, 2))
     yk = rng.standard_normal(30)
     knn = fit(LearnerSpec("knn", KNNConfig(k=1)), Xk, yk)
-    assert all(knn.predict(Xk[i]) == yk[i] for i in range(30))
+    assert all(knn.predict_batch(Xk[i][None])[0] == yk[i] for i in range(30))
 
     # RF with one tree, no bootstrap, all features equals a single CART tree
     Xr = rng.standard_normal((60, 4))

@@ -1,25 +1,18 @@
 import pytest
 
 from hydrocast.catalog import (
-    CATALOG,
     CATALOG_SIZE,
     FEATURE_NAMES,
-    PRESSURE_LEVELS_MB,
     REFERENCE_POINTS,
-    FeatureId,
-    PressureLevel,
     column_of,
-    feature_from_catalog_index,
-    feature_name,
-    parse_feature_name,
 )
 from hydrocast.errors import UnknownName
 
 
 def test_catalog_covers_1_to_85_without_gaps():
     assert CATALOG_SIZE == 85
-    assert len(CATALOG) == 85
-    indices = [fid.catalog_index for fid in CATALOG]
+    assert len(FEATURE_NAMES) == 85
+    indices = [column_of(name) + 1 for name in FEATURE_NAMES]
     assert indices == list(range(1, 86))
     assert len(set(FEATURE_NAMES)) == 85
 
@@ -35,55 +28,42 @@ def test_variable_blocks_follow_catalog_order():
         "vwnd": (69, 85),
     }
     for variable, (lo, hi) in blocks.items():
-        ids = [fid for fid in CATALOG if fid.variable == variable]
-        assert [fid.catalog_index for fid in ids] == list(range(lo, hi + 1))
-        assert [fid.level.index for fid in ids] == list(range(1, hi - lo + 2))
-
-
-def test_pressure_level_millibars():
-    assert PRESSURE_LEVELS_MB == (1000, 925, 850, 700, 600, 500, 400, 300, 250, 200,
-                                  150, 100, 70, 50, 30, 20, 10)
-    assert PressureLevel(1).millibars == 1000
-    assert PressureLevel(4).millibars == 700
-    assert PressureLevel(17).millibars == 10
-    with pytest.raises(ValueError):
-        PressureLevel(0)
-    with pytest.raises(ValueError):
-        PressureLevel(18)
+        names = [name for name in FEATURE_NAMES if name.rsplit("_l", 1)[0] == variable]
+        assert [column_of(name) + 1 for name in names] == list(range(lo, hi + 1))
+        assert [int(name.rsplit("_l", 1)[1]) for name in names] == list(range(1, hi - lo + 2))
 
 
 def test_specific_names():
-    assert feature_name(feature_from_catalog_index(1)) == "air_l01"
-    assert feature_name(feature_from_catalog_index(51)) == "slp_l01"
-    assert parse_feature_name("vwnd_l17").catalog_index == 85
-    assert FEATURE_NAMES[0] == "air_l01"
+    assert FEATURE_NAMES[0] == "air_l01"  # catalog index 1
+    assert FEATURE_NAMES[50] == "slp_l01"  # catalog index 51
+    assert column_of("vwnd_l17") == 84  # catalog index 85
     assert FEATURE_NAMES[84] == "vwnd_l17"
 
 
 def test_name_round_trip_all_85():
-    for fid in CATALOG:
-        assert parse_feature_name(feature_name(fid)) == fid
+    for column, name in enumerate(FEATURE_NAMES):
+        assert column_of(name) == column
 
 
 def test_level_ranges_enforced():
-    with pytest.raises(ValueError):
-        FeatureId("rhum", PressureLevel(9))
-    with pytest.raises(ValueError):
-        FeatureId("slp", PressureLevel(2))
-    FeatureId("uwnd", PressureLevel(17))  # allowed
+    with pytest.raises(UnknownName):
+        column_of("rhum_l09")
+    with pytest.raises(UnknownName):
+        column_of("slp_l02")
+    column_of("uwnd_l17")  # allowed
 
 
 @pytest.mark.parametrize("bad", ["rhum_l09", "slp_l02", "foo_l01", "air_l1",
                                  "air_l18", "air_l00", "air", ""])
 def test_parse_rejects_invalid_names(bad):
     with pytest.raises(UnknownName):
-        parse_feature_name(bad)
+        column_of(bad)
 
 
 def test_column_of_matches_catalog_position():
     assert column_of("air_l01") == 0
     assert column_of("slp_l01") == 50
-    assert column_of(parse_feature_name("vwnd_l17")) == 84
+    assert column_of("vwnd_l17") == 84
     with pytest.raises(UnknownName):
         column_of("vwnd_l18")
 

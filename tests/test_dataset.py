@@ -45,9 +45,8 @@ def test_write_then_load_round_trips(tmp_path):
     assert loaded.timestamps == data.timestamps
     np.testing.assert_array_equal(loaded.features, data.features)
     np.testing.assert_array_equal(loaded.precip, data.precip)
-    s = loaded.sample(0)
-    assert s.timestamp == "1981-01"
-    assert s.features.shape == (85,)
+    assert loaded.timestamps[0] == "1981-01"
+    assert loaded.features[0].shape == (85,)
 
 
 def test_month_cadence_spans_37_years():

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -5,13 +8,13 @@ from hydrocast.catalog import REFERENCE_POINTS, IndexPoint
 from hydrocast.errors import EmptyReport, LengthMismatch, NonFiniteInput, ZeroVariance
 from hydrocast.evaluation import (
     CSV_FORMAT,
+    CSV_HEADER,
     JSON_FORMAT,
     TEXT_TABLE,
     EvalResult,
     EvaluationReport,
     error_std,
     mae,
-    parse_report_csv,
     pearson,
     render_report,
 )
@@ -162,14 +165,16 @@ def test_csv_round_trip():
     ]
     report = EvaluationReport(rows)
     text = render_report(report, CSV_FORMAT)
-    parsed = parse_report_csv(text)
-    for orig, back in zip(report.rows, parsed.rows):
-        assert back.rho == pytest.approx(orig.rho, abs=1e-9)
-        assert back.mae == pytest.approx(orig.mae, abs=1e-9)
-        assert back.std == pytest.approx(orig.std, abs=1e-9)
-        assert back.model_kind == orig.model_kind
-        assert back.point.lon == orig.point.lon
-    assert parsed.best_per_point == report.best_per_point
+    header, *records = csv.reader(io.StringIO(text))
+    assert tuple(header) == CSV_HEADER
+    assert len(records) == len(report.rows)
+    for orig, back in zip(report.rows, records):
+        assert float(back[4]) == pytest.approx(orig.rho, abs=1e-9)
+        assert float(back[5]) == pytest.approx(orig.mae, abs=1e-9)
+        assert float(back[6]) == pytest.approx(orig.std, abs=1e-9)
+        assert back[3] == orig.model_kind
+        assert float(back[0]) == orig.point.lon
+        assert back[7] == ("true" if report.is_best(orig) else "false")
 
 
 def test_render_five_model_block():

@@ -42,7 +42,7 @@ def test_lr_recovers_exact_affine_function():
     assert model.weights[0] == pytest.approx(2.0, abs=1e-10)
     assert model.bias == pytest.approx(1.0, abs=1e-10)
     assert np.abs(y - model.predict_batch(X)).mean() < 1e-8
-    assert model.predict(np.array([3.0])) == pytest.approx(7.0, abs=1e-9)
+    assert model.predict_batch(np.array([3.0])[None])[0] == pytest.approx(7.0, abs=1e-9)
 
 
 def test_lr_multifeature_recovery():
@@ -81,9 +81,9 @@ def test_lr_singular_gram_falls_back_to_ridge():
 
 def test_lr_prediction_contract():
     model = fit(LearnerSpec("lr"), np.arange(10.0).reshape(-1, 1), np.arange(10.0))
-    assert model.predict(np.array([3.0])) == pytest.approx(3.0, abs=1e-9)
+    assert model.predict_batch(np.array([3.0])[None])[0] == pytest.approx(3.0, abs=1e-9)
     with pytest.raises(ShapeMismatch):
-        model.predict(np.array([1.0, 2.0]))
+        model.predict_batch(np.array([1.0, 2.0])[None])
 
 
 # --- k nearest neighbors ---
@@ -94,7 +94,7 @@ def test_knn_k1_is_exact_on_training_points():
     y = rng.standard_normal(25)
     model = fit(LearnerSpec("knn", KNNConfig(k=1)), X, y)
     for i in range(25):
-        assert model.predict(X[i]) == y[i]
+        assert model.predict_batch(X[i][None])[0] == y[i]
 
 
 def test_knn_k3_hand_case():
@@ -102,14 +102,14 @@ def test_knn_k3_hand_case():
     y = np.array([0.0, 10.0, 20.0, 30.0])
     model = fit(LearnerSpec("knn", KNNConfig(k=3)), X, y)
     # neighbors of 0.9 are x=1, 0, 2 -> mean(10, 0, 20)
-    assert model.predict(np.array([0.9])) == pytest.approx(10.0)
+    assert model.predict_batch(np.array([0.9])[None])[0] == pytest.approx(10.0)
 
 
 def test_knn_k_larger_than_train_uses_all():
     X = np.array([[0.0], [1.0]])
     y = np.array([2.0, 4.0])
     model = fit(LearnerSpec("knn", KNNConfig(k=10)), X, y)
-    assert model.predict(np.array([0.5])) == pytest.approx(3.0)
+    assert model.predict_batch(np.array([0.5])[None])[0] == pytest.approx(3.0)
 
 
 def test_knn_batch_matches_per_row_reference():
@@ -190,7 +190,7 @@ def test_rf_prediction_adds_the_trees_in_order():
 
 def test_svr_fixed_parameters_predict_constant():
     model = SVRModel(SVRConfig(), (0, 1, 2), Standardization.identity(3), weights=np.zeros(3), bias=5.0)
-    assert model.predict(np.array([4.0, -2.0, 0.5])) == 5.0
+    assert model.predict_batch(np.array([4.0, -2.0, 0.5])[None])[0] == 5.0
 
 
 def test_svr_epsilon_tube_on_noiseless_linear_data():

@@ -1,4 +1,5 @@
 import json
+import math
 from functools import reduce
 from pathlib import Path
 
@@ -279,6 +280,14 @@ def test_readme_config_block_gives_the_dataclass_defaults(tmp_path):
     assert (cfg.select_on_all, cfg.pooled_selection) == (defaults.select_on_all,
                                                          defaults.pooled_selection)
     assert dict(cfg.learners) == {kind: MODELS[kind].config() for kind, _ in defaults.learners}
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    assert math.isfinite(names["rho"])
 
 
 def test_clean_rerun_removes_stale_errors_json(tmp_path):
@@ -572,6 +581,9 @@ BAD_CONFIG_STRUCTURE = {  # command, config file entries
     "point_twice_select": ("select", {"points": "p01,p02,p01"}),
     "point_twice_synth": ("synth", {"points": [{"lon": 27.5, "lat": 67.5, "elev": 1.0},
                                                {"lon": 27.5, "lat": 67.5, "elev": 2.0}]}),
+    "points_empty_run": ("run", {"points": []}),
+    "points_empty_select": ("select", {"points": []}),
+    "points_empty_synth": ("synth", {"points": []}),
 }
 
 
@@ -634,8 +646,10 @@ def test_report_formats(tmp_path, capsys):
     lambda report: report.update(rows=5),
     lambda report: report["rows"][0].update(lon="x"),
     lambda report: report["rows"][2].update(mae="x"),
+    lambda report: report["rows"][2].update(mae=float("nan")),
+    lambda report: report["rows"][1].update(pearson=float("inf")),
 ], ids=["empty_object", "row_without_mae", "rows_not_a_list", "lon_not_a_number",
-        "mae_not_a_number"])
+        "mae_not_a_number", "mae_nan", "pearson_infinity"])
 def test_report_on_damaged_report_json_exits_2(tmp_path, capsys, damage):
     data = synth(tmp_path)
     out = tmp_path / "out"
