@@ -112,7 +112,11 @@ def _load_config_file(path) -> dict:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, say
+        raise UsageError(f"config file cannot be read: {exc}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"config file is not UTF-8 text: {path}") from None
+    except ValueError as exc:  # not JSON, or an integer too long to convert
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file must hold a JSON object: {path}")
@@ -301,7 +305,7 @@ def main(argv=None) -> int:
     except HydrocastError as exc:
         print(f"hydrocast: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, or a path the system refuses
         print(f"hydrocast: {exc}", file=sys.stderr)
         return 2
     return code

@@ -149,17 +149,18 @@ class PointData(dict):
 def load_csv(path, points) -> PointData:
     """Load and validate the rows of every requested index point in one pass.
 
-    The header must contain exactly the documented columns; a header error
-    is every point's error. A row belongs to each point within 1e-6 of its
-    longitude and latitude. A bad coordinate fails every point that has not
-    failed yet; any other bad value fails only the points of its row.
+    The header must contain exactly the documented columns; a header error,
+    like a file that is not UTF-8, is every point's error. A row belongs to
+    each point within 1e-6 of its longitude and latitude. A bad coordinate
+    fails every point that has not failed yet; any other bad value fails only
+    the points of its row.
     """
     targets = {point.label: point for point in points}
     found = {label: ([], array("d")) for label in targets}  # timestamps, values per row
     failed: dict[str, HydrocastError] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise EmptyDataset(f"{path}: file is empty")
@@ -169,39 +170,41 @@ def load_csv(path, points) -> PointData:
             for name in header:
                 if name not in CSV_COLUMNS:
                     raise UnknownColumn(name)
-        except HydrocastError as exc:
-            return PointData.fromkeys(targets, exc)
-        col = {name: header.index(name) for name in CSV_COLUMNS}
-        value_cols = [(col[name], name) for name in FEATURE_NAMES + ("precip",)]
-        take_values = itemgetter(*(c for c, _ in value_cols))
-        near: dict[tuple[str, str], list[str]] = {}  # coordinate cells -> points there
+            col = {name: header.index(name) for name in CSV_COLUMNS}
+            value_cols = [(col[name], name) for name in FEATURE_NAMES + ("precip",)]
+            take_values = itemgetter(*(c for c, _ in value_cols))
+            near: dict[tuple[str, str], list[str]] = {}  # coordinate cells -> points there
 
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            labels = targets  # a row with bad coordinates could be any point's
-            try:
-                cells = row[col["lon"]], row[col["lat"]]
-            except IndexError:
-                cells = None
-            try:
-                if cells not in near:
-                    lon = _parse_float(row, col["lon"], row_no, "lon")
-                    lat = _parse_float(row, col["lat"], row_no, "lat")
-                    near[cells] = [label for label, p in targets.items()
-                                   if abs(lon - p.lon) <= 1e-6 and abs(lat - p.lat) <= 1e-6]
-                labels = [label for label in near[cells] if label not in failed]
-                if labels:
-                    if col["date"] >= len(row):
-                        raise NonFiniteValue(row_no, "date")
-                    timestamp = row[col["date"]].strip()
-                    values = _parse_values(row, take_values, value_cols, row_no)
-            except HydrocastError as exc:
-                failed.update((label, exc) for label in labels if label not in failed)
-                continue
-            for label in labels:
-                found[label][0].append(timestamp)
-                found[label][1].extend(values)
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                labels = targets  # a row with bad coordinates could be any point's
+                try:
+                    cells = row[col["lon"]], row[col["lat"]]
+                except IndexError:
+                    cells = None
+                try:
+                    if cells not in near:
+                        lon = _parse_float(row, col["lon"], row_no, "lon")
+                        lat = _parse_float(row, col["lat"], row_no, "lat")
+                        near[cells] = [label for label, p in targets.items()
+                                       if abs(lon - p.lon) <= 1e-6 and abs(lat - p.lat) <= 1e-6]
+                    labels = [label for label in near[cells] if label not in failed]
+                    if labels:
+                        if col["date"] >= len(row):
+                            raise NonFiniteValue(row_no, "date")
+                        timestamp = row[col["date"]].strip()
+                        values = _parse_values(row, take_values, value_cols, row_no)
+                except HydrocastError as exc:
+                    failed.update((label, exc) for label in labels if label not in failed)
+                    continue
+                for label in labels:
+                    found[label][0].append(timestamp)
+                    found[label][1].extend(values)
+    except UnicodeDecodeError:
+        return PointData.fromkeys(targets, HydrocastError(f"{path}: not UTF-8 text"))
+    except HydrocastError as exc:  # a header error
+        return PointData.fromkeys(targets, exc)
 
     datasets = PointData(failed)
     for label, point in targets.items():

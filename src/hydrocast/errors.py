@@ -132,4 +132,5 @@ class EmptyReport(HydrocastError):
 # --- stored artifacts ---
 
 class DamagedArtifact(HydrocastError):
-    """An artifact file is not valid JSON or lacks the fields its reader needs."""
+    """An artifact file is not valid JSON or lacks the fields its reader needs, or a
+    payload to be written holds a number that JSON cannot encode."""

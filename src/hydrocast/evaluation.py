@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import IndexPoint
 from .errors import EmptyReport, LengthMismatch, NonFiniteInput, ZeroVariance
-from .learners.base import KIND_ORDER
+from .learners import KIND_ORDER
 from .typed import build
 
 
@@ -135,8 +135,6 @@ CSV_HEADER = ("lon", "lat", "elev", "model", "pearson", "mae", "std", "is_best")
 
 def render_report(report: EvaluationReport, fmt: str = TEXT_TABLE) -> str:
     """Render the report as a text table, CSV, or JSON document."""
-    if not report.rows:
-        raise EmptyReport("nothing to render")
     if fmt == CSV_FORMAT:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -24,7 +24,6 @@ from ..errors import (
     TooFewSamples,
 )
 from .base import (
-    KIND_ORDER,
     KNN,
     LR,
     MLP,
@@ -53,8 +52,9 @@ __all__ = [
     "model_to_dict", "model_from_dict",
 ]
 
-#: Each kind's model class, in ``KIND_ORDER``.
+#: Each kind's model class, in the fixed order used everywhere models are listed or reported.
 MODELS = {model.kind: model for model in (RFModel, KNNModel, SVRModel, LRModel, MLPModel)}
+KIND_ORDER = tuple(MODELS)
 
 
 @dataclass(frozen=True)

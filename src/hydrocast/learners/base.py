@@ -15,9 +15,6 @@ SVR = "svr"
 LR = "lr"
 MLP = "mlp"
 
-#: Fixed ordering used everywhere models are listed or reported.
-KIND_ORDER = (RF, KNN, SVR, LR, MLP)
-
 
 @dataclass(frozen=True)
 class LRConfig:

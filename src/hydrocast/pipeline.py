@@ -22,6 +22,7 @@ Artifacts (all JSON unless noted):
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -52,6 +53,9 @@ _POOLED_POINT_CODE = 10_000
 
 #: The per-point artifacts of select, train and evaluate, in that order.
 _POINT_ARTIFACTS = ("selection.json", "models.json", "evaluation.json")
+
+#: What a point's selection.json gives later stages: its top columns, its occurrence counts.
+_Selected = tuple[list[int], dict[int, int]]
 
 
 def derive_seed(*parts: int) -> int:
@@ -107,7 +111,13 @@ class PipelineResult:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Write an artifact; a payload holding a non-finite number is damaged and is not
+    written, since no reader takes ``NaN`` or ``Infinity``."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise DamagedArtifact(f"{path}: not written, as it holds a non-finite number") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _refuse_constant(literal: str):
@@ -127,6 +137,20 @@ def _read_json(path: Path, **fields: type) -> dict:
     if bad:
         raise DamagedArtifact(f"{path}: missing or malformed {', '.join(bad)}")
     return payload
+
+
+def _read_selection(point_dir: Path) -> _Selected | None:
+    """A point's top columns and its occurrence counts by column, or None when it has
+    no selection.json; one that names a feature outside the catalog or holds a count
+    that is not a positive integer is damaged."""
+    path = point_dir / "selection.json"
+    if not path.exists():
+        return None
+    payload = _read_json(path, top_features=list, occurrence=dict)
+    counts = {column_of(name): count for name, count in payload["occurrence"].items()}
+    if any(type(c) is not int or c < 1 for c in counts.values()):
+        raise DamagedArtifact(f"{path}: an occurrence count is not a positive int")
+    return [column_of(name) for name in payload["top_features"]], counts
 
 
 def _by_rank(counts: dict[int, int]) -> dict[str, int]:
@@ -206,11 +230,10 @@ def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
     A point without a selection.json is skipped (None).
     """
     point_dir = Path(cfg.output_dir) / point.label
-    selection_file = point_dir / "selection.json"
-    if not selection_file.exists():
+    selection = _read_selection(point_dir)
+    if selection is None:
         return None
-    payload = _read_json(selection_file, top_features=list)
-    columns = [column_of(name) for name in payload["top_features"]]
+    columns, _ = selection
     if not columns:
         raise HydrocastError("selection produced no features")
     train, _ = split(datasets[point.label], cfg.split)
@@ -219,7 +242,7 @@ def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
         point_dir / "models.json",
         {
             "point": _point_payload(point),
-            "features": payload["top_features"],
+            "features": [FEATURE_NAMES[f] for f in columns],
             "models": {kind: model_to_dict(models[kind]) for kind, _ in cfg.learners},
         },
     )
@@ -227,16 +250,18 @@ def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
 
 
 def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: PointData,
-                   errors: dict[str, str]) -> list[EvalResult] | None:
+                   errors: dict[str, str]) -> tuple[list[EvalResult], _Selected | None] | None:
     """Score one point's stored models on its test months; write evaluation.json.
 
-    A model that fails goes into ``errors`` as ``<label>:<kind>``; the rest
-    are still scored. A point without a models.json is skipped (None).
+    Returns the rows and the point's selection, read before any model is
+    scored. A model that fails goes into ``errors`` as ``<label>:<kind>``; the
+    rest are still scored. A point without a models.json is skipped (None).
     """
     point_dir = Path(cfg.output_dir) / point.label
     models_file = point_dir / "models.json"
     if not models_file.exists():
         return None
+    selection = _read_selection(point_dir)
     payload = _read_json(models_file, features=list, models=dict)
     columns = [column_of(name) for name in payload["features"]]
     _, test = split(datasets[point.label], cfg.split)
@@ -260,40 +285,20 @@ def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: P
         point_dir / "evaluation.json",
         {"point": _point_payload(point), "n_test": len(test), "metrics": metrics},
     )
-    return rows
+    return rows, selection
 
 
-def _write_selection_summary(cfg: PipelineConfig, points: list[IndexPoint],
-                             errors: dict[str, str]) -> None:
-    """Sum the points' counts by column; a point whose selection.json is damaged, names
-    a feature outside the catalog or holds a count that is not a positive integer adds
-    nothing and goes into ``errors``."""
-    top_per_point: dict[str, list[str]] = {}
-    totals = dict.fromkeys(range(len(FEATURE_NAMES)), 0)
-    membership = dict.fromkeys(range(len(FEATURE_NAMES)), 0)
-    for point in points:
-        selection_file = Path(cfg.output_dir) / point.label / "selection.json"
-        if not selection_file.exists():
-            continue
-        try:
-            payload = _read_json(selection_file, top_features=list, occurrence=dict)
-            counts = {column_of(name): count for name, count in payload["occurrence"].items()}
-            top = [column_of(name) for name in payload["top_features"]]
-            if any(type(c) is not int or c < 1 for c in counts.values()):
-                raise DamagedArtifact(f"{selection_file}: an occurrence count is not a positive int")
-        except HydrocastError as exc:
-            errors[point.label] = str(exc)
-            continue
-        top_per_point[point.label] = payload["top_features"]
-        for f, count in counts.items():
-            totals[f] += count
-        for f in top:
-            membership[f] += 1
-
+def _write_selection_summary(output_dir, selections: dict[str, _Selected]) -> None:
+    """Sum the evaluated points' occurrence counts and top-list memberships by column."""
+    totals, membership = Counter(), Counter()
+    for top, counts in selections.values():
+        totals.update(counts)
+        membership.update(top)
     _write_json(
-        Path(cfg.output_dir) / "selection_summary.json",
+        Path(output_dir) / "selection_summary.json",
         {
-            "top_features_per_point": top_per_point,
+            "top_features_per_point": {label: [FEATURE_NAMES[f] for f in top]
+                                       for label, (top, _) in selections.items()},
             "occurrence_totals": _by_rank(totals),
             "occurrence_total_sum": sum(totals.values()),
             "top_feature_membership": _by_rank(membership),
@@ -336,7 +341,7 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
         pooled = _pooled_selection(cfg, datasets)
     result = PipelineResult({}, None, {})
     rows: list[EvalResult] = []
-    evaluated: list[IndexPoint] = []
+    selections: dict[str, _Selected] = {}  # of the points with rows
     for idx, point in enumerate(cfg.points):
         try:
             if "select" in stages:
@@ -349,11 +354,11 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
                 result.trained.append(point.label)
             if "evaluate" in stages:
                 stale = _POINT_ARTIFACTS[2:]
-                point_rows = stage_evaluate(cfg, idx, point, datasets, result.errors)
-                if point_rows is None:
-                    continue
+                point_rows, selection = (stage_evaluate(cfg, idx, point, datasets, result.errors)
+                                         or ([], None))
                 rows += point_rows
-                evaluated.append(point)
+                if point_rows and selection is not None:
+                    selections[point.label] = selection
         except HydrocastError as exc:
             result.errors[point.label] = str(exc)
             for name in stale:  # left by an earlier run, they no longer match this one
@@ -361,7 +366,7 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
     if rows:
         result.report = EvaluationReport(rows)
         _write_json(Path(cfg.output_dir) / "report.json", result.report.to_dict())
-        _write_selection_summary(cfg, evaluated, result.errors)
+        _write_selection_summary(cfg.output_dir, selections)
     return result
 
 

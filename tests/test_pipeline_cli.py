@@ -9,7 +9,7 @@ import pytest
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast import pipeline
 from hydrocast.cli import build_parser, build_pipeline_config, main
-from hydrocast.dataset import SplitSpec, load_csv, split, write_csv
+from hydrocast.dataset import CSV_COLUMNS, SplitSpec, load_csv, split, write_csv
 from hydrocast.learners import MODELS
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
 from hydrocast.selection import BoostConfig, SelectionConfig, run_selection
@@ -409,6 +409,96 @@ def test_errors_json_lists_points_in_configured_order(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg)]) == 2
     errors = json.loads((tmp_path / "out" / "errors.json").read_text())
     assert list(errors) == ["27.5_67.5:knn", "30_67.5"]
+
+
+def _name_unknown_feature(payload):
+    payload["occurrence"]["not_a_feature"] = 3
+
+
+def _run_then_damage_p02_selection(tmp_path):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    _edit_json(_name_unknown_feature)(out / "30_67.5" / "selection.json")
+    return out, cfg
+
+
+def test_evaluate_refuses_a_damaged_selection_before_scoring(tmp_path):
+    out, cfg = _run_then_damage_p02_selection(tmp_path)
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(27.5, 67.5)}
+    summary = json.loads((out / "selection_summary.json").read_text())
+    assert list(summary["top_features_per_point"]) == ["27.5_67.5"]
+    assert not (out / "30_67.5" / "evaluation.json").exists()
+
+
+def test_train_refuses_a_damaged_selection(tmp_path, capsys):
+    out, cfg = _run_then_damage_p02_selection(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error [30_67.5]: ")
+    assert not (out / "30_67.5" / "models.json").exists()
+
+
+def test_a_damaged_selection_is_listed_in_point_order(tmp_path, monkeypatch):
+    data = synth(tmp_path)
+    _zero_p02_column("air_l05")(data)  # p02 fails select
+    write_json = pipeline._write_json
+
+    def write_damaged(path, payload):  # p01's selection.json names a feature outside the catalog
+        if path.parent.name == "27.5_67.5" and path.name == "selection.json":
+            _name_unknown_feature(payload)
+        write_json(path, payload)
+
+    monkeypatch.setattr(pipeline, "_write_json", write_damaged)
+    cfg = write_config(tmp_path, small_config(data, tmp_path / "out"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    errors = json.loads((tmp_path / "out" / "errors.json").read_text())
+    assert list(errors) == ["27.5_67.5", "30_67.5"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_no_artifact_holds_a_non_finite_number(tmp_path):
+    data = synth(tmp_path)
+    lines = [line.split(",") for line in data.read_text().splitlines()]
+    at = lines[0].index("precip")
+    for cells in lines[1:]:  # boosting's training MSE overflows to an infinity
+        cells[at] = repr(float(cells[at]) * 1e160)
+    data.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out, points="p01"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert list(json.loads((out / "errors.json").read_text())) == ["27.5_67.5"]
+    for path in out.rglob("*"):
+        if path.is_file():
+            assert "NaN" not in path.read_text() and "Infinity" not in path.read_text(), path
+
+
+REFUSED = {  # argv, the refused path, exit code; under {tmp}, "file" is a regular file,
+             # "dir" a directory and "latin1" a CSV that stops being UTF-8 after 8 KiB
+    "run_output_is_a_file": (["run", "--data", "{tmp}/data.csv", "--output", "{tmp}/file"],
+                             "file", 2),
+    "run_data_is_a_directory": (["run", "--data", "{tmp}/dir", "--output", "{tmp}/out"], "dir", 2),
+    "synth_out_is_a_directory": (["synth", "--samples", "20", "--out", "{tmp}/dir"], "dir", 2),
+    "report_output_is_a_file": (["report", "--output", "{tmp}/file"], "file", 2),
+    "config_is_a_directory": (["run", "--config", "{tmp}/dir"], "dir", 1),
+    "config_not_utf8": (["run", "--config", "{tmp}/latin1"], "latin1", 1),
+    "csv_not_utf8": (["run", "--data", "{tmp}/latin1", "--output", "{tmp}/out"], "latin1", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_path_or_encoding_exits_without_a_traceback(tmp_path, capsys, case):
+    argv, refused, code = REFUSED[case]
+    (tmp_path / "file").write_text("x\n")
+    (tmp_path / "dir").mkdir()
+    rows = [",".join(CSV_COLUMNS)] + ["1981-01,27.5,67.5"] * 500 + ["1981-02,27.5\u00b0,67.5"]
+    (tmp_path / "latin1").write_bytes("\n".join(rows).encode("latin-1"))
+    assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--points", "p01"]) == code
+    assert str(tmp_path / refused) in capsys.readouterr().err
 
 
 def _truncate(path):
