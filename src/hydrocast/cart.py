@@ -28,6 +28,18 @@ features together with one cumulative sum per statistic. When
 ``features_per_node`` is set, each node draws its candidates from the
 tree's seeded generator just before its own search, so the draws follow
 the node order above.
+
+Two growers share that scoring. ``fit_tree`` grows one tree; the random
+forest uses it, since its per-node draws follow each tree's own node
+order. ``fit_stage`` grows a boosting stage's trees together: they fit one
+target on one matrix, each on its own column subset, so many of their
+nodes hold the same rows (all of them share the root). Each such row set
+is scored once, over the union of the subsets of the trees that reach it
+by the same splits; each tree then takes the first lowest-scoring column
+of its own subset, so every tree equals its ``fit_tree`` twin node for
+node. Row sets are visited depth-first, and a child's sorted rows are
+built for its own trees' columns only and dropped once its subtree is
+grown.
 """
 
 from __future__ import annotations
@@ -196,13 +208,9 @@ def presort(X) -> tuple[np.ndarray, np.ndarray]:
     return order, np.take_along_axis(columns, order, axis=1)
 
 
-def fit_tree(X, y, cfg: TreeConfig = TreeConfig(), presorted=None) -> RegressionTree:
-    """Grow a squared-error CART tree on ``(X, y)``.
-
-    ``presorted`` is ``presort(X)`` when the caller fits many trees on one
-    matrix; the tree then takes its allowed columns' rows of it instead of
-    sorting them again.
-    """
+def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as float arrays, X two-dimensional; empty, mismatched or
+    non-finite data is refused."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim == 1:
@@ -213,7 +221,26 @@ def fit_tree(X, y, cfg: TreeConfig = TreeConfig(), presorted=None) -> Regression
         raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFiniteInput("training data must be finite")
+    return X, y
 
+
+def _sorted_rows(X, features, presorted):
+    """The presort rows of ``features``: from ``presorted`` when given, else sorted here."""
+    if presorted is None:
+        return presort(X[:, features])
+    if any(part.shape != (X.shape[1], X.shape[0]) for part in presorted):
+        raise ShapeMismatch(f"presort does not match X {X.shape}")
+    return presorted[0][features], presorted[1][features]
+
+
+def fit_tree(X, y, cfg: TreeConfig = TreeConfig(), presorted=None) -> RegressionTree:
+    """Grow a squared-error CART tree on ``(X, y)``.
+
+    ``presorted`` is ``presort(X)`` when the caller fits many trees on one
+    matrix; the tree then takes its allowed columns' rows of it instead of
+    sorting them again.
+    """
+    X, y = _training_data(X, y)
     n_features = X.shape[1]
     if cfg.feature_subset is not None:
         allowed = cfg.feature_subset
@@ -226,15 +253,36 @@ def fit_tree(X, y, cfg: TreeConfig = TreeConfig(), presorted=None) -> Regression
     # partition it.
     features = list(allowed)
     columns = np.ascontiguousarray(X[:, features].T)
-    if presorted is None:
-        order, values = presort(columns.T)
-    elif any(part.shape != (n_features, X.shape[0]) for part in presorted):
-        raise ShapeMismatch(f"presort does not match X {X.shape}")
-    else:
-        order, values = presorted[0][features], presorted[1][features]
+    order, values = _sorted_rows(X, features, presorted)
     grower = _Grower(columns, y, np.asarray(allowed, dtype=np.intp), cfg)
     grower.grow(np.arange(X.shape[0]), order, values, 0)
     return RegressionTree._from_nodes(grower.nodes, n_features)
+
+
+def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
+              presorted=None) -> list[RegressionTree]:
+    """Grow one boosting stage: a tree per column subset, all on ``(X, residual)``.
+
+    Tree ``t`` equals ``fit_tree(X, residual, TreeConfig(max_depth=tree_depth,
+    min_samples_leaf=min_samples_leaf, feature_subset=subsets[t]))`` node for
+    node, but the trees grow together: each row set that some trees reach
+    by the same splits is scored once, over the union of their subsets.
+    """
+    X, y = _training_data(X, residual)
+    n_rows, n_features = X.shape
+    cfg = TreeConfig(max_depth=tree_depth, min_samples_leaf=min_samples_leaf)
+    allowed = np.zeros((len(subsets), n_features), dtype=bool)
+    for t, subset in enumerate(subsets):
+        subset = sorted(set(subset))
+        if subset and (subset[0] < 0 or subset[-1] >= n_features):
+            raise ShapeMismatch(f"feature_subset out of range for {n_features} features")
+        allowed[t, subset] = True
+
+    union = np.flatnonzero(allowed.any(axis=0))
+    order, values = _sorted_rows(X, union, presorted)
+    stage = _StageGrower(np.ascontiguousarray(X.T), y, allowed, cfg)
+    stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
+    return [RegressionTree._from_nodes(nodes, n_features) for nodes in stage.nodes]
 
 
 class _Grower:
@@ -254,21 +302,17 @@ class _Grower:
         self.rng = np.random.default_rng(cfg.seed)
         self.nodes: list[tuple] = []
 
-    def may_split(self, n, depth) -> bool:
-        cfg = self.cfg
-        return n >= 2 * cfg.min_samples_leaf and (cfg.max_depth is None or depth < cfg.max_depth)
-
     def leaf(self, y_node) -> None:
         self.nodes.append((-1, 0.0, -1, -1, float(y_node.mean()), y_node.size))
 
     def grow(self, idx, order, values, depth) -> None:
         """Append the subtree over the rows ``idx`` (ascending), given their sorted columns.
 
-        ``order`` and ``values`` may be None for a node that ``may_split``
+        ``order`` and ``values`` may be None for a node that ``_may_split``
         rules out, which is a leaf.
         """
         y_node = self.y[idx]
-        if not self.may_split(idx.size, depth) or y_node.max() == y_node.min():
+        if not _may_split(self.cfg, idx.size, depth) or y_node.max() == y_node.min():
             return self.leaf(y_node)
 
         rows = None
@@ -297,7 +341,7 @@ class _Grower:
         for child_idx, in_child in ((idx[left_rows], in_left), (idx[~left_rows], ~in_left)):
             children.append(len(self.nodes))
             m = child_idx.size
-            if self.may_split(m, depth + 1):
+            if _may_split(self.cfg, m, depth + 1):
                 # Boolean selection keeps each row of order/values in its
                 # sorted order, so the child needs no sort of its own.
                 k = order.shape[0]
@@ -307,22 +351,92 @@ class _Grower:
         self.nodes[slot] = (int(self.allowed[row]), threshold, *children, 0.0, 0)
 
 
-def _best_split(y, mean, order, values, min_leaf):
-    """Best (row of ``order``, threshold) over all candidates, or None.
+class _StageGrower:
+    """Depth-first growth of a stage's trees together, one row set at a time.
+
+    A call handles the trees that reach one row set by the same splits: it
+    scores the set once over the union of their subsets, lets each tree take
+    its own best column (or a leaf), and grows each chosen column's two
+    children for the trees that chose it. A tree's nodes are appended to its
+    own list in the order it visits them, so each list comes out in the
+    pre-order that ``_Grower`` writes.
+    """
+
+    def __init__(self, columns, y, allowed, cfg: TreeConfig):
+        self.columns = columns
+        self.y = y
+        self.allowed = allowed
+        self.cfg = cfg
+        self.nodes: list[list[tuple]] = [[] for _ in range(allowed.shape[0])]
+
+    def grow(self, trees, idx, union, order, values, depth) -> None:
+        """Append the node over the rows ``idx`` (ascending) to each tree in ``trees``.
+
+        ``order`` and ``values`` are the sorted rows of the columns ``union``
+        over ``idx``; they may be None where ``_may_split`` rules the node out.
+        """
+        y_node = self.y[idx]
+        mean = y_node.mean()
+        leaf = (-1, 0.0, -1, -1, float(mean), idx.size)
+        if not (_may_split(self.cfg, idx.size, depth) and union.size and y_node.max() != y_node.min()):
+            for t in trees:
+                self.nodes[t].append(leaf)
+            return
+        per_row, cuts = _split_scores(self.y, mean, order, values, self.cfg.min_samples_leaf)
+        member = self.allowed[trees][:, union]
+        scores = np.where(member, per_row, np.inf)
+        pick = scores.argmin(axis=1)  # the first lowest column of each tree's subset
+        splits = scores.min(axis=1) < np.inf
+        groups: dict[int, list[int]] = {}  # row of union -> positions in trees that split on it
+        for pos, (t, row, split) in enumerate(zip(trees, pick.tolist(), splits.tolist())):
+            if split:
+                groups.setdefault(row, []).append(pos)
+            else:
+                self.nodes[t].append(leaf)
+
+        for row in sorted(groups):
+            group = [trees[pos] for pos in groups[row]]
+            threshold = _threshold(values[row], int(cuts[row]))
+            slots = [len(self.nodes[t]) for t in group]
+            for t in group:
+                self.nodes[t].append(None)
+            go_left = self.columns[union[row]] <= threshold
+            left_rows = go_left[idx]
+            sub = np.flatnonzero(member[groups[row]].any(axis=0))  # rows of the group's columns
+            starts = []
+            for child_idx, in_child in ((idx[left_rows], go_left), (idx[~left_rows], ~go_left)):
+                starts.append([len(self.nodes[t]) for t in group])
+                m, child_order, child_values = child_idx.size, None, None
+                if _may_split(self.cfg, m, depth + 1):
+                    # The child's sorted rows, for its own trees' columns only.
+                    child_order = order[sub]
+                    keep = in_child[child_order]
+                    child_order = child_order[keep].reshape(sub.size, m)
+                    child_values = values[sub][keep].reshape(sub.size, m)
+                self.grow(group, child_idx, union[sub], child_order, child_values, depth + 1)
+            feature = int(union[row])
+            for t, slot, left, right in zip(group, slots, *starts):
+                self.nodes[t][slot] = (feature, threshold, left, right, 0.0, 0)
+
+
+def _may_split(cfg: TreeConfig, n, depth) -> bool:
+    """Whether the growth limits let a node of ``n`` rows at ``depth`` split."""
+    return n >= 2 * cfg.min_samples_leaf and (cfg.max_depth is None or depth < cfg.max_depth)
+
+
+def _split_scores(y, mean, order, values, min_leaf):
+    """Each candidate row's lowest split SSE and the cut that reaches it.
 
     Scores every cut of every candidate at once. Cuts inside a run of tied
-    values, or leaving fewer than ``min_leaf`` rows on a side, score +inf.
-    The winner is the first candidate row holding the lowest per-row
-    minimum and, within it, the smallest threshold. A row whose minimum is
-    NaN or +inf (overflowing SSE) never wins.
+    values, or leaving fewer than ``min_leaf`` rows on a side, score +inf,
+    and a NaN minimum (overflowing SSE) counts as +inf. Cut ``p`` puts the
+    rows at sorted positions 0..p on the left; each row's cut is its first
+    lowest one, so the smallest threshold.
     """
-    k, n = order.shape
-    if k == 0:
-        return None
+    n = order.shape[1]
     ys = y[order] - mean  # SSE is shift-invariant; centering helps precision
     c1 = np.cumsum(ys, axis=1)
     c2 = np.cumsum(ys * ys, axis=1)
-    # Cut p puts the rows at sorted positions 0..p on the left.
     lo, hi = min_leaf - 1, n - min_leaf
     n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
     n_right = n - n_left
@@ -334,13 +448,28 @@ def _best_split(y, mean, order, values, min_leaf):
     sse[values[:, lo + 1:hi + 1] == values[:, lo:hi]] = np.inf
     per_row = sse.min(axis=1)
     per_row[np.isnan(per_row)] = np.inf
+    return per_row, lo + sse.argmin(axis=1)
+
+
+def _threshold(sorted_values, cut) -> float:
+    """The midpoint between sorted positions ``cut`` and ``cut + 1``, or the lower value
+    when the midpoint fails ``a <= t < b`` (adjacent floats round up to b; huge ones
+    overflow)."""
+    a, b = float(sorted_values[cut]), float(sorted_values[cut + 1])
+    threshold = (a + b) / 2.0
+    return threshold if a <= threshold < b else a
+
+
+def _best_split(y, mean, order, values, min_leaf):
+    """Best (row of ``order``, threshold) over all candidates, or None.
+
+    The winner is the first candidate row holding the lowest score of
+    ``_split_scores``; a row scoring +inf never wins.
+    """
+    if order.shape[0] == 0:
+        return None
+    per_row, cuts = _split_scores(y, mean, order, values, min_leaf)
     row = int(per_row.argmin())
     if per_row[row] == np.inf:
         return None
-    cut = lo + int(sse[row].argmin())
-    a, b = float(values[row, cut]), float(values[row, cut + 1])
-    threshold = (a + b) / 2.0
-    if not a <= threshold < b:  # adjacent floats round up to b; huge ones overflow
-        threshold = a
-    return row, threshold
-
+    return row, _threshold(values[row], int(cuts[row]))

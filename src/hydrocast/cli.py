@@ -118,6 +118,8 @@ def _load_config_file(path) -> dict:
         raise UsageError(f"config file is not UTF-8 text: {path}") from None
     except ValueError as exc:  # not JSON, or an integer too long to convert
         raise UsageError(f"config file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"config file is nested too deeply to read: {path}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file must hold a JSON object: {path}")
     unknown = [key for key in payload if key not in _KEYS]

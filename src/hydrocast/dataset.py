@@ -150,7 +150,8 @@ def load_csv(path, points) -> PointData:
     """Load and validate the rows of every requested index point in one pass.
 
     The header must contain exactly the documented columns; a header error,
-    like a file that is not UTF-8, is every point's error. A row belongs to
+    like a file that is not UTF-8 or one that the csv module cannot read (a
+    cell past its field size limit), is every point's error. A row belongs to
     each point within 1e-6 of its longitude and latitude. A bad coordinate
     fails every point that has not failed yet; any other bad value fails only
     the points of its row.
@@ -203,6 +204,8 @@ def load_csv(path, points) -> PointData:
                     found[label][1].extend(values)
     except UnicodeDecodeError:
         return PointData.fromkeys(targets, HydrocastError(f"{path}: not UTF-8 text"))
+    except csv.Error as exc:  # a cell past the csv module's field size limit, say
+        return PointData.fromkeys(targets, HydrocastError(f"{path}: not readable as CSV ({exc})"))
     except HydrocastError as exc:  # a header error
         return PointData.fromkeys(targets, exc)
 

@@ -112,9 +112,12 @@ class PipelineResult:
 
 def _write_json(path: Path, payload) -> None:
     """Write an artifact; a payload holding a non-finite number is damaged and is not
-    written, since no reader takes ``NaN`` or ``Infinity``."""
+    written, since no reader takes ``NaN`` or ``Infinity``. ``models.json``, whose
+    forests are most of a run's bytes, is written on one line without spaces; every
+    other artifact is indented."""
+    layout = {"separators": (",", ":")} if path.name == "models.json" else {"indent": 2}
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = json.dumps(payload, allow_nan=False, **layout)
     except ValueError:
         raise DamagedArtifact(f"{path}: not written, as it holds a non-finite number") from None
     path.write_text(text + "\n", encoding="utf-8")
@@ -132,6 +135,8 @@ def _read_json(path: Path, **fields: type) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
     except ValueError as exc:  # undecodable bytes, invalid JSON or a non-finite literal
         raise DamagedArtifact(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise DamagedArtifact(f"{path}: JSON nested too deeply to read") from None
     bad = [key for key, kind in fields.items()
            if not isinstance(payload, dict) or not isinstance(payload.get(key), kind)]
     if bad:

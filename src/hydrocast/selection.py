@@ -5,7 +5,7 @@ magnitude reaches ``gamma``; only surviving columns may knock out later
 ones, which keeps the scan idempotent. Phase two fits staged gradient
 boosting where every stage adds the average of 100 shallow trees fitted
 to the current residuals, each tree drawing its own random feature
-subset. Features are then ranked by how many trees split on them at
+subset; a stage's trees grow together (``cart.fit_stage``). Features are then ranked by how many trees split on them at
 least once, and the top ``kappa`` move on to model training.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import RegressionTree, TreeConfig, fit_tree, presort, tree_sum
+from .cart import RegressionTree, fit_stage, presort, tree_sum
 from .errors import (
     EmptyInput,
     LengthMismatch,
@@ -197,7 +197,7 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
     subset_size = cfg.feature_subset_size or math.ceil(math.sqrt(d))
     subset_size = min(subset_size, d)
 
-    sorted_X = presort(X)  # shared by every tree; each takes its subset's rows
+    sorted_X = presort(X)  # shared by every stage
     current = np.full(n, y.mean())
     mse = [float(np.mean((y - current) ** 2))]
     stages: list[list[RegressionTree]] = []
@@ -208,14 +208,12 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
         residual = y - current
         if not np.isfinite(residual).all():
             raise NonFiniteResidual(f"residuals diverged at stage {stage}")
-        trees = []
-        for t in range(cfg.trees_per_stage):
-            tree_seed = np.random.SeedSequence([cfg.seed, stage, t])
-            rng = np.random.default_rng(tree_seed)
-            subset = tuple(sorted(rng.choice(d, size=subset_size, replace=False).tolist()))
-            tree_cfg = TreeConfig(max_depth=cfg.tree_depth, min_samples_leaf=cfg.min_samples_leaf,
-                                  feature_subset=subset)
-            trees.append(fit_tree(X, residual, tree_cfg, sorted_X))
+        subsets = [
+            np.random.default_rng(np.random.SeedSequence([cfg.seed, stage, t]))
+            .choice(d, size=subset_size, replace=False).tolist()
+            for t in range(cfg.trees_per_stage)
+        ]
+        trees = fit_stage(X, residual, subsets, cfg.tree_depth, cfg.min_samples_leaf, sorted_X)
         current = current + cfg.shrinkage * tree_sum(trees, X) / cfg.trees_per_stage
         stages.append(trees)
         mse.append(float(np.mean((y - current) ** 2)))

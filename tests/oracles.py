@@ -181,3 +181,47 @@ def reference_tree_sum(trees, X):
     for tree in trees:
         total += reference_predict(tree, X)
     return total
+
+
+def reference_fit_svr(cfg, X, y, seed):
+    """The linear epsilon-SVR's averaged-iterate SGD as numpy vector steps.
+
+    The same standardization, seeded permutations, step sizes and updates
+    as ``learners.svm.fit_svr``, with each step's dot product summed left to
+    right in Python so the result does not rest on the BLAS. Returns
+    ``(weights, bias)``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    std = X.std(axis=0)
+    Z = (X - X.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+    n, d = Z.shape
+    lam = 1.0 / (cfg.c * n)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(d)
+    b = float(y.mean())
+    w_acc = np.zeros(d)
+    b_acc = 0.0
+    acc = 0
+    t = 0
+    for epoch in range(cfg.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = cfg.step / np.sqrt(t)
+            dot = 0.0
+            for j in range(d):
+                dot += Z[i, j] * w[j]
+            r = y[i] - dot - b
+            if abs(r) > cfg.epsilon:
+                s = 1.0 if r > 0 else -1.0
+                w += eta * (s * Z[i] - lam * w)
+                b += eta * s
+            else:
+                w -= eta * lam * w
+            if epoch >= cfg.epochs // 2:
+                w_acc += w
+                b_acc += b
+                acc += 1
+    if acc:
+        return w_acc / acc, float(b_acc / acc)
+    return w, float(b)

@@ -1,9 +1,12 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from hydrocast.cart import (
     RegressionTree,
     TreeConfig,
+    fit_stage,
     fit_tree,
     leaf_values,
     presort,
@@ -298,6 +301,62 @@ def test_fit_tree_matches_per_feature_reference():
                 overflowed += bool(np.isinf(np.cumsum(np.square(y - y.mean()))).any())
                 huge_splits += "feature" in root_of(tree)
     assert overflowed > 20 and huge_splits > 20
+
+
+def node_row_sets(tree, X):
+    """(rows as a frozenset, depth) of every node of a tree, routing all of X."""
+    nodes = tree.to_dict()["nodes"]
+    out = []
+
+    def walk(at, rows, depth):
+        out.append((frozenset(rows.tolist()), depth))
+        node = nodes[at]
+        if "feature" in node:
+            left = X[rows, node["feature"]] <= node["threshold"]
+            walk(node["left"], rows[left], depth + 1)
+            walk(node["right"], rows[~left], depth + 1)
+
+    walk(0, np.arange(X.shape[0]), 0)
+    return out
+
+
+def test_fit_stage_matches_reference_tree_by_tree():
+    rng = np.random.default_rng(37)
+    families = ("ties", "constant_column", "huge", "normal")
+    two_depths = 0  # stages where trees reach one row set at two depths
+    for case in range(160):
+        X, y = oracle_case(rng, families[case % 4])
+        d = X.shape[1]
+        depth, min_leaf = 1 + case % 4, 1 + case % 5
+        subsets = [rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()
+                   for _ in range(12)] + [[]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            trees = fit_stage(X, y, subsets, depth, min_leaf, presort(X) if case % 2 else None)
+            depths = defaultdict(set)
+            for subset, tree in zip(subsets, trees):
+                cfg = TreeConfig(max_depth=depth, min_samples_leaf=min_leaf,
+                                 feature_subset=tuple(subset))
+                assert tree.to_dict()["nodes"] == reference_fit_tree(X, y, cfg), (case, subset)
+                for rows, at in node_row_sets(tree, X):
+                    depths[rows].add(at)
+        two_depths += any(len(at) > 1 for at in depths.values())
+    assert two_depths > 10
+
+
+def test_fit_stage_errors():
+    X, y = np.zeros((4, 2)), np.zeros(4)
+    with pytest.raises(ShapeMismatch):
+        fit_stage(X, y, [[0], [2]], 3, 1)
+    with pytest.raises(ShapeMismatch):
+        fit_stage(X, y, [[0]], 3, 1, presort(np.zeros((4, 3))))
+    with pytest.raises(ShapeMismatch):
+        fit_stage(X, np.zeros(5), [[0]], 3, 1)
+    with pytest.raises(EmptyInput):
+        fit_stage(np.zeros((0, 2)), np.zeros(0), [[0]], 3, 1)
+    with pytest.raises(NonFiniteInput):
+        fit_stage(X, np.array([0.0, 1.0, np.nan, 2.0]), [[0]], 3, 1)
+    with pytest.raises(ValueError):
+        fit_stage(X, y, [[0]], 0, 1)
 
 
 def test_empty_feature_subset_gives_single_leaf():

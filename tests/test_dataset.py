@@ -17,6 +17,7 @@ from hydrocast.errors import (
     DuplicateTimestamp,
     EmptyDataset,
     FractionOutOfRange,
+    HydrocastError,
     MissingColumn,
     NegativePrecipitation,
     NonFiniteValue,
@@ -159,6 +160,20 @@ def test_short_row_ending_before_a_last_date_column_fails_its_point(tmp_path):
         loaded[POINT.label]
     assert str(err.value) == str(NonFiniteValue(6, "date"))
     assert len(loaded[other.label]) == 15
+
+
+def test_cell_past_the_csv_field_limit_fails_every_point(tmp_path):
+    path = tmp_path / "data.csv"
+    write_csv(make_dataset(20), path)
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[10] = "1" * 200000  # the csv module refuses fields over 131072 characters
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_csv(path, [POINT])
+    with pytest.raises(HydrocastError) as err:
+        loaded[POINT.label]
+    assert str(path) in str(err.value)
 
 
 def test_duplicate_timestamp_rejected(tmp_path):

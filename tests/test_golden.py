@@ -3,9 +3,10 @@
 The digest covers only artifact parts computed without BLAS, so it is the
 same on every machine: the boosted ranking (``occurrence``,
 ``top_features``, ``training_mse_per_stage`` of ``selection.json``) and
-the random forest and the nearest-neighbour model (``models.json``'s
-``rf`` and ``knn`` entries; KNN stores standardized training rows, whose
-mean and std are numpy reductions, not BLAS calls). A change to tree
+the random forest, the nearest-neighbour model and the SVR
+(``models.json``'s ``rf``, ``knn`` and ``svr`` entries; KNN stores
+standardized training rows, whose mean and std are numpy reductions, not
+BLAS calls, and the SVR steps on Python floats). A change to tree
 growth, standardization, prediction or serialization that moves any byte
 of these fails here. Update the pin only with a change that means to alter artifacts.
 """
@@ -16,7 +17,7 @@ import json
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast.cli import main
 
-PINNED_SHA256 = "22aeb5607a0c0fc480c1a295f52168c75aaf1ab89de4da0334be1217787698a0"
+PINNED_SHA256 = "0d850a4396f1d63a7d44a915ba2a8d0cca38e03c02b70c50648e5d642d65024d"
 
 
 def test_one_point_run_artifact_digest(tmp_path):
@@ -51,6 +52,7 @@ def test_one_point_run_artifact_digest(tmp_path):
         "training_mse_per_stage": selection["training_mse_per_stage"],
         "rf": models["models"]["rf"],
         "knn": models["models"]["knn"],
+        "svr": models["models"]["svr"],
     }
     assert selection["n_stages"] == 2
     assert len(pinned["rf"]["trees"]) == 10

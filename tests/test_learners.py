@@ -27,9 +27,9 @@ from hydrocast.learners.base import (
     SVRConfig,
 )
 from hydrocast.learners.mlp import init_params, loss_and_grads
-from hydrocast.learners.svm import SVRModel
+from hydrocast.learners.svm import SVRModel, fit_svr
 
-from oracles import knn_direct, reference_tree_sum
+from oracles import knn_direct, reference_fit_svr, reference_tree_sum
 
 
 # --- linear regression ---
@@ -211,6 +211,25 @@ def test_svr_is_deterministic_given_seed():
     m2 = fit(LearnerSpec("svr", seed=3), X, y)
     np.testing.assert_array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
+
+
+def test_fit_svr_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for case in range(48):
+        d = 1 + case % 12
+        n = int(rng.integers(5, 40))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=d)
+        y = X @ rng.standard_normal(d) + rng.standard_normal(n) * 0.3
+        cfg = SVRConfig(
+            c=(0.1, 1.0, 10.0, 1000.0)[case % 4],
+            epsilon=(0.0, 0.1)[case % 2],
+            epochs=(1, 2, 7, 20)[case // 12],
+            step=(0.05, 0.5, 2.0)[case % 3],
+        )
+        model = fit_svr(cfg, X, y, tuple(range(d)), seed=case)
+        weights, bias = reference_fit_svr(cfg, X, y, seed=case)
+        assert model.weights.tolist() == weights.tolist(), (case, cfg)
+        assert model.bias == bias, (case, cfg)
 
 
 # --- multilayer perceptron ---

@@ -506,6 +506,10 @@ def _truncate(path):
     path.write_text(text[: len(text) // 2])
 
 
+def _nest_deeply(path):  # valid JSON that the decoder cannot follow down
+    path.write_text("[" * 100000 + "]" * 100000)
+
+
 def _edit_json(change):
     def edit(path):
         payload = json.loads(path.read_text())
@@ -559,6 +563,8 @@ BAD_P02 = {
         None, ("models.json", _edit_json(lambda p: p["models"]["knn"]["hyper"].update(k=2.5))),
         ["30_67.5:knn"],
     ),
+    "selection_nested_too_deeply": (None, ("selection.json", _nest_deeply), ["30_67.5"]),
+    "models_nested_too_deeply": (None, ("models.json", _nest_deeply), ["30_67.5"]),
     "standardization_mean_text": (
         None,
         ("models.json", _edit_json(
@@ -685,6 +691,26 @@ def test_bad_config_structure_exits_1(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("hydrocast: ")
     assert not (tmp_path / "missing.csv").exists()
+
+
+def test_config_nested_too_deeply_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"seed": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("hydrocast: ")
+
+
+def test_csv_cell_past_the_field_limit_fails_every_point(tmp_path, capsys):
+    data = synth(tmp_path, samples=20)
+    lines = data.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[10] = "1" * 200000  # the csv module refuses fields over 131072 characters
+    lines[3] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(data), "--output", str(out), "--points", "p01"]) == 2
+    assert str(data) in capsys.readouterr().err
+    assert list(json.loads((out / "errors.json").read_text())) == ["27.5_67.5"]
 
 
 @pytest.mark.parametrize("flags, code", [
