@@ -20,11 +20,12 @@ the one-tree case.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): each tree stable-sorts its allowed
-columns once, or takes their rows of a presort that its caller shares
-across the trees it fits on one matrix. Every split hands each child the
-rows of that order that route to it, which keeps the order sorted with
-tied values in ascending row order. A node then scores all its candidate
-features together with one cumulative sum per statistic. When
+columns once, and a boosting stage may take its columns' rows of a
+presort that its caller shares across stages. Every split hands each
+child the rows of that order that route to it, which keeps the order
+sorted with tied values in ascending row order. A node then scores all
+its candidate features together with one cumulative sum per statistic,
+working in place on the arrays it gathers. When
 ``features_per_node`` is set, each node draws its candidates from the
 tree's seeded generator just before its own search, so the draws follow
 the node order above.
@@ -39,11 +40,13 @@ by the same splits; each tree then takes the first lowest-scoring column
 of its own subset, so every tree equals its ``fit_tree`` twin node for
 node. Row sets are visited depth-first, and a child's sorted rows are
 built for its own trees' columns only and dropped once its subtree is
-grown.
+grown. Each leaf also writes its value at its rows, so the stage's
+output on its training rows comes with the trees, without routing them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,9 +193,13 @@ def leaf_values(trees, X) -> np.ndarray:
 
 def tree_sum(trees, X) -> np.ndarray:
     """The sum of the trees' predictions, added one tree at a time in list order."""
-    leaves = leaf_values(trees, X)
-    total = np.zeros(leaves.shape[1])
-    for row in leaves:  # this loop, not numpy's reduction strategy, fixes the order
+    return _sum_in_order(leaf_values(trees, X))
+
+
+def _sum_in_order(rows) -> np.ndarray:
+    """The sum of a 2-d array's rows, added one row at a time from the first."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:  # this loop, not numpy's reduction strategy, fixes the order
         total += row
     return total
 
@@ -233,13 +240,8 @@ def _sorted_rows(X, features, presorted):
     return presorted[0][features], presorted[1][features]
 
 
-def fit_tree(X, y, cfg: TreeConfig = TreeConfig(), presorted=None) -> RegressionTree:
-    """Grow a squared-error CART tree on ``(X, y)``.
-
-    ``presorted`` is ``presort(X)`` when the caller fits many trees on one
-    matrix; the tree then takes its allowed columns' rows of it instead of
-    sorting them again.
-    """
+def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
+    """Grow a squared-error CART tree on ``(X, y)``."""
     X, y = _training_data(X, y)
     n_features = X.shape[1]
     if cfg.feature_subset is not None:
@@ -251,22 +253,24 @@ def fit_tree(X, y, cfg: TreeConfig = TreeConfig(), presorted=None) -> Regression
 
     # The one sort of the tree, row j for feature allowed[j]. Nodes only
     # partition it.
-    features = list(allowed)
-    columns = np.ascontiguousarray(X[:, features].T)
-    order, values = _sorted_rows(X, features, presorted)
-    grower = _Grower(columns, y, np.asarray(allowed, dtype=np.intp), cfg)
+    X_allowed = X[:, list(allowed)]
+    order, values = presort(X_allowed)
+    grower = _Grower(np.ascontiguousarray(X_allowed.T), y, np.asarray(allowed, dtype=np.intp), cfg)
     grower.grow(np.arange(X.shape[0]), order, values, 0)
     return RegressionTree._from_nodes(grower.nodes, n_features)
 
 
 def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
-              presorted=None) -> list[RegressionTree]:
+              presorted=None) -> tuple[list[RegressionTree], np.ndarray]:
     """Grow one boosting stage: a tree per column subset, all on ``(X, residual)``.
 
     Tree ``t`` equals ``fit_tree(X, residual, TreeConfig(max_depth=tree_depth,
     min_samples_leaf=min_samples_leaf, feature_subset=subsets[t]))`` node for
     node, but the trees grow together: each row set that some trees reach
     by the same splits is scored once, over the union of their subsets.
+    Returns the trees and ``tree_sum(trees, X)``, the sum of their outputs
+    on the training rows, which each leaf fills in for its rows as it is
+    written.
     """
     X, y = _training_data(X, residual)
     n_rows, n_features = X.shape
@@ -282,7 +286,8 @@ def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
     order, values = _sorted_rows(X, union, presorted)
     stage = _StageGrower(np.ascontiguousarray(X.T), y, allowed, cfg)
     stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
-    return [RegressionTree._from_nodes(nodes, n_features) for nodes in stage.nodes]
+    trees = [RegressionTree._from_nodes(nodes, n_features) for nodes in stage.nodes]
+    return trees, _sum_in_order(stage.outputs)
 
 
 class _Grower:
@@ -300,10 +305,8 @@ class _Grower:
         self.cfg = cfg
         self.draw = cfg.features_per_node is not None and cfg.features_per_node < allowed.size
         self.rng = np.random.default_rng(cfg.seed)
+        self.counts = np.arange(y.size + 1, dtype=np.float64)
         self.nodes: list[tuple] = []
-
-    def leaf(self, y_node) -> None:
-        self.nodes.append((-1, 0.0, -1, -1, float(y_node.mean()), y_node.size))
 
     def grow(self, idx, order, values, depth) -> None:
         """Append the subtree over the rows ``idx`` (ascending), given their sorted columns.
@@ -311,44 +314,36 @@ class _Grower:
         ``order`` and ``values`` may be None for a node that ``_may_split``
         rules out, which is a leaf.
         """
+        m = idx.size
         y_node = self.y[idx]
-        if not _may_split(self.cfg, idx.size, depth) or y_node.max() == y_node.min():
-            return self.leaf(y_node)
-
-        rows = None
-        if self.draw:
-            picked = self.rng.choice(self.allowed.size, size=self.cfg.features_per_node, replace=False)
-            rows = np.sort(picked)
-        best = _best_split(
-            self.y,
-            y_node.mean(),
-            order if rows is None else order[rows],
-            values if rows is None else values[rows],
-            self.cfg.min_samples_leaf,
-        )
+        mean = _mean(y_node)
+        best = rows = None
+        if _may_split(self.cfg, m, depth) and not _constant(y_node):
+            scored = (order, values)
+            if self.draw:
+                rows = self.rng.choice(self.allowed.size, size=self.cfg.features_per_node,
+                                       replace=False)
+                rows.sort()
+                scored = (order.take(rows, axis=0), values.take(rows, axis=0))
+            best = _best_split(self.y, mean, *scored, self.cfg.min_samples_leaf, self.counts)
         if best is None:
-            return self.leaf(y_node)
+            self.nodes.append((-1, 0.0, -1, -1, float(mean), m))
+            return
 
         row, threshold = best
-        if rows is not None:
+        if self.draw:
             row = int(rows[row])
         slot = len(self.nodes)
         self.nodes.append(None)
         go_left = self.columns[row] <= threshold
         left_rows = go_left[idx]
-        in_left = go_left[order]
-        children = []
-        for child_idx, in_child in ((idx[left_rows], in_left), (idx[~left_rows], ~in_left)):
-            children.append(len(self.nodes))
-            m = child_idx.size
-            if _may_split(self.cfg, m, depth + 1):
-                # Boolean selection keeps each row of order/values in its
-                # sorted order, so the child needs no sort of its own.
-                k = order.shape[0]
-                self.grow(child_idx, order[in_child].reshape(k, m), values[in_child].reshape(k, m), depth + 1)
-            else:
-                self.grow(child_idx, None, None, depth + 1)
-        self.nodes[slot] = (int(self.allowed[row]), threshold, *children, 0.0, 0)
+        children = (idx[left_rows], idx[~left_rows])
+        links = []
+        for child, (child_order, child_values) in zip(
+                children, _child_rows(self.cfg, order, values, go_left, children, depth + 1)):
+            links.append(len(self.nodes))
+            self.grow(child, child_order, child_values, depth + 1)
+        self.nodes[slot] = (int(self.allowed[row]), threshold, *links, 0.0, 0)
 
 
 class _StageGrower:
@@ -359,7 +354,8 @@ class _StageGrower:
     its own best column (or a leaf), and grows each chosen column's two
     children for the trees that chose it. A tree's nodes are appended to its
     own list in the order it visits them, so each list comes out in the
-    pre-order that ``_Grower`` writes.
+    pre-order that ``_Grower`` writes. A leaf also writes its value into its
+    tree's row of ``outputs`` at its rows.
     """
 
     def __init__(self, columns, y, allowed, cfg: TreeConfig):
@@ -367,7 +363,15 @@ class _StageGrower:
         self.y = y
         self.allowed = allowed
         self.cfg = cfg
+        self.counts = np.arange(y.size + 1, dtype=np.float64)
         self.nodes: list[list[tuple]] = [[] for _ in range(allowed.shape[0])]
+        self.outputs = np.empty((allowed.shape[0], y.size))
+
+    def leaf(self, trees, idx, mean) -> None:
+        leaf = (-1, 0.0, -1, -1, float(mean), idx.size)
+        for t in trees:
+            self.nodes[t].append(leaf)
+        self.outputs[np.array(trees)[:, None], idx] = mean
 
     def grow(self, trees, idx, union, order, values, depth) -> None:
         """Append the node over the rows ``idx`` (ascending) to each tree in ``trees``.
@@ -376,23 +380,24 @@ class _StageGrower:
         over ``idx``; they may be None where ``_may_split`` rules the node out.
         """
         y_node = self.y[idx]
-        mean = y_node.mean()
-        leaf = (-1, 0.0, -1, -1, float(mean), idx.size)
-        if not (_may_split(self.cfg, idx.size, depth) and union.size and y_node.max() != y_node.min()):
-            for t in trees:
-                self.nodes[t].append(leaf)
-            return
-        per_row, cuts = _split_scores(self.y, mean, order, values, self.cfg.min_samples_leaf)
+        mean = _mean(y_node)
+        if not (union.size and _may_split(self.cfg, idx.size, depth) and not _constant(y_node)):
+            return self.leaf(trees, idx, mean)
+        per_row, cuts = _split_scores(self.y, mean, order, values, self.cfg.min_samples_leaf,
+                                      self.counts)
         member = self.allowed[trees][:, union]
         scores = np.where(member, per_row, np.inf)
         pick = scores.argmin(axis=1)  # the first lowest column of each tree's subset
         splits = scores.min(axis=1) < np.inf
         groups: dict[int, list[int]] = {}  # row of union -> positions in trees that split on it
+        leaves = []
         for pos, (t, row, split) in enumerate(zip(trees, pick.tolist(), splits.tolist())):
             if split:
                 groups.setdefault(row, []).append(pos)
             else:
-                self.nodes[t].append(leaf)
+                leaves.append(t)
+        if leaves:
+            self.leaf(leaves, idx, mean)
 
         for row in sorted(groups):
             group = [trees[pos] for pos in groups[row]]
@@ -402,18 +407,13 @@ class _StageGrower:
                 self.nodes[t].append(None)
             go_left = self.columns[union[row]] <= threshold
             left_rows = go_left[idx]
-            sub = np.flatnonzero(member[groups[row]].any(axis=0))  # rows of the group's columns
+            children = (idx[left_rows], idx[~left_rows])
+            sub = member[groups[row]].any(axis=0).nonzero()[0]  # rows of the group's columns
+            child_rows = _child_rows(self.cfg, order, values, go_left, children, depth + 1, sub)
             starts = []
-            for child_idx, in_child in ((idx[left_rows], go_left), (idx[~left_rows], ~go_left)):
+            for child, (child_order, child_values) in zip(children, child_rows):
                 starts.append([len(self.nodes[t]) for t in group])
-                m, child_order, child_values = child_idx.size, None, None
-                if _may_split(self.cfg, m, depth + 1):
-                    # The child's sorted rows, for its own trees' columns only.
-                    child_order = order[sub]
-                    keep = in_child[child_order]
-                    child_order = child_order[keep].reshape(sub.size, m)
-                    child_values = values[sub][keep].reshape(sub.size, m)
-                self.grow(group, child_idx, union[sub], child_order, child_values, depth + 1)
+                self.grow(group, child, union[sub], child_order, child_values, depth + 1)
             feature = int(union[row])
             for t, slot, left, right in zip(group, slots, *starts):
                 self.nodes[t][slot] = (feature, threshold, left, right, 0.0, 0)
@@ -424,28 +424,82 @@ def _may_split(cfg: TreeConfig, n, depth) -> bool:
     return n >= 2 * cfg.min_samples_leaf and (cfg.max_depth is None or depth < cfg.max_depth)
 
 
-def _split_scores(y, mean, order, values, min_leaf):
-    """Each candidate row's lowest split SSE and the cut that reaches it.
+def _mean(y_node):
+    """``y_node.mean()``, bit for bit, without its wrapper's overhead."""
+    return np.add.reduce(y_node) / y_node.size
 
-    Scores every cut of every candidate at once. Cuts inside a run of tied
-    values, or leaving fewer than ``min_leaf`` rows on a side, score +inf,
-    and a NaN minimum (overflowing SSE) counts as +inf. Cut ``p`` puts the
-    rows at sorted positions 0..p on the left; each row's cut is its first
-    lowest one, so the smallest threshold.
+
+def _constant(y_node) -> bool:
+    """Whether every (finite) target of a node is the same."""
+    return not np.count_nonzero(y_node != y_node[0])
+
+
+def _child_rows(cfg: TreeConfig, order, values, go_left, children, depth, rows=None):
+    """Each child's sorted rows: those of ``order`` and ``values`` (of their ``rows``
+    only, when given) that route to it, or (None, None) where ``_may_split`` rules
+    the child out."""
+    may = [_may_split(cfg, child.size, depth) for child in children]
+    if not any(may):
+        return [(None, None)] * 2
+    if rows is not None:
+        order, values = order.take(rows, axis=0), values.take(rows, axis=0)
+    in_left = go_left[order].ravel()
+    out = []
+    for child, ok, keep in zip(children, may, (in_left, None)):
+        if not ok:
+            out.append((None, None))
+            continue
+        if keep is None:
+            keep = ~in_left
+        # Flat positions in ascending order keep each row of order/values in
+        # its sorted order, so the child needs no sort of its own. (Taking
+        # them is several times faster than a 2-d boolean index.)
+        at = keep.nonzero()[0]
+        shape = (order.shape[0], child.size)
+        out.append((order.take(at).reshape(shape), values.take(at).reshape(shape)))
+    return out
+
+
+def _cut_scores(y, mean, order, values, min_leaf, counts):
+    """The split SSE of every allowed cut of every candidate row, and the first cut ``lo``.
+
+    Column c of the (rows, n - 2 * min_leaf + 1) result is cut ``lo + c``,
+    which puts the rows at sorted positions 0..lo + c on the left. Cuts
+    inside a run of tied values score +inf; cuts leaving fewer than
+    ``min_leaf`` rows on a side are not scored. ``counts[i]`` is ``float(i)``
+    for every ``i`` up to the row count.
     """
     n = order.shape[1]
-    ys = y[order] - mean  # SSE is shift-invariant; centering helps precision
-    c1 = np.cumsum(ys, axis=1)
-    c2 = np.cumsum(ys * ys, axis=1)
     lo, hi = min_leaf - 1, n - min_leaf
-    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    n_right = n - n_left
-    sum_left = c1[:, lo:hi]
-    sq_left = c2[:, lo:hi]
-    sse = (sq_left - sum_left * sum_left / n_left) + (
-        (c2[:, -1:] - sq_left) - (c1[:, -1:] - sum_left) ** 2 / n_right
-    )
-    sse[values[:, lo + 1:hi + 1] == values[:, lo:hi]] = np.inf
+    s1 = y[order]
+    s1 -= mean  # SSE is shift-invariant; centering helps precision
+    s2 = s1 * s1
+    np.add.accumulate(s1, axis=1, out=s1)
+    np.add.accumulate(s2, axis=1, out=s2)
+    sum_left, sq_left = s1[:, lo:hi], s2[:, lo:hi]
+    # (sq_left - sum_left**2 / n_left) + ((sq_all - sq_left) - (sum_all - sum_left)**2 / n_right),
+    # one operation at a time, in place where the operand is a temporary.
+    left = sum_left * sum_left
+    left /= counts[lo + 1:hi + 1]
+    np.subtract(sq_left, left, out=left)
+    right = s1[:, -1:] - sum_left
+    right *= right
+    right /= counts[n - lo - 1:n - hi - 1:-1]
+    sse = s2[:, -1:] - sq_left
+    sse -= right
+    sse += left
+    np.putmask(sse, values[:, lo + 1:hi + 1] == values[:, lo:hi], np.inf)
+    return sse, lo
+
+
+def _split_scores(y, mean, order, values, min_leaf, counts):
+    """Each candidate row's lowest split SSE and the cut that reaches it.
+
+    Scores every cut of every candidate at once (``_cut_scores``); a NaN
+    anywhere in a row (overflowing SSE) makes its minimum +inf. Each row's
+    cut is its first lowest one, so the smallest threshold.
+    """
+    sse, lo = _cut_scores(y, mean, order, values, min_leaf, counts)
     per_row = sse.min(axis=1)
     per_row[np.isnan(per_row)] = np.inf
     return per_row, lo + sse.argmin(axis=1)
@@ -460,7 +514,7 @@ def _threshold(sorted_values, cut) -> float:
     return threshold if a <= threshold < b else a
 
 
-def _best_split(y, mean, order, values, min_leaf):
+def _best_split(y, mean, order, values, min_leaf, counts):
     """Best (row of ``order``, threshold) over all candidates, or None.
 
     The winner is the first candidate row holding the lowest score of
@@ -468,8 +522,15 @@ def _best_split(y, mean, order, values, min_leaf):
     """
     if order.shape[0] == 0:
         return None
-    per_row, cuts = _split_scores(y, mean, order, values, min_leaf)
-    row = int(per_row.argmin())
-    if per_row[row] == np.inf:
+    sse, lo = _cut_scores(y, mean, order, values, min_leaf, counts)
+    # Without NaNs, the first lowest cut in row-major order is the first
+    # lowest cut of the first lowest row.
+    row, cut = divmod(int(sse.argmin()), sse.shape[1])
+    score, cut = sse[row, cut], lo + cut
+    if math.isnan(score):  # argmin stops at the first NaN; rank the rows without it
+        per_row, cuts = _split_scores(y, mean, order, values, min_leaf, counts)
+        row = int(per_row.argmin())
+        score, cut = per_row[row], int(cuts[row])
+    if score == np.inf:
         return None
-    return row, _threshold(values[row], int(cuts[row]))
+    return row, _threshold(values[row], cut)

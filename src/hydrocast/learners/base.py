@@ -42,6 +42,10 @@ class RFConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1 or None")
+        if self.min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
         if self.feature_mode not in ("sqrt", "all"):
             raise ValueError(f"unknown feature_mode: {self.feature_mode!r}")
 
@@ -58,6 +62,10 @@ class SVRConfig:
             raise ValueError("epsilon must be >= 0")
         if self.c <= 0:
             raise ValueError("c must be > 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.step <= 0:
+            raise ValueError("step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,12 @@ class MLPConfig:
     def __post_init__(self):
         if not self.hidden_sizes:
             raise ValueError("hidden_sizes must not be empty")
+        if min(self.hidden_sizes) < 1:
+            raise ValueError("every hidden size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,16 @@ the average of the iterates from the second half of training. Features
 are standardized; the bias starts at mean(y) so the walk begins centered
 on the targets.
 
-The steps run on Python floats: the rows and targets as lists, the dot
-product summed left to right, and each update a list comprehension in the
-operation order of the vector formula beside it. A step touches a handful
-of values, so this is faster than a numpy call per operation, and no step
-goes through BLAS: the weights are the same floats on every machine.
+The steps run on Python floats, with each weight in a local variable of
+an epoch loop compiled for the fit's feature count (``_epoch_loop``): the
+dot product is summed left to right, and each update is the operation
+order of the vector formula beside it in that function. A step touches a
+handful of values, so this is faster than a numpy call per operation, and
+no step goes through BLAS: the weights are the same floats on every
+machine. Each epoch takes its step sizes from one numpy ``sqrt`` and
+division (both correctly rounded, as ``math.sqrt`` and ``/`` are), and
+folds its averaged iterates into the running sum with one
+``np.add.accumulate``, which adds them one at a time in step order.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ def fit_svr(cfg: SVRConfig, X, y, feature_indices, seed: int) -> SVRModel:
     stats = Standardization.fit(X)
     Z = stats.transform(X)
     n, d = Z.shape
-    rows, targets = Z.tolist(), y.tolist()
+    rows, negated, targets = Z.tolist(), (-Z).tolist(), y.tolist()
 
     # Objective rescaled by 1/(C*n): lam/2 ||w||^2 + mean_i hinge_i, same minimizer.
     lam = 1.0 / (cfg.c * n)
@@ -43,33 +48,61 @@ def fit_svr(cfg: SVRConfig, X, y, feature_indices, seed: int) -> SVRModel:
     w = [0.0] * d
     b = float(y.mean())
 
-    w_acc = [0.0] * d
-    b_acc = 0.0
-    acc = 0
+    run_epoch = _epoch_loop(d)
     avg_from = cfg.epochs // 2
-    t = 0
+    total = np.zeros(d + 1)  # running sum of the averaged iterates (w, b)
     for epoch in range(cfg.epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            eta = cfg.step / math.sqrt(t)
-            z = rows[i]
-            dot = 0.0
-            for zj, wj in zip(z, w):
-                dot += zj * wj
-            r = targets[i] - dot - b
-            if abs(r) > cfg.epsilon:
-                s = 1.0 if r > 0 else -1.0
-                w = [wj + eta * (s * zj - lam * wj) for wj, zj in zip(w, z)]  # w += eta*(s*z - lam*w)
-                b += eta * s
-            else:
-                shrink = eta * lam
-                w = [wj - shrink * wj for wj in w]  # w -= eta*lam*w
-            if epoch >= avg_from:
-                w_acc = [a + wj for a, wj in zip(w_acc, w)]
-                b_acc += b
-                acc += 1
+        t = epoch * n  # steps taken so far
+        etas = (cfg.step / np.sqrt(np.arange(t + 1, t + n + 1, dtype=np.float64))).tolist()
+        iterates = [] if epoch >= avg_from else None
+        w, b = run_epoch(rng.permutation(n).tolist(), etas, rows, negated, targets, w, b,
+                         lam, cfg.epsilon, iterates)
         if not (all(map(math.isfinite, w)) and math.isfinite(b)):
             raise NonConvergence(f"SVR parameters diverged in epoch {epoch}")
+        if iterates:
+            # The running sum, adding one iterate at a time as the steps made them.
+            total = np.add.accumulate(np.vstack([total, iterates]), axis=0)[-1]
 
-    weights = np.array(w_acc) / acc if acc else np.array(w)
-    return SVRModel(cfg, feature_indices, stats, weights=weights, bias=b_acc / acc if acc else b)
+    steps = (cfg.epochs - avg_from) * n  # at least one epoch's
+    return SVRModel(cfg, feature_indices, stats, weights=total[:d] / steps,
+                    bias=float(total[d]) / steps)
+
+
+def _epoch_loop(d: int):
+    """One epoch of SGD steps on ``d`` weights, compiled with each weight a local.
+
+    The returned ``run(order, etas, rows, negated, targets, w, b, lam,
+    epsilon, iterates)`` steps on ``rows[i]`` for each ``i`` of ``order``
+    with step size ``etas[k]`` at step ``k``, returns the new ``(w, b)``, and
+    appends each step's ``(*w, b)`` to ``iterates`` unless it is None. With
+    ``s`` the sign of a residual past ``epsilon``, ``negated[i]`` is
+    ``s * rows[i]`` for ``s = -1``. The source is built from ``d`` alone.
+    """
+    w = "".join(f"w{j}, " for j in range(d))
+    z = "".join(f"z{j}, " for j in range(d))
+    dot = " + ".join(f"z{j} * w{j}" for j in range(d))
+    step = "; ".join(f"w{j} = w{j} + eta * (z{j} - lam * w{j})" for j in range(d))
+    shrink = "; ".join(f"w{j} = w{j} - shrink * w{j}" for j in range(d))
+    source = f"""
+def run(order, etas, rows, negated, targets, w, b, lam, epsilon, iterates):
+    {w}= w
+    for i, eta in zip(order, etas):
+        {z}= rows[i]
+        r = targets[i] - (0.0 + {dot}) - b  # dot summed left to right
+        if r > epsilon:  # s = 1: w += eta*(s*z - lam*w); b += eta*s
+            {step}
+            b += eta
+        elif r < -epsilon:  # s = -1
+            {z}= negated[i]
+            {step}
+            b -= eta
+        else:  # w -= eta*lam*w
+            shrink = eta * lam
+            {shrink}
+        if iterates is not None:
+            iterates.append(({w}b))
+    return [{w}], b
+"""
+    namespace: dict = {}
+    exec(source, namespace)  # the source holds nothing but names built from d
+    return namespace["run"]

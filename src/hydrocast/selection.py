@@ -213,8 +213,9 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
             .choice(d, size=subset_size, replace=False).tolist()
             for t in range(cfg.trees_per_stage)
         ]
-        trees = fit_stage(X, residual, subsets, cfg.tree_depth, cfg.min_samples_leaf, sorted_X)
-        current = current + cfg.shrinkage * tree_sum(trees, X) / cfg.trees_per_stage
+        trees, outputs = fit_stage(X, residual, subsets, cfg.tree_depth, cfg.min_samples_leaf,
+                                   sorted_X)
+        current = current + cfg.shrinkage * outputs / cfg.trees_per_stage
         stages.append(trees)
         mse.append(float(np.mean((y - current) ** 2)))
         prev, new = mse[-2], mse[-1]

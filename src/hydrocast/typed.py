@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import reprlib
 import typing
 
 _hints = functools.cache(typing.get_type_hints)
@@ -38,6 +39,7 @@ def build(cls, /, **fields):
         if name in hints:
             if not fits(value, hints[name]):
                 expected = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
-                raise TypeError(f"{cls.__name__}.{name} must be {expected}, got {value!r}")
+                raise TypeError(f"{cls.__name__}.{name} must be {expected}, "
+                                f"got {reprlib.repr(value)}")  # bounded, however deep the value
             given[name] = _stored(value, hints[name])
     return cls(**given)

@@ -10,6 +10,7 @@ from hydrocast.cart import (
     fit_tree,
     leaf_values,
     presort,
+    tree_sum,
 )
 from hydrocast.errors import EmptyInput, NonFiniteInput, ShapeMismatch
 from hydrocast.learners.base import RFConfig
@@ -238,8 +239,6 @@ def test_shape_and_empty_errors():
         tree.predict_batch(np.zeros((3, 2)))
     with pytest.raises(ShapeMismatch):
         leaf_values([tree, fit_tree(np.zeros((4, 2)), np.arange(4.0))], np.zeros((3, 1)))
-    with pytest.raises(ShapeMismatch):
-        fit_tree(np.zeros((4, 2)), np.zeros(4), presorted=presort(np.zeros((4, 3))))
 
 
 def test_prediction_is_deterministic():
@@ -295,8 +294,6 @@ def test_fit_tree_matches_per_feature_reference():
         with np.errstate(over="ignore", invalid="ignore"):
             tree = fit_tree(X, y, cfg)
             assert tree.to_dict()["nodes"] == reference_fit_tree(X, y, cfg), (case, cfg)
-            shared = fit_tree(X, y, cfg, presort(X))  # rows of a presort of all columns
-            assert shared.to_dict() == tree.to_dict(), (case, cfg)
             if family == "huge":
                 overflowed += bool(np.isinf(np.cumsum(np.square(y - y.mean()))).any())
                 huge_splits += "feature" in root_of(tree)
@@ -331,7 +328,10 @@ def test_fit_stage_matches_reference_tree_by_tree():
         subsets = [rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()
                    for _ in range(12)] + [[]]
         with np.errstate(over="ignore", invalid="ignore"):
-            trees = fit_stage(X, y, subsets, depth, min_leaf, presort(X) if case % 2 else None)
+            trees, outputs = fit_stage(X, y, subsets, depth, min_leaf,
+                                       presort(X) if case % 2 else None)
+            # every leaf wrote its value at exactly its rows, summed in tree order
+            assert outputs.tobytes() == tree_sum(trees, X).tobytes(), case
             depths = defaultdict(set)
             for subset, tree in zip(subsets, trees):
                 cfg = TreeConfig(max_depth=depth, min_samples_leaf=min_leaf,

@@ -647,6 +647,13 @@ BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit cod
     "seed_true": ([], {"seed": True}, 1),
     "data_not_text": ([], {"data": 5}, 1),
     "output_not_text": ([], {"output": 5}, 1),
+    "rf_max_depth_0": ([], {"learners": {"rf": {"max_depth": 0}}}, 1),
+    "rf_min_samples_leaf_0": ([], {"learners": {"rf": {"min_samples_leaf": 0}}}, 1),
+    "mlp_hidden_size_0": ([], {"learners": {"mlp": {"hidden_sizes": [0]}}}, 1),
+    "mlp_epochs_0": ([], {"learners": {"mlp": {"epochs": 0}}}, 1),
+    "mlp_learning_rate_0": ([], {"learners": {"mlp": {"learning_rate": 0}}}, 1),
+    "svr_epochs_negative": ([], {"learners": {"svr": {"epochs": -3}}}, 1),
+    "svr_step_0": ([], {"learners": {"svr": {"step": 0}}}, 1),
     "train_fraction_above_1": (["--train-fraction", "1.5"], {}, 2),  # a data error, as before
 }
 
@@ -698,6 +705,17 @@ def test_config_nested_too_deeply_exits_1(tmp_path, capsys):
     cfg.write_text('{"seed": ' + "[" * 100000 + "]" * 100000 + "}")
     assert main(["run", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("hydrocast: ")
+
+
+def test_deeply_nested_config_value_is_quoted_in_one_short_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    head = json.dumps({"data": str(tmp_path / "missing.csv"), "output": str(tmp_path / "out"),
+                       "points": "p01"})[:-1]
+    cfg.write_text(head + ', "learners": {"knn": {"k": ' + "[" * 900 + "]" * 900 + "}}}")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "KNNConfig.k" in err
 
 
 def test_csv_cell_past_the_field_limit_fails_every_point(tmp_path, capsys):
