@@ -11,8 +11,8 @@ wins. Routing sends ``value <= threshold`` to the left child. When the
 midpoint of two neighbouring values ``a < b`` fails ``a <= t < b``
 (adjacent floats, or an overflow past 1.8e308), the threshold is ``a``.
 
-A fitted tree is one set of parallel node arrays in pre-order, the same
-flat node list that ``to_dict`` writes. Growth appends each node as it
+A fitted tree is one set of parallel node arrays in pre-order, and
+``to_dict`` writes those arrays as they are. Growth appends each node as it
 visits it; a split fills in its child links once both subtrees are
 grown. Prediction lays a forest's node arrays end to end and moves every
 (tree, row) pair down one level per vectorized step; a single tree is
@@ -51,7 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NonFiniteInput, ShapeMismatch
+from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
+
+#: A tree's node arrays, in the order ``RegressionTree`` takes and ``to_dict`` writes them.
+NODE_COLUMNS = ("feature", "threshold", "left", "right", "value", "n")
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,8 @@ class RegressionTree:
     ``value[i]`` and was fitted on ``n[i]`` rows. Otherwise it sends
     ``x[feature[i]] <= threshold[i]`` to node ``left[i]`` and the rest to
     ``right[i]``. The unused fields hold -1 or 0. Fitted trees list their
-    nodes in pre-order, which is the documented serialized node list.
-    Treat the arrays as read-only.
+    nodes in pre-order, and the serialized tree is these six arrays as
+    lists. Treat the arrays as read-only.
     """
 
     def __init__(self, feature, threshold, left, right, value, n, n_features: int):
@@ -100,11 +103,6 @@ class RegressionTree:
         self.value = np.asarray(value, dtype=np.float64)
         self.n = np.asarray(n, dtype=np.int64)
         self.n_features = int(n_features)
-
-    @classmethod
-    def _from_nodes(cls, nodes, n_features: int) -> "RegressionTree":
-        """Build from (feature, threshold, left, right, value, n) rows."""
-        return cls(*zip(*nodes), n_features)
 
     def predict_batch(self, X) -> np.ndarray:
         """Vectorized prediction for an (n, d) matrix: the one-tree ``leaf_values``."""
@@ -126,34 +124,28 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.left < 0))
 
-    # Serialization: the node arrays as a flat node list with child links by
-    # list index, root at index 0. Stable format; see README.
+    # Serialization: the six node arrays as equal-length lists in pre-order,
+    # child links by index, root at index 0. See README.
     def to_dict(self) -> dict:
-        columns = (self.feature, self.threshold, self.left, self.right, self.value, self.n)
-        nodes = [
-            {"value": value, "n": n} if left < 0
-            else {"feature": feature, "threshold": threshold, "left": left, "right": right}
-            for feature, threshold, left, right, value, n in zip(*(c.tolist() for c in columns))
-        ]
-        return {"n_features": self.n_features, "nodes": nodes}
+        return {"n_features": self.n_features,
+                **{name: getattr(self, name).tolist() for name in NODE_COLUMNS}}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegressionTree":
-        tree = cls._from_nodes(
-            [
-                (-1, 0.0, -1, -1, float(spec["value"]), int(spec["n"])) if "value" in spec
-                else (int(spec["feature"]), float(spec["threshold"]),
-                      int(spec["left"]), int(spec["right"]), 0.0, 0)
-                for spec in payload["nodes"]
-            ],
-            int(payload["n_features"]),
-        )
+        if "nodes" in payload:
+            raise DamagedArtifact("tree in the node-list layout of earlier versions; rerun train")
+        tree = cls(*(payload[name] for name in NODE_COLUMNS), payload["n_features"])
+        size = tree.left.size
+        if not size or {getattr(tree, name).shape for name in NODE_COLUMNS} != {(size,)}:
+            raise ShapeMismatch("tree columns must be non-empty lists of one length")
         # Children after their parent: routing then ends at a leaf in fewer
         # steps than there are nodes, whatever the file holds.
         parent = np.flatnonzero(tree.left >= 0)
         for child in (tree.left[parent], tree.right[parent]):
-            if ((child <= parent) | (child >= tree.left.size)).any():
-                raise ShapeMismatch("tree node list: a child link must point past its parent")
+            if ((child <= parent) | (child >= size)).any():
+                raise ShapeMismatch("tree columns: a child link must point past its parent")
+        if ((tree.feature[parent] < 0) | (tree.feature[parent] >= tree.n_features)).any():
+            raise ShapeMismatch("tree columns: a split feature must lie in [0, n_features)")
         return tree
 
 
@@ -257,7 +249,7 @@ def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
     order, values = presort(X_allowed)
     grower = _Grower(np.ascontiguousarray(X_allowed.T), y, np.asarray(allowed, dtype=np.intp), cfg)
     grower.grow(np.arange(X.shape[0]), order, values, 0)
-    return RegressionTree._from_nodes(grower.nodes, n_features)
+    return RegressionTree(*zip(*grower.nodes), n_features)
 
 
 def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
@@ -286,7 +278,7 @@ def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
     order, values = _sorted_rows(X, union, presorted)
     stage = _StageGrower(np.ascontiguousarray(X.T), y, allowed, cfg)
     stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
-    trees = [RegressionTree._from_nodes(nodes, n_features) for nodes in stage.nodes]
+    trees = [RegressionTree(*zip(*nodes), n_features) for nodes in stage.nodes]
     return trees, _sum_in_order(stage.outputs)
 
 

@@ -13,7 +13,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -98,6 +98,9 @@ class Dataset:
         if (precip < 0).any():
             raise NegativePrecipitation("precipitation values must be nonnegative")
 
+        self._hold(point, timestamps, features, precip)
+
+    def _hold(self, point, timestamps, features, precip) -> None:
         self.point = point
         self.timestamps = timestamps
         self.features = features
@@ -109,14 +112,19 @@ class Dataset:
         return len(self.timestamps)
 
     def take(self, indices) -> "Dataset":
-        """New dataset restricted to the given row indices (kept in order)."""
+        """New dataset restricted to the given row indices (kept in order).
+
+        Strictly ascending indices pick rows this dataset has already
+        validated, still in time order, so they are not checked again.
+        """
         indices = list(indices)
-        return Dataset(
-            self.point,
-            [self.timestamps[i] for i in indices],
-            self.features[indices],
-            self.precip[indices],
-        )
+        timestamps = tuple(self.timestamps[i] for i in indices)
+        features, precip = self.features[indices], self.precip[indices]
+        if indices and indices[0] >= 0 and all(map(lt, indices, indices[1:])):
+            taken = Dataset.__new__(Dataset)
+            taken._hold(self.point, timestamps, features, precip)
+            return taken
+        return Dataset(self.point, timestamps, features, precip)
 
 
 def _month_key(timestamp: str) -> int:

@@ -138,5 +138,5 @@ def model_from_dict(payload: dict) -> FittedModel:
         return MODELS[kind].from_dict(payload)
     except HydrocastError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DamagedArtifact(f"malformed {kind} model payload: {exc!r}") from None

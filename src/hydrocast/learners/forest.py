@@ -22,7 +22,7 @@ def _read_trees(payload) -> list[RegressionTree]:
     return [RegressionTree.from_dict(tree) for tree in payload]
 
 
-#: (read, write) for the forest: each tree as its flat node list.
+#: (read, write) for the forest: each tree as its node columns.
 TREES = (_read_trees, lambda trees: [tree.to_dict() for tree in trees])
 
 

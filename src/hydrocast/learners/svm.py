@@ -13,9 +13,9 @@ order of the vector formula beside it in that function. A step touches a
 handful of values, so this is faster than a numpy call per operation, and
 no step goes through BLAS: the weights are the same floats on every
 machine. Each epoch takes its step sizes from one numpy ``sqrt`` and
-division (both correctly rounded, as ``math.sqrt`` and ``/`` are), and
-folds its averaged iterates into the running sum with one
-``np.add.accumulate``, which adds them one at a time in step order.
+division (both correctly rounded, as ``math.sqrt`` and ``/`` are). The
+running sum of the averaged iterates is kept in locals of the same loop,
+each iterate added as its step makes it.
 """
 
 from __future__ import annotations
@@ -50,42 +50,42 @@ def fit_svr(cfg: SVRConfig, X, y, feature_indices, seed: int) -> SVRModel:
 
     run_epoch = _epoch_loop(d)
     avg_from = cfg.epochs // 2
-    total = np.zeros(d + 1)  # running sum of the averaged iterates (w, b)
+    total = [0.0] * (d + 1)  # running sum of the averaged iterates (w, b)
     for epoch in range(cfg.epochs):
         t = epoch * n  # steps taken so far
         etas = (cfg.step / np.sqrt(np.arange(t + 1, t + n + 1, dtype=np.float64))).tolist()
-        iterates = [] if epoch >= avg_from else None
-        w, b = run_epoch(rng.permutation(n).tolist(), etas, rows, negated, targets, w, b,
-                         lam, cfg.epsilon, iterates)
+        w, b, total = run_epoch(rng.permutation(n).tolist(), etas, rows, negated, targets, w, b,
+                                lam, cfg.epsilon, total, epoch >= avg_from)
         if not (all(map(math.isfinite, w)) and math.isfinite(b)):
             raise NonConvergence(f"SVR parameters diverged in epoch {epoch}")
-        if iterates:
-            # The running sum, adding one iterate at a time as the steps made them.
-            total = np.add.accumulate(np.vstack([total, iterates]), axis=0)[-1]
 
     steps = (cfg.epochs - avg_from) * n  # at least one epoch's
-    return SVRModel(cfg, feature_indices, stats, weights=total[:d] / steps,
-                    bias=float(total[d]) / steps)
+    return SVRModel(cfg, feature_indices, stats, weights=np.array(total[:d]) / steps,
+                    bias=total[d] / steps)
 
 
 def _epoch_loop(d: int):
     """One epoch of SGD steps on ``d`` weights, compiled with each weight a local.
 
     The returned ``run(order, etas, rows, negated, targets, w, b, lam,
-    epsilon, iterates)`` steps on ``rows[i]`` for each ``i`` of ``order``
-    with step size ``etas[k]`` at step ``k``, returns the new ``(w, b)``, and
-    appends each step's ``(*w, b)`` to ``iterates`` unless it is None. With
-    ``s`` the sign of a residual past ``epsilon``, ``negated[i]`` is
+    epsilon, total, average)`` steps on ``rows[i]`` for each ``i`` of
+    ``order`` with step size ``etas[k]`` at step ``k`` and returns the new
+    ``(w, b, total)``. When ``average`` is true, each step's ``(*w, b)`` is
+    added to the running sum ``total``, one step at a time in step order.
+    With ``s`` the sign of a residual past ``epsilon``, ``negated[i]`` is
     ``s * rows[i]`` for ``s = -1``. The source is built from ``d`` alone.
     """
     w = "".join(f"w{j}, " for j in range(d))
     z = "".join(f"z{j}, " for j in range(d))
+    a = "".join(f"a{j}, " for j in range(d))
     dot = " + ".join(f"z{j} * w{j}" for j in range(d))
     step = "; ".join(f"w{j} = w{j} + eta * (z{j} - lam * w{j})" for j in range(d))
     shrink = "; ".join(f"w{j} = w{j} - shrink * w{j}" for j in range(d))
+    accumulate = "; ".join(f"a{j} = a{j} + w{j}" for j in range(d))
     source = f"""
-def run(order, etas, rows, negated, targets, w, b, lam, epsilon, iterates):
+def run(order, etas, rows, negated, targets, w, b, lam, epsilon, total, average):
     {w}= w
+    {a}ab = total
     for i, eta in zip(order, etas):
         {z}= rows[i]
         r = targets[i] - (0.0 + {dot}) - b  # dot summed left to right
@@ -99,9 +99,9 @@ def run(order, etas, rows, negated, targets, w, b, lam, epsilon, iterates):
         else:  # w -= eta*lam*w
             shrink = eta * lam
             {shrink}
-        if iterates is not None:
-            iterates.append(({w}b))
-    return [{w}], b
+        if average:
+            {accumulate}; ab = ab + b
+    return [{w}], b, [{a}ab]
 """
     namespace: dict = {}
     exec(source, namespace)  # the source holds nothing but names built from d

@@ -78,9 +78,10 @@ def reference_fit_tree(X, y, cfg):
     """The CART growth rule one feature and one node at a time.
 
     Each node argsorts every candidate column afresh and scans its cut
-    positions on its own. Returns the documented flat node list (a list of
-    dicts, pre-order, root first), which must equal the ``nodes`` of
-    ``cart.fit_tree(...).to_dict()``. Takes valid, finite input only.
+    positions on its own. Returns the flat node list (a list of dicts,
+    pre-order, root first), which must equal
+    ``node_list(cart.fit_tree(...).to_dict())``. Takes valid, finite input
+    only.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -156,6 +157,42 @@ def reference_fit_tree(X, y, cfg):
 
     grow(np.arange(X.shape[0]), 0)
     return nodes
+
+
+def node_list(tree):
+    """A serialized tree's six node columns as a flat list of node dicts.
+
+    Node ``i`` becomes ``{"value", "n"}`` when ``left[i]`` is negative (a
+    leaf) and ``{"feature", "threshold", "left", "right"}`` otherwise, in
+    column order: the layout ``reference_fit_tree`` returns.
+    """
+    nodes = []
+    for i in range(len(tree["left"])):
+        if tree["left"][i] < 0:
+            nodes.append({"value": tree["value"][i], "n": tree["n"][i]})
+        else:
+            nodes.append({"feature": tree["feature"][i], "threshold": tree["threshold"][i],
+                          "left": tree["left"][i], "right": tree["right"][i]})
+    return nodes
+
+
+def node_columns(nodes, n_features):
+    """The inverse of ``node_list``: a serialized tree built from node dicts.
+
+    A leaf's unused fields hold -1 (links, feature) or 0.0 (threshold), and
+    an internal node's hold 0.0 (value) or 0 (n).
+    """
+    tree = {"n_features": n_features, "feature": [], "threshold": [], "left": [],
+            "right": [], "value": [], "n": []}
+    for node in nodes:
+        leaf = "value" in node
+        tree["feature"].append(-1 if leaf else node["feature"])
+        tree["threshold"].append(0.0 if leaf else node["threshold"])
+        tree["left"].append(-1 if leaf else node["left"])
+        tree["right"].append(-1 if leaf else node["right"])
+        tree["value"].append(node["value"] if leaf else 0.0)
+        tree["n"].append(node["n"] if leaf else 0)
+    return tree
 
 
 def reference_predict(tree, X):

@@ -29,7 +29,13 @@ from hydrocast.selection import (
 )
 from hydrocast.synthetic import generate_synthetic, signal_std
 
-from oracles import best_depth1_splits, error_std_direct, mae_direct, pearson_direct
+from oracles import (
+    best_depth1_splits,
+    error_std_direct,
+    mae_direct,
+    node_list,
+    pearson_direct,
+)
 
 PLANTED = ("air_l01", "rhum_l01", "uwnd_l04", "air_l11", "rhum_l08")
 
@@ -70,7 +76,7 @@ def test_criterion_3_cart_matches_brute_force():
         y = rng.integers(-5, 6, size=n).astype(float)
         best_sse, optima = best_depth1_splits(X, y)
         tree = fit_tree(X, y, TreeConfig(max_depth=1))
-        root = tree.to_dict()["nodes"][0]
+        root = node_list(tree.to_dict())[0]
         if not optima or y.max() == y.min():
             assert "value" in root
             continue

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hydrocast.cart import (
+    NODE_COLUMNS,
     RegressionTree,
     TreeConfig,
     fit_stage,
@@ -12,11 +13,17 @@ from hydrocast.cart import (
     presort,
     tree_sum,
 )
-from hydrocast.errors import EmptyInput, NonFiniteInput, ShapeMismatch
+from hydrocast.errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
 from hydrocast.learners.base import RFConfig
 from hydrocast.learners.forest import fit_rf
 
-from oracles import best_depth1_splits, reference_fit_tree, reference_predict
+from oracles import (
+    best_depth1_splits,
+    node_columns,
+    node_list,
+    reference_fit_tree,
+    reference_predict,
+)
 
 
 def training_mse(tree, X, y) -> float:
@@ -31,8 +38,12 @@ def random_case(rng, max_n=8, max_d=3):
     return X, y
 
 
+def nodes_of(tree):
+    return node_list(tree.to_dict())
+
+
 def root_of(tree):
-    return tree.to_dict()["nodes"][0]
+    return nodes_of(tree)[0]
 
 
 def root_split_of(tree):
@@ -108,11 +119,11 @@ def test_two_samples_with_leaf_minimum_two():
 
 
 def test_boundary_value_routes_left():
-    tree = RegressionTree.from_dict({"n_features": 1, "nodes": [
+    tree = RegressionTree.from_dict(node_columns([
         {"feature": 0, "threshold": 1.0, "left": 1, "right": 2},
         {"value": -1.0, "n": 1},
         {"value": 1.0, "n": 1},
-    ]})
+    ], 1))
     assert tree.predict_batch(np.array([1.0])[None])[0] == -1.0
     assert tree.predict_batch(np.array([1.0 + 1e-12])[None])[0] == 1.0
 
@@ -136,7 +147,7 @@ def test_every_leaf_value_is_mean_of_routed_targets():
     X = rng.standard_normal((100, 3))
     y = rng.standard_normal(100)
     tree = fit_tree(X, y, TreeConfig(max_depth=4, min_samples_leaf=3))
-    nodes = tree.to_dict()["nodes"]
+    nodes = nodes_of(tree)
 
     def leaf_of(x):
         i = 0
@@ -167,7 +178,7 @@ def test_min_samples_leaf_respected():
     X = rng.standard_normal((60, 2))
     y = rng.standard_normal(60)
     tree = fit_tree(X, y, TreeConfig(min_samples_leaf=7))
-    for node in tree.to_dict()["nodes"]:
+    for node in nodes_of(tree):
         if "value" in node:
             assert node["n"] >= 7
 
@@ -212,15 +223,55 @@ def test_json_round_trip():
     assert clone.to_dict() == tree.to_dict()
 
 
+@pytest.mark.parametrize("feature", [-1, 1])
+def test_from_dict_rejects_a_split_feature_outside_n_features(feature):
+    payload = node_columns([
+        {"feature": feature, "threshold": 0.5, "left": 1, "right": 2},
+        {"value": 0.0, "n": 1},
+        {"value": 1.0, "n": 1},
+    ], 1)
+    with pytest.raises(ShapeMismatch):
+        RegressionTree.from_dict(payload)
+
+
 @pytest.mark.parametrize("left, right", [(0, 2), (1, 0), (1, 3), (1, -1)])
 def test_from_dict_rejects_child_links_not_past_the_parent(left, right):
-    payload = {"n_features": 1, "nodes": [
+    payload = node_columns([
         {"feature": 0, "threshold": 0.5, "left": left, "right": right},
         {"value": 0.0, "n": 1},
         {"value": 1.0, "n": 1},
-    ]}
+    ], 1)
     with pytest.raises(ShapeMismatch):
         RegressionTree.from_dict(payload)
+
+
+def test_to_dict_writes_the_six_node_columns():
+    tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
+    assert tree.to_dict() == {
+        "n_features": 1, "feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0],
+        "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 0.0, 1.0], "n": [0, 2, 1],
+    }
+
+
+@pytest.mark.parametrize("damage", [
+    lambda tree: tree["value"].pop(),
+    lambda tree: tree["left"].append(-1),
+    lambda tree: tree.update({name: [] for name in NODE_COLUMNS}),
+    lambda tree: tree.update(n=[[0], [2], [1]]),
+    lambda tree: tree.update(threshold=2.5),
+], ids=["value_short", "left_long", "all_empty", "n_nested", "threshold_scalar"])
+def test_from_dict_rejects_columns_not_one_length(damage):
+    payload = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0])).to_dict()
+    damage(payload)
+    with pytest.raises(ShapeMismatch):
+        RegressionTree.from_dict(payload)
+
+
+def test_from_dict_refuses_the_node_list_layout():
+    tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
+    old = {"n_features": 1, "nodes": node_list(tree.to_dict())}
+    with pytest.raises(DamagedArtifact, match="rerun train"):
+        RegressionTree.from_dict(old)
 
 
 def test_shape_and_empty_errors():
@@ -293,7 +344,7 @@ def test_fit_tree_matches_per_feature_reference():
         )
         with np.errstate(over="ignore", invalid="ignore"):
             tree = fit_tree(X, y, cfg)
-            assert tree.to_dict()["nodes"] == reference_fit_tree(X, y, cfg), (case, cfg)
+            assert nodes_of(tree) == reference_fit_tree(X, y, cfg), (case, cfg)
             if family == "huge":
                 overflowed += bool(np.isinf(np.cumsum(np.square(y - y.mean()))).any())
                 huge_splits += "feature" in root_of(tree)
@@ -302,7 +353,7 @@ def test_fit_tree_matches_per_feature_reference():
 
 def node_row_sets(tree, X):
     """(rows as a frozenset, depth) of every node of a tree, routing all of X."""
-    nodes = tree.to_dict()["nodes"]
+    nodes = nodes_of(tree)
     out = []
 
     def walk(at, rows, depth):
@@ -336,7 +387,7 @@ def test_fit_stage_matches_reference_tree_by_tree():
             for subset, tree in zip(subsets, trees):
                 cfg = TreeConfig(max_depth=depth, min_samples_leaf=min_leaf,
                                  feature_subset=tuple(subset))
-                assert tree.to_dict()["nodes"] == reference_fit_tree(X, y, cfg), (case, subset)
+                assert nodes_of(tree) == reference_fit_tree(X, y, cfg), (case, subset)
                 for rows, at in node_row_sets(tree, X):
                     depths[rows].add(at)
         two_depths += any(len(at) > 1 for at in depths.values())
@@ -377,7 +428,7 @@ def test_empty_feature_subset_gives_single_leaf():
 def test_degenerate_midpoint_still_splits(column, max_depth):
     X = np.array(column).reshape(-1, 1)
     tree = fit_tree(X, np.array([0.0, 1.0]), TreeConfig(max_depth=max_depth))
-    nodes = tree.to_dict()["nodes"]
+    nodes = nodes_of(tree)
     assert len(nodes) == 3
     assert column[0] <= nodes[0]["threshold"] < column[1]
     assert [(node["value"], node["n"]) for node in nodes[1:]] == [(0.0, 1), (1.0, 1)]
@@ -391,7 +442,7 @@ def routing_case(rng):
     X = rng.integers(0, 5, size=(n_train, d)).astype(float)  # ties land on thresholds
     y = rng.standard_normal(n_train)
     trees = [
-        RegressionTree.from_dict({"n_features": d, "nodes": [{"value": float(y[0]), "n": 1}]}),
+        RegressionTree.from_dict(node_columns([{"value": float(y[0]), "n": 1}], d)),
         fit_tree(X, np.full(n_train, 2.0)),  # constant target: a single leaf
         fit_tree(X, y, TreeConfig(max_depth=1)),  # a stump, or a leaf on constant columns
         fit_tree(X, y, TreeConfig(max_depth=int(rng.integers(2, 5)), seed=1)),

@@ -229,6 +229,24 @@ def test_split_444_gives_400_44():
     assert len(train) == 400 and len(test) == 44
 
 
+@pytest.mark.parametrize("mode", [CHRONOLOGICAL, SEEDED_RANDOM])
+def test_split_of_validated_rows_equals_a_validated_take(mode):
+    data = make_dataset(60)
+    for part in split(data, SplitSpec(mode=mode, seed=3)):
+        rows = [data.timestamps.index(t) for t in part.timestamps]
+        full = Dataset(POINT, part.timestamps, data.features[rows], data.precip[rows])
+        assert part.point == full.point and part.timestamps == full.timestamps
+        assert part.features.tobytes() == full.features.tobytes()
+        assert part.precip.tobytes() == full.precip.tobytes()
+        assert not part.features.flags.writeable and not part.precip.flags.writeable
+    with pytest.raises(DuplicateTimestamp):
+        data.take([3, 1, 3])
+    with pytest.raises(DuplicateTimestamp):
+        data.take([-60, 0])  # ascending as numbers, but both name the first row
+    reordered = data.take([5, 2])
+    assert reordered.timestamps == (data.timestamps[2], data.timestamps[5])
+
+
 def test_split_single_sample_fails():
     data = make_dataset(20).take([0])
     with pytest.raises(FractionOutOfRange):

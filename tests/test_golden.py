@@ -9,6 +9,12 @@ standardized training rows, whose mean and std are numpy reductions, not
 BLAS calls, and the SVR steps on Python floats). A change to tree
 growth, standardization, prediction or serialization that moves any byte
 of these fails here. Update the pin only with a change that means to alter artifacts.
+
+``PINNED_SHA256`` was recorded when ``models.json`` wrote each tree as a
+list of node dicts, and it is still taken over that view of the ``rf``
+trees (``oracles.node_list``): the trees themselves have not changed since.
+``WRITTEN_SHA256`` pins the same parts as the file writes them, each tree
+as its six node columns.
 """
 
 import hashlib
@@ -17,7 +23,14 @@ import json
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast.cli import main
 
+from oracles import node_list
+
 PINNED_SHA256 = "0d850a4396f1d63a7d44a915ba2a8d0cca38e03c02b70c50648e5d642d65024d"
+WRITTEN_SHA256 = "24398d509433208a5406e1cc4d14cd36331192f4fa871a8064b0824f0247bdef"
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def test_one_point_run_artifact_digest(tmp_path):
@@ -56,5 +69,7 @@ def test_one_point_run_artifact_digest(tmp_path):
     }
     assert selection["n_stages"] == 2
     assert len(pinned["rf"]["trees"]) == 10
-    digest = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
-    assert digest == PINNED_SHA256
+    assert _sha256(pinned) == WRITTEN_SHA256
+    node_lists = [{"n_features": tree["n_features"], "nodes": node_list(tree)}
+                  for tree in pinned["rf"]["trees"]]
+    assert _sha256({**pinned, "rf": {**pinned["rf"], "trees": node_lists}}) == PINNED_SHA256

@@ -14,6 +14,8 @@ from hydrocast.learners import MODELS
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
 from hydrocast.selection import BoostConfig, SelectionConfig, run_selection
 
+from oracles import node_list
+
 POINTS = "p01,p02"
 
 
@@ -518,6 +520,10 @@ def _edit_json(change):
     return edit
 
 
+def _edit_first_tree(change):
+    return _edit_json(lambda p: change(p["models"]["rf"]["trees"][0]))
+
+
 BAD_P02 = {
     "negative_precip": (_edit_p02_row("precip", "-1.0"), None, ["30_67.5"]),
     "bad_date": (_edit_p02_row("date", "2020-13"), None, ["30_67.5"]),
@@ -525,10 +531,32 @@ BAD_P02 = {
     "non_numeric_feature": (_edit_p02_row("air_l05", "n/a"), None, ["30_67.5"]),
     "truncated_selection": (None, ("selection.json", _truncate), ["30_67.5"]),
     "truncated_models": (None, ("models.json", _truncate), ["30_67.5"]),
-    "node_without_threshold": (
+    "tree_without_threshold_column": (
+        None, ("models.json", _edit_first_tree(lambda tree: tree.pop("threshold"))),
+        ["30_67.5:rf"],
+    ),
+    "tree_columns_of_unequal_length": (
+        None, ("models.json", _edit_first_tree(lambda tree: tree["value"].pop())),
+        ["30_67.5:rf"],
+    ),
+    "tree_child_link_not_past_parent": (
+        None, ("models.json", _edit_first_tree(lambda tree: tree["left"].__setitem__(0, 0))),
+        ["30_67.5:rf"],
+    ),
+    "forest_in_node_list_layout": (  # as earlier versions wrote it
         None,
-        ("models.json", _edit_json(
-            lambda p: p["models"]["rf"]["trees"][0]["nodes"][0].pop("threshold"))),
+        ("models.json", _edit_json(lambda p: p["models"]["rf"].update(trees=[
+            {"n_features": tree["n_features"], "nodes": node_list(tree)}
+            for tree in p["models"]["rf"]["trees"]]))),
+        ["30_67.5:rf"],
+    ),
+    "tree_feature_past_n_features": (
+        None, ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, 99))),
+        ["30_67.5:rf"],
+    ),
+    "tree_index_past_int64": (
+        None,
+        ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, 10**30))),
         ["30_67.5:rf"],
     ),
     "selection_without_top_features": (
