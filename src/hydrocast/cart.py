@@ -19,29 +19,28 @@ grown. Prediction lays a forest's node arrays end to end and moves every
 the one-tree case.
 
 The search is exact, in the presort form of XGBoost's exact greedy
-algorithm (Chen & Guestrin 2016): each tree stable-sorts its allowed
-columns once, and a boosting stage may take its columns' rows of a
-presort that its caller shares across stages. Every split hands each
-child the rows of that order that route to it, which keeps the order
-sorted with tied values in ascending row order. A node then scores all
-its candidate features together with one cumulative sum per statistic,
-working in place on the arrays it gathers. When
-``features_per_node`` is set, each node draws its candidates from the
+algorithm (Chen & Guestrin 2016): a stage stable-sorts its trees' columns
+once, or takes their rows of a presort that its caller shares across
+stages. Every split hands each child the rows of that order that route to
+it, which keeps the order sorted with tied values in ascending row order.
+A node then scores all its candidate features together with one
+cumulative sum per statistic, working in place on the arrays it gathers.
+When ``features_per_node`` is set, each node draws its candidates from the
 tree's seeded generator just before its own search, so the draws follow
 the node order above.
 
-Two growers share that scoring. ``fit_tree`` grows one tree; the random
-forest uses it, since its per-node draws follow each tree's own node
-order. ``fit_stage`` grows a boosting stage's trees together: they fit one
-target on one matrix, each on its own column subset, so many of their
-nodes hold the same rows (all of them share the root). Each such row set
-is scored once, over the union of the subsets of the trees that reach it
-by the same splits; each tree then takes the first lowest-scoring column
-of its own subset, so every tree equals its ``fit_tree`` twin node for
-node. Row sets are visited depth-first, and a child's sorted rows are
-built for its own trees' columns only and dropped once its subtree is
-grown. Each leaf also writes its value at its rows, so the stage's
-output on its training rows comes with the trees, without routing them.
+One grower does all growth, and ``fit_tree`` is a stage of one tree.
+``fit_stage`` grows a boosting stage's trees together: they fit one target
+on one matrix, each on its own column subset, so many of their nodes hold
+the same rows (all of them share the root). Row sets are visited
+depth-first, each with the trees that reach it by the same splits. Several
+trees score their set once over the union of their subsets, and each takes
+the first lowest-scoring column of its own subset. One tree scores its own
+columns, or the ones it draws, so every stage tree equals its ``fit_tree``
+twin node for node. A child's sorted rows are built for its own trees'
+columns only and dropped once its subtree is grown. Each leaf also writes
+its value at its rows, so the stage's output on its training rows comes
+with the trees, without routing them.
 """
 
 from __future__ import annotations
@@ -52,9 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
+from .typed import fits
 
 #: A tree's node arrays, in the order ``RegressionTree`` takes and ``to_dict`` writes them.
 NODE_COLUMNS = ("feature", "threshold", "left", "right", "value", "n")
+#: The dtype kinds each column's JSON list may give: integers ("i"), or any number ("if").
+_COLUMN_KINDS = ("i", "if", "i", "i", "if", "i")
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,17 @@ class RegressionTree:
     def from_dict(cls, payload: dict) -> "RegressionTree":
         if "nodes" in payload:
             raise DamagedArtifact("tree in the node-list layout of earlier versions; rerun train")
-        tree = cls(*(payload[name] for name in NODE_COLUMNS), payload["n_features"])
-        size = tree.left.size
-        if not size or {getattr(tree, name).shape for name in NODE_COLUMNS} != {(size,)}:
+        columns = [np.asarray(payload[name]) for name in NODE_COLUMNS]
+        size = columns[0].size
+        if not size or {column.shape for column in columns} != {(size,)}:
             raise ShapeMismatch("tree columns must be non-empty lists of one length")
+        # A fraction where an integer belongs would be truncated, a null would
+        # become NaN, and neither is what was written.
+        if (any(column.dtype.kind not in kinds for column, kinds in zip(columns, _COLUMN_KINDS))
+                or not fits(payload["n_features"], int)):
+            raise ShapeMismatch("tree columns: links, features, counts and n_features must be "
+                                "integers, thresholds and values numbers")
+        tree = cls(*columns, payload["n_features"])
         # Children after their parent: routing then ends at a leaf in fewer
         # steps than there are nodes, whatever the file holds.
         parent = np.flatnonzero(tree.left >= 0)
@@ -223,33 +232,12 @@ def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _sorted_rows(X, features, presorted):
-    """The presort rows of ``features``: from ``presorted`` when given, else sorted here."""
-    if presorted is None:
-        return presort(X[:, features])
-    if any(part.shape != (X.shape[1], X.shape[0]) for part in presorted):
-        raise ShapeMismatch(f"presort does not match X {X.shape}")
-    return presorted[0][features], presorted[1][features]
-
-
 def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
-    """Grow a squared-error CART tree on ``(X, y)``."""
+    """Grow a squared-error CART tree on ``(X, y)``: a stage of one tree, over
+    ``cfg.feature_subset`` or every column."""
     X, y = _training_data(X, y)
-    n_features = X.shape[1]
-    if cfg.feature_subset is not None:
-        allowed = cfg.feature_subset
-        if allowed and (allowed[0] < 0 or allowed[-1] >= n_features):
-            raise ShapeMismatch(f"feature_subset out of range for {n_features} features")
-    else:
-        allowed = tuple(range(n_features))
-
-    # The one sort of the tree, row j for feature allowed[j]. Nodes only
-    # partition it.
-    X_allowed = X[:, list(allowed)]
-    order, values = presort(X_allowed)
-    grower = _Grower(np.ascontiguousarray(X_allowed.T), y, np.asarray(allowed, dtype=np.intp), cfg)
-    grower.grow(np.arange(X.shape[0]), order, values, 0)
-    return RegressionTree(*zip(*grower.nodes), n_features)
+    subset = range(X.shape[1]) if cfg.feature_subset is None else cfg.feature_subset
+    return _grow_stage(X, y, [subset], cfg, None)[0][0]
 
 
 def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
@@ -258,15 +246,19 @@ def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
 
     Tree ``t`` equals ``fit_tree(X, residual, TreeConfig(max_depth=tree_depth,
     min_samples_leaf=min_samples_leaf, feature_subset=subsets[t]))`` node for
-    node, but the trees grow together: each row set that some trees reach
-    by the same splits is scored once, over the union of their subsets.
-    Returns the trees and ``tree_sum(trees, X)``, the sum of their outputs
-    on the training rows, which each leaf fills in for its rows as it is
-    written.
+    node. Returns the trees and ``tree_sum(trees, X)``, the sum of their outputs
+    on the training rows, which each leaf fills in for its rows as it is written.
     """
     X, y = _training_data(X, residual)
-    n_rows, n_features = X.shape
     cfg = TreeConfig(max_depth=tree_depth, min_samples_leaf=min_samples_leaf)
+    trees, outputs = _grow_stage(X, y, subsets, cfg, presorted)
+    return trees, _sum_in_order(outputs)
+
+
+def _grow_stage(X, y, subsets, cfg: TreeConfig, presorted):
+    """The trees over ``subsets`` grown together on checked ``(X, y)``, and each
+    tree's outputs on those rows as a (trees, rows) array."""
+    n_rows, n_features = X.shape
     allowed = np.zeros((len(subsets), n_features), dtype=bool)
     for t, subset in enumerate(subsets):
         subset = sorted(set(subset))
@@ -274,80 +266,26 @@ def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
             raise ShapeMismatch(f"feature_subset out of range for {n_features} features")
         allowed[t, subset] = True
 
+    # The one sort of the stage, row j for column union[j]. Row sets only
+    # partition it.
     union = np.flatnonzero(allowed.any(axis=0))
-    order, values = _sorted_rows(X, union, presorted)
+    if presorted is None:
+        order, values = presort(X[:, union])
+    elif any(part.shape != (n_features, n_rows) for part in presorted):
+        raise ShapeMismatch(f"presort does not match X {X.shape}")
+    else:
+        order, values = presorted[0][union], presorted[1][union]
     stage = _StageGrower(np.ascontiguousarray(X.T), y, allowed, cfg)
     stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
-    trees = [RegressionTree(*zip(*nodes), n_features) for nodes in stage.nodes]
-    return trees, _sum_in_order(stage.outputs)
-
-
-class _Grower:
-    """Depth-first, left-first growth of one tree over its presorted columns.
-
-    Each node is appended to ``nodes`` as it is visited, so the list comes
-    out in pre-order: a split's left child is the next node, and its right
-    child follows the left subtree.
-    """
-
-    def __init__(self, columns, y, allowed, cfg: TreeConfig):
-        self.columns = columns
-        self.y = y
-        self.allowed = allowed
-        self.cfg = cfg
-        self.draw = cfg.features_per_node is not None and cfg.features_per_node < allowed.size
-        self.rng = np.random.default_rng(cfg.seed)
-        self.counts = np.arange(y.size + 1, dtype=np.float64)
-        self.nodes: list[tuple] = []
-
-    def grow(self, idx, order, values, depth) -> None:
-        """Append the subtree over the rows ``idx`` (ascending), given their sorted columns.
-
-        ``order`` and ``values`` may be None for a node that ``_may_split``
-        rules out, which is a leaf.
-        """
-        m = idx.size
-        y_node = self.y[idx]
-        mean = _mean(y_node)
-        best = rows = None
-        if _may_split(self.cfg, m, depth) and not _constant(y_node):
-            scored = (order, values)
-            if self.draw:
-                rows = self.rng.choice(self.allowed.size, size=self.cfg.features_per_node,
-                                       replace=False)
-                rows.sort()
-                scored = (order.take(rows, axis=0), values.take(rows, axis=0))
-            best = _best_split(self.y, mean, *scored, self.cfg.min_samples_leaf, self.counts)
-        if best is None:
-            self.nodes.append((-1, 0.0, -1, -1, float(mean), m))
-            return
-
-        row, threshold = best
-        if self.draw:
-            row = int(rows[row])
-        slot = len(self.nodes)
-        self.nodes.append(None)
-        go_left = self.columns[row] <= threshold
-        left_rows = go_left[idx]
-        children = (idx[left_rows], idx[~left_rows])
-        links = []
-        for child, (child_order, child_values) in zip(
-                children, _child_rows(self.cfg, order, values, go_left, children, depth + 1)):
-            links.append(len(self.nodes))
-            self.grow(child, child_order, child_values, depth + 1)
-        self.nodes[slot] = (int(self.allowed[row]), threshold, *links, 0.0, 0)
+    return [RegressionTree(*zip(*nodes), n_features) for nodes in stage.nodes], stage.outputs
 
 
 class _StageGrower:
-    """Depth-first growth of a stage's trees together, one row set at a time.
-
-    A call handles the trees that reach one row set by the same splits: it
-    scores the set once over the union of their subsets, lets each tree take
-    its own best column (or a leaf), and grows each chosen column's two
-    children for the trees that chose it. A tree's nodes are appended to its
-    own list in the order it visits them, so each list comes out in the
-    pre-order that ``_Grower`` writes. A leaf also writes its value into its
-    tree's row of ``outputs`` at its rows.
+    """Depth-first growth of a stage's trees, one row set at a time, as the module
+    docstring describes. A tree's nodes are appended to its own list as it
+    visits them, so each list comes out in pre-order: a split's left child is
+    the next node, and its right child follows the left subtree. A leaf also
+    writes its value into its tree's row of ``outputs`` at its rows.
     """
 
     def __init__(self, columns, y, allowed, cfg: TreeConfig):
@@ -355,6 +293,7 @@ class _StageGrower:
         self.y = y
         self.allowed = allowed
         self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
         self.counts = np.arange(y.size + 1, dtype=np.float64)
         self.nodes: list[list[tuple]] = [[] for _ in range(allowed.shape[0])]
         self.outputs = np.empty((allowed.shape[0], y.size))
@@ -363,7 +302,7 @@ class _StageGrower:
         leaf = (-1, 0.0, -1, -1, float(mean), idx.size)
         for t in trees:
             self.nodes[t].append(leaf)
-        self.outputs[np.array(trees)[:, None], idx] = mean
+            self.outputs[t][idx] = mean
 
     def grow(self, trees, idx, union, order, values, depth) -> None:
         """Append the node over the rows ``idx`` (ascending) to each tree in ``trees``.
@@ -372,10 +311,27 @@ class _StageGrower:
         over ``idx``; they may be None where ``_may_split`` rules the node out.
         """
         y_node = self.y[idx]
-        mean = _mean(y_node)
-        if not (union.size and _may_split(self.cfg, idx.size, depth) and not _constant(y_node)):
+        mean = np.add.reduce(y_node) / idx.size  # y_node.mean(), bit for bit, without its wrapper
+        cfg = self.cfg
+        if not (union.size and _may_split(cfg, idx.size, depth)
+                and np.count_nonzero(y_node != y_node[0])):  # constant targets make a leaf
             return self.leaf(trees, idx, mean)
-        per_row, cuts = _split_scores(self.y, mean, order, values, self.cfg.min_samples_leaf,
+        if len(trees) == 1:  # union is the tree's own subset
+            drawn = None
+            scored = (order, values)
+            if cfg.features_per_node is not None and cfg.features_per_node < union.size:
+                drawn = self.rng.choice(union.size, size=cfg.features_per_node, replace=False)
+                drawn.sort()
+                scored = (order.take(drawn, axis=0), values.take(drawn, axis=0))
+            best = _best_split(self.y, mean, *scored, cfg.min_samples_leaf, self.counts)
+            if best is None:
+                return self.leaf(trees, idx, mean)
+            row, cut = best
+            if drawn is not None:
+                row = int(drawn[row])
+            return self.split(trees, idx, union, order, values, depth, row, cut, None)
+
+        per_row, cuts = _split_scores(self.y, mean, order, values, cfg.min_samples_leaf,
                                       self.counts)
         member = self.allowed[trees][:, union]
         scores = np.where(member, per_row, np.inf)
@@ -390,40 +346,37 @@ class _StageGrower:
                 leaves.append(t)
         if leaves:
             self.leaf(leaves, idx, mean)
-
         for row in sorted(groups):
-            group = [trees[pos] for pos in groups[row]]
-            threshold = _threshold(values[row], int(cuts[row]))
-            slots = [len(self.nodes[t]) for t in group]
-            for t in group:
-                self.nodes[t].append(None)
-            go_left = self.columns[union[row]] <= threshold
-            left_rows = go_left[idx]
-            children = (idx[left_rows], idx[~left_rows])
             sub = member[groups[row]].any(axis=0).nonzero()[0]  # rows of the group's columns
-            child_rows = _child_rows(self.cfg, order, values, go_left, children, depth + 1, sub)
-            starts = []
-            for child, (child_order, child_values) in zip(children, child_rows):
-                starts.append([len(self.nodes[t]) for t in group])
-                self.grow(group, child, union[sub], child_order, child_values, depth + 1)
-            feature = int(union[row])
-            for t, slot, left, right in zip(group, slots, *starts):
-                self.nodes[t][slot] = (feature, threshold, left, right, 0.0, 0)
+            self.split([trees[pos] for pos in groups[row]], idx, union, order, values, depth,
+                       row, int(cuts[row]), None if sub.size == union.size else sub)
+
+    def split(self, trees, idx, union, order, values, depth, row, cut, sub) -> None:
+        """Append to each tree in ``trees`` a split of ``idx`` at sorted position ``cut`` of
+        column ``union[row]``, then its two subtrees, whose row sets carry the rows ``sub``
+        of ``union`` (all of them when None)."""
+        threshold = _threshold(values[row], cut)
+        slots = [len(self.nodes[t]) for t in trees]
+        for t in trees:
+            self.nodes[t].append(None)
+        feature = int(union[row])
+        go_left = self.columns[feature] <= threshold
+        left_rows = go_left[idx]
+        children = (idx[left_rows], idx[~left_rows])
+        (left_order, left_values), (right_order, right_values) = _child_rows(
+            self.cfg, order, values, go_left, children, depth + 1, sub)
+        if sub is not None:
+            union = union[sub]
+        self.grow(trees, children[0], union, left_order, left_values, depth + 1)
+        rights = [len(self.nodes[t]) for t in trees]  # a left child follows its parent
+        self.grow(trees, children[1], union, right_order, right_values, depth + 1)
+        for t, slot, right in zip(trees, slots, rights):
+            self.nodes[t][slot] = (feature, threshold, slot + 1, right, 0.0, 0)
 
 
 def _may_split(cfg: TreeConfig, n, depth) -> bool:
     """Whether the growth limits let a node of ``n`` rows at ``depth`` split."""
     return n >= 2 * cfg.min_samples_leaf and (cfg.max_depth is None or depth < cfg.max_depth)
-
-
-def _mean(y_node):
-    """``y_node.mean()``, bit for bit, without its wrapper's overhead."""
-    return np.add.reduce(y_node) / y_node.size
-
-
-def _constant(y_node) -> bool:
-    """Whether every (finite) target of a node is the same."""
-    return not np.count_nonzero(y_node != y_node[0])
 
 
 def _child_rows(cfg: TreeConfig, order, values, go_left, children, depth, rows=None):
@@ -507,13 +460,11 @@ def _threshold(sorted_values, cut) -> float:
 
 
 def _best_split(y, mean, order, values, min_leaf, counts):
-    """Best (row of ``order``, threshold) over all candidates, or None.
+    """Best (row of ``order``, cut) over all candidates, or None.
 
     The winner is the first candidate row holding the lowest score of
     ``_split_scores``; a row scoring +inf never wins.
     """
-    if order.shape[0] == 0:
-        return None
     sse, lo = _cut_scores(y, mean, order, values, min_leaf, counts)
     # Without NaNs, the first lowest cut in row-major order is the first
     # lowest cut of the first lowest row.
@@ -523,6 +474,4 @@ def _best_split(y, mean, order, values, min_leaf, counts):
         per_row, cuts = _split_scores(y, mean, order, values, min_leaf, counts)
         row = int(per_row.argmin())
         score, cut = per_row[row], int(cuts[row])
-    if score == np.inf:
-        return None
-    return row, _threshold(values[row], cut)
+    return None if score == np.inf else (row, cut)

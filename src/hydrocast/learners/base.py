@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..typed import build
+from ..typed import build, float_array
 
 RF = "rf"
 KNN = "knn"
@@ -113,7 +113,7 @@ class Standardization:
 
 
 #: (read, write) for a float array field: JSON nested lists <-> ndarray.
-ARRAY = (lambda value: np.asarray(value, dtype=np.float64), lambda array: array.tolist())
+ARRAY = (float_array, lambda array: array.tolist())
 #: (read, write) for a float scalar field.
 FLOAT = (float, float)
 

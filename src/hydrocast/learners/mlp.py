@@ -12,13 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NonConvergence
+from ..typed import float_array
 from .base import FLOAT, MLP, FittedModel, MLPConfig, Standardization
 
 
 #: (read, write) for the layers: one {"W", "b"} object per (W, b) pair.
 LAYERS = (
-    lambda payload: [(np.asarray(layer["W"], dtype=np.float64),
-                      np.asarray(layer["b"], dtype=np.float64)) for layer in payload],
+    lambda payload: [(float_array(layer["W"]), float_array(layer["b"])) for layer in payload],
     lambda layers: [{"W": W.tolist(), "b": b.tolist()} for W, b in layers],
 )
 

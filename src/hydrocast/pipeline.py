@@ -22,6 +22,7 @@ Artifacts (all JSON unless noted):
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -120,7 +121,20 @@ def _write_json(path: Path, payload) -> None:
         text = json.dumps(payload, allow_nan=False, **layout)
     except ValueError:
         raise DamagedArtifact(f"{path}: not written, as it holds a non-finite number") from None
-    path.write_text(text + "\n", encoding="utf-8")
+    _write_text(path, text + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it onto ``path``,
+    so a reader finds the old file or the new one, never a part. A failed write or
+    move takes the temporary file away with it."""
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _refuse_constant(literal: str):
@@ -325,7 +339,7 @@ def stage_report(output_dir, fmt: str = TEXT_TABLE,
     rendered = render_report(report, fmt)
     suffix = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
     out = Path(output_dir) / suffix[fmt]
-    out.write_text(rendered, encoding="utf-8")
+    _write_text(out, rendered)
     return rendered
 
 

@@ -1,10 +1,12 @@
-"""The one checked path from a JSON object to one of the program's dataclasses."""
+"""The one checked path from JSON to the program's dataclasses and float arrays."""
 
 from __future__ import annotations
 
 import functools
 import reprlib
 import typing
+
+import numpy as np
 
 _hints = functools.cache(typing.get_type_hints)
 
@@ -43,3 +45,13 @@ def build(cls, /, **fields):
                                 f"got {reprlib.repr(value)}")  # bounded, however deep the value
             given[name] = _stored(value, hints[name])
     return cls(**given)
+
+
+def float_array(value) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float array. A null or a string
+    in it, or a ragged list, raises ``ValueError``, where a float conversion would
+    turn null into NaN and a numeric string into its number."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"expected numbers, got {reprlib.repr(value)}")
+    return array.astype(np.float64, copy=False)

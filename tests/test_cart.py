@@ -267,6 +267,25 @@ def test_from_dict_rejects_columns_not_one_length(damage):
         RegressionTree.from_dict(payload)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda tree: tree["left"].__setitem__(0, 1.5),
+    lambda tree: tree["feature"].__setitem__(0, 0.5),
+    lambda tree: tree["n"].__setitem__(1, 2.0),
+    lambda tree: tree["value"].__setitem__(1, None),
+    lambda tree: tree["threshold"].__setitem__(0, None),
+    lambda tree: tree["threshold"].__setitem__(0, "2.5"),
+    lambda tree: tree["right"].__setitem__(0, 2**63),
+    lambda tree: tree.update(n_features=1.5),
+    lambda tree: tree.update(n_features=True),
+], ids=["left_fractional", "feature_fractional", "n_float", "value_null", "threshold_null",
+        "threshold_text", "right_past_int64", "n_features_fractional", "n_features_bool"])
+def test_from_dict_refuses_numbers_it_would_change(damage):
+    payload = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0])).to_dict()
+    damage(payload)
+    with pytest.raises(ShapeMismatch):
+        RegressionTree.from_dict(payload)
+
+
 def test_from_dict_refuses_the_node_list_layout():
     tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
     old = {"n_features": 1, "nodes": node_list(tree.to_dict())}

@@ -3,6 +3,7 @@ import pytest
 
 from hydrocast.cart import TreeConfig, fit_tree
 from hydrocast.errors import (
+    DamagedArtifact,
     DuplicateKind,
     NonFiniteInput,
     ShapeMismatch,
@@ -387,3 +388,21 @@ def test_serialization_round_trip(kind, hyper):
     assert clone.feature_indices == (4, 9, 13)
     Xq = rng.standard_normal((15, 3))
     np.testing.assert_array_equal(model.predict_batch(Xq), clone.predict_batch(Xq))
+
+
+@pytest.mark.parametrize("kind,hyper,damage", [
+    ("lr", None, lambda p: p["weights"].__setitem__(0, None)),
+    ("lr", None, lambda p: p["weights"].__setitem__(0, "1.5")),
+    ("svr", SVRConfig(epochs=5), lambda p: p["weights"].__setitem__(0, None)),
+    ("knn", KNNConfig(k=2), lambda p: p["train_z"][0].__setitem__(0, None)),
+    ("knn", KNNConfig(k=2), lambda p: p["train_y"].__setitem__(0, "x")),
+    ("mlp", MLPConfig(epochs=5), lambda p: p["layers"][0]["W"][0].__setitem__(0, None)),
+    ("mlp", MLPConfig(epochs=5), lambda p: p["layers"][0]["b"].__setitem__(0, None)),
+], ids=["lr_null", "lr_text", "svr_null", "knn_z_null", "knn_y_text", "mlp_w_null", "mlp_b_null"])
+def test_float_state_refuses_what_is_not_a_number(kind, hyper, damage):
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((20, 2))
+    payload = model_to_dict(fit(LearnerSpec(kind, hyper, seed=3), X, X[:, 0]))
+    damage(payload)
+    with pytest.raises(DamagedArtifact, match=f"malformed {kind} model payload"):
+        model_from_dict(payload)

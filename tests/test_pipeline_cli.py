@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from functools import reduce
 from pathlib import Path
 
@@ -554,6 +555,23 @@ BAD_P02 = {
         None, ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, 99))),
         ["30_67.5:rf"],
     ),
+    "tree_child_link_fractional": (
+        None,
+        ("models.json", _edit_first_tree(lambda tree: tree["left"].__setitem__(
+            0, tree["left"][0] + 0.5))),
+        ["30_67.5:rf"],
+    ),
+    "tree_leaf_value_null": (
+        None,
+        ("models.json", _edit_first_tree(lambda tree: tree["value"].__setitem__(
+            tree["left"].index(-1), None))),
+        ["30_67.5:rf"],
+    ),
+    "lr_weight_null": (
+        None,
+        ("models.json", _edit_json(lambda p: p["models"]["lr"]["weights"].__setitem__(0, None))),
+        ["30_67.5:lr"],
+    ),
     "tree_index_past_int64": (
         None,
         ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, 10**30))),
@@ -602,6 +620,10 @@ BAD_P02 = {
 }
 
 
+#: Text that a case's error message must hold, for cases whose message is checked.
+BAD_P02_MESSAGES = {"lr_weight_null": "malformed lr model payload"}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_P02))
 def test_bad_point_fails_alone(tmp_path, monkeypatch, case):
     edit_csv, damage, expected_keys = BAD_P02[case]
@@ -627,9 +649,31 @@ def test_bad_point_fails_alone(tmp_path, monkeypatch, case):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, small_config(bad, out), "bad.json")
     assert main(["run", "--config", str(cfg)]) == 2
-    assert list(json.loads((out / "errors.json").read_text())) == expected_keys
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == expected_keys
+    if case in BAD_P02_MESSAGES:
+        assert BAD_P02_MESSAGES[case] in errors[expected_keys[0]]
     for name in ("selection.json", "models.json", "evaluation.json"):
         assert (out / "27.5_67.5" / name).read_bytes() == (clean / "27.5_67.5" / name).read_bytes()
+
+
+@pytest.mark.parametrize("failing", ["selection.json", "report.json", "report.txt"])
+def test_a_failed_replace_leaves_the_finished_output_as_it_was(tmp_path, monkeypatch, failing):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    before = read_tree(out)
+    replace = os.replace
+
+    def refuse(src, dst):
+        if Path(dst).name == failing:
+            raise OSError(f"no room for {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert read_tree(out) == before  # report.json as it was, and no temporary file left
 
 
 def test_each_command_parses_the_csv_once(tmp_path, monkeypatch):
