@@ -146,6 +146,8 @@ class RegressionTree:
                 or not fits(payload["n_features"], int)):
             raise ShapeMismatch("tree columns: links, features, counts and n_features must be "
                                 "integers, thresholds and values numbers")
+        if not (np.isfinite(columns[1]).all() and np.isfinite(columns[4]).all()):
+            raise ValueError("tree columns: thresholds and values must be finite")
         tree = cls(*columns, payload["n_features"])
         # Children after their parent: routing then ends at a leaf in fewer
         # steps than there are nodes, whatever the file holds.

@@ -202,14 +202,11 @@ def build_pipeline_config(args) -> PipelineConfig:
     """The run's settings, checked before any data is read."""
     settings = _settings(args, "data", "output")
     with _config_checked():
-        boost = _section(settings, "boost")
-        if boost.get("seed") is not None:
-            raise UsageError("config 'boost' takes no 'seed'; boosting seeds derive from 'seed'")
         selection = build(
             SelectionConfig,
             colinearity=build(ColinearityConfig, gamma=settings.get("gamma"),
                               norm=settings.get("norm")),
-            boost=build(BoostConfig, **boost),
+            boost=build(BoostConfig, **_section(settings, "boost")),
             kappa=settings.get("kappa"),
         )
         learners = PipelineConfig.learners
@@ -304,10 +301,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"hydrocast: {exc}", file=sys.stderr)
         return 1
-    except HydrocastError as exc:
-        print(f"hydrocast: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing file, or a path the system refuses
+    except (HydrocastError, OSError) as exc:  # OSError: a missing file, or a path refused
         print(f"hydrocast: {exc}", file=sys.stderr)
         return 2
     return code

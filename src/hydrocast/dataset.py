@@ -13,7 +13,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter, lt
+from operator import itemgetter
 
 import numpy as np
 
@@ -112,19 +112,18 @@ class Dataset:
         return len(self.timestamps)
 
     def take(self, indices) -> "Dataset":
-        """New dataset restricted to the given row indices (kept in order).
-
-        Strictly ascending indices pick rows this dataset has already
-        validated, still in time order, so they are not checked again.
-        """
-        indices = list(indices)
-        timestamps = tuple(self.timestamps[i] for i in indices)
-        features, precip = self.features[indices], self.precip[indices]
-        if indices and indices[0] >= 0 and all(map(lt, indices, indices[1:])):
-            taken = Dataset.__new__(Dataset)
-            taken._hold(self.point, timestamps, features, precip)
-            return taken
-        return Dataset(self.point, timestamps, features, precip)
+        """The rows at ``indices`` (a negative one counts from the end), in time order.
+        They were validated here, so only a row named twice, or none, is refused."""
+        rows = sorted(range(len(self))[i] for i in indices)
+        for a, b in zip(rows, rows[1:]):
+            if a == b:
+                raise DuplicateTimestamp(self.timestamps[a])
+        if not rows:
+            raise EmptyDataset("dataset has no samples")
+        taken = Dataset.__new__(Dataset)
+        taken._hold(self.point, tuple(self.timestamps[i] for i in rows),
+                    self.features[rows], self.precip[rows])
+        return taken
 
 
 def _month_key(timestamp: str) -> int:

@@ -43,15 +43,6 @@ from .mlp import MLPModel, fit_mlp
 from .neighbors import KNNModel, fit_knn
 from .svm import SVRModel, fit_svr
 
-__all__ = [
-    "KIND_ORDER", "RF", "KNN", "SVR", "LR", "MLP",
-    "LearnerSpec", "FittedModel", "Standardization",
-    "RFConfig", "KNNConfig", "SVRConfig", "LRConfig", "MLPConfig",
-    "RFModel", "KNNModel", "SVRModel", "LRModel", "MLPModel", "LinearModel", "MODELS",
-    "default_specs", "fit", "fit_all", "fit_rf", "fit_knn", "fit_svr", "fit_lr", "fit_mlp",
-    "model_to_dict", "model_from_dict",
-]
-
 #: Each kind's model class, in the fixed order used everywhere models are listed or reported.
 MODELS = {model.kind: model for model in (RFModel, KNNModel, SVRModel, LRModel, MLPModel)}
 KIND_ORDER = tuple(MODELS)

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..typed import build, float_array
+from ..typed import build, float_array, reader
 
 RF = "rf"
 KNN = "knn"
@@ -114,8 +114,8 @@ class Standardization:
 
 #: (read, write) for a float array field: JSON nested lists <-> ndarray.
 ARRAY = (float_array, lambda array: array.tolist())
-#: (read, write) for a float scalar field.
-FLOAT = (float, float)
+#: (read, write) for a float scalar field: a finite JSON number <-> float.
+FLOAT = (reader(float), float)
 
 
 class FittedModel:
@@ -181,7 +181,7 @@ class FittedModel:
     def from_dict(cls, payload: dict) -> "FittedModel":
         return cls(
             build(cls.config, **payload["hyper"]),
-            payload["feature_indices"],
+            reader(tuple[int, ...])(payload["feature_indices"]),
             build(Standardization, **payload["standardization"]),
             **{name: read(payload[name]) for name, (read, _) in cls.state},
         )

@@ -24,14 +24,14 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .catalog import FEATURE_NAMES, IndexPoint, REFERENCE_POINTS, column_of
 from .dataset import Dataset, PointData, SplitSpec, load_csv, split
-from .errors import DamagedArtifact, HydrocastError
+from .errors import DamagedArtifact, EmptyDataset, HydrocastError
 from .evaluation import (
     CSV_FORMAT,
     EvalResult,
@@ -73,7 +73,7 @@ def synth_seed(master: int, point_index: int) -> int:
 class PipelineConfig:
     """Everything one end-to-end run needs; see README for the file schema.
 
-    ``selection.boost.seed`` is replaced per point by one derived from ``seed``.
+    Each point's boosting seed, like every other seed, derives from ``seed``.
     """
 
     data_path: str
@@ -85,9 +85,6 @@ class PipelineConfig:
     seed: int = 0
     select_on_all: bool = False
     pooled_selection: bool = False
-
-    def selection_config(self, seed: int) -> SelectionConfig:
-        return replace(self.selection, boost=replace(self.selection.boost, seed=seed))
 
     def learner_specs(self, point_index: int) -> list[LearnerSpec]:
         specs = []
@@ -212,25 +209,39 @@ def selection_payload(point: IndexPoint, selection: SelectionResult, seed: int,
     }
 
 
-def _pooled_selection(cfg: PipelineConfig, datasets: PointData) -> tuple[SelectionResult, int]:
-    """One selection over every point's selection rows, and its seed."""
+def _pooled_selection(cfg: PipelineConfig,
+                      datasets: PointData) -> tuple[SelectionResult, int] | HydrocastError:
+    """One selection over the selection rows of every point whose rows load, and its
+    seed; or the error that selection raised, which is then each point's error."""
     seed = derive_seed(cfg.seed, _SEED_BOOST, _POOLED_POINT_CODE)
-    rows = [_selection_rows(cfg, datasets[point.label]) for point in cfg.points]
+    rows = []
+    for point in cfg.points:
+        try:
+            rows.append(_selection_rows(cfg, datasets[point.label]))
+        except HydrocastError:  # the point fails alone, at its own selection rows
+            pass
+    if not rows:
+        return EmptyDataset("no point has rows to pool")
     X = np.vstack([r.features for r in rows])
     y = np.concatenate([r.precip for r in rows])
-    return run_selection(X, y, cfg.selection_config(seed)), seed
+    try:
+        return run_selection(X, y, cfg.selection, seed), seed
+    except HydrocastError as exc:
+        return exc
 
 
 def stage_select(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: PointData,
-                 pooled: tuple[SelectionResult, int] | None) -> SelectionResult:
+                 pooled: tuple[SelectionResult, int] | HydrocastError | None) -> SelectionResult:
     """Prune and boost-rank one point's features; write its selection.json.
 
-    ``pooled`` is the shared (selection, seed) of a pooled run.
+    ``pooled`` is the shared (selection, seed) of a pooled run, or the error it raised.
     """
     rows = _selection_rows(cfg, datasets[point.label])
     if pooled is None:
         seed = derive_seed(cfg.seed, _SEED_BOOST, idx)
-        selection = run_selection(rows.features, rows.precip, cfg.selection_config(seed))
+        selection = run_selection(rows.features, rows.precip, cfg.selection, seed)
+    elif isinstance(pooled, HydrocastError):
+        raise pooled
     else:
         selection, seed = pooled
     point_dir = Path(cfg.output_dir) / point.label
@@ -325,17 +336,15 @@ def _write_selection_summary(output_dir, selections: dict[str, _Selected]) -> No
     )
 
 
-def stage_report(output_dir, fmt: str = TEXT_TABLE,
-                 report: EvaluationReport | None = None) -> str:
-    """Render ``report``, or else the stored report.json; also writes report.txt,
-    report.csv or report.out.json."""
-    if report is None:
-        path = Path(output_dir) / "report.json"
-        payload = _read_json(path, rows=list)
-        try:
-            report = EvaluationReport.from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:  # a row field missing or of the wrong type
-            raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
+def stage_report(output_dir, fmt: str = TEXT_TABLE) -> str:
+    """Render the stored report.json; also writes report.txt, report.csv or
+    report.out.json."""
+    path = Path(output_dir) / "report.json"
+    payload = _read_json(path, rows=list)
+    try:
+        report = EvaluationReport.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:  # a row field missing or of the wrong type
+        raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
     rendered = render_report(report, fmt)
     suffix = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
     out = Path(output_dir) / suffix[fmt]
@@ -392,9 +401,9 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """select -> train -> evaluate -> report, sharing one artifact tree."""
     result = run_stages(cfg, ("select", "train", "evaluate"))
-    if result.report is not None:
-        result.rendered = stage_report(cfg.output_dir, TEXT_TABLE, result.report)
-        stage_report(cfg.output_dir, CSV_FORMAT, result.report)
+    if result.report is not None:  # rendered from the report.json just written
+        result.rendered = stage_report(cfg.output_dir, TEXT_TABLE)
+        stage_report(cfg.output_dir, CSV_FORMAT)
     errors_file = Path(cfg.output_dir) / "errors.json"
     if result.errors:
         _write_json(errors_file, result.errors)

@@ -16,15 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import RegressionTree, fit_stage, presort, tree_sum
-from .errors import (
-    EmptyInput,
-    LengthMismatch,
-    NonFiniteInput,
-    NonFiniteResidual,
-    TooFewSamples,
-    ZeroNormColumn,
-)
+from .cart import RegressionTree, _training_data, fit_stage, presort, tree_sum
+from .errors import EmptyInput, NonFiniteResidual, TooFewSamples, ZeroNormColumn
 
 L2 = "l2"
 L1_AS_PRINTED = "l1_as_printed"
@@ -61,7 +54,7 @@ class BoostConfig:
     below ``stop_tolerance``. Each tree grows to at most ``tree_depth``
     levels with ``min_samples_leaf`` rows per leaf, and sees a random
     feature subset of ``feature_subset_size`` columns (default:
-    ceil(sqrt(n_features))), drawn from a seed derived per (stage, tree).
+    ceil(sqrt(n_features))), drawn from ``fit_boosted``'s seed per (stage, tree).
     """
 
     trees_per_stage: int = 100
@@ -71,7 +64,6 @@ class BoostConfig:
     tree_depth: int = 3
     min_samples_leaf: int = 5
     feature_subset_size: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.trees_per_stage < 1:
@@ -84,6 +76,8 @@ class BoostConfig:
             raise ValueError("stop_tolerance must be >= 0")
         if self.tree_depth < 1 or self.min_samples_leaf < 1:
             raise ValueError("tree_depth and min_samples_leaf must be >= 1")
+        if self.feature_subset_size is not None and self.feature_subset_size < 1:
+            raise ValueError("feature_subset_size must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ def prune_colinear(X, cfg: ColinearityConfig = ColinearityConfig()):
     return kept, tuple(pairs)
 
 
-def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
+def fit_boosted(X, y, cfg: BoostConfig = BoostConfig(), seed: int = 0) -> BoostedModel:
     """Stagewise residual fitting with 100-tree stages.
 
     Stage 0 is the constant mean of ``y``. Each later stage fits its trees
@@ -180,18 +174,9 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
     every tree's leaf means cannot raise the SSE of the residuals they fit,
     and neither can their convex average.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.size == 0 or y.size == 0:
-        raise EmptyInput("cannot boost on empty input")
-    if X.shape[0] != y.shape[0] or y.ndim != 1:
-        raise LengthMismatch(f"X {X.shape} incompatible with y {y.shape}")
+    X, y = _training_data(X, y)
     if X.shape[0] < 2:
         raise TooFewSamples("boosting needs at least 2 samples")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NonFiniteInput("training data must be finite")
 
     n, d = X.shape
     subset_size = cfg.feature_subset_size or math.ceil(math.sqrt(d))
@@ -209,7 +194,7 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig()) -> BoostedModel:
         if not np.isfinite(residual).all():
             raise NonFiniteResidual(f"residuals diverged at stage {stage}")
         subsets = [
-            np.random.default_rng(np.random.SeedSequence([cfg.seed, stage, t]))
+            np.random.default_rng(np.random.SeedSequence([seed, stage, t]))
             .choice(d, size=subset_size, replace=False).tolist()
             for t in range(cfg.trees_per_stage)
         ]
@@ -259,15 +244,16 @@ class SelectionConfig:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
 
 
-def run_selection(X, y, cfg: SelectionConfig = SelectionConfig()) -> SelectionResult:
-    """Prune colinear columns, boost on the survivors, rank, take top kappa.
+def run_selection(X, y, cfg: SelectionConfig = SelectionConfig(),
+                  seed: int = 0) -> SelectionResult:
+    """Prune colinear columns, boost on the survivors with ``seed``, rank, take top kappa.
 
     Occurrence counts and selected indices refer to columns of ``X``;
     pruned columns can never appear in ``top_k``.
     """
     X = np.asarray(X, dtype=np.float64)
     kept, dropped = prune_colinear(X, cfg.colinearity)
-    model = fit_boosted(X[:, kept], y, cfg.boost)
+    model = fit_boosted(X[:, kept], y, cfg.boost, seed)
     pruned_counts = rank_features(model)
     occurrence = {kept[pos]: count for pos, count in pruned_counts.items()}
     top = select_top_k(occurrence, cfg.kappa)

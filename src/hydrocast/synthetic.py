@@ -74,7 +74,6 @@ def generate_synthetic(
     seed: int = 0,
     point: IndexPoint | None = None,
     linear_only: bool = False,
-    start_month: str = "1981-01",
 ) -> tuple[Dataset, SyntheticTruth]:
     """Build one index point's synthetic dataset.
 
@@ -126,7 +125,7 @@ def generate_synthetic(
 
     data = Dataset(
         point if point is not None else REFERENCE_POINTS[0],
-        month_sequence(start_month, n_samples),
+        month_sequence("1981-01", n_samples),
         features,
         raw + offset,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import reprlib
 import typing
 
@@ -12,15 +13,20 @@ _hints = functools.cache(typing.get_type_hints)
 
 
 def fits(value, hint) -> bool:
-    """Whether a JSON value is of a field's type; a float field also takes an integer,
-    and only a bool field takes true or false."""
+    """Whether a JSON value is of a field's type; a float field also takes an integer
+    but no NaN or infinity, and only a bool field takes true or false."""
     if typing.get_origin(hint) is tuple:  # tuple[int, ...] is a JSON list of integers
         return isinstance(value, (list, tuple)) and all(fits(v, typing.get_args(hint)[0])
                                                         for v in value)
     kinds = typing.get_args(hint) or (hint,)  # int | None gives (int, NoneType)
     if float in kinds:
         kinds += (int,)
-    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+    return (isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+            and (not isinstance(value, float) or math.isfinite(value)))
+
+
+def _name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
 def _stored(value, hint):
@@ -40,18 +46,28 @@ def build(cls, /, **fields):
     for name, value in given.items():
         if name in hints:
             if not fits(value, hints[name]):
-                expected = hints[name].__name__ if isinstance(hints[name], type) else hints[name]
-                raise TypeError(f"{cls.__name__}.{name} must be {expected}, "
+                raise TypeError(f"{cls.__name__}.{name} must be {_name(hints[name])}, "
                                 f"got {reprlib.repr(value)}")  # bounded, however deep the value
             given[name] = _stored(value, hints[name])
     return cls(**given)
 
 
+def reader(hint):
+    """A function that returns a JSON value of type ``hint`` as a field of it holds it,
+    and raises ``ValueError`` for any other value."""
+    def read(value):
+        if not fits(value, hint):
+            raise ValueError(f"expected {_name(hint)}, got {reprlib.repr(value)}")
+        return _stored(value, hint)
+    return read
+
+
 def float_array(value) -> np.ndarray:
     """A JSON number or (nested) list of numbers as a float array. A null or a string
-    in it, or a ragged list, raises ``ValueError``, where a float conversion would
-    turn null into NaN and a numeric string into its number."""
+    in it, a number past float range (read as an infinity), or a ragged list, raises
+    ``ValueError``, where a float conversion would turn null into NaN and a numeric
+    string into its number."""
     array = np.asarray(value)
-    if array.dtype.kind not in "iuf":
-        raise ValueError(f"expected numbers, got {reprlib.repr(value)}")
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ValueError(f"expected finite numbers, got {reprlib.repr(value)}")
     return array.astype(np.float64, copy=False)

@@ -99,7 +99,7 @@ def test_criterion_4_boosting_monotone_and_exact_on_representable_targets():
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((60, 5))
         y = X[:, 0] * 2 - np.abs(X[:, 2]) + rng.standard_normal(60) * 0.3
-        model = fit_boosted(X, y, BoostConfig(trees_per_stage=20, max_stages=5, seed=seed))
+        model = fit_boosted(X, y, BoostConfig(trees_per_stage=20, max_stages=5), seed=seed)
         mse = model.training_mse_per_stage
         assert all(b <= a for a, b in zip(mse, mse[1:]))
 
@@ -153,8 +153,8 @@ def test_criterion_6_planted_feature_recovery():
     for seed in range(20):
         sigma = 0.1 * signal_std(PLANTED, 444, seed=seed)
         data, truth = generate_synthetic(444, PLANTED, noise_sigma=sigma, seed=seed)
-        cfg = SelectionConfig(boost=BoostConfig(seed=seed))
-        result = run_selection(data.features, data.precip, cfg)
+        cfg = SelectionConfig(boost=BoostConfig())
+        result = run_selection(data.features, data.precip, cfg, seed=seed)
         hits = len(set(truth.planted_columns) & set(result.top_k))
         if hits >= 4:
             passes += 1
@@ -291,7 +291,7 @@ def test_criterion_8_thirteen_point_report_shape(thirteen_point_run):
     train, _ = split_data(load_csv(data, [point])[point.label], SplitSpec())
     kept, _ = prune_colinear(train.features, ColinearityConfig())
     model = fit_boosted(train.features[:, kept], train.precip,
-                        BoostConfig(seed=payload["seed"]))
+                        BoostConfig(), seed=payload["seed"])
     tree_total = sum(len(t.features_used()) for t in model.iter_trees())
     assert payload["occurrence_total"] == tree_total
     recounted = rank_features(model)

@@ -204,10 +204,9 @@ def test_selection_matches_inmemory_train_only_run(tmp_path):
     train, _ = split(load_csv(data, [point])[point.label], SplitSpec())
     cfg = SelectionConfig(
         boost=BoostConfig(trees_per_stage=20, max_stages=2,
-                          tree_depth=3, min_samples_leaf=5,
-                          seed=derive_seed(7, 1, 0)),
+                          tree_depth=3, min_samples_leaf=5),
     )
-    result = run_selection(train.features, train.precip, cfg)
+    result = run_selection(train.features, train.precip, cfg, seed=derive_seed(7, 1, 0))
     from hydrocast.catalog import FEATURE_NAMES
 
     assert [FEATURE_NAMES[f] for f in result.top_k] == payload["top_features"]
@@ -224,6 +223,36 @@ def test_pooled_selection_shares_features_across_points(tmp_path):
     assert a["pooled"] and b["pooled"]
     assert a["top_features"] == b["top_features"]
     assert a["occurrence"] == b["occurrence"]
+
+
+def test_pooled_run_fails_a_point_whose_rows_fail_alone(tmp_path):
+    data = synth(tmp_path)
+    _edit_p02_row("air_l02", "nan")(data)
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    cfg = write_config(tmp_path, small_config(data, alone, points="p01", pooled=True), "a.json")
+    assert main(["run", "--config", str(cfg)]) == 0
+    # p02 after p01, since learner seeds key on a point's index; the pooled seed does not
+    cfg = write_config(tmp_path, small_config(data, both, pooled=True), "b.json")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert list(json.loads((both / "errors.json").read_text())) == ["30_67.5"]
+    for name in ("selection.json", "models.json", "evaluation.json"):
+        assert (both / "27.5_67.5" / name).read_bytes() == (alone / "27.5_67.5" / name).read_bytes()
+
+
+def test_a_failed_pooled_selection_is_each_points_error(tmp_path):
+    data = synth(tmp_path)
+    lines = [line.split(",") for line in data.read_text().splitlines()]
+    at = lines[0].index("air_l05")
+    for cells in lines[1:]:  # a zero-norm column in the pooled rows
+        cells[at] = "0.0"
+    data.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out, pooled=True))
+    assert main(["run", "--config", str(cfg)]) == 2
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == ["27.5_67.5", "30_67.5"]
+    assert errors["27.5_67.5"] == errors["30_67.5"]
+    assert not (out / "27.5_67.5" / "selection.json").exists()
 
 
 def test_flags_override_config_file(tmp_path):
@@ -525,6 +554,22 @@ def _edit_first_tree(change):
     return _edit_json(lambda p: change(p["models"]["rf"]["trees"][0]))
 
 
+def _overflow(locate):
+    """Write 1e400, a number past float range, at the (list, index) that ``locate``
+    finds in the payload, by editing the file's text."""
+    def edit(path):
+        payload = json.loads(path.read_text())
+        numbers, at = locate(payload)
+        numbers[at] = "overflow"
+        path.write_text(json.dumps(payload).replace('"overflow"', "1e400"))
+    return edit
+
+
+def _first_leaf_value(payload):
+    tree = payload["models"]["rf"]["trees"][0]
+    return tree["value"], tree["left"].index(-1)
+
+
 BAD_P02 = {
     "negative_precip": (_edit_p02_row("precip", "-1.0"), None, ["30_67.5"]),
     "bad_date": (_edit_p02_row("date", "2020-13"), None, ["30_67.5"]),
@@ -571,6 +616,23 @@ BAD_P02 = {
         None,
         ("models.json", _edit_json(lambda p: p["models"]["lr"]["weights"].__setitem__(0, None))),
         ["30_67.5:lr"],
+    ),
+    "lr_bias_text": (
+        None, ("models.json", _edit_json(lambda p: p["models"]["lr"].update(bias="1.5"))),
+        ["30_67.5:lr"],
+    ),
+    "lr_feature_indices_fraction": (
+        None,
+        ("models.json", _edit_json(lambda p: p["models"]["lr"]["feature_indices"].__setitem__(
+            0, p["models"]["lr"]["feature_indices"][0] + 0.5))),
+        ["30_67.5:lr"],
+    ),
+    "rf_leaf_value_overflow": (
+        None, ("models.json", _overflow(_first_leaf_value)), ["30_67.5:rf"],
+    ),
+    "knn_train_y_overflow": (
+        None, ("models.json", _overflow(lambda p: (p["models"]["knn"]["train_y"], 0))),
+        ["30_67.5:knn"],
     ),
     "tree_index_past_int64": (
         None,
@@ -621,7 +683,11 @@ BAD_P02 = {
 
 
 #: Text that a case's error message must hold, for cases whose message is checked.
-BAD_P02_MESSAGES = {"lr_weight_null": "malformed lr model payload"}
+BAD_P02_MESSAGES = {
+    "lr_weight_null": "malformed lr model payload",
+    "rf_leaf_value_overflow": "malformed rf model payload",
+    "knn_train_y_overflow": "malformed knn model payload",
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_P02))
@@ -726,6 +792,11 @@ BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit cod
     "mlp_learning_rate_0": ([], {"learners": {"mlp": {"learning_rate": 0}}}, 1),
     "svr_epochs_negative": ([], {"learners": {"svr": {"epochs": -3}}}, 1),
     "svr_step_0": ([], {"learners": {"svr": {"step": 0}}}, 1),
+    "feature_subset_size_negative": ([], {"boost": {"feature_subset_size": -1}}, 1),
+    "feature_subset_size_0": ([], {"boost": {"feature_subset_size": 0}}, 1),
+    "stop_tolerance_nan": (["--stop-tolerance", "nan"], {}, 1),
+    "svr_epsilon_nan": ([], {"learners": {"svr": {"epsilon": math.nan}}}, 1),  # a NaN literal
+    "shrinkage_infinity": ([], {"boost": {"shrinkage": math.inf}}, 1),  # an Infinity literal
     "train_fraction_above_1": (["--train-fraction", "1.5"], {}, 2),  # a data error, as before
 }
 
