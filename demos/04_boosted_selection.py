@@ -8,12 +8,11 @@ Run from the repo root:  python3 demos/04_boosted_selection.py
 """
 
 from hydrocast import FEATURE_NAMES, SelectionConfig, run_selection
-from hydrocast.synthetic import generate_synthetic, signal_std
+from hydrocast.synthetic import generate_synthetic
 
 planted = ["air_l03", "hgt_l10", "shum_l06", "uwnd_l09", "vwnd_l02"]
-sigma = 0.1 * signal_std(planted, 444, seed=5)
-data, truth = generate_synthetic(444, planted, noise_sigma=sigma, seed=5)
-print(f"444 monthly samples, 85 predictors, 5 planted, noise sigma {sigma:.3f}")
+data, truth = generate_synthetic(444, planted, seed=5, noise_rel=0.1)
+print(f"444 monthly samples, 85 predictors, 5 planted, noise sigma {truth.noise_sigma:.3f}")
 
 result = run_selection(data.features, data.precip, SelectionConfig())
 

@@ -20,12 +20,12 @@ from hydrocast import (
     run_selection,
     split,
 )
+from hydrocast.evaluation import TEXT_TABLE
 from hydrocast.learners import default_specs
-from hydrocast.synthetic import generate_synthetic, signal_std
+from hydrocast.synthetic import generate_synthetic
 
 planted = ["air_l01", "rhum_l05", "uwnd_l04", "vwnd_l11", "shum_l02"]
-sigma = 0.15 * signal_std(planted, 444, seed=2)
-data, _ = generate_synthetic(444, planted, noise_sigma=sigma, seed=2)
+data, _ = generate_synthetic(444, planted, seed=2, noise_rel=0.15)
 
 train, test = split(data, SplitSpec(train_fraction=0.9))
 selection = run_selection(train.features, train.precip, SelectionConfig())
@@ -48,7 +48,7 @@ for kind, model in models.items():
 
 report = EvaluationReport(rows)
 print()
-print(render_report(report, "text-table"))
+print(render_report(report, TEXT_TABLE))
 
 payload = json.dumps(model_to_dict(models["rf"]))
 clone = model_from_dict(json.loads(payload))

@@ -11,8 +11,9 @@ import tempfile
 from pathlib import Path
 
 from hydrocast import PipelineConfig, REFERENCE_POINTS, render_report, run_pipeline, write_csv
+from hydrocast.evaluation import TEXT_TABLE
 from hydrocast.pipeline import synth_seed
-from hydrocast.synthetic import generate_synthetic, signal_std
+from hydrocast.synthetic import generate_synthetic
 
 points = REFERENCE_POINTS[:3]
 planted = ["air_l01", "rhum_l01", "uwnd_l04", "air_l11", "rhum_l08"]
@@ -21,10 +22,8 @@ with tempfile.TemporaryDirectory() as tmp:
     data_path = Path(tmp) / "data.csv"
     datasets = []
     for idx, point in enumerate(points):
-        seed = synth_seed(9, idx)
-        sigma = 0.1 * signal_std(planted, 150, seed=seed)
-        data, _ = generate_synthetic(150, planted, noise_sigma=sigma,
-                                     seed=seed, point=point)
+        data, _ = generate_synthetic(150, planted, seed=synth_seed(9, idx), point=point,
+                                     noise_rel=0.1)
         datasets.append(data)
     write_csv(datasets, data_path)
     print(f"Wrote {sum(len(d) for d in datasets)} rows for {len(points)} points.")
@@ -44,7 +43,7 @@ with tempfile.TemporaryDirectory() as tmp:
         print(f"  {label}: {[FEATURE_NAMES[c] for c in selection.top_k][:5]} ...")
 
     print("\nEvaluation report:")
-    print(render_report(result.report, "text-table"))
+    print(render_report(result.report, TEXT_TABLE))
 
     print("Artifacts written:")
     for path in sorted(out.rglob("*")):

@@ -24,7 +24,7 @@ from .evaluation import CSV_FORMAT, JSON_FORMAT, TEXT_TABLE
 from .learners import MODELS
 from .pipeline import PipelineConfig, synth_seed
 from .selection import BoostConfig, ColinearityConfig, SelectionConfig
-from .synthetic import generate_synthetic, signal_std
+from .synthetic import generate_synthetic
 from .typed import build, fits
 
 DEFAULT_PLANTED = "air_l01,rhum_l01,uwnd_l04,air_l11,rhum_l08"
@@ -32,8 +32,6 @@ DEFAULT_PLANTED = "air_l01,rhum_l01,uwnd_l04,air_l11,rhum_l08"
 #: The config file's top-level keys; README documents each one.
 _KEYS = ("data", "output", "seed", "gamma", "norm", "kappa", "select_on_all", "pooled",
          "points", "split", "boost", "learners")
-
-_FORMATS = {"text": TEXT_TABLE, "csv": CSV_FORMAT, "json": JSON_FORMAT}
 
 
 class UsageError(Exception):
@@ -102,7 +100,8 @@ def build_parser() -> _Parser:
 
     p_report = sub.add_parser("report", help="render the evaluation report")
     _add_common(p_report)
-    p_report.add_argument("--format", choices=sorted(_FORMATS), default="text")
+    p_report.add_argument("--format", choices=[CSV_FORMAT, JSON_FORMAT, TEXT_TABLE],
+                          default=TEXT_TABLE)
 
     return parser
 
@@ -238,18 +237,12 @@ def cmd_synth(args) -> int:
     planted = [name.strip() for name in args.planted.split(",") if name.strip()]
 
     datasets = []
-    with _config_checked():  # generate_synthetic refuses a negative sigma or too many planted
+    with _config_checked():  # generate_synthetic refuses a bad noise std or too many planted
         master = _seed(settings)
         for idx, point in enumerate(_resolve_points(settings.get("points"))):
-            seed = synth_seed(master, idx)
-            sigma = args.noise_sigma
-            if args.noise_rel is not None:
-                sigma = args.noise_rel * signal_std(
-                    planted, args.samples, seed=seed, linear_only=args.linear
-                )
             data, _ = generate_synthetic(
-                args.samples, planted, noise_sigma=sigma, seed=seed,
-                point=point, linear_only=args.linear,
+                args.samples, planted, noise_sigma=args.noise_sigma, seed=synth_seed(master, idx),
+                point=point, linear_only=args.linear, noise_rel=args.noise_rel,
             )
             datasets.append(data)
         Path(out).parent.mkdir(parents=True, exist_ok=True)  # an out path that is not text exits 1
@@ -282,7 +275,7 @@ def cmd_stage(args) -> int:
 def cmd_report(args) -> int:
     output_dir = _settings(args, "output")["output"]
     try:
-        rendered = pipeline.stage_report(output_dir, _FORMATS[args.format])
+        rendered = pipeline.stage_report(output_dir, args.format)
     except FileNotFoundError:
         raise HydrocastError("no report.json found; run 'evaluate' first") from None
     print(rendered, end="")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import IndexPoint
-from .errors import EmptyReport, LengthMismatch, NonFiniteInput, ZeroVariance
+from .errors import DuplicateKind, EmptyReport, LengthMismatch, NonFiniteInput, ZeroVariance
 from .learners import KIND_ORDER
 from .typed import build
 
@@ -74,7 +74,8 @@ class EvaluationReport:
 
     Best means highest correlation; ties fall to the lower MAE, then to
     the fixed model order. Rows are kept in (point first seen, model
-    order) ordering so rendering is deterministic.
+    order) ordering so rendering is deterministic. A model outside that
+    order is a ``KeyError``, and a (point, model) row given twice is refused.
     """
 
     def __init__(self, rows):
@@ -82,18 +83,20 @@ class EvaluationReport:
         if not rows:
             raise EmptyReport("report must contain at least one row")
         points: list[IndexPoint] = []
+        pairs = set()
         for row in rows:
             if row.point not in points:
                 points.append(row.point)
+            if (row.point.label, row.model_kind) in pairs:
+                raise DuplicateKind(f"point {row.point.label} has two {row.model_kind!r} rows")
+            pairs.add((row.point.label, row.model_kind))
         kind_rank = {kind: i for i, kind in enumerate(KIND_ORDER)}
-        self.rows = sorted(
-            rows, key=lambda r: (points.index(r.point), kind_rank.get(r.model_kind, 99))
-        )
+        self.rows = sorted(rows, key=lambda r: (points.index(r.point), kind_rank[r.model_kind]))
         self.points = points
         self.best_per_point: dict[str, str] = {}
         for point in points:
             group = [r for r in self.rows if r.point == point]
-            best = min(group, key=lambda r: (-r.rho, r.mae, kind_rank.get(r.model_kind, 99)))
+            best = min(group, key=lambda r: (-r.rho, r.mae, kind_rank[r.model_kind]))
             self.best_per_point[point.label] = best.model_kind
 
     def is_best(self, row: EvalResult) -> bool:
@@ -126,7 +129,7 @@ class EvaluationReport:
                    for r in payload["rows"])
 
 
-TEXT_TABLE = "text-table"
+TEXT_TABLE = "text"
 CSV_FORMAT = "csv"
 JSON_FORMAT = "json"
 

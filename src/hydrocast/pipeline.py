@@ -157,8 +157,8 @@ def _read_json(path: Path, **fields: type) -> dict:
 
 def _read_selection(point_dir: Path) -> _Selected | None:
     """A point's top columns and its occurrence counts by column, or None when it has
-    no selection.json; one that names a feature outside the catalog or holds a count
-    that is not a positive integer is damaged."""
+    no selection.json; one that names a feature outside the catalog, holds a count
+    that is not a positive integer or names a top feature twice is damaged."""
     path = point_dir / "selection.json"
     if not path.exists():
         return None
@@ -166,7 +166,10 @@ def _read_selection(point_dir: Path) -> _Selected | None:
     counts = {column_of(name): count for name, count in payload["occurrence"].items()}
     if any(type(c) is not int or c < 1 for c in counts.values()):
         raise DamagedArtifact(f"{path}: an occurrence count is not a positive int")
-    return [column_of(name) for name in payload["top_features"]], counts
+    top = [column_of(name) for name in payload["top_features"]]
+    if len(set(top)) < len(top):
+        raise DamagedArtifact(f"{path}: a top feature is named twice")
+    return top, counts
 
 
 def _by_rank(counts: dict[int, int]) -> dict[str, int]:
@@ -343,7 +346,9 @@ def stage_report(output_dir, fmt: str = TEXT_TABLE) -> str:
     payload = _read_json(path, rows=list)
     try:
         report = EvaluationReport.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:  # a row field missing or of the wrong type
+    except (KeyError, TypeError, ValueError) as exc:
+        # a row field missing or of the wrong type, a model outside KIND_ORDER,
+        # or a (point, model) row given twice
         raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
     rendered = render_report(report, fmt)
     suffix = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}

@@ -19,7 +19,7 @@ planted. Generation is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +56,22 @@ class SyntheticTruth:
 
     def signal(self, features: np.ndarray) -> np.ndarray:
         """Noiseless planted signal g for a (M, 85) feature matrix."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        g = features[:, list(self.planted_columns)] @ np.asarray(self.linear_coefficients)
-        if not self.linear_only:
-            a, b = self.product_pair
-            g = g + self.product_coefficient * features[:, a] * features[:, b]
-            g = g + self.threshold_coefficient * (
-                features[:, self.threshold_column] > self.threshold_at
-            )
-        return g
+        return _signal(
+            np.atleast_2d(np.asarray(features, dtype=np.float64)), self.planted_columns,
+            self.linear_coefficients, self.product_pair, self.product_coefficient,
+            self.threshold_column, self.threshold_at, self.threshold_coefficient, self.linear_only,
+        )
+
+
+def _signal(features, planted_columns, linear_coefficients, product_pair, product_coefficient,
+            threshold_column, threshold_at, threshold_coefficient, linear_only) -> np.ndarray:
+    """The planted signal g of the module docstring, from a truth's fields."""
+    g = features[:, list(planted_columns)] @ np.asarray(linear_coefficients)
+    if not linear_only:
+        a, b = product_pair
+        g = g + product_coefficient * features[:, a] * features[:, b]
+        g = g + threshold_coefficient * (features[:, threshold_column] > threshold_at)
+    return g
 
 
 def generate_synthetic(
@@ -74,54 +81,59 @@ def generate_synthetic(
     seed: int = 0,
     point: IndexPoint | None = None,
     linear_only: bool = False,
+    noise_rel: float | None = None,
 ) -> tuple[Dataset, SyntheticTruth]:
     """Build one index point's synthetic dataset.
 
     Parameters:
         n_samples: number of monthly rows (at least 20)
-        planted: up to 10 features carrying signal; names or 0-based
-            column indices
+        planted: names of up to 10 features carrying signal
         noise_sigma: standard deviation of additive Gaussian noise
         seed: drives both the feature draw and the noise draw
         point: index point stamped on the rows (first bundled point by default)
         linear_only: drop the product and threshold terms so the target is
             an exact affine function of the planted features
+        noise_rel: when given, the noise std is this fraction of the
+            noiseless signal's std, and ``noise_sigma`` is not used
+
+    A noise std that is negative or not finite, or one that makes the
+    target overflow, is a ``ValueError`` naming the setting it came from.
     """
     if n_samples < MIN_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    columns = sorted({_as_column(p) for p in planted})
+    columns = sorted({column_of(name) for name in planted})
     if not columns:
         raise EmptyPlantedSet("planted feature set must not be empty")
     if len(columns) > MAX_PLANTED:
         raise ValueError(f"at most {MAX_PLANTED} planted features, got {len(columns)}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
 
     feature_rng = np.random.default_rng([seed, 0])
     noise_rng = np.random.default_rng([seed, 1])
     features = feature_rng.standard_normal((n_samples, CATALOG_SIZE))
 
     k = len(columns)
-    coeffs = tuple(LINEAR_BASE - LINEAR_STEP * i for i in range(k))
-    pair = (columns[0], columns[1]) if k >= 2 else (columns[0], columns[0])
-    truth = SyntheticTruth(
+    formula = dict(
         planted_columns=tuple(columns),
-        linear_coefficients=coeffs,
-        product_pair=pair,
+        linear_coefficients=tuple(LINEAR_BASE - LINEAR_STEP * i for i in range(k)),
+        product_pair=(columns[0], columns[1]) if k >= 2 else (columns[0], columns[0]),
         product_coefficient=PRODUCT_COEFF,
         threshold_column=columns[-1],
         threshold_at=THRESHOLD_AT,
         threshold_coefficient=THRESHOLD_COEFF,
         linear_only=linear_only,
-        offset=0.0,
-        noise_sigma=noise_sigma,
-        signal_std=0.0,
-        seed=seed,
     )
-    g = truth.signal(features)
-    raw = g + noise_rng.standard_normal(n_samples) * noise_sigma
+    g = _signal(features, **formula)
+    spread = float(g.std())
+    sigma = noise_sigma if noise_rel is None else noise_rel * spread
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        raw = g + noise_rng.standard_normal(n_samples) * sigma
+    if not (0 <= sigma < np.inf and np.isfinite(raw).all()):
+        name = "noise_sigma" if noise_rel is None else "noise_rel"
+        raise ValueError(f"{name} must give a finite, nonnegative noise std that keeps "
+                         f"the target finite; it gives {sigma!r}")
     offset = float(-raw.min()) if raw.min() < 0 else 0.0
-    truth = replace(truth, offset=offset, signal_std=float(g.std()))
+    truth = SyntheticTruth(**formula, offset=offset, noise_sigma=sigma,
+                           signal_std=spread, seed=seed)
 
     data = Dataset(
         point if point is not None else REFERENCE_POINTS[0],
@@ -130,24 +142,3 @@ def generate_synthetic(
         raw + offset,
     )
     return data, truth
-
-
-def signal_std(planted, n_samples: int = 444, seed: int = 0, linear_only: bool = False) -> float:
-    """Standard deviation of the noiseless signal for a given feature draw.
-
-    Convenient for expressing noise as a fraction of signal spread: the
-    feature draw matches :func:`generate_synthetic` with the same seed.
-    """
-    _, truth = generate_synthetic(
-        n_samples, planted, noise_sigma=0.0, seed=seed, linear_only=linear_only
-    )
-    return truth.signal_std
-
-
-def _as_column(p) -> int:
-    if isinstance(p, str):
-        return column_of(p)
-    index = int(p)
-    if not 0 <= index < CATALOG_SIZE:
-        raise ValueError(f"planted column out of range 0..{CATALOG_SIZE - 1}: {index}")
-    return index

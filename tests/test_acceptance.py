@@ -27,7 +27,7 @@ from hydrocast.selection import (
     rank_features,
     run_selection,
 )
-from hydrocast.synthetic import generate_synthetic, signal_std
+from hydrocast.synthetic import generate_synthetic
 
 from oracles import (
     best_depth1_splits,
@@ -151,8 +151,7 @@ def test_criterion_5_colinearity_pruning_properties():
 def test_criterion_6_planted_feature_recovery():
     passes = 0
     for seed in range(20):
-        sigma = 0.1 * signal_std(PLANTED, 444, seed=seed)
-        data, truth = generate_synthetic(444, PLANTED, noise_sigma=sigma, seed=seed)
+        data, truth = generate_synthetic(444, PLANTED, seed=seed, noise_rel=0.1)
         cfg = SelectionConfig(boost=BoostConfig())
         result = run_selection(data.features, data.precip, cfg, seed=seed)
         hits = len(set(truth.planted_columns) & set(result.top_k))

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in this checkout."""
+"""Every demo script runs to completion, with warnings as errors, against the package
+in this checkout."""
 
 import os
 import subprocess
@@ -15,6 +16,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_0(demo, tmp_path):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

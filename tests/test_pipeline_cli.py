@@ -447,17 +447,23 @@ def _name_unknown_feature(payload):
     payload["occurrence"]["not_a_feature"] = 3
 
 
-def _run_then_damage_p02_selection(tmp_path):
+def _repeat_a_top_feature(payload):
+    payload["top_features"] = ["uwnd_l02"] * 3
+
+
+@pytest.fixture(params=[_name_unknown_feature, _repeat_a_top_feature],
+                ids=["feature_unknown", "top_feature_repeated"])
+def _run_then_damage_p02_selection(request, tmp_path):
     data = synth(tmp_path)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, small_config(data, out))
     assert main(["run", "--config", str(cfg)]) == 0
-    _edit_json(_name_unknown_feature)(out / "30_67.5" / "selection.json")
+    _edit_json(request.param)(out / "30_67.5" / "selection.json")
     return out, cfg
 
 
-def test_evaluate_refuses_a_damaged_selection_before_scoring(tmp_path):
-    out, cfg = _run_then_damage_p02_selection(tmp_path)
+def test_evaluate_refuses_a_damaged_selection_before_scoring(_run_then_damage_p02_selection):
+    out, cfg = _run_then_damage_p02_selection
     assert main(["evaluate", "--config", str(cfg)]) == 2
     report = json.loads((out / "report.json").read_text())
     assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(27.5, 67.5)}
@@ -466,8 +472,8 @@ def test_evaluate_refuses_a_damaged_selection_before_scoring(tmp_path):
     assert not (out / "30_67.5" / "evaluation.json").exists()
 
 
-def test_train_refuses_a_damaged_selection(tmp_path, capsys):
-    out, cfg = _run_then_damage_p02_selection(tmp_path)
+def test_train_refuses_a_damaged_selection(_run_then_damage_p02_selection, capsys):
+    out, cfg = _run_then_damage_p02_selection
     capsys.readouterr()
     assert main(["train", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error [30_67.5]: ")
@@ -874,16 +880,23 @@ def test_csv_cell_past_the_field_limit_fails_every_point(tmp_path, capsys):
     assert list(json.loads((out / "errors.json").read_text())) == ["27.5_67.5"]
 
 
-@pytest.mark.parametrize("flags, code", [
-    (["--noise-sigma", "-1"], 1),
-    (["--planted", ",".join(f"air_l{level:02d}" for level in range(1, 12))], 1),  # 11 names
-    (["--samples", "5"], 2),
-    (["--planted", ","], 2),
-], ids=["negative_sigma", "eleven_planted", "five_samples", "nothing_planted"])
-def test_synth_refuses_a_bad_setting_without_a_traceback(tmp_path, capsys, flags, code):
+@pytest.mark.parametrize("flags, code, names", [
+    (["--noise-sigma", "-1"], 1, "noise_sigma"),
+    (["--planted", ",".join(f"air_l{level:02d}" for level in range(1, 12))], 1,  # 11 names
+     "planted"),
+    (["--samples", "5"], 2, "samples"),
+    (["--planted", ","], 2, "planted"),
+    (["--noise-rel", "inf"], 1, "noise_rel"),
+    (["--noise-sigma", "1e308"], 1, "noise_sigma"),  # the noisy target overflows
+    (["--noise-sigma", "nan"], 1, "noise_sigma"),
+    (["--noise-rel", "-0.5"], 1, "noise_rel"),
+], ids=["negative_sigma", "eleven_planted", "five_samples", "nothing_planted",
+        "infinite_rel", "overflowing_sigma", "nan_sigma", "negative_rel"])
+def test_synth_refuses_a_bad_setting_without_a_traceback(tmp_path, capsys, flags, code, names):
     out = tmp_path / "data.csv"
     assert main(["synth", "--points", "p01", "--out", str(out), *flags]) == code
-    assert capsys.readouterr().err.startswith("hydrocast: ")
+    err = capsys.readouterr().err
+    assert err.startswith("hydrocast: ") and names in err
     assert not out.exists()
 
 
@@ -925,8 +938,10 @@ def test_report_formats(tmp_path, capsys):
     lambda report: report["rows"][2].update(mae="x"),
     lambda report: report["rows"][2].update(mae=float("nan")),
     lambda report: report["rows"][1].update(pearson=float("inf")),
+    lambda report: report["rows"][4].update(model="zzz"),
+    lambda report: report["rows"].append(report["rows"][2]),
 ], ids=["empty_object", "row_without_mae", "rows_not_a_list", "lon_not_a_number",
-        "mae_not_a_number", "mae_nan", "pearson_infinity"])
+        "mae_not_a_number", "mae_nan", "pearson_infinity", "model_unknown", "row_repeated"])
 def test_report_on_damaged_report_json_exits_2(tmp_path, capsys, damage):
     data = synth(tmp_path)
     out = tmp_path / "out"

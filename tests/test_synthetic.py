@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hydrocast.catalog import column_of
-from hydrocast.errors import EmptyPlantedSet, TooFewSamples
-from hydrocast.synthetic import generate_synthetic, signal_std
+from hydrocast.errors import EmptyPlantedSet, TooFewSamples, UnknownName
+from hydrocast.synthetic import generate_synthetic
 
 
 def test_same_seed_is_bit_identical():
@@ -51,12 +51,14 @@ def test_timestamps_are_consecutive_months():
     assert data.timestamps[-1] == "2017-12"
 
 
-def test_signal_std_matches_truth():
+def test_noise_rel_is_that_fraction_of_the_noiseless_signal_std():
     planted = ["air_l01", "rhum_l08"]
-    sd = signal_std(planted, 100, seed=5)
-    _, truth = generate_synthetic(100, planted, 0.0, seed=5)
-    assert sd == truth.signal_std
-    assert sd > 0
+    _, quiet = generate_synthetic(100, planted, 0.0, seed=5)
+    assert quiet.signal_std > 0
+    by_rel, rel_truth = generate_synthetic(100, planted, seed=5, noise_rel=0.1)
+    by_sigma, sigma_truth = generate_synthetic(100, planted, 0.1 * quiet.signal_std, seed=5)
+    np.testing.assert_array_equal(by_rel.precip, by_sigma.precip)
+    assert rel_truth == sigma_truth
 
 
 def test_too_few_samples():
@@ -73,5 +75,7 @@ def test_planted_limit_and_bad_sigma():
     too_many = [f"air_l{i:02d}" for i in range(1, 12)]
     with pytest.raises(ValueError):
         generate_synthetic(30, too_many, 0.0, seed=0)
+    with pytest.raises(UnknownName):  # planted features are given by name only
+        generate_synthetic(30, [0], 0.0, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(30, ["air_l01"], -0.1, seed=0)
