@@ -263,9 +263,9 @@ def cmd_stage(args) -> int:
             print(f"selected features for {len(result.selections)} points")
         elif args.command == "train":
             print(f"trained {len(result.trained)} points x {len(cfg.learners)} models")
-        elif result.report is None:
+        elif result.report is None and not result.errors:
             raise HydrocastError("no models found to evaluate; run 'train' first")
-        else:
+        elif result.report is not None:
             print(f"evaluated {len(result.report.rows)} (point, model) pairs")
     for key, message in result.errors.items():
         print(f"error [{key}]: {message}", file=sys.stderr)

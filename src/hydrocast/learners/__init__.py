@@ -23,22 +23,9 @@ from ..errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from .base import (
-    KNN,
-    LR,
-    MLP,
-    RF,
-    SVR,
-    FittedModel,
-    KNNConfig,
-    LRConfig,
-    MLPConfig,
-    RFConfig,
-    Standardization,
-    SVRConfig,
-)
+from .base import FittedModel, Standardization
 from .forest import RFModel, fit_rf
-from .linear import LinearModel, LRModel, fit_lr
+from .linear import LRModel, fit_lr
 from .mlp import MLPModel, fit_mlp
 from .neighbors import KNNModel, fit_knn
 from .svm import SVRModel, fit_svr

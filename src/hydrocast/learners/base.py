@@ -19,7 +19,6 @@ MLP = "mlp"
 @dataclass(frozen=True)
 class LRConfig:
     ridge_fallback: bool = True
-    ridge: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,6 @@ class MLPConfig:
     hidden_sizes: tuple[int, ...] = (32,)
     epochs: int = 500
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not self.hidden_sizes:
@@ -97,7 +93,6 @@ class Standardization:
 
     @classmethod
     def fit(cls, X) -> "Standardization":
-        X = np.asarray(X, dtype=np.float64)
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         std = np.where(std == 0.0, 1.0, std)  # constant columns pass through centered
@@ -108,7 +103,6 @@ class Standardization:
         return cls((0.0,) * d, (1.0,) * d)
 
     def transform(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
         return (X - np.asarray(self.mean)) / np.asarray(self.std)
 
 
@@ -129,7 +123,8 @@ class FittedModel:
     JSON form and memory; the name is both the attribute and the JSON key.
     ``to_dict`` writes ``kind``, ``hyper``, ``feature_indices`` and
     ``standardization``, then the state fields in ``state`` order, and
-    ``from_dict`` reads that back.
+    ``from_dict`` reads that back, refusing a ``standardization`` or state
+    whose shape does not fit ``feature_indices`` (``_fits``).
 
     ``predict_batch`` expects an (n, d) matrix already restricted and
     ordered to ``feature_indices``; it is each model's one prediction path.
@@ -163,6 +158,10 @@ class FittedModel:
     def predict_batch(self, X) -> np.ndarray:
         raise NotImplementedError
 
+    def _fits(self, d: int) -> bool:
+        """Whether the kind's state has the shapes that ``d`` input features need."""
+        raise NotImplementedError
+
     def to_dict(self) -> dict:
         payload = {
             "kind": self.kind,
@@ -179,9 +178,14 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FittedModel":
-        return cls(
+        model = cls(
             build(cls.config, **payload["hyper"]),
             reader(tuple[int, ...])(payload["feature_indices"]),
             build(Standardization, **payload["standardization"]),
             **{name: read(payload[name]) for name, (read, _) in cls.state},
         )
+        d = model.n_features
+        stats = model.standardization
+        if len(stats.mean) != d or len(stats.std) != d or not model._fits(d):
+            raise ValueError(f"state does not fit the {d} feature_indices")
+        return model

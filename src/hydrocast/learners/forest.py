@@ -34,10 +34,11 @@ class RFModel(FittedModel):
     def predict_batch(self, X) -> np.ndarray:
         return tree_sum(self.trees, self._check_batch(X)) / len(self.trees)
 
+    def _fits(self, d: int) -> bool:
+        return all(tree.n_features == d for tree in self.trees)
+
 
 def fit_rf(cfg: RFConfig, X, y, feature_indices, seed: int) -> RFModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     per_node = math.ceil(math.sqrt(d)) if cfg.feature_mode == "sqrt" else None
 

@@ -4,9 +4,9 @@ Features are standardized for conditioning and the solution is
 back-transformed, so the stored weights act on raw inputs and the model
 keeps the identity standardization: ``(x - 0.0) / 1.0 == x`` exactly, so
 the linear prediction it shares with SVR is the raw ``X @ weights + bias``.
-A tiny ridge term stands in when the Gram matrix is rank deficient (exact
-duplicates, constant columns); disable the fallback to get a
-SingularSystem error instead.
+A tiny ridge term (``RIDGE``) stands in when the Gram matrix is rank
+deficient (exact duplicates, constant columns); disable the fallback to
+get a SingularSystem error instead.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 
 from ..errors import SingularSystem
 from .base import ARRAY, FLOAT, LR, FittedModel, LRConfig, Standardization
+
+RIDGE = 1e-8  # the fallback's penalty on every weight but the intercept
 
 
 class LinearModel(FittedModel):
@@ -25,6 +27,9 @@ class LinearModel(FittedModel):
     def predict_batch(self, X) -> np.ndarray:
         return self.standardization.transform(self._check_batch(X)) @ self.weights + self.bias
 
+    def _fits(self, d: int) -> bool:
+        return self.weights.shape == (d,)
+
 
 class LRModel(LinearModel):
     kind = LR
@@ -33,8 +38,6 @@ class LRModel(LinearModel):
 
 def fit_lr(cfg: LRConfig, X, y, feature_indices, seed: int = 0) -> LRModel:
     """Solve the normal equations; ``seed`` is unused (the fit is deterministic)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     stats = Standardization.fit(X)
     Z = stats.transform(X)
     A = np.column_stack([Z, np.ones(Z.shape[0])])
@@ -44,7 +47,7 @@ def fit_lr(cfg: LRConfig, X, y, feature_indices, seed: int = 0) -> LRModel:
     if np.linalg.matrix_rank(A) < A.shape[1]:
         if not cfg.ridge_fallback:
             raise SingularSystem("normal equations are singular and fallback is disabled")
-        penalty = np.eye(A.shape[1]) * cfg.ridge
+        penalty = np.eye(A.shape[1]) * RIDGE
         penalty[-1, -1] = 0.0  # never penalize the intercept
         beta = np.linalg.solve(gram + penalty, rhs)
     else:

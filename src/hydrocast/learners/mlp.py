@@ -15,6 +15,7 @@ from ..errors import NonConvergence
 from ..typed import float_array
 from .base import FLOAT, MLP, FittedModel, MLPConfig, Standardization
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and guard, as Kingma & Ba recommend
 
 #: (read, write) for the layers: one {"W", "b"} object per (W, b) pair.
 LAYERS = (
@@ -32,6 +33,11 @@ class MLPModel(FittedModel):
         X = self._check_batch(X)
         out = forward(self.layers, self.standardization.transform(X))
         return self.y_mean + self.y_std * out
+
+    def _fits(self, d: int) -> bool:
+        sizes = [d, *self.hyper.hidden_sizes, 1]
+        return ([(W.shape, b.shape) for W, b in self.layers]
+                == [((fan_in, fan_out), (fan_out,)) for fan_in, fan_out in zip(sizes, sizes[1:])])
 
 
 def init_params(sizes, rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -80,8 +86,6 @@ def loss_and_grads(params, Z, targets):
 
 
 def fit_mlp(cfg: MLPConfig, X, y, feature_indices, seed: int) -> MLPModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     stats = Standardization.fit(X)
     Z = stats.transform(X)
 
@@ -100,12 +104,12 @@ def fit_mlp(cfg: MLPConfig, X, y, feature_indices, seed: int) -> MLPModel:
         loss, grads = loss_and_grads(params, Z, t_targets)
         if not np.isfinite(loss):
             raise NonConvergence("MLP loss became non-finite")
-        bc1 = 1.0 - cfg.beta1**step
-        bc2 = 1.0 - cfg.beta2**step
+        bc1 = 1.0 - BETA1**step
+        bc2 = 1.0 - BETA2**step
         for i, g in enumerate(g for layer in grads for g in layer):
-            m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
-            v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
-            flat[i] = flat[i] - cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps)
+            m[i] = BETA1 * m[i] + (1 - BETA1) * g
+            v[i] = BETA2 * v[i] + (1 - BETA2) * g * g
+            flat[i] = flat[i] - cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + EPS)
         params = list(zip(flat[::2], flat[1::2]))
 
     return MLPModel(cfg, feature_indices, stats, layers=params, y_mean=y_mean, y_std=y_std)

@@ -23,10 +23,12 @@ class KNNModel(FittedModel):
         nearest = np.argsort(dist, axis=1, kind="stable")[:, :self.hyper.k]
         return self.train_y[nearest].mean(axis=1)
 
+    def _fits(self, d: int) -> bool:
+        return (self.train_z.shape[1:] == (d,) and self.train_y.shape == self.train_z.shape[:1]
+                and len(self.train_y) >= 1)
+
 
 def fit_knn(cfg: KNNConfig, X, y, feature_indices, seed: int = 0) -> KNNModel:
     """Store the standardized training rows; ``seed`` is unused (the fit is deterministic)."""
-    X = np.asarray(X, dtype=np.float64)
     stats = Standardization.fit(X)
-    return KNNModel(cfg, feature_indices, stats,
-                    train_z=stats.transform(X), train_y=np.asarray(y, dtype=np.float64))
+    return KNNModel(cfg, feature_indices, stats, train_z=stats.transform(X), train_y=y)

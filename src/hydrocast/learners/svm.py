@@ -35,8 +35,6 @@ class SVRModel(LinearModel):
 
 
 def fit_svr(cfg: SVRConfig, X, y, feature_indices, seed: int) -> SVRModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     stats = Standardization.fit(X)
     Z = stats.transform(X)
     n, d = Z.shape

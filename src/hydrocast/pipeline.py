@@ -52,8 +52,12 @@ _SEED_LEARNER = 2
 _SEED_SYNTH = 3
 _POOLED_POINT_CODE = 10_000
 
-#: The per-point artifacts of select, train and evaluate, in that order.
+#: The per-point stages, in pipeline order, and the artifact each one writes.
+_STAGES = ("select", "train", "evaluate")
 _POINT_ARTIFACTS = ("selection.json", "models.json", "evaluation.json")
+
+#: The file each report format renders report.json to.
+_RENDERINGS = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
 
 #: What a point's selection.json gives later stages: its top columns, its occurrence counts.
 _Selected = tuple[list[int], dict[int, int]]
@@ -105,7 +109,7 @@ class PipelineResult:
     report: EvaluationReport | None
     errors: dict[str, str]
     trained: list[str] = field(default_factory=list)
-    rendered: str = ""  # run_pipeline's text table, as written to report.txt
+    rendered: str = ""  # the first rendering run_stages was asked for, as written to its file
 
 
 def _write_json(path: Path, payload) -> None:
@@ -287,8 +291,10 @@ def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: P
     """Score one point's stored models on its test months; write evaluation.json.
 
     Returns the rows and the point's selection, read before any model is
-    scored. A model that fails goes into ``errors`` as ``<label>:<kind>``; the
-    rest are still scored. A point without a models.json is skipped (None).
+    scored. A model that fails, or whose ``feature_indices`` are not the
+    columns that ``features`` names, goes into ``errors`` as
+    ``<label>:<kind>``; the rest are still scored. A point without a
+    models.json is skipped (None).
     """
     point_dir = Path(cfg.output_dir) / point.label
     models_file = point_dir / "models.json"
@@ -302,7 +308,11 @@ def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: P
     rows: list[EvalResult] = []
     for kind, _ in cfg.learners:
         try:
-            predicted = model_from_dict(payload["models"].get(kind)).predict_batch(X_test)
+            model = model_from_dict(payload["models"].get(kind))
+            if list(model.feature_indices) != columns:
+                raise DamagedArtifact(f"{models_file}: the {kind} model's feature_indices "
+                                      "are not the columns of its features")
+            predicted = model.predict_batch(X_test)
             rows.append(EvalResult(
                 point,
                 kind,
@@ -351,21 +361,22 @@ def stage_report(output_dir, fmt: str = TEXT_TABLE) -> str:
         # or a (point, model) row given twice
         raise DamagedArtifact(f"{path}: malformed row ({exc!r})") from None
     rendered = render_report(report, fmt)
-    suffix = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
-    out = Path(output_dir) / suffix[fmt]
-    _write_text(out, rendered)
+    _write_text(Path(output_dir) / _RENDERINGS[fmt], rendered)
     return rendered
 
 
-def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
+def run_stages(cfg: PipelineConfig, stages: tuple[str, ...],
+               formats: tuple[str, ...] = ()) -> PipelineResult:
     """Run the named stages, in pipeline order, for one point after another.
 
     The CSV is read once. A point stops at its first error, which is
-    recorded under its label while the other points go on; the point's
-    artifacts of the failed stage and of every later stage are deleted, so
-    no later command reads what an earlier run left there. After the last
-    point, report.json and selection_summary.json are written from the
-    points that evaluate scored.
+    recorded under its label while the other points go on, or at a stage
+    it skips. The point's artifacts after the last one this command wrote
+    for it are deleted (all from the failed or skipped stage on, or those of
+    the stages after the last one run), so no later command reads what an
+    earlier run left there. When ``stages`` evaluate, report.json and
+    selection_summary.json are replaced after the last point
+    (``_replace_report``), with report.json rendered in ``formats``.
     """
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     datasets = load_csv(cfg.data_path, cfg.points)
@@ -376,39 +387,60 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...]) -> PipelineResult:
     rows: list[EvalResult] = []
     selections: dict[str, _Selected] = {}  # of the points with rows
     for idx, point in enumerate(cfg.points):
+        stale = len(_POINT_ARTIFACTS)  # the point's artifacts from this index on are stale
         try:
-            if "select" in stages:
-                stale = _POINT_ARTIFACTS
-                result.selections[point.label] = stage_select(cfg, idx, point, datasets, pooled)
-            if "train" in stages:
-                stale = _POINT_ARTIFACTS[1:]
-                if stage_train(cfg, idx, point, datasets) is None:
+            for at, stage in enumerate(_STAGES):
+                if stage not in stages:
                     continue
-                result.trained.append(point.label)
-            if "evaluate" in stages:
-                stale = _POINT_ARTIFACTS[2:]
-                point_rows, selection = (stage_evaluate(cfg, idx, point, datasets, result.errors)
-                                         or ([], None))
-                rows += point_rows
-                if point_rows and selection is not None:
-                    selections[point.label] = selection
+                stale = at
+                if stage == "select":
+                    result.selections[point.label] = stage_select(cfg, idx, point, datasets,
+                                                                  pooled)
+                elif stage == "train":
+                    if stage_train(cfg, idx, point, datasets) is None:
+                        break
+                    result.trained.append(point.label)
+                else:
+                    evaluated = stage_evaluate(cfg, idx, point, datasets, result.errors)
+                    if evaluated is None:
+                        break
+                    point_rows, selection = evaluated
+                    rows += point_rows
+                    if point_rows and selection is not None:
+                        selections[point.label] = selection
+                stale = at + 1
         except HydrocastError as exc:
             result.errors[point.label] = str(exc)
-            for name in stale:  # left by an earlier run, they no longer match this one
-                (Path(cfg.output_dir) / point.label / name).unlink(missing_ok=True)
-    if rows:
-        result.report = EvaluationReport(rows)
-        _write_json(Path(cfg.output_dir) / "report.json", result.report.to_dict())
-        _write_selection_summary(cfg.output_dir, selections)
+        for name in _POINT_ARTIFACTS[stale:]:  # left by an earlier run, they no longer match
+            (Path(cfg.output_dir) / point.label / name).unlink(missing_ok=True)
+    if "evaluate" in stages:
+        result.report = EvaluationReport(rows) if rows else None
+        result.rendered = _replace_report(cfg.output_dir, result.report, selections, formats)
     return result
+
+
+def _replace_report(output_dir, report: EvaluationReport | None,
+                    selections: dict[str, _Selected], formats: tuple[str, ...]) -> str:
+    """Write report.json and selection_summary.json, render report.json in ``formats``,
+    and delete its other renderings, which render the report.json replaced. With no
+    ``report`` (no row scored), delete report.json, the summary and every rendering.
+    Returns the first rendering, or "" when there is none."""
+    root = Path(output_dir)
+    if report is None:
+        rendered, stale = [""], ["report.json", "selection_summary.json", *_RENDERINGS.values()]
+    else:
+        _write_json(root / "report.json", report.to_dict())
+        _write_selection_summary(output_dir, selections)
+        rendered = [stage_report(output_dir, fmt) for fmt in formats] or [""]
+        stale = [name for fmt, name in _RENDERINGS.items() if fmt not in formats]
+    for name in stale:
+        (root / name).unlink(missing_ok=True)
+    return rendered[0]
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """select -> train -> evaluate -> report, sharing one artifact tree."""
-    result = run_stages(cfg, ("select", "train", "evaluate"))
-    if result.report is not None:  # rendered from the report.json just written
-        result.rendered = stage_report(cfg.output_dir, TEXT_TABLE)
-        stage_report(cfg.output_dir, CSV_FORMAT)
+    result = run_stages(cfg, _STAGES, (TEXT_TABLE, CSV_FORMAT))
     errors_file = Path(cfg.output_dir) / "errors.json"
     if result.errors:
         _write_json(errors_file, result.errors)

@@ -94,7 +94,6 @@ class SelectionResult:
     dropped_pairs: tuple[tuple[int, int, float], ...]
     occurrence: dict[int, int]
     top_k: tuple[int, ...]
-    kappa: int
     training_mse_per_stage: tuple[float, ...]
     n_stages: int
 
@@ -262,7 +261,6 @@ def run_selection(X, y, cfg: SelectionConfig = SelectionConfig(),
         dropped_pairs=dropped,
         occurrence=occurrence,
         top_k=top,
-        kappa=cfg.kappa,
         training_mse_per_stage=tuple(model.training_mse_per_stage),
         n_stages=len(model.stages),
     )

@@ -406,3 +406,14 @@ def test_float_state_refuses_what_is_not_a_number(kind, hyper, damage):
     damage(payload)
     with pytest.raises(DamagedArtifact, match=f"malformed {kind} model payload"):
         model_from_dict(payload)
+
+
+@pytest.mark.parametrize("kind,setting", [("mlp", {"beta1": 0.8}), ("lr", {"ridge": 1e-6})],
+                         ids=["mlp_beta1", "lr_ridge"])
+def test_hyper_refuses_a_setting_that_is_a_constant(kind, setting):
+    X = np.random.default_rng(17).standard_normal((20, 2))
+    hyper = MLPConfig(epochs=5) if kind == "mlp" else None
+    payload = model_to_dict(fit(LearnerSpec(kind, hyper, seed=3), X, X[:, 0]))
+    payload["hyper"].update(setting)
+    with pytest.raises(DamagedArtifact, match=f"malformed {kind} model payload"):
+        model_from_dict(payload)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
@@ -322,6 +323,12 @@ def test_readme_library_block_runs():
     assert math.isfinite(names["rho"])
 
 
+def test_readme_names_every_learner_setting():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = [f"{kind}.{f.name}" for kind, model in MODELS.items() for f in fields(model.config)]
+    assert [name for name in named if f"`{name}`" not in readme] == []
+
+
 def test_clean_rerun_removes_stale_errors_json(tmp_path):
     data = synth(tmp_path)  # contains p01 and p02 only
     out = tmp_path / "out"
@@ -424,6 +431,76 @@ def test_staged_commands_do_not_read_a_failed_points_stale_artifacts(tmp_path, c
     assert main(["evaluate", "--config", str(cfg)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(27.5, 67.5)}
+
+
+def test_a_stage_deletes_the_artifacts_it_makes_stale(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    p01, p02 = out / "27.5_67.5", out / "30_67.5"
+    assert main(["select", "--config", str(cfg), "--kappa", "3"]) == 0
+    for point_dir in (p01, p02):  # models of the old 10 features, and their scores
+        assert [path.name for path in point_dir.iterdir()] == ["selection.json"]
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert sorted(path.name for path in p01.iterdir()) == ["models.json", "selection.json"]
+    (p02 / "selection.json").unlink()
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 0  # p02 is skipped: no selection.json
+    assert capsys.readouterr().out.startswith("trained 1 points")
+    assert list(p02.iterdir()) == []
+    assert not (p01 / "evaluation.json").exists()
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    summary = json.loads((out / "selection_summary.json").read_text())
+    assert [len(top) for top in summary["top_features_per_point"].values()] == [3]
+
+
+def test_a_run_that_scores_nothing_leaves_no_report(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out, points="p02"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["report", "--config", str(cfg), "--format", "json"]) == 0
+    _zero_p02_column("air_l05")(data)  # p02's selection now fails: a zero-norm column
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert sorted(path.name for path in out.iterdir()) == ["30_67.5", "errors.json"]
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert "no report.json found" in capsys.readouterr().err
+
+
+def test_evaluate_deletes_the_renderings_of_the_report_it_replaces(tmp_path):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["report", "--config", str(cfg), "--format", "json"]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--points", "p01"]) == 0
+    assert len(json.loads((out / "report.json").read_text())["rows"]) == 5
+    for name in ("report.txt", "report.csv", "report.out.json"):
+        assert not (out / name).exists()
+    assert main(["report", "--config", str(cfg), "--format", "csv"]) == 0
+    assert len((out / "report.csv").read_text().splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("damage", [
+    lambda p: p.update(features=["not_a_feature", *p["features"][1:]]),
+    lambda p: [model.update(kind="zzz") for model in p["models"].values()],
+], ids=["feature_unknown", "kind_unknown"])
+def test_evaluate_prints_the_errors_of_a_pass_that_scores_nothing(tmp_path, capsys, damage):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    for label in ("27.5_67.5", "30_67.5"):
+        _edit_json(damage)(out / label / "models.json")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "no models found" not in err
+    assert "error [27.5_67.5" in err and "error [30_67.5" in err
+    assert not (out / "report.json").exists()
 
 
 def test_errors_json_lists_points_in_configured_order(tmp_path, monkeypatch):
@@ -571,6 +648,11 @@ def _overflow(locate):
     return edit
 
 
+def _widen(rows):
+    for row in rows:
+        row.append(0.0)
+
+
 def _first_leaf_value(payload):
     tree = payload["models"]["rf"]["trees"][0]
     return tree["value"], tree["left"].index(-1)
@@ -679,6 +761,34 @@ BAD_P02 = {
     ),
     "selection_nested_too_deeply": (None, ("selection.json", _nest_deeply), ["30_67.5"]),
     "models_nested_too_deeply": (None, ("models.json", _nest_deeply), ["30_67.5"]),
+    "knn_train_z_wider": (
+        None, ("models.json", _edit_json(lambda p: _widen(p["models"]["knn"]["train_z"]))),
+        ["30_67.5:knn"],
+    ),
+    "knn_train_y_shorter": (
+        None,
+        ("models.json", _edit_json(lambda p: p["models"]["knn"].update(
+            train_y=p["models"]["knn"]["train_y"][:2]))),
+        ["30_67.5:knn"],
+    ),
+    "lr_weights_longer": (
+        None, ("models.json", _edit_json(lambda p: p["models"]["lr"]["weights"].append(0.0))),
+        ["30_67.5:lr"],
+    ),
+    "mlp_first_w_wider": (
+        None, ("models.json", _edit_json(lambda p: _widen(p["models"]["mlp"]["layers"][0]["W"]))),
+        ["30_67.5:mlp"],
+    ),
+    "svr_standardization_shorter": (
+        None,
+        ("models.json", _edit_json(lambda p: p["models"]["svr"]["standardization"].update(
+            std=p["models"]["svr"]["standardization"]["std"][:3]))),
+        ["30_67.5:svr"],
+    ),
+    "features_reversed": (  # each model would score permuted columns
+        None, ("models.json", _edit_json(lambda p: p["features"].reverse())),
+        [f"30_67.5:{kind}" for kind in MODELS],
+    ),
     "standardization_mean_text": (
         None,
         ("models.json", _edit_json(
@@ -693,6 +803,12 @@ BAD_P02_MESSAGES = {
     "lr_weight_null": "malformed lr model payload",
     "rf_leaf_value_overflow": "malformed rf model payload",
     "knn_train_y_overflow": "malformed knn model payload",
+    "knn_train_z_wider": "malformed knn model payload",
+    "knn_train_y_shorter": "malformed knn model payload",
+    "lr_weights_longer": "malformed lr model payload",
+    "mlp_first_w_wider": "malformed mlp model payload",
+    "svr_standardization_shorter": "malformed svr model payload",
+    "features_reversed": "are not the columns of its features",
 }
 
 
@@ -803,6 +919,9 @@ BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit cod
     "stop_tolerance_nan": (["--stop-tolerance", "nan"], {}, 1),
     "svr_epsilon_nan": ([], {"learners": {"svr": {"epsilon": math.nan}}}, 1),  # a NaN literal
     "shrinkage_infinity": ([], {"boost": {"shrinkage": math.inf}}, 1),  # an Infinity literal
+    "mlp_beta1_above_1": ([], {"learners": {"mlp": {"beta1": 1.5}}}, 1),  # Adam's are constants
+    "mlp_eps_negative": ([], {"learners": {"mlp": {"eps": -1.0}}}, 1),
+    "lr_ridge": ([], {"learners": {"lr": {"ridge": 1e-6}}}, 1),  # so is the ridge fallback's
     "train_fraction_above_1": (["--train-fraction", "1.5"], {}, 2),  # a data error, as before
 }
 
