@@ -3,7 +3,9 @@
 A dataset is one index point's monthly record: an (M, 85) feature matrix,
 an M-vector of precipitation totals, and M ``YYYY-MM`` timestamps sorted
 strictly increasing. CSV files may hold several points at once; rows are
-keyed by the ``lon``/``lat`` columns.
+keyed by the ``lon``/``lat`` columns. ``load_csv`` parses a plain file with
+numpy's C reader and any other file with the csv module's row reader, which
+alone names a bad cell; both give identical arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -19,6 +22,7 @@ import numpy as np
 
 from .catalog import FEATURE_NAMES, CATALOG_SIZE, IndexPoint
 from .errors import (
+    DuplicateColumn,
     DuplicateTimestamp,
     EmptyDataset,
     FractionOutOfRange,
@@ -32,6 +36,12 @@ from .errors import (
 
 #: Exact CSV column order: date, coordinates, the 85 predictors, target.
 CSV_COLUMNS = ("date", "lon", "lat", "elev") + FEATURE_NAMES + ("precip",)
+
+#: The C reader's columns (``lon``, ``lat``, the predictors, ``precip``), the only
+#: header it takes, and the characters that send a file to the row reader.
+_VALUE_COLUMNS = tuple(i for i, name in enumerate(CSV_COLUMNS) if name not in ("date", "elev"))
+_HEADER = ",".join(CSV_COLUMNS)
+_ROW_READER_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -156,14 +166,74 @@ class PointData(dict):
 def load_csv(path, points) -> PointData:
     """Load and validate the rows of every requested index point in one pass.
 
-    The header must contain exactly the documented columns; a header error,
-    like a file that is not UTF-8 or one that the csv module cannot read (a
-    cell past its field size limit), is every point's error. A row belongs to
-    each point within 1e-6 of its longitude and latitude. A bad coordinate
-    fails every point that has not failed yet; any other bad value fails only
-    the points of its row.
+    The header must contain exactly the documented columns, each once; a
+    header error, like a file that is not UTF-8 or one that the csv module
+    cannot read (a cell past its field size limit), is every point's error. A
+    row belongs to each point within 1e-6 of its longitude and latitude. A bad
+    coordinate fails every point that has not failed yet; any other bad value
+    fails only the points of its row.
+
+    A plain file (see ``_read_plain``) is parsed by numpy's C reader; any
+    other file goes to the row reader (``_read_rows``), the only code that
+    names a bad cell. Both convert a cell with CPython's
+    ``PyOS_string_to_double``, so they give identical arrays.
     """
     targets = {point.label: point for point in points}
+    datasets = _read_plain(path, targets)
+    return _read_rows(path, targets) if datasets is None else datasets
+
+
+def _read_plain(path, targets) -> PointData | None:
+    """The points' data through one ``np.loadtxt`` call that streams the file's
+    lines, or None when the file is not plain or raises anything on the way.
+
+    Plain means: the header is ``CSV_COLUMNS`` in order; no line is
+    whitespace only, ends in a lone CR, is longer than the csv module's field
+    limit, or holds a quote, a NUL or a ``\\x1c``-``\\x1f`` separator (numpy
+    strips these as whitespace, ``float()`` does not); numpy returns a row for
+    each data line; every ``lon`` and ``lat`` is finite, and so is every value
+    of a requested row. Blank lines are skipped, as the csv module skips them.
+    """
+    dates: list[str] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as numpy's for a file with no data rows
+            if fh.readline() not in (_HEADER + "\n", _HEADER + "\r\n"):
+                return None
+            table = np.loadtxt(_plain_lines(fh, dates), delimiter=",", comments=None,
+                               quotechar=None, usecols=_VALUE_COLUMNS, ndmin=2)
+    except Exception:  # whatever it is, the row reader reads the file or names the fault
+        return None
+    lon, lat = table[:, 0], table[:, 1]
+    if len(table) != len(dates) or not (np.isfinite(lon).all() and np.isfinite(lat).all()):
+        return None
+    rows = {}
+    for label, p in targets.items():
+        at = np.flatnonzero((np.abs(lon - p.lon) <= 1e-6) & (np.abs(lat - p.lat) <= 1e-6))
+        features, precip = table[at, 2:-1], table[at, -1]
+        if not (np.isfinite(features).all() and np.isfinite(precip).all()):
+            return None
+        rows[label] = ([dates[i] for i in at], features, precip)
+    return _point_data(path, targets, rows, {})
+
+
+def _plain_lines(lines, dates: list[str]):
+    """Yield the data lines of a plain file, appending each one's date cell to
+    ``dates``; raise ValueError at a line that is not plain."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        if line in ("\n", "\r\n"):
+            continue
+        if (line[-1] == "\r" or line.isspace() or len(line) > limit
+                or any(c in line for c in _ROW_READER_ONLY)):
+            raise ValueError("not a plain line")
+        dates.append(line[:line.find(",")].strip())
+        yield line
+
+
+def _read_rows(path, targets) -> PointData:
+    """The points' data through the csv module, one row at a time, naming the
+    first bad cell of a row that fails."""
     found = {label: ([], array("d")) for label in targets}  # timestamps, values per row
     failed: dict[str, HydrocastError] = {}
     try:
@@ -178,6 +248,9 @@ def load_csv(path, points) -> PointData:
             for name in header:
                 if name not in CSV_COLUMNS:
                     raise UnknownColumn(name)
+            for name in CSV_COLUMNS:
+                if header.count(name) > 1:
+                    raise DuplicateColumn(name)
             col = {name: header.index(name) for name in CSV_COLUMNS}
             value_cols = [(col[name], name) for name in FEATURE_NAMES + ("precip",)]
             take_values = itemgetter(*(c for c, _ in value_cols))
@@ -216,16 +289,25 @@ def load_csv(path, points) -> PointData:
     except HydrocastError as exc:  # a header error
         return PointData.fromkeys(targets, exc)
 
+    rows = {}
+    for label, (timestamps, values) in found.items():
+        table = np.frombuffer(values).reshape(-1, CATALOG_SIZE + 1)
+        rows[label] = (timestamps, table[:, :-1].copy(), table[:, -1].copy())
+    return _point_data(path, targets, rows, failed)
+
+
+def _point_data(path, targets, rows, failed) -> PointData:
+    """Each point's ``Dataset`` from its (timestamps, features, precip) rows, or
+    the error that its rows raised."""
     datasets = PointData(failed)
     for label, point in targets.items():
-        timestamps, values = found[label]
         if label in failed:
             continue
+        timestamps, features, precip = rows[label]
         try:
             if not timestamps:
                 raise EmptyDataset(f"{path}: no rows for point ({point.lon}, {point.lat})")
-            table = np.frombuffer(values).reshape(-1, CATALOG_SIZE + 1)
-            datasets[label] = Dataset(point, timestamps, table[:, :-1].copy(), table[:, -1].copy())
+            datasets[label] = Dataset(point, timestamps, features, precip)
         except HydrocastError as exc:
             datasets[label] = exc
     return datasets

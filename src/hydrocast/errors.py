@@ -28,6 +28,12 @@ class UnknownColumn(SchemaError):
         super().__init__(f"unexpected column not in the catalog schema: {name!r}")
 
 
+class DuplicateColumn(SchemaError):
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"column named twice in the header: {name!r}")
+
+
 class NonFiniteValue(HydrocastError):
     def __init__(self, row, col):
         self.row = row

@@ -374,9 +374,10 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...],
     it skips. The point's artifacts after the last one this command wrote
     for it are deleted (all from the failed or skipped stage on, or those of
     the stages after the last one run), so no later command reads what an
-    earlier run left there. When ``stages`` evaluate, report.json and
-    selection_summary.json are replaced after the last point
-    (``_replace_report``), with report.json rendered in ``formats``.
+    earlier run left there. After the last point, report.json and
+    selection_summary.json are replaced (``_replace_report``), with
+    report.json rendered in ``formats``, when ``stages`` evaluate and score a
+    row; otherwise they and their renderings are deleted.
     """
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     datasets = load_csv(cfg.data_path, cfg.points)
@@ -413,9 +414,10 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...],
             result.errors[point.label] = str(exc)
         for name in _POINT_ARTIFACTS[stale:]:  # left by an earlier run, they no longer match
             (Path(cfg.output_dir) / point.label / name).unlink(missing_ok=True)
-    if "evaluate" in stages:
-        result.report = EvaluationReport(rows) if rows else None
-        result.rendered = _replace_report(cfg.output_dir, result.report, selections, formats)
+    if "evaluate" in stages and rows:
+        result.report = EvaluationReport(rows)
+    # select and train delete the models that an earlier report.json scored
+    result.rendered = _replace_report(cfg.output_dir, result.report, selections, formats)
     return result
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from hydrocast import dataset
 from hydrocast.catalog import REFERENCE_POINTS
+from hydrocast.cli import main
 from hydrocast.dataset import (
     CSV_COLUMNS,
     CHRONOLOGICAL,
@@ -14,6 +16,7 @@ from hydrocast.dataset import (
     write_csv,
 )
 from hydrocast.errors import (
+    DuplicateColumn,
     DuplicateTimestamp,
     EmptyDataset,
     FractionOutOfRange,
@@ -295,3 +298,120 @@ def test_seeded_random_split_is_deterministic_and_ordered():
 
 def test_chronological_is_default_mode():
     assert SplitSpec().mode == CHRONOLOGICAL
+
+
+def test_a_column_named_twice_fails_every_point(tmp_path):
+    other = REFERENCE_POINTS[1]
+    path = tmp_path / "data.csv"
+    write_csv([make_dataset(20, point=POINT, seed=1), make_dataset(20, point=other, seed=2)], path)
+    lines = [line + ",0.0" for line in path.read_text().splitlines()]
+    lines[0] = lines[0][:-len("0.0")] + "precip"  # a second precip column, all zeros
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_csv(path, [POINT, other])
+    for point in (POINT, other):
+        with pytest.raises(DuplicateColumn, match="'precip'"):
+            loaded[point.label]
+
+
+FOUR = REFERENCE_POINTS[:4]
+
+
+def _cell(lines, row, column, value):
+    """``lines`` with the cell at data row ``row`` and ``column`` set to ``value``."""
+    cells = lines[row].split(",")
+    cells[CSV_COLUMNS.index(column) if isinstance(column, str) else column] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+def _text(lines, end="\n"):
+    return (end.join(lines) + end).encode()
+
+
+# Each case: the file's bytes, made from the lines of a 4-point file (24 rows per
+# point, p01's rows first, header at line 0), the points requested, and whether
+# numpy's C reader serves it (True) or the row reader does (False).
+DIFFERENTIAL = {
+    "clean_1pt": (lambda lines: _text(lines[:25]), FOUR[:1], True),
+    "clean_4pt": (lambda lines: _text(lines), FOUR, True),
+    "crlf": (lambda lines: _text(lines, "\r\n"), FOUR[:2], True),
+    "blank_lines": (lambda lines: _text(lines[:5] + [""] + lines[5:] + [""]), FOUR[:2], True),
+    "extra_trailing_cells": (lambda lines: _text([lines[0]] + [f"{x},9.5,x" for x in lines[1:]]),
+                             FOUR[:2], True),
+    "spaces_and_tabs": (lambda lines: _text(_cell(_cell(lines, 3, "air_l02", " 1.5\t"),
+                                                  4, "lon", f" {FOUR[0].lon} ")), FOUR[:2], True),
+    "no_break_space": (lambda lines: _text(_cell(lines, 3, "air_l02", "\xa01.5\xa0")), FOUR[:2],
+                       True),
+    "underscore_digits": (lambda lines: _text(_cell(lines, 3, "air_l02", "1_0")), FOUR[:2], False),
+    "arabic_indic_digits": (lambda lines: _text(_cell(lines, 3, "air_l02", "١٢")),
+                            FOUR[:2], False),
+    "file_separator_control": (lambda lines: _text(_cell(lines, 3, "air_l02", "\x1c1.5")),
+                               FOUR[:2], False),
+    "nan_requested": (lambda lines: _text(_cell(lines, 3, "air_l02", "nan")), FOUR[:2], False),
+    "inf_requested": (lambda lines: _text(_cell(lines, 3, "precip", "1e999")), FOUR[:2], False),
+    "nan_unrequested": (lambda lines: _text(_cell(lines, 60, "air_l02", "nan")), FOUR[:2], True),
+    "inf_unrequested": (lambda lines: _text(_cell(lines, 60, "precip", "1e999")), FOUR[:2], True),
+    "nan_coordinate_unrequested": (lambda lines: _text(_cell(lines, 60, "lat", "nan")), FOUR[:2],
+                                   False),
+    "bad_elev": (lambda lines: _text(_cell(lines, 3, "elev", "high")), FOUR[:2], True),
+    "negative_precip": (lambda lines: _text(_cell(lines, 30, "precip", "-1.0")), FOUR[:2], True),
+    "bad_date": (lambda lines: _text(_cell(lines, 3, "date", "1981-13")), FOUR[:2], True),
+    "quoted_number": (lambda lines: _text(_cell(lines, 3, "air_l02", '"1.5"')), FOUR[:2], False),
+    "quoted_date": (lambda lines: _text(_cell(lines, 3, "date", '"1981-03"')), FOUR[:2], False),
+    "whitespace_only_line": (lambda lines: _text(lines[:5] + ["  "] + lines[5:]), FOUR[:2], False),
+    "cr_only_line_ends": (lambda lines: _text(lines, "\r"), FOUR[:2], False),
+    "nul_byte": (lambda lines: _text(_cell(lines, 3, "air_l02", "1.5\x00")), FOUR[:2], False),
+    "cell_past_field_limit": (lambda lines: _text(_cell(lines, 3, "elev", "1" * 131073)),
+                              FOUR[:2], False),
+    "header_only": (lambda lines: _text(lines[:1]), FOUR[:2], False),
+    "not_utf8": (lambda lines: _text(lines).replace(b"1981-03", b"1981-03\xff", 1), FOUR[:2],
+                 False),
+    "bom": (lambda lines: b"\xef\xbb\xbf" + _text(lines), FOUR[:2], False),
+    "reordered_header": (lambda lines: _text([",".join(line.split(",")[::-1]) for line in lines]),
+                         FOUR[:2], False),
+    "short_row": (lambda lines: _text(lines[:3] + [lines[3].rsplit(",", 5)[0]] + lines[4:]),
+                  FOUR[:2], False),
+}
+
+
+@pytest.fixture(scope="module")
+def four_point_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("four") / "data.csv"
+    write_csv([make_dataset(24, point=p, seed=i) for i, p in enumerate(FOUR)], path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
+def test_load_csv_equals_the_row_reader(tmp_path, four_point_lines, case):
+    make, points, served = DIFFERENTIAL[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(make(four_point_lines))
+    targets = {p.label: p for p in points}
+    assert (dataset._read_plain(path, targets) is not None) == served
+    loaded, reference = load_csv(path, points), dataset._read_rows(path, targets)
+    assert list(loaded) == list(reference)
+    for label, expected in reference.items():
+        got = dict.__getitem__(loaded, label)
+        if isinstance(expected, Exception):
+            assert (type(got), str(got)) == (type(expected), str(expected))
+        else:
+            assert got.timestamps == expected.timestamps
+            for name in ("features", "precip"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_a_clean_file_is_read_without_the_row_reader(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    assert main(["synth", "--samples", "444", "--seed", "11", "--points", "p01,p02,p03,p04",
+                 "--out", str(path)]) == 0
+    expected = dataset._read_rows(path, {p.label: p for p in FOUR})
+
+    def refuse(path, targets):
+        raise AssertionError("the row reader read a clean file")
+
+    monkeypatch.setattr(dataset, "_read_rows", refuse)
+    loaded = load_csv(path, FOUR)
+    for p in FOUR:
+        assert loaded[p.label].timestamps == expected[p.label].timestamps
+        assert loaded[p.label].features.tobytes() == expected[p.label].features.tobytes()
+        assert loaded[p.label].precip.tobytes() == expected[p.label].precip.tobytes()

@@ -484,6 +484,23 @@ def test_evaluate_deletes_the_renderings_of_the_report_it_replaces(tmp_path):
     assert len((out / "report.csv").read_text().splitlines()) == 1 + 5
 
 
+@pytest.mark.parametrize("command", ["select", "train"])
+def test_select_and_train_delete_the_report_of_the_models_they_replace(tmp_path, capsys,
+                                                                       command):
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    assert main(["synth", "--samples", "120", "--seed", "11", "--points", "p01",
+                 "--out", str(data)]) == 0
+    flags = ["--data", str(data), "--output", str(out), "--points", "p01",
+             "--max-stages", "2", "--trees-per-stage", "10"]
+    assert main(["run", *flags]) == 0
+    assert main(["report", "--output", str(out), "--format", "json"]) == 0
+    assert main([command, *flags, "--kappa", "3"]) == 0
+    assert [path.name for path in out.iterdir()] == ["27.5_67.5"]
+    capsys.readouterr()
+    assert main(["report", "--output", str(out), "--format", "csv"]) == 2
+    assert "no report.json found" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", [
     lambda p: p.update(features=["not_a_feature", *p["features"][1:]]),
     lambda p: [model.update(kind="zzz") for model in p["models"].values()],
