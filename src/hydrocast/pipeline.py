@@ -2,11 +2,13 @@
 
 Every stage reads and writes documented file artifacts under the output
 directory, so the stages can run as separate commands and the all-in-one
-runner is literally their composition. Each command reads the input CSV
-once, then runs its stages for one point after another: a point stops at
-its first failing stage, and the other points go on. One master seed derives
-every sub-seed, and feature selection sees only training rows unless the
-configuration explicitly opts into selecting on all rows.
+runner is literally their composition: every file but errors.json comes out
+as the stages run one by one write it, and run's errors.json holds the errors
+of all its stages. Each command reads the input CSV once, then runs its
+stages for one point after another: a point stops at its first failing
+stage, and the other points go on. One master seed derives every sub-seed,
+and feature selection sees only training rows unless the configuration
+explicitly opts into selecting on all rows.
 
 Artifacts (all JSON unless noted):
     <output>/<lon>_<lat>/selection.json   pruning, occurrence counts, top features
@@ -15,8 +17,9 @@ Artifacts (all JSON unless noted):
     <output>/report.json                  all rows plus best model per point
     <output>/selection_summary.json       top lists and occurrence totals of the evaluated points
     <output>/report.csv, report.txt       rendered by the report stage
-    <output>/errors.json                  only when some points failed in the last run;
-                                          keys in point order, <label> or <label>:<model>
+    <output>/errors.json                  only when some points failed in the last command
+                                          that ran a point stage; keys in point order,
+                                          <label> or <label>:<model>
 """
 
 from __future__ import annotations
@@ -52,15 +55,18 @@ _SEED_LEARNER = 2
 _SEED_SYNTH = 3
 _POOLED_POINT_CODE = 10_000
 
-#: The per-point stages, in pipeline order, and the artifact each one writes.
-_STAGES = ("select", "train", "evaluate")
-_POINT_ARTIFACTS = ("selection.json", "models.json", "evaluation.json")
+#: The per-point stages, in pipeline order, and the artifact each one writes; run_stages
+#: calls ``stage_<name>`` for each.
+STAGES = (("select", "selection.json"), ("train", "models.json"), ("evaluate", "evaluation.json"))
 
 #: The file each report format renders report.json to.
 _RENDERINGS = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: "report.out.json"}
 
 #: What a point's selection.json gives later stages: its top columns, its occurrence counts.
 _Selected = tuple[list[int], dict[int, int]]
+
+#: What the result keeps of a point's evaluate stage: its rows, and its selection if it has one.
+_Evaluated = tuple[list[EvalResult], _Selected | None]
 
 
 def derive_seed(*parts: int) -> int:
@@ -108,8 +114,8 @@ class PipelineResult:
     selections: dict[str, SelectionResult]
     report: EvaluationReport | None
     errors: dict[str, str]
-    trained: list[str] = field(default_factory=list)
-    rendered: str = ""  # the first rendering run_stages was asked for, as written to its file
+    trained: list[str]  # the points whose models.json was written
+    rendered: str  # the first rendering run_stages was asked for, as written to its file
 
 
 def _write_json(path: Path, payload) -> None:
@@ -192,30 +198,6 @@ def _selection_rows(cfg: PipelineConfig, data: Dataset) -> Dataset:
     return train
 
 
-def selection_payload(point: IndexPoint, selection: SelectionResult, seed: int,
-                      cfg: PipelineConfig, n_rows: int, pooled: bool) -> dict:
-    return {
-        "point": _point_payload(point),
-        "seed": seed,
-        "selected_on": "all" if cfg.select_on_all else "train",
-        "pooled": pooled,
-        "n_rows_used": n_rows,
-        "gamma": cfg.selection.colinearity.gamma,
-        "norm": cfg.selection.colinearity.norm,
-        "kappa": cfg.selection.kappa,
-        "kept_after_prune": [FEATURE_NAMES[f] for f in selection.kept_after_prune],
-        "dropped_pairs": [
-            {"kept": FEATURE_NAMES[i], "dropped": FEATURE_NAMES[j], "cosine": c}
-            for i, j, c in selection.dropped_pairs
-        ],
-        "occurrence": _by_rank(selection.occurrence),
-        "occurrence_total": selection.occurrence_total,
-        "top_features": [FEATURE_NAMES[f] for f in selection.top_k],
-        "n_stages": selection.n_stages,
-        "training_mse_per_stage": list(selection.training_mse_per_stage),
-    }
-
-
 def _pooled_selection(cfg: PipelineConfig,
                       datasets: PointData) -> tuple[SelectionResult, int] | HydrocastError:
     """One selection over the selection rows of every point whose rows load, and its
@@ -237,13 +219,26 @@ def _pooled_selection(cfg: PipelineConfig,
         return exc
 
 
-def stage_select(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: PointData,
-                 pooled: tuple[SelectionResult, int] | HydrocastError | None) -> SelectionResult:
-    """Prune and boost-rank one point's features; write its selection.json.
+@dataclass(frozen=True)
+class _Command:
+    """What the stages of one command share: its config, the rows of its points, the
+    pooled (selection, seed) or the error that selection raised (None unless
+    pooled), and the errors recorded so far."""
 
-    ``pooled`` is the shared (selection, seed) of a pooled run, or the error it raised.
-    """
-    rows = _selection_rows(cfg, datasets[point.label])
+    cfg: PipelineConfig
+    datasets: PointData
+    pooled: tuple[SelectionResult, int] | HydrocastError | None
+    errors: dict[str, str]
+
+
+# Each stage returns what the command's result keeps of it and the payload of the
+# point's artifact that run_stages writes, or None when the point skips the stage.
+
+def stage_select(command: _Command, idx: int,
+                 point: IndexPoint) -> tuple[SelectionResult, dict]:
+    """Prune and boost-rank one point's features, for its selection.json."""
+    cfg, pooled = command.cfg, command.pooled
+    rows = _selection_rows(cfg, command.datasets[point.label])
     if pooled is None:
         seed = derive_seed(cfg.seed, _SEED_BOOST, idx)
         selection = run_selection(rows.features, rows.precip, cfg.selection, seed)
@@ -251,51 +246,60 @@ def stage_select(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: Poi
         raise pooled
     else:
         selection, seed = pooled
-    point_dir = Path(cfg.output_dir) / point.label
-    point_dir.mkdir(exist_ok=True)
-    _write_json(
-        point_dir / "selection.json",
-        selection_payload(point, selection, seed, cfg, len(rows), pooled is not None),
-    )
-    return selection
+    return selection, {
+        "point": _point_payload(point),
+        "seed": seed,
+        "selected_on": "all" if cfg.select_on_all else "train",
+        "pooled": pooled is not None,
+        "n_rows_used": len(rows),
+        "gamma": cfg.selection.colinearity.gamma,
+        "norm": cfg.selection.colinearity.norm,
+        "kappa": cfg.selection.kappa,
+        "kept_after_prune": [FEATURE_NAMES[f] for f in selection.kept_after_prune],
+        "dropped_pairs": [
+            {"kept": FEATURE_NAMES[i], "dropped": FEATURE_NAMES[j], "cosine": c}
+            for i, j, c in selection.dropped_pairs
+        ],
+        "occurrence": _by_rank(selection.occurrence),
+        "occurrence_total": selection.occurrence_total,
+        "top_features": [FEATURE_NAMES[f] for f in selection.top_k],
+        "n_stages": selection.n_stages,
+        "training_mse_per_stage": list(selection.training_mse_per_stage),
+    }
 
 
-def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
-                datasets: PointData) -> dict | None:
-    """Fit the learners on one point's selected training columns; write models.json.
+def stage_train(command: _Command, idx: int, point: IndexPoint) -> tuple[None, dict] | None:
+    """Fit the learners on one point's selected training columns, for its models.json.
 
     A point without a selection.json is skipped (None).
     """
-    point_dir = Path(cfg.output_dir) / point.label
-    selection = _read_selection(point_dir)
+    cfg = command.cfg
+    selection = _read_selection(Path(cfg.output_dir) / point.label)
     if selection is None:
         return None
     columns, _ = selection
     if not columns:
         raise HydrocastError("selection produced no features")
-    train, _ = split(datasets[point.label], cfg.split)
+    train, _ = split(command.datasets[point.label], cfg.split)
     models = fit_all(cfg.learner_specs(idx), train.features[:, columns], train.precip, columns)
-    _write_json(
-        point_dir / "models.json",
-        {
-            "point": _point_payload(point),
-            "features": [FEATURE_NAMES[f] for f in columns],
-            "models": {kind: model_to_dict(models[kind]) for kind, _ in cfg.learners},
-        },
-    )
-    return models
+    return None, {
+        "point": _point_payload(point),
+        "features": [FEATURE_NAMES[f] for f in columns],
+        "models": {kind: model_to_dict(models[kind]) for kind, _ in cfg.learners},
+    }
 
 
-def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: PointData,
-                   errors: dict[str, str]) -> tuple[list[EvalResult], _Selected | None] | None:
-    """Score one point's stored models on its test months; write evaluation.json.
+def stage_evaluate(command: _Command, idx: int,
+                   point: IndexPoint) -> tuple[_Evaluated, dict] | None:
+    """Score one point's stored models on its test months, for its evaluation.json.
 
-    Returns the rows and the point's selection, read before any model is
+    Keeps the rows and the point's selection, read before any model is
     scored. A model that fails, or whose ``feature_indices`` are not the
-    columns that ``features`` names, goes into ``errors`` as
+    columns that ``features`` names, goes into the command's errors as
     ``<label>:<kind>``; the rest are still scored. A point without a
     models.json is skipped (None).
     """
+    cfg = command.cfg
     point_dir = Path(cfg.output_dir) / point.label
     models_file = point_dir / "models.json"
     if not models_file.exists():
@@ -303,7 +307,7 @@ def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: P
     selection = _read_selection(point_dir)
     payload = _read_json(models_file, features=list, models=dict)
     columns = [column_of(name) for name in payload["features"]]
-    _, test = split(datasets[point.label], cfg.split)
+    _, test = split(command.datasets[point.label], cfg.split)
     X_test = test.features[:, columns]
     rows: list[EvalResult] = []
     for kind, _ in cfg.learners:
@@ -322,31 +326,28 @@ def stage_evaluate(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: P
                 len(test),
             ))
         except HydrocastError as exc:
-            errors[f"{point.label}:{kind}"] = str(exc)
+            command.errors[f"{point.label}:{kind}"] = str(exc)
     metrics = {r.model_kind: {"pearson": r.rho, "mae": r.mae, "std": r.std} for r in rows}
-    _write_json(
-        point_dir / "evaluation.json",
-        {"point": _point_payload(point), "n_test": len(test), "metrics": metrics},
-    )
-    return rows, selection
+    return (rows, selection), {"point": _point_payload(point), "n_test": len(test),
+                               "metrics": metrics}
 
 
-def _write_selection_summary(output_dir, selections: dict[str, _Selected]) -> None:
-    """Sum the evaluated points' occurrence counts and top-list memberships by column."""
+def _selection_summary(evaluated: dict[str, _Evaluated]) -> dict:
+    """Sum the occurrence counts and top-list memberships by column of the evaluated
+    points that scored a row."""
+    selections = {label: selection for label, (rows, selection) in evaluated.items()
+                  if rows and selection is not None}
     totals, membership = Counter(), Counter()
     for top, counts in selections.values():
         totals.update(counts)
         membership.update(top)
-    _write_json(
-        Path(output_dir) / "selection_summary.json",
-        {
-            "top_features_per_point": {label: [FEATURE_NAMES[f] for f in top]
-                                       for label, (top, _) in selections.items()},
-            "occurrence_totals": _by_rank(totals),
-            "occurrence_total_sum": sum(totals.values()),
-            "top_feature_membership": _by_rank(membership),
-        },
-    )
+    return {
+        "top_features_per_point": {label: [FEATURE_NAMES[f] for f in top]
+                                   for label, (top, _) in selections.items()},
+        "occurrence_totals": _by_rank(totals),
+        "occurrence_total_sum": sum(totals.values()),
+        "top_feature_membership": _by_rank(membership),
+    }
 
 
 def stage_report(output_dir, fmt: str = TEXT_TABLE) -> str:
@@ -374,78 +375,72 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...],
     it skips. The point's artifacts after the last one this command wrote
     for it are deleted (all from the failed or skipped stage on, or those of
     the stages after the last one run), so no later command reads what an
-    earlier run left there. After the last point, report.json and
-    selection_summary.json are replaced (``_replace_report``), with
-    report.json rendered in ``formats``, when ``stages`` evaluate and score a
-    row; otherwise they and their renderings are deleted.
+    earlier run left there. After the last point the root outputs are
+    replaced (``_replace_root``): report.json and selection_summary.json,
+    with report.json rendered in ``formats``, when ``stages`` evaluate and
+    score a row, and errors.json when a point or model failed. The root
+    outputs this command does not write are deleted, so errors.json holds
+    the errors of the last command that ran a point stage.
     """
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     datasets = load_csv(cfg.data_path, cfg.points)
     pooled = None
     if cfg.pooled_selection and "select" in stages:
         pooled = _pooled_selection(cfg, datasets)
-    result = PipelineResult({}, None, {})
-    rows: list[EvalResult] = []
-    selections: dict[str, _Selected] = {}  # of the points with rows
+    command = _Command(cfg, datasets, pooled, {})
+    kept = {stage: {} for stage, _ in STAGES}  # per stage, label -> what the result keeps
     for idx, point in enumerate(cfg.points):
-        stale = len(_POINT_ARTIFACTS)  # the point's artifacts from this index on are stale
+        point_dir = Path(cfg.output_dir) / point.label
+        stale = len(STAGES)  # the point's artifacts from this index on are stale
         try:
-            for at, stage in enumerate(_STAGES):
+            for at, (stage, artifact) in enumerate(STAGES):
                 if stage not in stages:
                     continue
                 stale = at
-                if stage == "select":
-                    result.selections[point.label] = stage_select(cfg, idx, point, datasets,
-                                                                  pooled)
-                elif stage == "train":
-                    if stage_train(cfg, idx, point, datasets) is None:
-                        break
-                    result.trained.append(point.label)
-                else:
-                    evaluated = stage_evaluate(cfg, idx, point, datasets, result.errors)
-                    if evaluated is None:
-                        break
-                    point_rows, selection = evaluated
-                    rows += point_rows
-                    if point_rows and selection is not None:
-                        selections[point.label] = selection
+                # looked up by name at call time, where perfbench's tracer and the tests
+                # hook the stages; goes with ROADMAP item 1
+                done = globals()[f"stage_{stage}"](command, idx, point)
+                if done is None:
+                    break
+                point_dir.mkdir(exist_ok=True)
+                _write_json(point_dir / artifact, done[1])
+                kept[stage][point.label] = done[0]
+                del done  # a models.json payload is megabytes, and evaluate reads its own
                 stale = at + 1
         except HydrocastError as exc:
-            result.errors[point.label] = str(exc)
-        for name in _POINT_ARTIFACTS[stale:]:  # left by an earlier run, they no longer match
-            (Path(cfg.output_dir) / point.label / name).unlink(missing_ok=True)
-    if "evaluate" in stages and rows:
-        result.report = EvaluationReport(rows)
+            command.errors[point.label] = str(exc)
+        for _, artifact in STAGES[stale:]:  # left by an earlier run, they no longer match
+            (point_dir / artifact).unlink(missing_ok=True)
     # select and train delete the models that an earlier report.json scored
-    result.rendered = _replace_report(cfg.output_dir, result.report, selections, formats)
-    return result
+    report, rendered = _replace_root(cfg.output_dir, kept["evaluate"], command.errors, formats)
+    return PipelineResult(kept["select"], report, command.errors, list(kept["train"]), rendered)
 
 
-def _replace_report(output_dir, report: EvaluationReport | None,
-                    selections: dict[str, _Selected], formats: tuple[str, ...]) -> str:
-    """Write report.json and selection_summary.json, render report.json in ``formats``,
-    and delete its other renderings, which render the report.json replaced. With no
-    ``report`` (no row scored), delete report.json, the summary and every rendering.
-    Returns the first rendering, or "" when there is none."""
+def _replace_root(output_dir, evaluated: dict[str, _Evaluated], errors: dict[str, str],
+                  formats: tuple[str, ...]) -> tuple[EvaluationReport | None, str]:
+    """Write the root outputs of one command and delete the others, which an earlier
+    command left. When the ``evaluated`` points scored a row, report.json holds their
+    rows and selection_summary.json their selections, and report.json is rendered in
+    ``formats``; errors.json holds ``errors`` when there are any. Returns the report,
+    or None, and its first rendering, or ""."""
     root = Path(output_dir)
-    if report is None:
-        rendered, stale = [""], ["report.json", "selection_summary.json", *_RENDERINGS.values()]
-    else:
+    rows = [row for point_rows, _ in evaluated.values() for row in point_rows]
+    report, written, rendered = None, [], [""]
+    if rows:
+        report = EvaluationReport(rows)
         _write_json(root / "report.json", report.to_dict())
-        _write_selection_summary(output_dir, selections)
+        _write_json(root / "selection_summary.json", _selection_summary(evaluated))
         rendered = [stage_report(output_dir, fmt) for fmt in formats] or [""]
-        stale = [name for fmt, name in _RENDERINGS.items() if fmt not in formats]
-    for name in stale:
-        (root / name).unlink(missing_ok=True)
-    return rendered[0]
+        written = ["report.json", "selection_summary.json", *(_RENDERINGS[f] for f in formats)]
+    if errors:
+        _write_json(root / "errors.json", errors)
+        written.append("errors.json")
+    for name in ("report.json", "selection_summary.json", *_RENDERINGS.values(), "errors.json"):
+        if name not in written:
+            (root / name).unlink(missing_ok=True)
+    return report, rendered[0]
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """select -> train -> evaluate -> report, sharing one artifact tree."""
-    result = run_stages(cfg, _STAGES, (TEXT_TABLE, CSV_FORMAT))
-    errors_file = Path(cfg.output_dir) / "errors.json"
-    if result.errors:
-        _write_json(errors_file, result.errors)
-    else:
-        errors_file.unlink(missing_ok=True)  # left by an earlier failed run
-    return result
+    return run_stages(cfg, tuple(stage for stage, _ in STAGES), (TEXT_TABLE, CSV_FORMAT))

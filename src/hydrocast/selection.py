@@ -3,10 +3,11 @@
 Phase one drops the later column of every pair whose cosine similarity
 magnitude reaches ``gamma``; only surviving columns may knock out later
 ones, which keeps the scan idempotent. Phase two fits staged gradient
-boosting where every stage adds the average of 100 shallow trees fitted
-to the current residuals, each tree drawing its own random feature
-subset; a stage's trees grow together (``cart.fit_stage``). Features are then ranked by how many trees split on them at
-least once, and the top ``kappa`` move on to model training.
+boosting where every stage adds the average of ``trees_per_stage``
+(default 100) shallow trees fitted to the current residuals, each tree
+drawing its own random feature subset; a stage's trees grow together
+(``cart.fit_stage``). Features are then ranked by how many trees split on
+them at least once, and the top ``kappa`` move on to model training.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def prune_colinear(X, cfg: ColinearityConfig = ColinearityConfig()):
 
 
 def fit_boosted(X, y, cfg: BoostConfig = BoostConfig(), seed: int = 0) -> BoostedModel:
-    """Stagewise residual fitting with 100-tree stages.
+    """Stagewise residual fitting with stages of ``trees_per_stage`` (default 100) trees.
 
     Stage 0 is the constant mean of ``y``. Each later stage fits its trees
     to the current residuals over the full sample (no bootstrap), averages

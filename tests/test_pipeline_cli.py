@@ -329,14 +329,15 @@ def test_readme_names_every_learner_setting():
     assert [name for name in named if f"`{name}`" not in readme] == []
 
 
-def test_clean_rerun_removes_stale_errors_json(tmp_path):
+@pytest.mark.parametrize("command", ["run", "select", "train", "evaluate"])
+def test_clean_rerun_removes_stale_errors_json(tmp_path, command):
     data = synth(tmp_path)  # contains p01 and p02 only
     out = tmp_path / "out"
     failing = write_config(tmp_path, small_config(data, out, points="p01,p03"), "failing.json")
     assert main(["run", "--config", str(failing)]) == 2
     assert (out / "errors.json").exists()
     clean = write_config(tmp_path, small_config(data, out, points="p01"), "clean.json")
-    assert main(["run", "--config", str(clean)]) == 0
+    assert main([command, "--config", str(clean)]) == 0
     assert not (out / "errors.json").exists()
 
 
@@ -518,6 +519,8 @@ def test_evaluate_prints_the_errors_of_a_pass_that_scores_nothing(tmp_path, caps
     assert "no models found" not in err
     assert "error [27.5_67.5" in err and "error [30_67.5" in err
     assert not (out / "report.json").exists()
+    printed = [line.split("]", 1)[0].removeprefix("error [") for line in err.splitlines()]
+    assert list(json.loads((out / "errors.json").read_text())) == printed
 
 
 def test_errors_json_lists_points_in_configured_order(tmp_path, monkeypatch):
