@@ -13,7 +13,8 @@ midpoint of two neighbouring values ``a < b`` fails ``a <= t < b``
 
 A fitted tree is one set of parallel node arrays in pre-order, and
 ``to_dict`` writes those arrays as they are. Growth appends each node as it
-visits it; a split fills in its child links once both subtrees are
+visits it, so a split's left child is always the next node and only its
+right child is stored; a split fills in that link once both subtrees are
 grown. Prediction lays a forest's node arrays end to end and moves every
 (tree, row) pair down one level per vectorized step; a single tree is
 the one-tree case.
@@ -54,9 +55,9 @@ from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
 from .typed import fits
 
 #: A tree's node arrays, in the order ``RegressionTree`` takes and ``to_dict`` writes them.
-NODE_COLUMNS = ("feature", "threshold", "left", "right", "value", "n")
+NODE_COLUMNS = ("feature", "threshold", "right", "value", "n")
 #: The dtype kinds each column's JSON list may give: integers ("i"), or any number ("if").
-_COLUMN_KINDS = ("i", "if", "i", "i", "if", "i")
+_COLUMN_KINDS = ("i", "if", "i", "if", "i")
 
 
 @dataclass(frozen=True)
@@ -89,18 +90,17 @@ class TreeConfig:
 class RegressionTree:
     """A fitted tree as parallel per-node arrays, root at index 0.
 
-    Node ``i`` is a leaf when ``left[i] < 0``; it then predicts
-    ``value[i]`` and was fitted on ``n[i]`` rows. Otherwise it sends
-    ``x[feature[i]] <= threshold[i]`` to node ``left[i]`` and the rest to
-    ``right[i]``. The unused fields hold -1 or 0. Fitted trees list their
-    nodes in pre-order, and the serialized tree is these six arrays as
-    lists. Treat the arrays as read-only.
+    The nodes are in pre-order. Node ``i`` is a leaf when ``feature[i] < 0``;
+    it then predicts ``value[i]`` and was fitted on ``n[i]`` rows. Otherwise
+    it sends ``x[feature[i]] <= threshold[i]`` to node ``i + 1``, the next
+    node, and the rest to node ``right[i]``. The unused fields hold -1 or 0.
+    The serialized tree is these five arrays as lists. Treat the arrays as
+    read-only.
     """
 
-    def __init__(self, feature, threshold, left, right, value, n, n_features: int):
+    def __init__(self, feature, threshold, right, value, n, n_features: int):
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
         self.n = np.asarray(n, dtype=np.int64)
@@ -112,22 +112,22 @@ class RegressionTree:
 
     def features_used(self) -> set[int]:
         """Features appearing in at least one internal node."""
-        return set(np.unique(self.feature[self.left >= 0]).tolist())
+        return set(np.unique(self.feature[self.feature >= 0]).tolist())
 
     def depth(self) -> int:
         level, frontier = 0, np.zeros(1, dtype=np.intp)
         while True:
-            frontier = frontier[self.left[frontier] >= 0]
+            frontier = frontier[self.feature[frontier] >= 0]
             if not frontier.size:
                 return level
-            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            frontier = np.concatenate([frontier + 1, self.right[frontier]])
             level += 1
 
     def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.left < 0))
+        return int(np.count_nonzero(self.feature < 0))
 
-    # Serialization: the six node arrays as equal-length lists in pre-order,
-    # child links by index, root at index 0. See README.
+    # Serialization: the five node arrays as equal-length lists in pre-order,
+    # right links by index, root at index 0. See README.
     def to_dict(self) -> dict:
         return {"n_features": self.n_features,
                 **{name: getattr(self, name).tolist() for name in NODE_COLUMNS}}
@@ -136,6 +136,8 @@ class RegressionTree:
     def from_dict(cls, payload: dict) -> "RegressionTree":
         if "nodes" in payload:
             raise DamagedArtifact("tree in the node-list layout of earlier versions; rerun train")
+        if "left" in payload:
+            raise DamagedArtifact("tree with the left column of earlier versions; rerun train")
         columns = [np.asarray(payload[name]) for name in NODE_COLUMNS]
         size = columns[0].size
         if not size or {column.shape for column in columns} != {(size,)}:
@@ -146,26 +148,33 @@ class RegressionTree:
                 or not fits(payload["n_features"], int)):
             raise ShapeMismatch("tree columns: links, features, counts and n_features must be "
                                 "integers, thresholds and values numbers")
-        if not (np.isfinite(columns[1]).all() and np.isfinite(columns[4]).all()):
+        if not (np.isfinite(columns[1]).all() and np.isfinite(columns[3]).all()):
             raise ValueError("tree columns: thresholds and values must be finite")
         tree = cls(*columns, payload["n_features"])
-        # Children after their parent: routing then ends at a leaf in fewer
-        # steps than there are nodes, whatever the file holds.
-        parent = np.flatnonzero(tree.left >= 0)
-        for child in (tree.left[parent], tree.right[parent]):
-            if ((child <= parent) | (child >= size)).any():
-                raise ShapeMismatch("tree columns: a child link must point past its parent")
-        if ((tree.feature[parent] < 0) | (tree.feature[parent] >= tree.n_features)).any():
+        # Children after their parent, the right one past the left one (the next
+        # node): routing then ends at a leaf in fewer steps than there are nodes,
+        # whatever the file holds.
+        parent = np.flatnonzero(tree.feature >= 0)
+        right = tree.right[parent]
+        if ((right <= parent + 1) | (right >= size)).any():
+            raise ShapeMismatch("tree columns: a right link must point past the node after its "
+                                "parent")
+        if (tree.feature[parent] >= tree.n_features).any():
             raise ShapeMismatch("tree columns: a split feature must lie in [0, n_features)")
+        # A split whose feature was damaged to a negative number would read as a leaf.
+        leaf = tree.feature < 0
+        if ((tree.feature[leaf] != -1) | (tree.right[leaf] != -1)).any():
+            raise ShapeMismatch("tree columns: a leaf's feature and right link must be -1")
         return tree
 
 
 def leaf_values(trees, X) -> np.ndarray:
     """Every tree's prediction for every row of an (n, d) matrix, as a (T, n) array.
 
-    The trees' node arrays are laid end to end, each child link offset by
+    The trees' node arrays are laid end to end, each right link offset by
     its tree's start, and one vectorized step moves every (tree, row) pair
-    that is still at an internal node down one level.
+    that is still at an internal node down one level: to the next node, its
+    left child, or to its right link.
     """
     X = np.asarray(X, dtype=np.float64)
     for tree in trees:
@@ -174,23 +183,20 @@ def leaf_values(trees, X) -> np.ndarray:
     n = X.shape[0]
     if not trees:
         return np.empty((0, n))
-    sizes = [tree.left.size for tree in trees]
+    sizes = [tree.feature.size for tree in trees]
     starts = np.cumsum([0] + sizes[:-1])
-    shift = np.repeat(starts, sizes)
-    left = np.concatenate([tree.left for tree in trees])
-    left = np.where(left >= 0, left + shift, -1)
-    right = np.concatenate([tree.right for tree in trees]) + shift
+    right = np.concatenate([tree.right for tree in trees]) + np.repeat(starts, sizes)
     feature = np.concatenate([tree.feature for tree in trees])
     threshold = np.concatenate([tree.threshold for tree in trees])
     value = np.concatenate([tree.value for tree in trees])
 
     node = np.repeat(starts, n)  # pair t * n + r: tree t, row r, at its root
-    live = np.flatnonzero(left[node] >= 0)
+    live = np.flatnonzero(feature[node] >= 0)
     while live.size:
         at = node[live]
         go_left = X[live % n, feature[at]] <= threshold[at]
-        node[live] = np.where(go_left, left[at], right[at])
-        live = live[left[node[live]] >= 0]
+        node[live] = np.where(go_left, at + 1, right[at])
+        live = live[feature[node[live]] >= 0]
     return value[node].reshape(len(trees), n)
 
 
@@ -301,7 +307,7 @@ class _StageGrower:
         self.outputs = np.empty((allowed.shape[0], y.size))
 
     def leaf(self, trees, idx, mean) -> None:
-        leaf = (-1, 0.0, -1, -1, float(mean), idx.size)
+        leaf = (-1, 0.0, -1, float(mean), idx.size)
         for t in trees:
             self.nodes[t].append(leaf)
             self.outputs[t][idx] = mean
@@ -370,10 +376,10 @@ class _StageGrower:
         if sub is not None:
             union = union[sub]
         self.grow(trees, children[0], union, left_order, left_values, depth + 1)
-        rights = [len(self.nodes[t]) for t in trees]  # a left child follows its parent
+        rights = [len(self.nodes[t]) for t in trees]  # the left child is slot + 1, implied
         self.grow(trees, children[1], union, right_order, right_values, depth + 1)
         for t, slot, right in zip(trees, slots, rights):
-            self.nodes[t][slot] = (feature, threshold, slot + 1, right, 0.0, 0)
+            self.nodes[t][slot] = (feature, threshold, right, 0.0, 0)
 
 
 def _may_split(cfg: TreeConfig, n, depth) -> bool:

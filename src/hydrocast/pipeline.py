@@ -18,7 +18,8 @@ Artifacts (all JSON unless noted):
     <output>/selection_summary.json       top lists and occurrence totals of the evaluated points
     <output>/report.csv, report.txt       rendered by the report stage
     <output>/errors.json                  only when some points failed in the last command
-                                          that ran a point stage; keys in point order,
+                                          that ran a point stage (an evaluate that finds
+                                          no models leaves it); keys in point order,
                                           <label> or <label>:<model>
 """
 
@@ -380,7 +381,10 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...],
     with report.json rendered in ``formats``, when ``stages`` evaluate and
     score a row, and errors.json when a point or model failed. The root
     outputs this command does not write are deleted, so errors.json holds
-    the errors of the last command that ran a point stage.
+    the errors of the last command that ran a point stage. The exception is
+    a command that evaluates no point and records no error (an ``evaluate``
+    of points without models.json): it leaves the root outputs as they were,
+    since it replaced no model that report.json scored.
     """
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     datasets = load_csv(cfg.data_path, cfg.points)
@@ -411,8 +415,11 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...],
             command.errors[point.label] = str(exc)
         for _, artifact in STAGES[stale:]:  # left by an earlier run, they no longer match
             (point_dir / artifact).unlink(missing_ok=True)
+    report, rendered = None, ""
     # select and train delete the models that an earlier report.json scored
-    report, rendered = _replace_root(cfg.output_dir, kept["evaluate"], command.errors, formats)
+    if kept["evaluate"] or command.errors or "evaluate" not in stages:
+        report, rendered = _replace_root(cfg.output_dir, kept["evaluate"], command.errors,
+                                         formats)
     return PipelineResult(kept["select"], report, command.errors, list(kept["train"]), rendered)
 
 

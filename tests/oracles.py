@@ -160,35 +160,38 @@ def reference_fit_tree(X, y, cfg):
 
 
 def node_list(tree):
-    """A serialized tree's six node columns as a flat list of node dicts.
+    """A serialized tree's five node columns as a flat list of node dicts.
 
-    Node ``i`` becomes ``{"value", "n"}`` when ``left[i]`` is negative (a
-    leaf) and ``{"feature", "threshold", "left", "right"}`` otherwise, in
-    column order: the layout ``reference_fit_tree`` returns.
+    Node ``i`` becomes ``{"value", "n"}`` when ``feature[i]`` is negative (a
+    leaf) and ``{"feature", "threshold", "left", "right"}`` otherwise, with
+    ``left`` the next node, ``i + 1``, as the columns imply: the layout
+    ``reference_fit_tree`` returns.
     """
     nodes = []
-    for i in range(len(tree["left"])):
-        if tree["left"][i] < 0:
+    for i in range(len(tree["feature"])):
+        if tree["feature"][i] < 0:
             nodes.append({"value": tree["value"][i], "n": tree["n"][i]})
         else:
             nodes.append({"feature": tree["feature"][i], "threshold": tree["threshold"][i],
-                          "left": tree["left"][i], "right": tree["right"][i]})
+                          "left": i + 1, "right": tree["right"][i]})
     return nodes
 
 
 def node_columns(nodes, n_features):
     """The inverse of ``node_list``: a serialized tree built from node dicts.
 
-    A leaf's unused fields hold -1 (links, feature) or 0.0 (threshold), and
-    an internal node's hold 0.0 (value) or 0 (n).
+    A leaf's unused fields hold -1 (right link, feature) or 0.0 (threshold),
+    and an internal node's hold 0.0 (value) or 0 (n). An internal node's
+    ``left`` must be the next node, which the columns imply and do not store.
     """
-    tree = {"n_features": n_features, "feature": [], "threshold": [], "left": [],
-            "right": [], "value": [], "n": []}
-    for node in nodes:
+    tree = {"n_features": n_features, "feature": [], "threshold": [], "right": [],
+            "value": [], "n": []}
+    for i, node in enumerate(nodes):
         leaf = "value" in node
+        if not leaf and node["left"] != i + 1:
+            raise ValueError(f"node {i}: a left child must be the next node, not {node['left']}")
         tree["feature"].append(-1 if leaf else node["feature"])
         tree["threshold"].append(0.0 if leaf else node["threshold"])
-        tree["left"].append(-1 if leaf else node["left"])
         tree["right"].append(-1 if leaf else node["right"])
         tree["value"].append(node["value"] if leaf else 0.0)
         tree["n"].append(node["n"] if leaf else 0)
@@ -196,20 +199,22 @@ def node_columns(nodes, n_features):
 
 
 def reference_predict(tree, X):
-    """One tree's prediction for every row of X, routed through that tree alone.
+    """One tree's prediction for every row of X, each row walked down from the
+    root on its own.
 
-    Each step moves the rows still at an internal node down one level; the
-    routing that ``cart.leaf_values`` runs over a whole forest at once.
+    A split sends ``x[feature] <= threshold`` to the next node, its left child
+    in pre-order, and the rest to node ``right``; a node with a negative
+    ``feature`` is a leaf.
     """
-    X = np.asarray(X, dtype=np.float64)
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    live = np.arange(X.shape[0]) if tree.left[0] >= 0 else node[:0]
-    while live.size:
-        at = node[live]
-        go_left = X[live, tree.feature[at]] <= tree.threshold[at]
-        node[live] = np.where(go_left, tree.left[at], tree.right[at])
-        live = live[tree.left[node[live]] >= 0]
-    return tree.value[node]
+    feature, threshold, right, value = (tree.feature.tolist(), tree.threshold.tolist(),
+                                        tree.right.tolist(), tree.value.tolist())
+    out = []
+    for x in np.asarray(X, dtype=np.float64).tolist():
+        i = 0
+        while feature[i] >= 0:
+            i = i + 1 if x[feature[i]] <= threshold[i] else right[i]
+        out.append(value[i])
+    return np.array(out, dtype=np.float64)
 
 
 def reference_tree_sum(trees, X):

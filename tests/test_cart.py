@@ -209,7 +209,7 @@ def test_repeated_feature_counts_once_in_features_used():
     y = np.array([0.0, 0, 5, 5, 9, 9, 14, 14])  # staircase on one feature
     tree = fit_tree(x.reshape(-1, 1), y, TreeConfig(max_depth=2))
     assert tree.features_used() == {0}
-    assert np.count_nonzero(tree.feature[tree.left >= 0] == 0) >= 2  # split on it twice or more
+    assert np.count_nonzero(tree.feature == 0) >= 2  # split on it twice or more
 
 
 def test_json_round_trip():
@@ -234,10 +234,11 @@ def test_from_dict_rejects_a_split_feature_outside_n_features(feature):
         RegressionTree.from_dict(payload)
 
 
-@pytest.mark.parametrize("left, right", [(0, 2), (1, 0), (1, 3), (1, -1)])
-def test_from_dict_rejects_child_links_not_past_the_parent(left, right):
+@pytest.mark.parametrize("right", [0, 1, 3, -1],
+                         ids=["at_parent", "at_left_child", "past_end", "negative"])
+def test_from_dict_rejects_child_links_not_past_the_parent(right):
     payload = node_columns([
-        {"feature": 0, "threshold": 0.5, "left": left, "right": right},
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": right},
         {"value": 0.0, "n": 1},
         {"value": 1.0, "n": 1},
     ], 1)
@@ -245,21 +246,22 @@ def test_from_dict_rejects_child_links_not_past_the_parent(left, right):
         RegressionTree.from_dict(payload)
 
 
-def test_to_dict_writes_the_six_node_columns():
+def test_to_dict_writes_the_five_node_columns():
     tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
     assert tree.to_dict() == {
         "n_features": 1, "feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0],
-        "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 0.0, 1.0], "n": [0, 2, 1],
+        "right": [2, -1, -1], "value": [0.0, 0.0, 1.0], "n": [0, 2, 1],
     }
+    assert tuple(tree.to_dict())[1:] == NODE_COLUMNS
 
 
 @pytest.mark.parametrize("damage", [
     lambda tree: tree["value"].pop(),
-    lambda tree: tree["left"].append(-1),
+    lambda tree: tree["right"].append(-1),
     lambda tree: tree.update({name: [] for name in NODE_COLUMNS}),
     lambda tree: tree.update(n=[[0], [2], [1]]),
     lambda tree: tree.update(threshold=2.5),
-], ids=["value_short", "left_long", "all_empty", "n_nested", "threshold_scalar"])
+], ids=["value_short", "right_long", "all_empty", "n_nested", "threshold_scalar"])
 def test_from_dict_rejects_columns_not_one_length(damage):
     payload = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0])).to_dict()
     damage(payload)
@@ -268,7 +270,7 @@ def test_from_dict_rejects_columns_not_one_length(damage):
 
 
 @pytest.mark.parametrize("damage", [
-    lambda tree: tree["left"].__setitem__(0, 1.5),
+    lambda tree: tree["right"].__setitem__(0, tree["right"][0] + 0.5),
     lambda tree: tree["feature"].__setitem__(0, 0.5),
     lambda tree: tree["n"].__setitem__(1, 2.0),
     lambda tree: tree["value"].__setitem__(1, None),
@@ -277,7 +279,7 @@ def test_from_dict_rejects_columns_not_one_length(damage):
     lambda tree: tree["right"].__setitem__(0, 2**63),
     lambda tree: tree.update(n_features=1.5),
     lambda tree: tree.update(n_features=True),
-], ids=["left_fractional", "feature_fractional", "n_float", "value_null", "threshold_null",
+], ids=["right_fractional", "feature_fractional", "n_float", "value_null", "threshold_null",
         "threshold_text", "right_past_int64", "n_features_fractional", "n_features_bool"])
 def test_from_dict_refuses_numbers_it_would_change(damage):
     payload = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0])).to_dict()
@@ -289,6 +291,13 @@ def test_from_dict_refuses_numbers_it_would_change(damage):
 def test_from_dict_refuses_the_node_list_layout():
     tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
     old = {"n_features": 1, "nodes": node_list(tree.to_dict())}
+    with pytest.raises(DamagedArtifact, match="rerun train"):
+        RegressionTree.from_dict(old)
+
+
+def test_from_dict_refuses_a_tree_with_a_left_column():
+    tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0])).to_dict()
+    old = {**tree, "left": [1, -1, -1]}  # the six columns earlier versions wrote
     with pytest.raises(DamagedArtifact, match="rerun train"):
         RegressionTree.from_dict(old)
 
@@ -490,3 +499,44 @@ def test_leaf_values_equals_per_tree_routing_bit_for_bit():
     assert row_counts == {0, 1, 2}
     assert {0, 1} <= depths and max(depths) >= 8
     assert leaf_values([], np.zeros((3, 2))).shape == (0, 3)
+
+
+def invariant_case(seed):
+    """(X, y) for the layout tests, and one tree config in each growth style: an RF
+    tree (a draw per node, leaves of at least 5 rows) and a boosting tree (a fixed
+    column subset, depth 3)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((150, 10))
+    y = X[:, 0] - 2.0 * X[:, 3] + rng.standard_normal(150)
+    rf = TreeConfig(min_samples_leaf=5, features_per_node=4, seed=seed)
+    boost = TreeConfig(max_depth=3, feature_subset=tuple(rng.choice(10, 4, replace=False).tolist()))
+    return X, y, (rf, boost)
+
+
+def test_reference_growth_puts_each_left_child_next():
+    """The layout the node columns rely on: as the reference grower appends a
+    split's left child it records that link, and it is always the split's index + 1."""
+    splits = 0
+    for seed in range(8):
+        X, y, cfgs = invariant_case(seed)
+        for cfg in cfgs:
+            nodes = reference_fit_tree(X, y, cfg)
+            internal = [i for i, node in enumerate(nodes) if "feature" in node]
+            assert [nodes[i]["left"] for i in internal] == [i + 1 for i in internal], (seed, cfg)
+            splits += len(internal)
+    assert splits > 200
+
+
+def test_fit_tree_stage_and_forest_route_like_the_reference():
+    for seed in range(4):
+        X, y, (rf, boost) = invariant_case(seed)
+        rng = np.random.default_rng(seed)
+        queries = np.vstack([X, rng.standard_normal((60, 10))])
+        subsets = [boost.feature_subset] + [rng.choice(10, 4, replace=False).tolist()
+                                            for _ in range(7)]
+        trees = [fit_tree(X, y, rf), fit_tree(X, y, boost)]
+        trees += fit_stage(X, y, subsets, 3, 1)[0]
+        trees += fit_rf(RFConfig(n_trees=5), X, y, list(range(10)), seed=seed).trees
+        got = leaf_values(trees, queries)
+        want = np.stack([reference_predict(tree, queries) for tree in trees])
+        assert got.tobytes() == want.tobytes(), seed

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import fields
 from functools import reduce
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hydrocast.cart import NODE_COLUMNS
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast import pipeline
 from hydrocast.cli import build_parser, build_pipeline_config, main
@@ -329,6 +331,12 @@ def test_readme_names_every_learner_setting():
     assert [name for name in named if f"`{name}`" not in readme] == []
 
 
+def test_readme_names_the_tree_columns_in_order():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    layout = readme.split("A tree serializes as", 1)[1].split("}`", 1)[0]
+    assert re.findall(r'"(\w+)":', layout) == ["n_features", *NODE_COLUMNS]
+
+
 @pytest.mark.parametrize("command", ["run", "select", "train", "evaluate"])
 def test_clean_rerun_removes_stale_errors_json(tmp_path, command):
     data = synth(tmp_path)  # contains p01 and p02 only
@@ -523,6 +531,44 @@ def test_evaluate_prints_the_errors_of_a_pass_that_scores_nothing(tmp_path, caps
     assert list(json.loads((out / "errors.json").read_text())) == printed
 
 
+def test_an_evaluate_that_finds_no_models_leaves_the_root_outputs(tmp_path, capsys):
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    assert main(["synth", "--samples", "120", "--seed", "11", "--points", "p01",
+                 "--out", str(data)]) == 0
+    flags = ["--data", str(data), "--output", str(out), "--max-stages", "2",
+             "--trees-per-stage", "10"]
+    assert main(["run", *flags, "--points", "p01,p02"]) == 2  # p02 has no rows
+    assert main(["report", "--output", str(out), "--format", "json"]) == 0
+    root = {"report.json", "selection_summary.json", "report.txt", "report.csv",
+            "report.out.json", "errors.json"}
+    before = read_tree(out)
+    assert root <= set(before)
+    capsys.readouterr()
+    assert main(["evaluate", *flags, "--points", "p02"]) == 2
+    assert "no models found to evaluate" in capsys.readouterr().err
+    assert read_tree(out) == before
+    # a skipped point's evaluation.json still goes: it scored the models that are gone
+    (out / "27.5_67.5" / "models.json").unlink()
+    assert main(["evaluate", *flags, "--points", "p01"]) == 2
+    after = read_tree(out)
+    assert "27.5_67.5/evaluation.json" not in after
+    assert {name: after[name] for name in root} == {name: before[name] for name in root}
+
+
+def test_evaluate_refuses_a_forest_with_a_left_column(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out, points="p01"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    _edit_json(_add_left_columns)(out / "27.5_67.5" / "models.json")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert "error [27.5_67.5:rf]" in capsys.readouterr().err
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == ["27.5_67.5:rf"] and "rerun train" in errors["27.5_67.5:rf"]
+    assert len(json.loads((out / "report.json").read_text())["rows"]) == 4
+
+
 def test_errors_json_lists_points_in_configured_order(tmp_path, monkeypatch):
     data = synth(tmp_path)
     _zero_p02_column("air_l05")(data)  # p02 fails select
@@ -673,9 +719,14 @@ def _widen(rows):
         row.append(0.0)
 
 
+def _add_left_columns(payload):  # the six columns earlier versions wrote
+    for tree in payload["models"]["rf"]["trees"]:
+        tree["left"] = [i + 1 if feature >= 0 else -1 for i, feature in enumerate(tree["feature"])]
+
+
 def _first_leaf_value(payload):
     tree = payload["models"]["rf"]["trees"][0]
-    return tree["value"], tree["left"].index(-1)
+    return tree["value"], tree["feature"].index(-1)
 
 
 BAD_P02 = {
@@ -694,7 +745,7 @@ BAD_P02 = {
         ["30_67.5:rf"],
     ),
     "tree_child_link_not_past_parent": (
-        None, ("models.json", _edit_first_tree(lambda tree: tree["left"].__setitem__(0, 0))),
+        None, ("models.json", _edit_first_tree(lambda tree: tree["right"].__setitem__(0, 0))),
         ["30_67.5:rf"],
     ),
     "forest_in_node_list_layout": (  # as earlier versions wrote it
@@ -710,15 +761,18 @@ BAD_P02 = {
     ),
     "tree_child_link_fractional": (
         None,
-        ("models.json", _edit_first_tree(lambda tree: tree["left"].__setitem__(
-            0, tree["left"][0] + 0.5))),
+        ("models.json", _edit_first_tree(lambda tree: tree["right"].__setitem__(
+            0, tree["right"][0] + 0.5))),
         ["30_67.5:rf"],
     ),
     "tree_leaf_value_null": (
         None,
         ("models.json", _edit_first_tree(lambda tree: tree["value"].__setitem__(
-            tree["left"].index(-1), None))),
+            tree["feature"].index(-1), None))),
         ["30_67.5:rf"],
+    ),
+    "forest_with_a_left_column": (
+        None, ("models.json", _edit_json(_add_left_columns)), ["30_67.5:rf"],
     ),
     "lr_weight_null": (
         None,
@@ -829,6 +883,7 @@ BAD_P02_MESSAGES = {
     "mlp_first_w_wider": "malformed mlp model payload",
     "svr_standardization_shorter": "malformed svr model payload",
     "features_reversed": "are not the columns of its features",
+    "forest_with_a_left_column": "rerun train",
 }
 
 
