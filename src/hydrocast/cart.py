@@ -11,13 +11,16 @@ wins. Routing sends ``value <= threshold`` to the left child. When the
 midpoint of two neighbouring values ``a < b`` fails ``a <= t < b``
 (adjacent floats, or an overflow past 1.8e308), the threshold is ``a``.
 
-A fitted tree is one set of parallel node arrays in pre-order, and
-``to_dict`` writes those arrays as they are. Growth appends each node as it
-visits it, so a split's left child is always the next node and only its
-right child is stored; a split fills in that link once both subtrees are
-grown. Prediction lays a forest's node arrays end to end and moves every
-(tree, row) pair down one level per vectorized step; a single tree is
-the one-tree case.
+A fitted tree is one set of parallel node arrays in pre-order. Growth
+appends each node as it visits it, so a split's left child is always the
+next node and only its right child is stored; a split fills in that link
+once both subtrees are grown. ``forest_to_dict`` writes a forest as one
+block: those arrays of all its trees laid end to end in tree order, with
+each tree's node count. ``forest_from_dict`` converts each column once and
+checks every node of the block in one vectorized pass; each tree it
+returns is a read-only view of its slice. Prediction lays a forest's node
+arrays end to end in the same way and moves every (tree, row) pair down
+one level per vectorized step; a single tree is the one-tree case.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): a stage stable-sorts its trees' columns
@@ -54,10 +57,12 @@ import numpy as np
 from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
 from .typed import fits
 
-#: A tree's node arrays, in the order ``RegressionTree`` takes and ``to_dict`` writes them.
+#: A tree's node arrays, in the order ``RegressionTree`` takes and ``forest_to_dict`` writes them.
 NODE_COLUMNS = ("feature", "threshold", "right", "value", "n")
 #: The dtype kinds each column's JSON list may give: integers ("i"), or any number ("if").
 _COLUMN_KINDS = ("i", "if", "i", "if", "i")
+#: Each column's dtype in memory, as ``RegressionTree`` holds it.
+_COLUMN_DTYPES = (np.intp, np.float64, np.intp, np.float64, np.int64)
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,9 @@ class RegressionTree:
     it then predicts ``value[i]`` and was fitted on ``n[i]`` rows. Otherwise
     it sends ``x[feature[i]] <= threshold[i]`` to node ``i + 1``, the next
     node, and the rest to node ``right[i]``. The unused fields hold -1 or 0.
-    The serialized tree is these five arrays as lists. Treat the arrays as
-    read-only.
+    A serialized forest is these five arrays of its trees laid end to end
+    (``forest_to_dict``), and the arrays of a tree read back from one are
+    views of that block. Treat the arrays as read-only.
     """
 
     def __init__(self, feature, threshold, right, value, n, n_features: int):
@@ -126,46 +132,69 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
 
-    # Serialization: the five node arrays as equal-length lists in pre-order,
-    # right links by index, root at index 0. See README.
-    def to_dict(self) -> dict:
-        return {"n_features": self.n_features,
-                **{name: getattr(self, name).tolist() for name in NODE_COLUMNS}}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RegressionTree":
-        if "nodes" in payload:
-            raise DamagedArtifact("tree in the node-list layout of earlier versions; rerun train")
-        if "left" in payload:
-            raise DamagedArtifact("tree with the left column of earlier versions; rerun train")
-        columns = [np.asarray(payload[name]) for name in NODE_COLUMNS]
-        size = columns[0].size
-        if not size or {column.shape for column in columns} != {(size,)}:
-            raise ShapeMismatch("tree columns must be non-empty lists of one length")
-        # A fraction where an integer belongs would be truncated, a null would
-        # become NaN, and neither is what was written.
-        if (any(column.dtype.kind not in kinds for column, kinds in zip(columns, _COLUMN_KINDS))
-                or not fits(payload["n_features"], int)):
-            raise ShapeMismatch("tree columns: links, features, counts and n_features must be "
-                                "integers, thresholds and values numbers")
-        if not (np.isfinite(columns[1]).all() and np.isfinite(columns[3]).all()):
-            raise ValueError("tree columns: thresholds and values must be finite")
-        tree = cls(*columns, payload["n_features"])
-        # Children after their parent, the right one past the left one (the next
-        # node): routing then ends at a leaf in fewer steps than there are nodes,
-        # whatever the file holds.
-        parent = np.flatnonzero(tree.feature >= 0)
-        right = tree.right[parent]
-        if ((right <= parent + 1) | (right >= size)).any():
-            raise ShapeMismatch("tree columns: a right link must point past the node after its "
-                                "parent")
-        if (tree.feature[parent] >= tree.n_features).any():
-            raise ShapeMismatch("tree columns: a split feature must lie in [0, n_features)")
-        # A split whose feature was damaged to a negative number would read as a leaf.
-        leaf = tree.feature < 0
-        if ((tree.feature[leaf] != -1) | (tree.right[leaf] != -1)).any():
-            raise ShapeMismatch("tree columns: a leaf's feature and right link must be -1")
-        return tree
+def forest_to_dict(trees) -> dict:
+    """A forest as one block: ``n_features``, each tree's node count in ``sizes``,
+    then each node column of all the trees laid end to end in list order. See README."""
+    return {"n_features": trees[0].n_features, "sizes": [tree.feature.size for tree in trees],
+            **{name: np.concatenate([getattr(tree, name) for tree in trees]).tolist()
+               for name in NODE_COLUMNS}}
+
+
+def forest_from_dict(payload: dict) -> list[RegressionTree]:
+    """The trees of a ``forest_to_dict`` block, each a read-only view of its slice.
+
+    Each column is converted once, and every node of every tree is checked in
+    one vectorized pass: a damaged file raises, and never yields a tree that
+    routing could not walk to a leaf.
+    """
+    if isinstance(payload, list):
+        raise DamagedArtifact("forest in the per-tree layout of earlier versions; rerun train")
+    columns = [np.asarray(payload[name]) for name in NODE_COLUMNS]
+    total = columns[0].size
+    if not total or {column.shape for column in columns} != {(total,)}:
+        raise ShapeMismatch("tree columns must be non-empty lists of one length")
+    # A fraction where an integer belongs would be truncated, a null would
+    # become NaN, and neither is what was written.
+    if (any(column.dtype.kind not in kinds for column, kinds in zip(columns, _COLUMN_KINDS))
+            or not fits(payload["n_features"], int)):
+        raise ShapeMismatch("tree columns: links, features, counts and n_features must be "
+                            "integers, thresholds and values numbers")
+    sizes = payload["sizes"]
+    # Summed in Python before any array is built from them, so that a crafted
+    # size cannot make the reader allocate past the columns the file holds.
+    if not (isinstance(sizes, list) and sizes and all(type(size) is int for size in sizes)
+            and min(sizes) > 0 and sum(sizes) == total):
+        raise ShapeMismatch("forest sizes must be positive integers that add up to the "
+                            "column length")
+    feature, threshold, right, value, n = (column.astype(dtype, copy=False)
+                                           for column, dtype in zip(columns, _COLUMN_DTYPES))
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise ValueError("tree columns: thresholds and values must be finite")
+    n_features = payload["n_features"]
+    # Children after their parent, the right one past the left one (the next
+    # node) and inside the parent's own tree: routing then ends at a leaf in
+    # fewer steps than the tree has nodes, whatever the file holds.
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    parent = np.flatnonzero(feature >= 0)
+    tree = np.searchsorted(ends, parent, side="right")  # the tree each split belongs to
+    links = right[parent]
+    if ((links <= parent - starts[tree] + 1) | (links >= sizes[tree])).any():
+        raise ShapeMismatch("tree columns: a right link must point past the node after its "
+                            "parent")
+    if (feature[parent] >= n_features).any():
+        raise ShapeMismatch("tree columns: a split feature must lie in [0, n_features)")
+    # A split whose feature was damaged to a negative number would read as a leaf.
+    leaf = feature < 0
+    if ((feature[leaf] != -1) | (right[leaf] != -1)).any():
+        raise ShapeMismatch("tree columns: a leaf's feature and right link must be -1")
+    block = (feature, threshold, right, value, n)
+    for column in block:
+        column.flags.writeable = False
+    return [RegressionTree(*(column[start:end] for column in block), n_features)
+            for start, end in zip(starts.tolist(), ends.tolist())]
 
 
 def leaf_values(trees, X) -> np.ndarray:

@@ -12,18 +12,11 @@ import math
 
 import numpy as np
 
-from ..cart import RegressionTree, TreeConfig, fit_tree, tree_sum
+from ..cart import TreeConfig, fit_tree, forest_from_dict, forest_to_dict, tree_sum
 from .base import RF, FittedModel, RFConfig, Standardization
 
-
-def _read_trees(payload) -> list[RegressionTree]:
-    if not payload:
-        raise ValueError("a forest needs at least one tree")
-    return [RegressionTree.from_dict(tree) for tree in payload]
-
-
-#: (read, write) for the forest: each tree as its node columns.
-TREES = (_read_trees, lambda trees: [tree.to_dict() for tree in trees])
+#: (read, write) for the forest: its trees' node columns as one block.
+TREES = (forest_from_dict, forest_to_dict)
 
 
 class RFModel(FittedModel):

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+#: A tree's node columns, in the order a serialized forest lists them.
+_COLUMNS = ("feature", "threshold", "right", "value", "n")
+
 
 def pearson_direct(a, p):
     n = len(a)
@@ -79,9 +82,8 @@ def reference_fit_tree(X, y, cfg):
 
     Each node argsorts every candidate column afresh and scans its cut
     positions on its own. Returns the flat node list (a list of dicts,
-    pre-order, root first), which must equal
-    ``node_list(cart.fit_tree(...).to_dict())``. Takes valid, finite input
-    only.
+    pre-order, root first), which must equal ``node_list(cart.fit_tree(...))``.
+    Takes valid, finite input only.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -160,13 +162,16 @@ def reference_fit_tree(X, y, cfg):
 
 
 def node_list(tree):
-    """A serialized tree's five node columns as a flat list of node dicts.
+    """One tree's five node columns as a flat list of node dicts.
 
-    Node ``i`` becomes ``{"value", "n"}`` when ``feature[i]`` is negative (a
-    leaf) and ``{"feature", "threshold", "left", "right"}`` otherwise, with
-    ``left`` the next node, ``i + 1``, as the columns imply: the layout
-    ``reference_fit_tree`` returns.
+    ``tree`` is a ``RegressionTree``, or one tree's columns as JSON lists in a
+    dict. Node ``i`` becomes ``{"value", "n"}`` when ``feature[i]`` is
+    negative (a leaf) and ``{"feature", "threshold", "left", "right"}``
+    otherwise, with ``left`` the next node, ``i + 1``, as the columns imply:
+    the layout ``reference_fit_tree`` returns.
     """
+    if not isinstance(tree, dict):
+        tree = {name: getattr(tree, name).tolist() for name in _COLUMNS}
     nodes = []
     for i in range(len(tree["feature"])):
         if tree["feature"][i] < 0:
@@ -178,24 +183,44 @@ def node_list(tree):
 
 
 def node_columns(nodes, n_features):
-    """The inverse of ``node_list``: a serialized tree built from node dicts.
+    """The inverse of ``node_list``: a serialized forest of one tree built from
+    node dicts.
 
     A leaf's unused fields hold -1 (right link, feature) or 0.0 (threshold),
     and an internal node's hold 0.0 (value) or 0 (n). An internal node's
     ``left`` must be the next node, which the columns imply and do not store.
     """
-    tree = {"n_features": n_features, "feature": [], "threshold": [], "right": [],
-            "value": [], "n": []}
+    forest = {"n_features": n_features, "sizes": [len(nodes)],
+              **{name: [] for name in _COLUMNS}}
     for i, node in enumerate(nodes):
         leaf = "value" in node
         if not leaf and node["left"] != i + 1:
             raise ValueError(f"node {i}: a left child must be the next node, not {node['left']}")
-        tree["feature"].append(-1 if leaf else node["feature"])
-        tree["threshold"].append(0.0 if leaf else node["threshold"])
-        tree["right"].append(-1 if leaf else node["right"])
-        tree["value"].append(node["value"] if leaf else 0.0)
-        tree["n"].append(node["n"] if leaf else 0)
-    return tree
+        forest["feature"].append(-1 if leaf else node["feature"])
+        forest["threshold"].append(0.0 if leaf else node["threshold"])
+        forest["right"].append(-1 if leaf else node["right"])
+        forest["value"].append(node["value"] if leaf else 0.0)
+        forest["n"].append(node["n"] if leaf else 0)
+    return forest
+
+
+def forest_trees(forest):
+    """A serialized forest's trees, each as its own columns in a dict (with
+    ``n_features``), cut from the block through ``sizes``."""
+    trees, start = [], 0
+    for size in forest["sizes"]:
+        trees.append({"n_features": forest["n_features"],
+                      **{name: forest[name][start:start + size] for name in _COLUMNS}})
+        start += size
+    return trees
+
+
+def forest_block(trees):
+    """The inverse of ``forest_trees``: per-tree column dicts laid end to end as a
+    serialized forest. A column that some tree lacks is left out of the block."""
+    return {"n_features": trees[0]["n_features"], "sizes": [len(tree["feature"]) for tree in trees],
+            **{name: [v for tree in trees for v in tree[name]]
+               for name in _COLUMNS if all(name in tree for tree in trees)}}
 
 
 def reference_predict(tree, X):

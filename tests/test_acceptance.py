@@ -76,7 +76,7 @@ def test_criterion_3_cart_matches_brute_force():
         y = rng.integers(-5, 6, size=n).astype(float)
         best_sse, optima = best_depth1_splits(X, y)
         tree = fit_tree(X, y, TreeConfig(max_depth=1))
-        root = node_list(tree.to_dict())[0]
+        root = node_list(tree)[0]
         if not optima or y.max() == y.min():
             assert "value" in root
             continue

@@ -1,3 +1,4 @@
+import json
 from collections import defaultdict
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from hydrocast.cart import (
     NODE_COLUMNS,
-    RegressionTree,
     TreeConfig,
     fit_stage,
     fit_tree,
+    forest_from_dict,
+    forest_to_dict,
     leaf_values,
     presort,
     tree_sum,
@@ -19,6 +21,8 @@ from hydrocast.learners.forest import fit_rf
 
 from oracles import (
     best_depth1_splits,
+    forest_block,
+    forest_trees,
     node_columns,
     node_list,
     reference_fit_tree,
@@ -39,7 +43,13 @@ def random_case(rng, max_n=8, max_d=3):
 
 
 def nodes_of(tree):
-    return node_list(tree.to_dict())
+    return node_list(tree)
+
+
+def read_tree(payload):
+    """The one tree of a serialized forest of one."""
+    (tree,) = forest_from_dict(payload)
+    return tree
 
 
 def root_of(tree):
@@ -119,7 +129,7 @@ def test_two_samples_with_leaf_minimum_two():
 
 
 def test_boundary_value_routes_left():
-    tree = RegressionTree.from_dict(node_columns([
+    tree = read_tree(node_columns([
         {"feature": 0, "threshold": 1.0, "left": 1, "right": 2},
         {"value": -1.0, "n": 1},
         {"value": 1.0, "n": 1},
@@ -217,10 +227,10 @@ def test_json_round_trip():
     X = rng.standard_normal((50, 3))
     y = rng.standard_normal(50)
     tree = fit_tree(X, y, TreeConfig(max_depth=3))
-    clone = RegressionTree.from_dict(tree.to_dict())
+    clone = read_tree(json.loads(json.dumps(forest_to_dict([tree]))))
     Xq = rng.standard_normal((20, 3))
     np.testing.assert_array_equal(tree.predict_batch(Xq), clone.predict_batch(Xq))
-    assert clone.to_dict() == tree.to_dict()
+    assert forest_to_dict([clone]) == forest_to_dict([tree])
 
 
 @pytest.mark.parametrize("feature", [-1, 1])
@@ -231,7 +241,7 @@ def test_from_dict_rejects_a_split_feature_outside_n_features(feature):
         {"value": 1.0, "n": 1},
     ], 1)
     with pytest.raises(ShapeMismatch):
-        RegressionTree.from_dict(payload)
+        forest_from_dict(payload)
 
 
 @pytest.mark.parametrize("right", [0, 1, 3, -1],
@@ -243,16 +253,20 @@ def test_from_dict_rejects_child_links_not_past_the_parent(right):
         {"value": 1.0, "n": 1},
     ], 1)
     with pytest.raises(ShapeMismatch):
-        RegressionTree.from_dict(payload)
+        forest_from_dict(payload)
+
+
+def small_tree():
+    return fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
 
 
 def test_to_dict_writes_the_five_node_columns():
-    tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
-    assert tree.to_dict() == {
-        "n_features": 1, "feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0],
+    payload = forest_to_dict([small_tree()])
+    assert payload == {
+        "n_features": 1, "sizes": [3], "feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0],
         "right": [2, -1, -1], "value": [0.0, 0.0, 1.0], "n": [0, 2, 1],
     }
-    assert tuple(tree.to_dict())[1:] == NODE_COLUMNS
+    assert tuple(payload)[2:] == NODE_COLUMNS
 
 
 @pytest.mark.parametrize("damage", [
@@ -263,10 +277,10 @@ def test_to_dict_writes_the_five_node_columns():
     lambda tree: tree.update(threshold=2.5),
 ], ids=["value_short", "right_long", "all_empty", "n_nested", "threshold_scalar"])
 def test_from_dict_rejects_columns_not_one_length(damage):
-    payload = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0])).to_dict()
+    payload = forest_to_dict([small_tree()])
     damage(payload)
     with pytest.raises(ShapeMismatch):
-        RegressionTree.from_dict(payload)
+        forest_from_dict(payload)
 
 
 @pytest.mark.parametrize("damage", [
@@ -282,24 +296,90 @@ def test_from_dict_rejects_columns_not_one_length(damage):
 ], ids=["right_fractional", "feature_fractional", "n_float", "value_null", "threshold_null",
         "threshold_text", "right_past_int64", "n_features_fractional", "n_features_bool"])
 def test_from_dict_refuses_numbers_it_would_change(damage):
-    payload = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0])).to_dict()
+    payload = forest_to_dict([small_tree()])
     damage(payload)
     with pytest.raises(ShapeMismatch):
-        RegressionTree.from_dict(payload)
+        forest_from_dict(payload)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda tree: tree["right"].__setitem__(0, 0),
+    lambda tree: tree["right"].__setitem__(0, 1),
+    lambda tree: tree["right"].__setitem__(0, 3),
+    lambda tree: tree["feature"].__setitem__(0, 1),
+    lambda tree: tree["feature"].__setitem__(1, -2),
+    lambda tree: tree["right"].__setitem__(2, 2),
+    lambda tree: tree["right"].__setitem__(0, tree["right"][0] + 0.5),
+    lambda tree: tree["n"].__setitem__(1, None),
+], ids=["right_at_parent", "right_at_left_child", "right_past_end", "feature_past_n_features",
+        "leaf_feature_not_minus_1", "leaf_right_not_minus_1", "right_fractional", "n_null"])
+def test_from_dict_checks_each_tree_at_its_own_offset(damage):
+    """A damage to the last tree of a block is found at that tree's offset, not
+    only at the start of the columns."""
+    trees = forest_trees(forest_to_dict([small_tree()] * 3))
+    damage(trees[-1])
+    with pytest.raises(ShapeMismatch):
+        forest_from_dict(forest_block(trees))
+
+
+@pytest.mark.parametrize("right", [3, 4, 5], ids=["next_root", "next_left", "next_right"])
+def test_from_dict_refuses_a_right_link_into_the_next_tree(right):
+    payload = forest_to_dict([small_tree()] * 2)  # each tree's root sends the rest to node 2
+    payload["right"][0] = right  # an index in the block's second tree, read from the first
+    with pytest.raises(ShapeMismatch):
+        forest_from_dict(payload)
+
+
+@pytest.mark.parametrize("sizes", [[], [0, 6], [3, 0, 3], [-1, 7], [1.5, 4.5], [True, 5],
+                                   [3.0, 3], [3], [3, 4], [2, 2, 2], [10**30],
+                                   [10**30, 6 - 10**30], None, 6, "3,3", [[3], [3]]],
+                         ids=["empty", "zero", "zero_between_trees", "negative", "fractional",
+                              "true", "float_3", "short", "long", "cutting_a_tree", "huge",
+                              "huge_negative", "null", "number", "text", "nested"])
+def test_from_dict_refuses_sizes_that_do_not_cut_the_columns_into_trees(sizes):
+    payload = forest_to_dict([small_tree()] * 2)
+    payload["sizes"] = sizes
+    with pytest.raises(ShapeMismatch):
+        forest_from_dict(payload)
 
 
 def test_from_dict_refuses_the_node_list_layout():
-    tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
-    old = {"n_features": 1, "nodes": node_list(tree.to_dict())}
+    old = [{"n_features": 1, "nodes": node_list(small_tree())}]
     with pytest.raises(DamagedArtifact, match="rerun train"):
-        RegressionTree.from_dict(old)
+        forest_from_dict(old)
 
 
 def test_from_dict_refuses_a_tree_with_a_left_column():
-    tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0])).to_dict()
-    old = {**tree, "left": [1, -1, -1]}  # the six columns earlier versions wrote
+    (tree,) = forest_trees(forest_to_dict([small_tree()]))
+    old = [{**tree, "left": [1, -1, -1]}]  # the six columns earlier versions wrote
     with pytest.raises(DamagedArtifact, match="rerun train"):
-        RegressionTree.from_dict(old)
+        forest_from_dict(old)
+
+
+def test_from_dict_refuses_the_per_tree_layout():
+    old = forest_trees(forest_to_dict([small_tree()] * 2))  # the layout earlier versions wrote
+    with pytest.raises(DamagedArtifact, match="rerun train"):
+        forest_from_dict(old)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forest_codec_lays_the_trees_end_to_end(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((120, 6))
+    y = X[:, 0] - X[:, 2] ** 2 + rng.standard_normal(120)
+    trees = fit_rf(RFConfig(n_trees=12), X, y, list(range(6)), seed=seed).trees
+    payload = forest_to_dict(trees)
+    assert payload["sizes"] == [tree.feature.size for tree in trees]
+    for name in NODE_COLUMNS:
+        assert payload[name] == [v for tree in trees for v in getattr(tree, name).tolist()]
+    clones = forest_from_dict(json.loads(json.dumps(payload)))
+    queries = np.vstack([X, rng.standard_normal((50, 6))])
+    assert leaf_values(clones, queries).tobytes() == leaf_values(trees, queries).tobytes()
+    assert [tree.features_used() for tree in clones] == [tree.features_used() for tree in trees]
+    assert [tree.n_leaves() for tree in clones] == [tree.n_leaves() for tree in trees]
+    assert {tree.n_features for tree in clones} == {6}
+    with pytest.raises(ValueError):  # each tree is a read-only view of its slice
+        clones[1].value[0] = 0.0
 
 
 def test_shape_and_empty_errors():
@@ -470,7 +550,7 @@ def routing_case(rng):
     X = rng.integers(0, 5, size=(n_train, d)).astype(float)  # ties land on thresholds
     y = rng.standard_normal(n_train)
     trees = [
-        RegressionTree.from_dict(node_columns([{"value": float(y[0]), "n": 1}], d)),
+        read_tree(node_columns([{"value": float(y[0]), "n": 1}], d)),
         fit_tree(X, np.full(n_train, 2.0)),  # constant target: a single leaf
         fit_tree(X, y, TreeConfig(max_depth=1)),  # a stump, or a leaf on constant columns
         fit_tree(X, y, TreeConfig(max_depth=int(rng.integers(2, 5)), seed=1)),

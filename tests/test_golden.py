@@ -12,12 +12,16 @@ of these fails here. Update the pin only with a change that means to alter artif
 
 ``PINNED_SHA256`` was recorded when ``models.json`` wrote each tree as a
 list of node dicts, and it is still taken over that view of the ``rf``
-trees (``oracles.node_list``): the trees themselves have not changed since.
-``WRITTEN_SHA256`` pins the same parts as the file writes them, each tree
-as its five node columns. It moved when the ``left`` column left the file:
-a left child is always the next node, so the column held nothing the
-others do not imply. The node-list view spells ``left`` out again, so
-``PINNED_SHA256`` did not move with it.
+trees: each tree is cut from the forest's block through ``sizes``
+(``oracles.forest_trees``) and spelled out as node dicts
+(``oracles.node_list``). The trees themselves have not changed since.
+``WRITTEN_SHA256`` pins the same parts as the file writes them. It moved
+when the ``left`` column left the file (a left child is always the next
+node, so the column held nothing the others do not imply), and again when
+a forest's trees became one block of node columns laid end to end, with
+``n_features`` written once and each tree's node count in ``sizes``. Both
+times only the layout moved, and the node-list view is the same for
+every layout, so ``PINNED_SHA256`` did not move.
 """
 
 import hashlib
@@ -26,10 +30,10 @@ import json
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast.cli import main
 
-from oracles import node_list
+from oracles import forest_trees, node_list
 
 PINNED_SHA256 = "0d850a4396f1d63a7d44a915ba2a8d0cca38e03c02b70c50648e5d642d65024d"
-WRITTEN_SHA256 = "b11c829366d5de0af4699354118b81093e7ee77f3a6a87c5943819ba305c621b"
+WRITTEN_SHA256 = "f0f7c46f01e4b7e30d47d98edc91bd385afc8ad23b14f01420b54cfbf50cb115"
 
 
 def _sha256(payload) -> str:
@@ -71,8 +75,8 @@ def test_one_point_run_artifact_digest(tmp_path):
         "svr": models["models"]["svr"],
     }
     assert selection["n_stages"] == 2
-    assert len(pinned["rf"]["trees"]) == 10
+    assert len(pinned["rf"]["trees"]["sizes"]) == 10
     assert _sha256(pinned) == WRITTEN_SHA256
     node_lists = [{"n_features": tree["n_features"], "nodes": node_list(tree)}
-                  for tree in pinned["rf"]["trees"]]
+                  for tree in forest_trees(pinned["rf"]["trees"])]
     assert _sha256({**pinned, "rf": {**pinned["rf"], "trees": node_lists}}) == PINNED_SHA256

@@ -18,7 +18,7 @@ from hydrocast.learners import MODELS
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
 from hydrocast.selection import BoostConfig, SelectionConfig, run_selection
 
-from oracles import node_list
+from oracles import forest_block, forest_trees, node_list
 
 POINTS = "p01,p02"
 
@@ -333,8 +333,8 @@ def test_readme_names_every_learner_setting():
 
 def test_readme_names_the_tree_columns_in_order():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    layout = readme.split("A tree serializes as", 1)[1].split("}`", 1)[0]
-    assert re.findall(r'"(\w+)":', layout) == ["n_features", *NODE_COLUMNS]
+    layout = readme.split("A forest serializes as", 1)[1].split("}`", 1)[0]
+    assert re.findall(r'"(\w+)":', layout) == ["n_features", "sizes", *NODE_COLUMNS]
 
 
 @pytest.mark.parametrize("command", ["run", "select", "train", "evaluate"])
@@ -555,12 +555,13 @@ def test_an_evaluate_that_finds_no_models_leaves_the_root_outputs(tmp_path, caps
     assert {name: after[name] for name in root} == {name: before[name] for name in root}
 
 
-def test_evaluate_refuses_a_forest_with_a_left_column(tmp_path, capsys):
+@pytest.mark.parametrize("layout", ["five_columns", "left_column", "node_list"])
+def test_evaluate_refuses_the_per_tree_layout_of_earlier_versions(tmp_path, capsys, layout):
     data = synth(tmp_path)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, small_config(data, out, points="p01"))
     assert main(["run", "--config", str(cfg)]) == 0
-    _edit_json(_add_left_columns)(out / "27.5_67.5" / "models.json")
+    _edit_json(EARLIER_LAYOUTS[layout])(out / "27.5_67.5" / "models.json")
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg)]) == 2
     assert "error [27.5_67.5:rf]" in capsys.readouterr().err
@@ -700,7 +701,15 @@ def _edit_json(change):
 
 
 def _edit_first_tree(change):
-    return _edit_json(lambda p: change(p["models"]["rf"]["trees"][0]))
+    """Apply ``change`` to the first tree's slice of the forest's block: the block
+    is cut into its trees, the first is changed, and the trees are laid end to
+    end again under the block's unchanged ``sizes``."""
+    def edit(payload):
+        rf = payload["models"]["rf"]
+        trees = forest_trees(rf["trees"])
+        change(trees[0])
+        rf["trees"] = {**forest_block(trees), "sizes": rf["trees"]["sizes"]}
+    return _edit_json(edit)
 
 
 def _overflow(locate):
@@ -719,14 +728,31 @@ def _widen(rows):
         row.append(0.0)
 
 
-def _add_left_columns(payload):  # the six columns earlier versions wrote
-    for tree in payload["models"]["rf"]["trees"]:
-        tree["left"] = [i + 1 if feature >= 0 else -1 for i, feature in enumerate(tree["feature"])]
+def _per_tree(spell):
+    """Rewrite the forest in the per-tree list layout of earlier versions, each
+    tree cut from the block and spelled by ``spell``."""
+    def edit(payload):
+        rf = payload["models"]["rf"]
+        rf["trees"] = [spell(tree) for tree in forest_trees(rf["trees"])]
+    return edit
 
 
-def _first_leaf_value(payload):
-    tree = payload["models"]["rf"]["trees"][0]
-    return tree["value"], tree["feature"].index(-1)
+def _with_left_column(tree):  # the six columns earlier versions wrote
+    return {**tree, "left": [i + 1 if f >= 0 else -1 for i, f in enumerate(tree["feature"])]}
+
+
+#: Each layout earlier versions wrote a forest in, as an edit of a current models.json.
+EARLIER_LAYOUTS = {
+    "five_columns": _per_tree(lambda tree: tree),
+    "left_column": _per_tree(_with_left_column),
+    "node_list": _per_tree(lambda tree: {"n_features": tree["n_features"],
+                                         "nodes": node_list(tree)}),
+}
+
+
+def _first_leaf_value(payload):  # the first leaf of the block is the first tree's
+    forest = payload["models"]["rf"]["trees"]
+    return forest["value"], forest["feature"].index(-1)
 
 
 BAD_P02 = {
@@ -749,11 +775,10 @@ BAD_P02 = {
         ["30_67.5:rf"],
     ),
     "forest_in_node_list_layout": (  # as earlier versions wrote it
-        None,
-        ("models.json", _edit_json(lambda p: p["models"]["rf"].update(trees=[
-            {"n_features": tree["n_features"], "nodes": node_list(tree)}
-            for tree in p["models"]["rf"]["trees"]]))),
-        ["30_67.5:rf"],
+        None, ("models.json", _edit_json(EARLIER_LAYOUTS["node_list"])), ["30_67.5:rf"],
+    ),
+    "forest_in_per_tree_layout": (
+        None, ("models.json", _edit_json(EARLIER_LAYOUTS["five_columns"])), ["30_67.5:rf"],
     ),
     "tree_feature_past_n_features": (
         None, ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, 99))),
@@ -772,7 +797,7 @@ BAD_P02 = {
         ["30_67.5:rf"],
     ),
     "forest_with_a_left_column": (
-        None, ("models.json", _edit_json(_add_left_columns)), ["30_67.5:rf"],
+        None, ("models.json", _edit_json(EARLIER_LAYOUTS["left_column"])), ["30_67.5:rf"],
     ),
     "lr_weight_null": (
         None,
@@ -811,7 +836,26 @@ BAD_P02 = {
         None, ("models.json", _edit_json(lambda p: p.update(models=[1]))), ["30_67.5"],
     ),
     "empty_forest": (  # predicts NaN, which no metric may score
-        None, ("models.json", _edit_json(lambda p: p["models"]["rf"].update(trees=[]))),
+        None,
+        ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"].update(
+            sizes=[], **{name: [] for name in NODE_COLUMNS}))),
+        ["30_67.5:rf"],
+    ),
+    "forest_sizes_short": (
+        None,
+        ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"]["sizes"].pop())),
+        ["30_67.5:rf"],
+    ),
+    "forest_size_huge": (  # refused before any array is built from it
+        None,
+        ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"]["sizes"].__setitem__(
+            0, 10**30))),
+        ["30_67.5:rf"],
+    ),
+    "tree_right_link_into_the_next_tree": (
+        None,
+        ("models.json", _edit_first_tree(lambda tree: tree["right"].__setitem__(
+            0, len(tree["right"])))),
         ["30_67.5:rf"],
     ),
     "top_feature_not_a_name": (
@@ -884,6 +928,11 @@ BAD_P02_MESSAGES = {
     "svr_standardization_shorter": "malformed svr model payload",
     "features_reversed": "are not the columns of its features",
     "forest_with_a_left_column": "rerun train",
+    "forest_in_node_list_layout": "rerun train",
+    "forest_in_per_tree_layout": "rerun train",
+    "forest_sizes_short": "forest sizes",
+    "forest_size_huge": "forest sizes",
+    "tree_right_link_into_the_next_tree": "a right link must point past",
 }
 
 
