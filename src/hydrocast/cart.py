@@ -15,12 +15,16 @@ A fitted tree is one set of parallel node arrays in pre-order. Growth
 appends each node as it visits it, so a split's left child is always the
 next node and only its right child is stored; a split fills in that link
 once both subtrees are grown. ``forest_to_dict`` writes a forest as one
-block: those arrays of all its trees laid end to end in tree order, with
-each tree's node count. ``forest_from_dict`` converts each column once and
-checks every node of the block in one vectorized pass; each tree it
-returns is a read-only view of its slice. Prediction lays a forest's node
-arrays end to end in the same way and moves every (tree, row) pair down
-one level per vectorized step; a single tree is the one-tree case.
+block: its trees' nodes laid end to end in tree order, with each tree's
+node count. A full binary tree in pre-order is fixed by which nodes split
+(Jacobson, "Space-efficient static trees and graphs", FOCS 1989), so the
+block stores each node's feature, each split's threshold and each leaf's
+value and row count, and no links. ``forest_from_dict`` converts each
+column once, checks every node of the block in one vectorized pass and
+derives the right links; each tree it returns is a read-only view of its
+slice. Prediction lays a forest's node arrays end to end in the same way
+and moves every (tree, row) pair down one level per vectorized step; a
+single tree is the one-tree case.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): a stage stable-sorts its trees' columns
@@ -57,12 +61,13 @@ import numpy as np
 from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
 from .typed import fits
 
-#: A tree's node arrays, in the order ``RegressionTree`` takes and ``forest_to_dict`` writes them.
-NODE_COLUMNS = ("feature", "threshold", "right", "value", "n")
+#: A forest block's node columns, in the order ``forest_to_dict`` writes them: ``feature``
+#: has an entry per node, ``threshold`` per split, ``value`` and ``n`` per leaf.
+FOREST_COLUMNS = ("feature", "threshold", "value", "n")
 #: The dtype kinds each column's JSON list may give: integers ("i"), or any number ("if").
-_COLUMN_KINDS = ("i", "if", "i", "if", "i")
+_COLUMN_KINDS = ("i", "if", "if", "i")
 #: Each column's dtype in memory, as ``RegressionTree`` holds it.
-_COLUMN_DTYPES = (np.intp, np.float64, np.intp, np.float64, np.int64)
+_COLUMN_DTYPES = (np.intp, np.float64, np.float64, np.int64)
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,10 @@ class RegressionTree:
     it then predicts ``value[i]`` and was fitted on ``n[i]`` rows. Otherwise
     it sends ``x[feature[i]] <= threshold[i]`` to node ``i + 1``, the next
     node, and the rest to node ``right[i]``. The unused fields hold -1 or 0.
-    A serialized forest is these five arrays of its trees laid end to end
-    (``forest_to_dict``), and the arrays of a tree read back from one are
-    views of that block. Treat the arrays as read-only.
+    A serialized forest lays its trees' nodes end to end and keeps only the
+    fields each node uses (``forest_to_dict``); the arrays of a tree read
+    back from one are views of the node arrays rebuilt from that block.
+    Treat the arrays as read-only.
     """
 
     def __init__(self, feature, threshold, right, value, n, n_features: int):
@@ -135,10 +141,14 @@ class RegressionTree:
 
 def forest_to_dict(trees) -> dict:
     """A forest as one block: ``n_features``, each tree's node count in ``sizes``,
-    then each node column of all the trees laid end to end in list order. See README."""
+    then its trees' nodes laid end to end in list order, each column holding only
+    the nodes that use it. See README."""
+    block = {name: np.concatenate([getattr(tree, name) for tree in trees])
+             for name in FOREST_COLUMNS}
+    split = block["feature"] >= 0
     return {"n_features": trees[0].n_features, "sizes": [tree.feature.size for tree in trees],
-            **{name: np.concatenate([getattr(tree, name) for tree in trees]).tolist()
-               for name in NODE_COLUMNS}}
+            "feature": block["feature"].tolist(), "threshold": block["threshold"][split].tolist(),
+            "value": block["value"][~split].tolist(), "n": block["n"][~split].tolist()}
 
 
 def forest_from_dict(payload: dict) -> list[RegressionTree]:
@@ -146,54 +156,73 @@ def forest_from_dict(payload: dict) -> list[RegressionTree]:
 
     Each column is converted once, and every node of every tree is checked in
     one vectorized pass: a damaged file raises, and never yields a tree that
-    routing could not walk to a leaf.
+    routing could not walk to a leaf. The right links and the node-indexed
+    arrays are then derived from the split and leaf flags.
     """
-    if isinstance(payload, list):
-        raise DamagedArtifact("forest in the per-tree layout of earlier versions; rerun train")
-    columns = [np.asarray(payload[name]) for name in NODE_COLUMNS]
-    total = columns[0].size
-    if not total or {column.shape for column in columns} != {(total,)}:
-        raise ShapeMismatch("tree columns must be non-empty lists of one length")
+    if isinstance(payload, list) or "right" in payload:
+        raise DamagedArtifact("forest in a layout of earlier versions; rerun train")
+    columns = [np.asarray(payload[name]) for name in FOREST_COLUMNS]
+    if not columns[0].size or any(column.ndim != 1 for column in columns):
+        raise ShapeMismatch("tree columns must be flat lists, and feature non-empty")
     # A fraction where an integer belongs would be truncated, a null would
     # become NaN, and neither is what was written.
     if (any(column.dtype.kind not in kinds for column, kinds in zip(columns, _COLUMN_KINDS))
             or not fits(payload["n_features"], int)):
-        raise ShapeMismatch("tree columns: links, features, counts and n_features must be "
-                            "integers, thresholds and values numbers")
+        raise ShapeMismatch("tree columns: features, counts and n_features must be integers, "
+                            "thresholds and values numbers")
+    total = columns[0].size
     sizes = payload["sizes"]
     # Summed in Python before any array is built from them, so that a crafted
     # size cannot make the reader allocate past the columns the file holds.
     if not (isinstance(sizes, list) and sizes and all(type(size) is int for size in sizes)
             and min(sizes) > 0 and sum(sizes) == total):
         raise ShapeMismatch("forest sizes must be positive integers that add up to the "
-                            "column length")
-    feature, threshold, right, value, n = (column.astype(dtype, copy=False)
-                                           for column, dtype in zip(columns, _COLUMN_DTYPES))
+                            "feature column's length")
+    feature, threshold, value, n = (column.astype(dtype, copy=False)
+                                    for column, dtype in zip(columns, _COLUMN_DTYPES))
     if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
         raise ValueError("tree columns: thresholds and values must be finite")
-    n_features = payload["n_features"]
-    # Children after their parent, the right one past the left one (the next
-    # node) and inside the parent's own tree: routing then ends at a leaf in
-    # fewer steps than the tree has nodes, whatever the file holds.
+    leaf = feature < 0
+    split, leaves = np.flatnonzero(~leaf), np.flatnonzero(leaf)
+    if threshold.size != split.size or not value.size == n.size == leaves.size:
+        raise ShapeMismatch("tree columns: threshold must hold one entry per split, value and "
+                            "n one per leaf")
+    # A split whose feature was damaged to a negative number would read as a leaf.
+    if feature.min() < -1:
+        raise ShapeMismatch("tree columns: a leaf's feature must be -1")
+    if (feature[split] >= payload["n_features"]).any():
+        raise ShapeMismatch("tree columns: a split feature must lie in [0, n_features)")
+    if (n < 1).any():
+        raise ShapeMismatch("tree columns: n must be at least 1 at every leaf")
+    # A full binary tree in pre-order: its count of open subtrees (+1 per split,
+    # -1 per leaf, after each node) stays at 0 or above until its last node and
+    # is -1 there. Each tree before it leaves -1 in the block's running sum.
     sizes = np.asarray(sizes)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    parent = np.flatnonzero(feature >= 0)
-    tree = np.searchsorted(ends, parent, side="right")  # the tree each split belongs to
-    links = right[parent]
-    if ((links <= parent - starts[tree] + 1) | (links >= sizes[tree])).any():
-        raise ShapeMismatch("tree columns: a right link must point past the node after its "
-                            "parent")
-    if (feature[parent] >= n_features).any():
-        raise ShapeMismatch("tree columns: a split feature must lie in [0, n_features)")
-    # A split whose feature was damaged to a negative number would read as a leaf.
-    leaf = feature < 0
-    if ((feature[leaf] != -1) | (right[leaf] != -1)).any():
-        raise ShapeMismatch("tree columns: a leaf's feature and right link must be -1")
-    block = (feature, threshold, right, value, n)
+    tree = np.repeat(np.arange(sizes.size), sizes)
+    step = np.where(leaf, -1, 1)
+    count = np.cumsum(step) + tree
+    if (count[ends - 1] != -1).any() or np.count_nonzero(count < 0) != sizes.size:
+        raise ShapeMismatch("tree columns: each tree's splits and leaves must form one full "
+                            "binary tree in pre-order")
+    # A split's right child is the node after its left subtree: the next node
+    # whose count before it equals the split's. A stable sort of those counts
+    # lists each count's nodes in node order; in the smallest dtype that holds
+    # them (the tree depth bounds them), numpy sorts them by radix.
+    before = count - step
+    order = np.argsort(before.astype(np.min_scalar_type(before.max())), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(total)
+    right = np.full(total, -1, dtype=np.intp)
+    right[split] = order[rank[split] + 1] - starts[tree[split]]
+    block = (feature, np.zeros(total), right, np.zeros(total), np.zeros(total, dtype=np.int64))
+    block[1][split] = threshold
+    block[3][leaves] = value
+    block[4][leaves] = n
     for column in block:
         column.flags.writeable = False
-    return [RegressionTree(*(column[start:end] for column in block), n_features)
+    return [RegressionTree(*(column[start:end] for column in block), payload["n_features"])
             for start, end in zip(starts.tolist(), ends.tolist())]
 
 

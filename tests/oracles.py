@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 
-#: A tree's node columns, in the order a serialized forest lists them.
+#: A tree's node columns in memory, in the order ``RegressionTree`` takes them.
 _COLUMNS = ("feature", "threshold", "right", "value", "n")
+#: The node columns of a serialized forest, in the order the file lists them.
+_BLOCK = ("feature", "threshold", "value", "n")
 
 
 def pearson_direct(a, p):
@@ -162,29 +164,47 @@ def reference_fit_tree(X, y, cfg):
 
 
 def node_list(tree):
-    """One tree's five node columns as a flat list of node dicts.
+    """One tree as a flat list of node dicts: a leaf is ``{"value", "n"}`` and a
+    split ``{"feature", "threshold", "left", "right"}``, the layout
+    ``reference_fit_tree`` returns.
 
-    ``tree`` is a ``RegressionTree``, or one tree's columns as JSON lists in a
-    dict. Node ``i`` becomes ``{"value", "n"}`` when ``feature[i]`` is
-    negative (a leaf) and ``{"feature", "threshold", "left", "right"}``
-    otherwise, with ``left`` the next node, ``i + 1``, as the columns imply:
-    the layout ``reference_fit_tree`` returns.
+    ``tree`` is a ``RegressionTree``, whose five node columns are read node by
+    node (a negative ``feature`` is a leaf, and ``left`` is the next node,
+    ``i + 1``), or one tree of a serialized forest (``forest_trees``), whose
+    nodes are read one at a time in pre-order: a split takes the next entry of
+    ``threshold`` and then its left and right subtrees, a leaf the next entries
+    of ``value`` and ``n``.
     """
     if not isinstance(tree, dict):
-        tree = {name: getattr(tree, name).tolist() for name in _COLUMNS}
+        columns = {name: getattr(tree, name).tolist() for name in _COLUMNS}
+        return [{"value": columns["value"][i], "n": columns["n"][i]} if feature < 0 else
+                {"feature": feature, "threshold": columns["threshold"][i], "left": i + 1,
+                 "right": columns["right"][i]}
+                for i, feature in enumerate(columns["feature"])]
+    features, thresholds = iter(tree["feature"]), iter(tree["threshold"])
+    leaves = zip(tree["value"], tree["n"])
     nodes = []
-    for i in range(len(tree["feature"])):
-        if tree["feature"][i] < 0:
-            nodes.append({"value": tree["value"][i], "n": tree["n"][i]})
-        else:
-            nodes.append({"feature": tree["feature"][i], "threshold": tree["threshold"][i],
-                          "left": i + 1, "right": tree["right"][i]})
+
+    def read():
+        feature = next(features)
+        if feature < 0:
+            value, n = next(leaves)
+            nodes.append({"value": value, "n": n})
+            return
+        node = {"feature": feature, "threshold": next(thresholds), "left": len(nodes) + 1}
+        nodes.append(node)
+        read()
+        node["right"] = len(nodes)
+        read()
+
+    read()
     return nodes
 
 
 def node_columns(nodes, n_features):
-    """The inverse of ``node_list``: a serialized forest of one tree built from
-    node dicts.
+    """The inverse of ``node_list``: a forest of one tree in the five node columns
+    that ``RegressionTree`` holds, built from node dicts; ``sparse_block`` turns
+    it into what the file stores.
 
     A leaf's unused fields hold -1 (right link, feature) or 0.0 (threshold),
     and an internal node's hold 0.0 (value) or 0 (n). An internal node's
@@ -204,20 +224,51 @@ def node_columns(nodes, n_features):
     return forest
 
 
+def sparse_block(forest):
+    """A forest (or one tree) in the five node columns, as the file stores it:
+    ``right`` dropped, ``threshold`` kept at the splits only, and ``value`` and
+    ``n`` at the leaves only. Other keys are kept, and a node column the input
+    lacks stays out; each kept column is read against ``feature`` entry by entry,
+    so a column shorter than ``feature`` stays short."""
+    split = [feature >= 0 for feature in forest["feature"]]
+    at_splits = {"threshold": True, "value": False, "n": False}
+    return {**{key: v for key, v in forest.items() if key not in _COLUMNS},
+            "feature": forest["feature"],
+            **{name: [v for v, s in zip(forest[name], split) if s == want]
+               for name, want in at_splits.items() if name in forest}}
+
+
+def full_columns(tree):
+    """One tree of a serialized forest (``forest_trees``) in the five node
+    columns, through its node dicts; the inverse of ``sparse_block``."""
+    forest = node_columns(node_list(tree), tree["n_features"])
+    del forest["sizes"]
+    return forest
+
+
 def forest_trees(forest):
     """A serialized forest's trees, each as its own columns in a dict (with
-    ``n_features``), cut from the block through ``sizes``."""
-    trees, start = [], 0
+    ``n_features``), cut from the block through ``sizes``: each tree takes its
+    ``sizes`` entries of ``feature``, one entry of ``threshold`` per split among
+    them, and one of ``value`` and ``n`` per leaf."""
+    trees, at = [], {name: 0 for name in _BLOCK}
     for size in forest["sizes"]:
-        trees.append({"n_features": forest["n_features"],
-                      **{name: forest[name][start:start + size] for name in _COLUMNS}})
-        start += size
+        feature = forest["feature"][at["feature"]:at["feature"] + size]
+        splits = sum(f >= 0 for f in feature)
+        counts = {"feature": size, "threshold": splits, "value": size - splits,
+                  "n": size - splits}
+        tree = {"n_features": forest["n_features"]}
+        for name in _BLOCK:
+            tree[name] = forest[name][at[name]:at[name] + counts[name]]
+            at[name] += counts[name]
+        trees.append(tree)
     return trees
 
 
 def forest_block(trees):
     """The inverse of ``forest_trees``: per-tree column dicts laid end to end as a
-    serialized forest. A column that some tree lacks is left out of the block."""
+    serialized forest. A column that some tree lacks is left out of the block,
+    and a tree's five node columns stay five."""
     return {"n_features": trees[0]["n_features"], "sizes": [len(tree["feature"]) for tree in trees],
             **{name: [v for tree in trees for v in tree[name]]
                for name in _COLUMNS if all(name in tree for tree in trees)}}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hydrocast.cart import (
-    NODE_COLUMNS,
+    FOREST_COLUMNS,
     TreeConfig,
     fit_stage,
     fit_tree,
@@ -23,10 +23,12 @@ from oracles import (
     best_depth1_splits,
     forest_block,
     forest_trees,
+    full_columns,
     node_columns,
     node_list,
     reference_fit_tree,
     reference_predict,
+    sparse_block,
 )
 
 
@@ -47,8 +49,9 @@ def nodes_of(tree):
 
 
 def read_tree(payload):
-    """The one tree of a serialized forest of one."""
-    (tree,) = forest_from_dict(payload)
+    """The one tree of a forest of one given in the five node columns
+    (``node_columns``), written as the file stores it and read back."""
+    (tree,) = forest_from_dict(sparse_block(payload))
     return tree
 
 
@@ -227,7 +230,7 @@ def test_json_round_trip():
     X = rng.standard_normal((50, 3))
     y = rng.standard_normal(50)
     tree = fit_tree(X, y, TreeConfig(max_depth=3))
-    clone = read_tree(json.loads(json.dumps(forest_to_dict([tree]))))
+    (clone,) = forest_from_dict(json.loads(json.dumps(forest_to_dict([tree]))))
     Xq = rng.standard_normal((20, 3))
     np.testing.assert_array_equal(tree.predict_batch(Xq), clone.predict_batch(Xq))
     assert forest_to_dict([clone]) == forest_to_dict([tree])
@@ -235,23 +238,11 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("feature", [-1, 1])
 def test_from_dict_rejects_a_split_feature_outside_n_features(feature):
-    payload = node_columns([
+    payload = sparse_block(node_columns([
         {"feature": feature, "threshold": 0.5, "left": 1, "right": 2},
         {"value": 0.0, "n": 1},
         {"value": 1.0, "n": 1},
-    ], 1)
-    with pytest.raises(ShapeMismatch):
-        forest_from_dict(payload)
-
-
-@pytest.mark.parametrize("right", [0, 1, 3, -1],
-                         ids=["at_parent", "at_left_child", "past_end", "negative"])
-def test_from_dict_rejects_child_links_not_past_the_parent(right):
-    payload = node_columns([
-        {"feature": 0, "threshold": 0.5, "left": 1, "right": right},
-        {"value": 0.0, "n": 1},
-        {"value": 1.0, "n": 1},
-    ], 1)
+    ], 1))
     with pytest.raises(ShapeMismatch):
         forest_from_dict(payload)
 
@@ -260,23 +251,62 @@ def small_tree():
     return fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
 
 
-def test_to_dict_writes_the_five_node_columns():
+def test_to_dict_writes_the_forest_block():
     payload = forest_to_dict([small_tree()])
     assert payload == {
-        "n_features": 1, "sizes": [3], "feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0],
-        "right": [2, -1, -1], "value": [0.0, 0.0, 1.0], "n": [0, 2, 1],
+        "n_features": 1, "sizes": [3], "feature": [0, -1, -1], "threshold": [2.5],
+        "value": [0.0, 1.0], "n": [2, 1],
     }
-    assert tuple(payload)[2:] == NODE_COLUMNS
+    assert tuple(payload)[2:] == FOREST_COLUMNS
+
+
+def rewrite_node(at, **fields):
+    """A damage that sets ``fields`` of node ``at`` in a tree's five node columns
+    and stores the tree again, so every column keeps the length its flags give."""
+    def damage(tree):
+        columns = full_columns(tree)
+        for name, value in fields.items():
+            columns[name][at] = value
+        tree.update(sparse_block(columns))
+    return damage
+
+
+#: Damages of a tree whose columns still match its flags, but whose flags do not
+#: make one full binary tree in pre-order.
+NOT_ONE_TREE = {
+    "split_flipped_to_leaf": rewrite_node(0, feature=-1, value=0.5, n=3),
+    "leaf_flipped_to_split": rewrite_node(2, feature=0, threshold=1.5),
+    "leaves_swapped_with_split": lambda tree: tree.update(feature=[-1, -1, 0]),
+}
+
+
+@pytest.mark.parametrize("damage", NOT_ONE_TREE.values(), ids=NOT_ONE_TREE)
+def test_from_dict_refuses_flags_that_do_not_make_one_tree(damage):
+    """Found on the last tree of a block, at that tree's offset."""
+    trees = forest_trees(forest_to_dict([small_tree()] * 3))
+    damage(trees[-1])
+    splits = sum(feature >= 0 for feature in trees[-1]["feature"])  # the columns match the flags
+    assert len(trees[-1]["threshold"]) == splits
+    assert len(trees[-1]["value"]) == len(trees[-1]["n"]) == len(trees[-1]["feature"]) - splits
+    with pytest.raises(ShapeMismatch, match="one full binary tree"):
+        forest_from_dict(forest_block(trees))
 
 
 @pytest.mark.parametrize("damage", [
     lambda tree: tree["value"].pop(),
-    lambda tree: tree["right"].append(-1),
-    lambda tree: tree.update({name: [] for name in NODE_COLUMNS}),
-    lambda tree: tree.update(n=[[0], [2], [1]]),
+    lambda tree: tree["threshold"].append(0.0),
+    lambda tree: tree.update({name: [] for name in FOREST_COLUMNS}),
+    lambda tree: tree.update(n=[[2], [1]]),
     lambda tree: tree.update(threshold=2.5),
-], ids=["value_short", "right_long", "all_empty", "n_nested", "threshold_scalar"])
+    lambda tree: tree["threshold"].pop(),
+    lambda tree: tree["value"].append(0.0),
+    lambda tree: tree["n"].pop(),
+    lambda tree: tree["n"].append(1),
+], ids=["value_short", "threshold_long", "all_empty", "n_nested", "threshold_scalar",
+        "threshold_short", "value_long", "n_short", "n_long"])
 def test_from_dict_rejects_columns_not_one_length(damage):
+    """Each column must be a flat list as long as its nodes: ``feature`` one entry
+    per node, ``threshold`` one per split, ``value`` and ``n`` one per leaf."""
     payload = forest_to_dict([small_tree()])
     damage(payload)
     with pytest.raises(ShapeMismatch):
@@ -284,17 +314,17 @@ def test_from_dict_rejects_columns_not_one_length(damage):
 
 
 @pytest.mark.parametrize("damage", [
-    lambda tree: tree["right"].__setitem__(0, tree["right"][0] + 0.5),
+    lambda tree: tree["n"].__setitem__(0, 2.5),
     lambda tree: tree["feature"].__setitem__(0, 0.5),
-    lambda tree: tree["n"].__setitem__(1, 2.0),
-    lambda tree: tree["value"].__setitem__(1, None),
+    lambda tree: tree["n"].__setitem__(0, 2.0),
+    lambda tree: tree["value"].__setitem__(0, None),
     lambda tree: tree["threshold"].__setitem__(0, None),
     lambda tree: tree["threshold"].__setitem__(0, "2.5"),
-    lambda tree: tree["right"].__setitem__(0, 2**63),
+    lambda tree: tree["n"].__setitem__(0, 2**63),
     lambda tree: tree.update(n_features=1.5),
     lambda tree: tree.update(n_features=True),
-], ids=["right_fractional", "feature_fractional", "n_float", "value_null", "threshold_null",
-        "threshold_text", "right_past_int64", "n_features_fractional", "n_features_bool"])
+], ids=["n_fractional", "feature_fractional", "n_float", "value_null", "threshold_null",
+        "threshold_text", "n_past_int64", "n_features_fractional", "n_features_bool"])
 def test_from_dict_refuses_numbers_it_would_change(damage):
     payload = forest_to_dict([small_tree()])
     damage(payload)
@@ -303,16 +333,16 @@ def test_from_dict_refuses_numbers_it_would_change(damage):
 
 
 @pytest.mark.parametrize("damage", [
-    lambda tree: tree["right"].__setitem__(0, 0),
-    lambda tree: tree["right"].__setitem__(0, 1),
-    lambda tree: tree["right"].__setitem__(0, 3),
     lambda tree: tree["feature"].__setitem__(0, 1),
     lambda tree: tree["feature"].__setitem__(1, -2),
-    lambda tree: tree["right"].__setitem__(2, 2),
-    lambda tree: tree["right"].__setitem__(0, tree["right"][0] + 0.5),
-    lambda tree: tree["n"].__setitem__(1, None),
-], ids=["right_at_parent", "right_at_left_child", "right_past_end", "feature_past_n_features",
-        "leaf_feature_not_minus_1", "leaf_right_not_minus_1", "right_fractional", "n_null"])
+    lambda tree: tree["n"].__setitem__(0, 2.5),
+    lambda tree: tree["n"].__setitem__(0, None),
+    lambda tree: tree["n"].__setitem__(0, 0),
+    lambda tree: tree["n"].__setitem__(0, -3),
+    lambda tree: tree["threshold"].pop(),
+    lambda tree: tree["value"].append(0.0),
+], ids=["feature_past_n_features", "leaf_feature_not_minus_1", "n_fractional", "n_null",
+        "n_zero", "n_negative", "threshold_short", "value_long"])
 def test_from_dict_checks_each_tree_at_its_own_offset(damage):
     """A damage to the last tree of a block is found at that tree's offset, not
     only at the start of the columns."""
@@ -322,20 +352,14 @@ def test_from_dict_checks_each_tree_at_its_own_offset(damage):
         forest_from_dict(forest_block(trees))
 
 
-@pytest.mark.parametrize("right", [3, 4, 5], ids=["next_root", "next_left", "next_right"])
-def test_from_dict_refuses_a_right_link_into_the_next_tree(right):
-    payload = forest_to_dict([small_tree()] * 2)  # each tree's root sends the rest to node 2
-    payload["right"][0] = right  # an index in the block's second tree, read from the first
-    with pytest.raises(ShapeMismatch):
-        forest_from_dict(payload)
-
-
 @pytest.mark.parametrize("sizes", [[], [0, 6], [3, 0, 3], [-1, 7], [1.5, 4.5], [True, 5],
                                    [3.0, 3], [3], [3, 4], [2, 2, 2], [10**30],
-                                   [10**30, 6 - 10**30], None, 6, "3,3", [[3], [3]]],
+                                   [10**30, 6 - 10**30], None, 6, "3,3", [[3], [3]],
+                                   [1, 5], [4, 2], [6]],
                          ids=["empty", "zero", "zero_between_trees", "negative", "fractional",
                               "true", "float_3", "short", "long", "cutting_a_tree", "huge",
-                              "huge_negative", "null", "number", "text", "nested"])
+                              "huge_negative", "null", "number", "text", "nested",
+                              "ending_a_tree_early", "ending_a_tree_late", "joining_two_trees"])
 def test_from_dict_refuses_sizes_that_do_not_cut_the_columns_into_trees(sizes):
     payload = forest_to_dict([small_tree()] * 2)
     payload["sizes"] = sizes
@@ -351,13 +375,21 @@ def test_from_dict_refuses_the_node_list_layout():
 
 def test_from_dict_refuses_a_tree_with_a_left_column():
     (tree,) = forest_trees(forest_to_dict([small_tree()]))
-    old = [{**tree, "left": [1, -1, -1]}]  # the six columns earlier versions wrote
+    old = [{**full_columns(tree), "left": [1, -1, -1]}]  # the six columns earlier versions wrote
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
 
 
 def test_from_dict_refuses_the_per_tree_layout():
-    old = forest_trees(forest_to_dict([small_tree()] * 2))  # the layout earlier versions wrote
+    old = [full_columns(tree) for tree in forest_trees(forest_to_dict([small_tree()] * 2))]
+    with pytest.raises(DamagedArtifact, match="rerun train"):
+        forest_from_dict(old)
+
+
+def test_from_dict_refuses_the_five_column_block():
+    trees = forest_trees(forest_to_dict([small_tree()] * 2))
+    old = forest_block([full_columns(tree) for tree in trees])  # the block earlier versions wrote
+    assert set(old) == {"n_features", "sizes", "feature", "threshold", "right", "value", "n"}
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
 
@@ -370,8 +402,8 @@ def test_forest_codec_lays_the_trees_end_to_end(seed):
     trees = fit_rf(RFConfig(n_trees=12), X, y, list(range(6)), seed=seed).trees
     payload = forest_to_dict(trees)
     assert payload["sizes"] == [tree.feature.size for tree in trees]
-    for name in NODE_COLUMNS:
-        assert payload[name] == [v for tree in trees for v in getattr(tree, name).tolist()]
+    assert payload == sparse_block(forest_block([node_columns(node_list(tree), 6)
+                                                 for tree in trees]))
     clones = forest_from_dict(json.loads(json.dumps(payload)))
     queries = np.vstack([X, rng.standard_normal((50, 6))])
     assert leaf_values(clones, queries).tobytes() == leaf_values(trees, queries).tobytes()
@@ -620,3 +652,25 @@ def test_fit_tree_stage_and_forest_route_like_the_reference():
         got = leaf_values(trees, queries)
         want = np.stack([reference_predict(tree, queries) for tree in trees])
         assert got.tobytes() == want.tobytes(), seed
+
+
+def test_reader_derives_the_grower_links_and_routes_bit_for_bit():
+    """Read back from JSON, trees from ``fit_tree``, ``fit_stage`` and ``fit_rf``
+    hold the grower's five node arrays exactly, the derived ``right`` included,
+    and route every row to the same leaf value."""
+    for seed in range(6):
+        X, y, (rf, boost) = invariant_case(seed)
+        rng = np.random.default_rng(seed)
+        subsets = [rng.choice(10, int(rng.integers(1, 11)), replace=False).tolist()
+                   for _ in range(6)]
+        trees = [fit_tree(X, y, rf), fit_tree(X, y, boost), fit_tree(X, np.full(150, 2.0))]
+        trees += fit_stage(X, y, subsets, 1 + seed % 4, 1 + seed % 3)[0]
+        trees += fit_rf(RFConfig(n_trees=8, min_samples_leaf=1 + seed % 3), X, y,
+                        list(range(10)), seed=seed).trees
+        clones = forest_from_dict(json.loads(json.dumps(forest_to_dict(trees))))
+        for tree, clone in zip(trees, clones, strict=True):
+            for name in ("feature", "threshold", "right", "value", "n"):
+                grown, read = getattr(tree, name), getattr(clone, name)
+                assert (read.dtype, read.tobytes()) == (grown.dtype, grown.tobytes()), (seed, name)
+        queries = np.vstack([X, rng.standard_normal((60, 10))])
+        assert leaf_values(clones, queries).tobytes() == leaf_values(trees, queries).tobytes()

@@ -19,9 +19,14 @@ trees: each tree is cut from the forest's block through ``sizes``
 when the ``left`` column left the file (a left child is always the next
 node, so the column held nothing the others do not imply), and again when
 a forest's trees became one block of node columns laid end to end, with
-``n_features`` written once and each tree's node count in ``sizes``. Both
-times only the layout moved, and the node-list view is the same for
-every layout, so ``PINNED_SHA256`` did not move.
+``n_features`` written once and each tree's node count in ``sizes``, and a
+third time when the block kept only the fields each node uses: no ``right``
+links, which pre-order fixes from the split and leaf flags, ``threshold``
+at the splits only, and ``value`` and ``n`` at the leaves only. Each time
+only the layout moved, and the node-list view is the same for every
+layout, so ``PINNED_SHA256`` did not move. The test also checks that the
+written block is the five node columns of those node lists with the
+unused fields dropped (``oracles.sparse_block``).
 """
 
 import hashlib
@@ -30,10 +35,10 @@ import json
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast.cli import main
 
-from oracles import forest_trees, node_list
+from oracles import forest_block, forest_trees, node_columns, node_list, sparse_block
 
 PINNED_SHA256 = "0d850a4396f1d63a7d44a915ba2a8d0cca38e03c02b70c50648e5d642d65024d"
-WRITTEN_SHA256 = "f0f7c46f01e4b7e30d47d98edc91bd385afc8ad23b14f01420b54cfbf50cb115"
+WRITTEN_SHA256 = "bf2296b32a6aa780370734cd71ad9f6d13e42eb3981743d37f8f326f5e5da2d1"
 
 
 def _sha256(payload) -> str:
@@ -80,3 +85,6 @@ def test_one_point_run_artifact_digest(tmp_path):
     node_lists = [{"n_features": tree["n_features"], "nodes": node_list(tree)}
                   for tree in forest_trees(pinned["rf"]["trees"])]
     assert _sha256({**pinned, "rf": {**pinned["rf"], "trees": node_lists}}) == PINNED_SHA256
+    five_columns = forest_block([node_columns(tree["nodes"], tree["n_features"])
+                                 for tree in node_lists])
+    assert sparse_block(five_columns) == pinned["rf"]["trees"]

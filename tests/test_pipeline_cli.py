@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hydrocast.cart import NODE_COLUMNS
+from hydrocast.cart import FOREST_COLUMNS
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast import pipeline
 from hydrocast.cli import build_parser, build_pipeline_config, main
@@ -18,7 +18,7 @@ from hydrocast.learners import MODELS
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
 from hydrocast.selection import BoostConfig, SelectionConfig, run_selection
 
-from oracles import forest_block, forest_trees, node_list
+from oracles import forest_block, forest_trees, full_columns, node_list, sparse_block
 
 POINTS = "p01,p02"
 
@@ -334,7 +334,7 @@ def test_readme_names_every_learner_setting():
 def test_readme_names_the_tree_columns_in_order():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     layout = readme.split("A forest serializes as", 1)[1].split("}`", 1)[0]
-    assert re.findall(r'"(\w+)":', layout) == ["n_features", "sizes", *NODE_COLUMNS]
+    assert re.findall(r'"(\w+)":', layout) == ["n_features", "sizes", *FOREST_COLUMNS]
 
 
 @pytest.mark.parametrize("command", ["run", "select", "train", "evaluate"])
@@ -701,13 +701,16 @@ def _edit_json(change):
 
 
 def _edit_first_tree(change):
-    """Apply ``change`` to the first tree's slice of the forest's block: the block
-    is cut into its trees, the first is changed, and the trees are laid end to
-    end again under the block's unchanged ``sizes``."""
+    """Apply ``change`` to the first tree's five node columns: the block is cut
+    into its trees, the first is spelled out in the five columns and changed,
+    stored as the file stores it (``sparse_block``), and the trees are laid end
+    to end again under the block's unchanged ``sizes``."""
     def edit(payload):
         rf = payload["models"]["rf"]
         trees = forest_trees(rf["trees"])
-        change(trees[0])
+        first = full_columns(trees[0])
+        change(first)
+        trees[0] = sparse_block(first)
         rf["trees"] = {**forest_block(trees), "sizes": rf["trees"]["sizes"]}
     return _edit_json(edit)
 
@@ -728,31 +731,35 @@ def _widen(rows):
         row.append(0.0)
 
 
-def _per_tree(spell):
-    """Rewrite the forest in the per-tree list layout of earlier versions, each
-    tree cut from the block and spelled by ``spell``."""
+def _per_tree(spell, block=False):
+    """Rewrite the forest in a layout of earlier versions: each tree cut from the
+    block and spelled by ``spell``, as a list, or laid end to end again when
+    ``block``."""
     def edit(payload):
         rf = payload["models"]["rf"]
         rf["trees"] = [spell(tree) for tree in forest_trees(rf["trees"])]
+        if block:
+            rf["trees"] = forest_block(rf["trees"])
     return edit
 
 
 def _with_left_column(tree):  # the six columns earlier versions wrote
+    tree = full_columns(tree)
     return {**tree, "left": [i + 1 if f >= 0 else -1 for i, f in enumerate(tree["feature"])]}
 
 
 #: Each layout earlier versions wrote a forest in, as an edit of a current models.json.
 EARLIER_LAYOUTS = {
-    "five_columns": _per_tree(lambda tree: tree),
+    "five_columns": _per_tree(full_columns),
     "left_column": _per_tree(_with_left_column),
     "node_list": _per_tree(lambda tree: {"n_features": tree["n_features"],
                                          "nodes": node_list(tree)}),
+    "five_column_block": _per_tree(full_columns, block=True),
 }
 
 
 def _first_leaf_value(payload):  # the first leaf of the block is the first tree's
-    forest = payload["models"]["rf"]["trees"]
-    return forest["value"], forest["feature"].index(-1)
+    return payload["models"]["rf"]["trees"]["value"], 0
 
 
 BAD_P02 = {
@@ -770,8 +777,27 @@ BAD_P02 = {
         None, ("models.json", _edit_first_tree(lambda tree: tree["value"].pop())),
         ["30_67.5:rf"],
     ),
-    "tree_child_link_not_past_parent": (
-        None, ("models.json", _edit_first_tree(lambda tree: tree["right"].__setitem__(0, 0))),
+    "tree_split_flipped_to_leaf": (  # every column still as long as the flags say
+        None,
+        ("models.json", _edit_first_tree(lambda tree: tree.update(
+            feature=[-1, *tree["feature"][1:]], value=[1.0, *tree["value"][1:]],
+            n=[1, *tree["n"][1:]]))),
+        ["30_67.5:rf"],
+    ),
+    "tree_leaf_flipped_to_split": (
+        None,
+        ("models.json", _edit_first_tree(lambda tree: tree.update(
+            feature=[*tree["feature"][:-1], 0], threshold=[*tree["threshold"][:-1], 0.5]))),
+        ["30_67.5:rf"],
+    ),
+    "tree_threshold_long": (
+        None,
+        ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"]["threshold"].append(0.5))),
+        ["30_67.5:rf"],
+    ),
+    "tree_leaf_fitted_on_no_rows": (
+        None, ("models.json", _edit_first_tree(lambda tree: tree["n"].__setitem__(
+            tree["feature"].index(-1), 0))),
         ["30_67.5:rf"],
     ),
     "forest_in_node_list_layout": (  # as earlier versions wrote it
@@ -780,14 +806,17 @@ BAD_P02 = {
     "forest_in_per_tree_layout": (
         None, ("models.json", _edit_json(EARLIER_LAYOUTS["five_columns"])), ["30_67.5:rf"],
     ),
+    "forest_in_five_column_block": (
+        None, ("models.json", _edit_json(EARLIER_LAYOUTS["five_column_block"])), ["30_67.5:rf"],
+    ),
     "tree_feature_past_n_features": (
         None, ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, 99))),
         ["30_67.5:rf"],
     ),
-    "tree_child_link_fractional": (
+    "tree_leaf_count_fractional": (
         None,
-        ("models.json", _edit_first_tree(lambda tree: tree["right"].__setitem__(
-            0, tree["right"][0] + 0.5))),
+        ("models.json", _edit_first_tree(lambda tree: tree["n"].__setitem__(
+            tree["feature"].index(-1), 1.5))),
         ["30_67.5:rf"],
     ),
     "tree_leaf_value_null": (
@@ -838,7 +867,7 @@ BAD_P02 = {
     "empty_forest": (  # predicts NaN, which no metric may score
         None,
         ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"].update(
-            sizes=[], **{name: [] for name in NODE_COLUMNS}))),
+            sizes=[], **{name: [] for name in FOREST_COLUMNS}))),
         ["30_67.5:rf"],
     ),
     "forest_sizes_short": (
@@ -850,12 +879,6 @@ BAD_P02 = {
         None,
         ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"]["sizes"].__setitem__(
             0, 10**30))),
-        ["30_67.5:rf"],
-    ),
-    "tree_right_link_into_the_next_tree": (
-        None,
-        ("models.json", _edit_first_tree(lambda tree: tree["right"].__setitem__(
-            0, len(tree["right"])))),
         ["30_67.5:rf"],
     ),
     "top_feature_not_a_name": (
@@ -932,7 +955,11 @@ BAD_P02_MESSAGES = {
     "forest_in_per_tree_layout": "rerun train",
     "forest_sizes_short": "forest sizes",
     "forest_size_huge": "forest sizes",
-    "tree_right_link_into_the_next_tree": "a right link must point past",
+    "forest_in_five_column_block": "rerun train",
+    "tree_split_flipped_to_leaf": "one full binary tree",
+    "tree_leaf_flipped_to_split": "one full binary tree",
+    "tree_threshold_long": "one entry per split",
+    "tree_leaf_fitted_on_no_rows": "n must be at least 1",
 }
 
 
