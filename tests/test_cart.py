@@ -247,6 +247,23 @@ def test_from_dict_rejects_a_split_feature_outside_n_features(feature):
         forest_from_dict(payload)
 
 
+@pytest.mark.parametrize("right", [0, 1, 3, -1],
+                         ids=["at_parent", "at_left_child", "past_end", "negative"])
+def test_from_dict_rejects_child_links_not_past_the_parent(right):
+    """Only the five-column layout of earlier versions could hold such a link,
+    and it is refused; the stored layout has no link to damage, and the reader
+    puts the right child past the left subtree."""
+    nodes = [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": right},
+        {"value": 0.0, "n": 1},
+        {"value": 1.0, "n": 1},
+    ]
+    with pytest.raises(DamagedArtifact, match="rerun train"):
+        forest_from_dict(node_columns(nodes, 1))
+    (tree,) = forest_from_dict(sparse_block(node_columns(nodes, 1)))
+    assert tree.right.tolist() == [2, -1, -1]
+
+
 def small_tree():
     return fit_tree(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0]))
 
@@ -258,6 +275,22 @@ def test_to_dict_writes_the_forest_block():
         "value": [0.0, 1.0], "n": [2, 1],
     }
     assert tuple(payload)[2:] == FOREST_COLUMNS
+
+
+def test_to_dict_writes_the_five_node_columns():
+    """The block keeps each of the five node columns at the nodes that use it:
+    spelled out again, and read back with ``right`` derived, it gives all five
+    as the grower holds them."""
+    tree = small_tree()
+    columns = {"feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0], "right": [2, -1, -1],
+               "value": [0.0, 0.0, 1.0], "n": [0, 2, 1]}
+    payload = forest_to_dict([tree])
+    (stored,) = forest_trees(payload)
+    assert full_columns(stored) == {"n_features": 1, **columns}
+    (clone,) = forest_from_dict(payload)
+    for name, column in columns.items():
+        assert getattr(tree, name).tolist() == column
+        assert getattr(clone, name).tolist() == column
 
 
 def rewrite_node(at, **fields):
@@ -350,6 +383,20 @@ def test_from_dict_checks_each_tree_at_its_own_offset(damage):
     damage(trees[-1])
     with pytest.raises(ShapeMismatch):
         forest_from_dict(forest_block(trees))
+
+
+@pytest.mark.parametrize("right", [3, 4, 5], ids=["next_root", "next_left", "next_right"])
+def test_from_dict_refuses_a_right_link_into_the_next_tree(right):
+    """Only the five-column block of earlier versions could hold such a link,
+    and it is refused; the stored block has no link to damage, and the reader
+    derives each tree's links inside that tree."""
+    trees = forest_trees(forest_to_dict([small_tree()] * 2))
+    old = forest_block([full_columns(tree) for tree in trees])  # each root sends the rest to node 2
+    old["right"][0] = right  # an index in the block's second tree, read from the first
+    with pytest.raises(DamagedArtifact, match="rerun train"):
+        forest_from_dict(old)
+    clones = forest_from_dict(sparse_block(old))
+    assert [clone.right.tolist() for clone in clones] == [[2, -1, -1]] * 2
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 6], [3, 0, 3], [-1, 7], [1.5, 4.5], [True, 5],
