@@ -11,20 +11,16 @@ wins. Routing sends ``value <= threshold`` to the left child. When the
 midpoint of two neighbouring values ``a < b`` fails ``a <= t < b``
 (adjacent floats, or an overflow past 1.8e308), the threshold is ``a``.
 
-A fitted tree is one set of parallel node arrays in pre-order. Growth
-appends each node as it visits it, so a split's left child is always the
-next node and only its right child is stored; a split fills in that link
-once both subtrees are grown. ``forest_to_dict`` writes a forest as one
-block: its trees' nodes laid end to end in tree order, with each tree's
-node count. A full binary tree in pre-order is fixed by which nodes split
-(Jacobson, "Space-efficient static trees and graphs", FOCS 1989), so the
-block stores each node's feature, each split's threshold and each leaf's
-value and row count, and no links. ``forest_from_dict`` converts each
-column once, checks every node of the block in one vectorized pass and
-derives the right links; each tree it returns is a read-only view of its
-slice. Prediction lays a forest's node arrays end to end in the same way
-and moves every (tree, row) pair down one level per vectorized step; a
-single tree is the one-tree case.
+A boosting stage, a random forest and a single tree are each one
+``Forest``, one block of node columns. Growth appends each node as it
+visits it, so a split's left child is always the next node and only its
+right link is stored; a split fills it in once both subtrees are grown. A
+full binary tree in pre-order is fixed by which nodes split (Jacobson,
+"Space-efficient static trees and graphs", FOCS 1989), so
+``forest_to_dict`` writes no links, and ``forest_from_dict`` checks every
+node of the block in one vectorized pass and derives them: the forest in
+memory is the file's block plus its right links. Prediction moves every
+(tree, row) pair of a forest down one level per vectorized step.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): a stage stable-sorts its trees' columns
@@ -59,15 +55,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
-from .typed import fits
+from .typed import fits, holds_bool
 
 #: A forest block's node columns, in the order ``forest_to_dict`` writes them: ``feature``
 #: has an entry per node, ``threshold`` per split, ``value`` and ``n`` per leaf.
 FOREST_COLUMNS = ("feature", "threshold", "value", "n")
 #: The dtype kinds each column's JSON list may give: integers ("i"), or any number ("if").
 _COLUMN_KINDS = ("i", "if", "if", "i")
-#: Each column's dtype in memory, as ``RegressionTree`` holds it.
-_COLUMN_DTYPES = (np.intp, np.float64, np.float64, np.int64)
+#: A ``Forest``'s array fields, its five node columns and ``sizes``, and each one's dtype.
+_FIELD_DTYPES = {"feature": np.intp, "threshold": np.float64, "right": np.intp,
+                 "value": np.float64, "n": np.int64, "sizes": np.intp}
 
 
 @dataclass(frozen=True)
@@ -97,62 +94,58 @@ class TreeConfig:
             object.__setattr__(self, "feature_subset", tuple(sorted(set(self.feature_subset))))
 
 
-class RegressionTree:
-    """A fitted tree as parallel per-node arrays, root at index 0.
+@dataclass(frozen=True, eq=False)
+class Forest:
+    """Fitted trees as one block of node columns, the trees laid end to end in order.
 
-    The nodes are in pre-order. Node ``i`` is a leaf when ``feature[i] < 0``;
-    it then predicts ``value[i]`` and was fitted on ``n[i]`` rows. Otherwise
-    it sends ``x[feature[i]] <= threshold[i]`` to node ``i + 1``, the next
-    node, and the rest to node ``right[i]``. The unused fields hold -1 or 0.
-    A serialized forest lays its trees' nodes end to end and keeps only the
-    fields each node uses (``forest_to_dict``); the arrays of a tree read
-    back from one are views of the node arrays rebuilt from that block.
-    Treat the arrays as read-only.
+    Tree ``t`` holds the next ``sizes[t]`` nodes, in pre-order, root first.
+    Node ``i`` is a leaf when ``feature[i] < 0``; it then predicts ``value[i]``
+    and was fitted on ``n[i]`` rows. Otherwise it sends ``x[feature[i]] <=
+    threshold[i]`` to node ``i + 1``, the next node, and the rest to node
+    ``right[i]`` of the block. The unused fields hold -1 or 0. Treat the arrays
+    as read-only.
     """
 
-    def __init__(self, feature, threshold, right, value, n, n_features: int):
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.value = np.asarray(value, dtype=np.float64)
-        self.n = np.asarray(n, dtype=np.int64)
-        self.n_features = int(n_features)
-
-    def predict_batch(self, X) -> np.ndarray:
-        """Vectorized prediction for an (n, d) matrix: the one-tree ``leaf_values``."""
-        return leaf_values([self], X)[0]
-
-    def features_used(self) -> set[int]:
-        """Features appearing in at least one internal node."""
-        return set(np.unique(self.feature[self.feature >= 0]).tolist())
-
-    def depth(self) -> int:
-        level, frontier = 0, np.zeros(1, dtype=np.intp)
-        while True:
-            frontier = frontier[self.feature[frontier] >= 0]
-            if not frontier.size:
-                return level
-            frontier = np.concatenate([frontier + 1, self.right[frontier]])
-            level += 1
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
+    sizes: np.ndarray
+    n_features: int
 
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
 
 
-def forest_to_dict(trees) -> dict:
+def join(forests) -> Forest:
+    """The forests' trees laid end to end, in list order, as one forest."""
+    fields = [np.concatenate([getattr(forest, name) for forest in forests])
+              for name in _FIELD_DTYPES]
+    return _linked(fields, [forest.feature.size for forest in forests], forests[0].n_features)
+
+
+def _linked(fields, spans, n_features) -> Forest:
+    """A forest of its array fields, whose nodes come in parts of ``spans`` nodes with
+    right links that count from the first node of their own part."""
+    feature, threshold, right, value, n, sizes = (np.asarray(field, dtype=dtype) for field, dtype
+                                                  in zip(fields, _FIELD_DTYPES.values()))
+    split = feature >= 0
+    right[split] += np.repeat(np.cumsum(spans) - spans, spans)[split]
+    return Forest(feature, threshold, right, value, n, sizes, n_features)
+
+
+def forest_to_dict(forest: Forest) -> dict:
     """A forest as one block: ``n_features``, each tree's node count in ``sizes``,
-    then its trees' nodes laid end to end in list order, each column holding only
-    the nodes that use it. See README."""
-    block = {name: np.concatenate([getattr(tree, name) for tree in trees])
-             for name in FOREST_COLUMNS}
-    split = block["feature"] >= 0
-    return {"n_features": trees[0].n_features, "sizes": [tree.feature.size for tree in trees],
-            "feature": block["feature"].tolist(), "threshold": block["threshold"][split].tolist(),
-            "value": block["value"][~split].tolist(), "n": block["n"][~split].tolist()}
+    then the node columns, each holding only the nodes that use it. See README."""
+    split = forest.feature >= 0
+    return {"n_features": forest.n_features, "sizes": forest.sizes.tolist(),
+            "feature": forest.feature.tolist(), "threshold": forest.threshold[split].tolist(),
+            "value": forest.value[~split].tolist(), "n": forest.n[~split].tolist()}
 
 
-def forest_from_dict(payload: dict) -> list[RegressionTree]:
-    """The trees of a ``forest_to_dict`` block, each a read-only view of its slice.
+def forest_from_dict(payload: dict) -> Forest:
+    """The read-only forest of a ``forest_to_dict`` block.
 
     Each column is converted once, and every node of every tree is checked in
     one vectorized pass: a damaged file raises, and never yields a tree that
@@ -165,8 +158,9 @@ def forest_from_dict(payload: dict) -> list[RegressionTree]:
     if not columns[0].size or any(column.ndim != 1 for column in columns):
         raise ShapeMismatch("tree columns must be flat lists, and feature non-empty")
     # A fraction where an integer belongs would be truncated, a null would
-    # become NaN, and neither is what was written.
-    if (any(column.dtype.kind not in kinds for column, kinds in zip(columns, _COLUMN_KINDS))
+    # become NaN, a true or false beside numbers 1 or 0, and none is what was written.
+    if (any(column.dtype.kind not in kinds or holds_bool(payload[name])
+            for name, column, kinds in zip(FOREST_COLUMNS, columns, _COLUMN_KINDS))
             or not fits(payload["n_features"], int)):
         raise ShapeMismatch("tree columns: features, counts and n_features must be integers, "
                             "thresholds and values numbers")
@@ -178,8 +172,8 @@ def forest_from_dict(payload: dict) -> list[RegressionTree]:
             and min(sizes) > 0 and sum(sizes) == total):
         raise ShapeMismatch("forest sizes must be positive integers that add up to the "
                             "feature column's length")
-    feature, threshold, value, n = (column.astype(dtype, copy=False)
-                                    for column, dtype in zip(columns, _COLUMN_DTYPES))
+    feature, threshold, value, n = (column.astype(_FIELD_DTYPES[name], copy=False)
+                                    for name, column in zip(FOREST_COLUMNS, columns))
     if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
         raise ValueError("tree columns: thresholds and values must be finite")
     leaf = feature < 0
@@ -197,9 +191,8 @@ def forest_from_dict(payload: dict) -> list[RegressionTree]:
     # A full binary tree in pre-order: its count of open subtrees (+1 per split,
     # -1 per leaf, after each node) stays at 0 or above until its last node and
     # is -1 there. Each tree before it leaves -1 in the block's running sum.
-    sizes = np.asarray(sizes)
+    sizes = np.asarray(sizes, dtype=np.intp)
     ends = np.cumsum(sizes)
-    starts = ends - sizes
     tree = np.repeat(np.arange(sizes.size), sizes)
     step = np.where(leaf, -1, 1)
     count = np.cumsum(step) + tree
@@ -215,52 +208,46 @@ def forest_from_dict(payload: dict) -> list[RegressionTree]:
     rank = np.empty_like(order)
     rank[order] = np.arange(total)
     right = np.full(total, -1, dtype=np.intp)
-    right[split] = order[rank[split] + 1] - starts[tree[split]]
+    right[split] = order[rank[split] + 1]
     block = (feature, np.zeros(total), right, np.zeros(total), np.zeros(total, dtype=np.int64))
     block[1][split] = threshold
     block[3][leaves] = value
     block[4][leaves] = n
-    for column in block:
+    for column in (*block, sizes):
         column.flags.writeable = False
-    return [RegressionTree(*(column[start:end] for column in block), payload["n_features"])
-            for start, end in zip(starts.tolist(), ends.tolist())]
+    return Forest(*block, sizes, payload["n_features"])
 
 
-def leaf_values(trees, X) -> np.ndarray:
-    """Every tree's prediction for every row of an (n, d) matrix, as a (T, n) array.
+def leaf_values(forest: Forest, X) -> np.ndarray:
+    """Every tree's prediction for every row of an (n, d) matrix, as a (trees, n) array.
 
-    The trees' node arrays are laid end to end, each right link offset by
-    its tree's start, and one vectorized step moves every (tree, row) pair
-    that is still at an internal node down one level: to the next node, its
-    left child, or to its right link.
+    One vectorized step moves every (tree, row) pair that is still at a split
+    down one level: to the next node, its left child, or to its right link. A
+    tree is shallower than its node count, so a pair still at a split after the
+    largest tree's node count of steps is caught in links that cycle, and
+    ``DamagedArtifact`` is raised.
     """
     X = np.asarray(X, dtype=np.float64)
-    for tree in trees:
-        if X.ndim != 2 or X.shape[1] != tree.n_features:
-            raise ShapeMismatch(f"expected (n, {tree.n_features}) matrix, got {X.shape}")
-    n = X.shape[0]
-    if not trees:
-        return np.empty((0, n))
-    sizes = [tree.feature.size for tree in trees]
-    starts = np.cumsum([0] + sizes[:-1])
-    right = np.concatenate([tree.right for tree in trees]) + np.repeat(starts, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    value = np.concatenate([tree.value for tree in trees])
-
-    node = np.repeat(starts, n)  # pair t * n + r: tree t, row r, at its root
+    if X.ndim != 2 or X.shape[1] != forest.n_features:
+        raise ShapeMismatch(f"expected (n, {forest.n_features}) matrix, got {X.shape}")
+    n, feature = X.shape[0], forest.feature
+    node = np.repeat(np.cumsum(forest.sizes) - forest.sizes, n)  # pair t * n + r: tree t, row r
     live = np.flatnonzero(feature[node] >= 0)
-    while live.size:
+    for _ in range(forest.sizes.max()):
+        if not live.size:
+            break
         at = node[live]
-        go_left = X[live % n, feature[at]] <= threshold[at]
-        node[live] = np.where(go_left, at + 1, right[at])
+        go_left = X[live % n, feature[at]] <= forest.threshold[at]
+        node[live] = np.where(go_left, at + 1, forest.right[at])
         live = live[feature[node[live]] >= 0]
-    return value[node].reshape(len(trees), n)
+    if live.size:
+        raise DamagedArtifact("tree links form a cycle: routing reached no leaf")
+    return forest.value[node].reshape(forest.sizes.size, n)
 
 
-def tree_sum(trees, X) -> np.ndarray:
-    """The sum of the trees' predictions, added one tree at a time in list order."""
-    return _sum_in_order(leaf_values(trees, X))
+def tree_sum(forest: Forest, X) -> np.ndarray:
+    """The sum of the trees' predictions, added one tree at a time in tree order."""
+    return _sum_in_order(leaf_values(forest, X))
 
 
 def _sum_in_order(rows) -> np.ndarray:
@@ -298,32 +285,32 @@ def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> RegressionTree:
-    """Grow a squared-error CART tree on ``(X, y)``: a stage of one tree, over
-    ``cfg.feature_subset`` or every column."""
+def fit_tree(X, y, cfg: TreeConfig = TreeConfig()) -> Forest:
+    """Grow a squared-error CART tree on ``(X, y)``, as a forest of one tree: a stage
+    of one tree, over ``cfg.feature_subset`` or every column."""
     X, y = _training_data(X, y)
     subset = range(X.shape[1]) if cfg.feature_subset is None else cfg.feature_subset
-    return _grow_stage(X, y, [subset], cfg, None)[0][0]
+    return _grow_stage(X, y, [subset], cfg, None)[0]
 
 
 def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
-              presorted=None) -> tuple[list[RegressionTree], np.ndarray]:
-    """Grow one boosting stage: a tree per column subset, all on ``(X, residual)``.
+              presorted=None) -> tuple[Forest, np.ndarray]:
+    """Grow one boosting stage: a forest of a tree per column subset, all on ``(X, residual)``.
 
     Tree ``t`` equals ``fit_tree(X, residual, TreeConfig(max_depth=tree_depth,
     min_samples_leaf=min_samples_leaf, feature_subset=subsets[t]))`` node for
-    node. Returns the trees and ``tree_sum(trees, X)``, the sum of their outputs
+    node. Returns the forest and ``tree_sum(forest, X)``, the sum of its outputs
     on the training rows, which each leaf fills in for its rows as it is written.
     """
     X, y = _training_data(X, residual)
     cfg = TreeConfig(max_depth=tree_depth, min_samples_leaf=min_samples_leaf)
-    trees, outputs = _grow_stage(X, y, subsets, cfg, presorted)
-    return trees, _sum_in_order(outputs)
+    forest, outputs = _grow_stage(X, y, subsets, cfg, presorted)
+    return forest, _sum_in_order(outputs)
 
 
 def _grow_stage(X, y, subsets, cfg: TreeConfig, presorted):
-    """The trees over ``subsets`` grown together on checked ``(X, y)``, and each
-    tree's outputs on those rows as a (trees, rows) array."""
+    """The forest of the trees over ``subsets`` grown together on checked ``(X, y)``,
+    and each tree's outputs on those rows as a (trees, rows) array."""
     n_rows, n_features = X.shape
     allowed = np.zeros((len(subsets), n_features), dtype=bool)
     for t, subset in enumerate(subsets):
@@ -343,7 +330,9 @@ def _grow_stage(X, y, subsets, cfg: TreeConfig, presorted):
         order, values = presorted[0][union], presorted[1][union]
     stage = _StageGrower(np.ascontiguousarray(X.T), y, allowed, cfg)
     stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
-    return [RegressionTree(*zip(*nodes), n_features) for nodes in stage.nodes], stage.outputs
+    sizes = [len(nodes) for nodes in stage.nodes]
+    columns = zip(*(node for nodes in stage.nodes for node in nodes))
+    return _linked([*columns, sizes], sizes, n_features), stage.outputs
 
 
 class _StageGrower:

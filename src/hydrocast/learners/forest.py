@@ -12,23 +12,20 @@ import math
 
 import numpy as np
 
-from ..cart import TreeConfig, fit_tree, forest_from_dict, forest_to_dict, tree_sum
+from ..cart import TreeConfig, fit_tree, forest_from_dict, forest_to_dict, join, tree_sum
 from .base import RF, FittedModel, RFConfig, Standardization
-
-#: (read, write) for the forest: its trees' node columns as one block.
-TREES = (forest_from_dict, forest_to_dict)
 
 
 class RFModel(FittedModel):
     kind = RF
     config = RFConfig
-    state = (("trees", TREES),)
+    state = (("trees", (forest_from_dict, forest_to_dict)),)  # one block, in memory as on disk
 
     def predict_batch(self, X) -> np.ndarray:
-        return tree_sum(self.trees, self._check_batch(X)) / len(self.trees)
+        return tree_sum(self.trees, self._check_batch(X)) / len(self.trees.sizes)
 
     def _fits(self, d: int) -> bool:
-        return all(tree.n_features == d for tree in self.trees)
+        return self.trees.n_features == d
 
 
 def fit_rf(cfg: RFConfig, X, y, feature_indices, seed: int) -> RFModel:
@@ -46,4 +43,4 @@ def fit_rf(cfg: RFConfig, X, y, feature_indices, seed: int) -> RFModel:
             seed=int(rng.integers(2**63)),
         )
         trees.append(fit_tree(X[rows], y[rows], tree_cfg))
-    return RFModel(cfg, feature_indices, Standardization.identity(d), trees=trees)
+    return RFModel(cfg, feature_indices, Standardization.identity(d), trees=join(trees))

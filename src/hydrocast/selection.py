@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import RegressionTree, _training_data, fit_stage, presort, tree_sum
+from .cart import Forest, _training_data, fit_stage, presort, tree_sum
 from .errors import EmptyInput, NonFiniteResidual, TooFewSamples, ZeroNormColumn
 
 L2 = "l2"
@@ -109,7 +109,7 @@ class BoostedModel:
     def __init__(self, base: float, stages, shrinkage: float, n_features: int,
                  training_mse_per_stage):
         self.base = base
-        self.stages = stages  # list of lists of RegressionTree
+        self.stages = stages  # a Forest per stage
         self.shrinkage = shrinkage
         self.n_features = n_features
         self.training_mse_per_stage = list(training_mse_per_stage)
@@ -117,13 +117,9 @@ class BoostedModel:
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.full(X.shape[0], self.base, dtype=np.float64)
-        for trees in self.stages:
-            out += self.shrinkage * tree_sum(trees, X) / len(trees)
+        for stage in self.stages:
+            out += self.shrinkage * tree_sum(stage, X) / len(stage.sizes)
         return out
-
-    def iter_trees(self):
-        for trees in self.stages:
-            yield from trees
 
 
 def prune_colinear(X, cfg: ColinearityConfig = ColinearityConfig()):
@@ -185,7 +181,7 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig(), seed: int = 0) -> Booste
     sorted_X = presort(X)  # shared by every stage
     current = np.full(n, y.mean())
     mse = [float(np.mean((y - current) ** 2))]
-    stages: list[list[RegressionTree]] = []
+    stages: list[Forest] = []
 
     for stage in range(cfg.max_stages):
         if mse[-1] == 0.0:
@@ -198,10 +194,10 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig(), seed: int = 0) -> Booste
             .choice(d, size=subset_size, replace=False).tolist()
             for t in range(cfg.trees_per_stage)
         ]
-        trees, outputs = fit_stage(X, residual, subsets, cfg.tree_depth, cfg.min_samples_leaf,
-                                   sorted_X)
+        forest, outputs = fit_stage(X, residual, subsets, cfg.tree_depth, cfg.min_samples_leaf,
+                                    sorted_X)
         current = current + cfg.shrinkage * outputs / cfg.trees_per_stage
-        stages.append(trees)
+        stages.append(forest)
         mse.append(float(np.mean((y - current) ** 2)))
         prev, new = mse[-2], mse[-1]
         if prev > 0 and (prev - new) / prev < cfg.stop_tolerance:
@@ -213,11 +209,14 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig(), seed: int = 0) -> Booste
 def rank_features(model: BoostedModel) -> dict[int, int]:
     """Occurrence count per feature: the number of fitted trees that split on
     it at least once. Unused features appear with count 0."""
-    counts = {f: 0 for f in range(model.n_features)}
-    for tree in model.iter_trees():
-        for f in tree.features_used():
-            counts[f] += 1
-    return counts
+    d = model.n_features
+    feature, sizes = (np.concatenate([np.empty(0, dtype=np.intp)]
+                                     + [getattr(stage, name) for stage in model.stages])
+                      for name in ("feature", "sizes"))
+    split = feature >= 0
+    tree = np.repeat(np.arange(sizes.size), sizes)[split]
+    pairs = np.unique(tree * d + feature[split])  # each (tree, split feature) once
+    return dict(enumerate(np.bincount(pairs % d, minlength=d).tolist()))
 
 
 def ranked(counts: dict[int, int]) -> list[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import reprlib
 import typing
@@ -62,12 +63,22 @@ def reader(hint):
     return read
 
 
+def holds_bool(value, depth: int = 1) -> bool:
+    """Whether a JSON list nested ``depth`` deep (0 for a scalar) holds a true or false,
+    which numpy reads as 1 or 0 beside numbers. The entries are looked at in C loops."""
+    entries = [value]
+    for _ in range(depth):
+        entries = itertools.chain.from_iterable(entries)
+    return bool in set(map(type, entries))
+
+
 def float_array(value) -> np.ndarray:
-    """A JSON number or (nested) list of numbers as a float array. A null or a string
-    in it, a number past float range (read as an infinity), or a ragged list, raises
-    ``ValueError``, where a float conversion would turn null into NaN and a numeric
-    string into its number."""
+    """A JSON number or (nested) list of numbers as a float array. A null, true, false or
+    string in it, a number past float range (read as an infinity), or a ragged list raises
+    ``ValueError``, where a float conversion reads null as NaN, true as 1 and a string as
+    its number."""
     array = np.asarray(value)
-    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+    if (array.dtype.kind not in "iuf" or holds_bool(value, array.ndim)
+            or not np.isfinite(array).all()):
         raise ValueError(f"expected finite numbers, got {reprlib.repr(value)}")
     return array.astype(np.float64, copy=False)

@@ -6,10 +6,11 @@ implementations they verify.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-#: A tree's node columns in memory, in the order ``RegressionTree`` takes them.
+#: A forest's node columns in memory, in the order ``Forest`` takes them.
 _COLUMNS = ("feature", "threshold", "right", "value", "n")
 #: The node columns of a serialized forest, in the order the file lists them.
 _BLOCK = ("feature", "threshold", "value", "n")
@@ -168,14 +169,15 @@ def node_list(tree):
     split ``{"feature", "threshold", "left", "right"}``, the layout
     ``reference_fit_tree`` returns.
 
-    ``tree`` is a ``RegressionTree``, whose five node columns are read node by
-    node (a negative ``feature`` is a leaf, and ``left`` is the next node,
-    ``i + 1``), or one tree of a serialized forest (``forest_trees``), whose
-    nodes are read one at a time in pre-order: a split takes the next entry of
-    ``threshold`` and then its left and right subtrees, a leaf the next entries
-    of ``value`` and ``n``.
+    ``tree`` is a ``Forest`` of one tree or one tree of ``trees_of``, whose five
+    node columns are read node by node (a negative ``feature`` is a leaf, and
+    ``left`` is the next node, ``i + 1``), or one tree of a serialized forest
+    (``forest_trees``), whose nodes are read one at a time in pre-order: a split
+    takes the next entry of ``threshold`` and then its left and right subtrees,
+    a leaf the next entries of ``value`` and ``n``.
     """
     if not isinstance(tree, dict):
+        assert len(getattr(tree, "sizes", [0])) == 1, "cut a forest of several trees with trees_of"
         columns = {name: getattr(tree, name).tolist() for name in _COLUMNS}
         return [{"value": columns["value"][i], "n": columns["n"][i]} if feature < 0 else
                 {"feature": feature, "threshold": columns["threshold"][i], "left": i + 1,
@@ -203,8 +205,8 @@ def node_list(tree):
 
 def node_columns(nodes, n_features):
     """The inverse of ``node_list``: a forest of one tree in the five node columns
-    that ``RegressionTree`` holds, built from node dicts; ``sparse_block`` turns
-    it into what the file stores.
+    that ``Forest`` holds, built from node dicts; ``sparse_block`` turns it into
+    what the file stores.
 
     A leaf's unused fields hold -1 (right link, feature) or 0.0 (threshold),
     and an internal node's hold 0.0 (value) or 0 (n). An internal node's
@@ -274,12 +276,43 @@ def forest_block(trees):
                for name in _COLUMNS if all(name in tree for tree in trees)}}
 
 
+def trees_of(forest):
+    """A ``Forest``'s trees, cut from its block through ``sizes``: each its own five
+    node columns as arrays, with ``n_features``, and its right links counted from
+    its own root."""
+    trees, start = [], 0
+    for size in forest.sizes.tolist():
+        tree = SimpleNamespace(n_features=forest.n_features, **{
+            name: getattr(forest, name)[start:start + size].copy() for name in _COLUMNS})
+        tree.right[tree.feature >= 0] -= start
+        trees.append(tree)
+        start += size
+    return trees
+
+
+def features_used(tree):
+    """The features one tree splits on, each once."""
+    return {node["feature"] for node in node_list(tree) if "feature" in node}
+
+
+def depth(tree):
+    """The number of splits on one tree's longest path from the root to a leaf."""
+    nodes = node_list(tree)
+
+    def below(i):
+        node = nodes[i]
+        return 0 if "value" in node else 1 + max(below(node["left"]), below(node["right"]))
+
+    return below(0)
+
+
 def reference_predict(tree, X):
     """One tree's prediction for every row of X, each row walked down from the
     root on its own.
 
-    A split sends ``x[feature] <= threshold`` to the next node, its left child
-    in pre-order, and the rest to node ``right``; a node with a negative
+    ``tree`` is a ``Forest`` of one tree or one tree of ``trees_of``. A split
+    sends ``x[feature] <= threshold`` to the next node, its left child in
+    pre-order, and the rest to node ``right``; a node with a negative
     ``feature`` is a leaf.
     """
     feature, threshold, right, value = (tree.feature.tolist(), tree.threshold.tolist(),
@@ -293,10 +326,10 @@ def reference_predict(tree, X):
     return np.array(out, dtype=np.float64)
 
 
-def reference_tree_sum(trees, X):
-    """The trees' predictions added one tree at a time, in list order."""
+def reference_tree_sum(forest, X):
+    """A ``Forest``'s tree predictions added one tree at a time, in tree order."""
     total = np.zeros(np.asarray(X).shape[0])
-    for tree in trees:
+    for tree in trees_of(forest):
         total += reference_predict(tree, X)
     return total
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hydrocast.cart import TreeConfig, fit_tree
+from hydrocast.cart import TreeConfig, fit_tree, leaf_values
 from hydrocast.catalog import FEATURE_NAMES, REFERENCE_POINTS
 from hydrocast.cli import main
 from hydrocast.evaluation import error_std, mae, pearson
@@ -32,9 +32,11 @@ from hydrocast.synthetic import generate_synthetic
 from oracles import (
     best_depth1_splits,
     error_std_direct,
+    features_used,
     mae_direct,
     node_list,
     pearson_direct,
+    trees_of,
 )
 
 PLANTED = ("air_l01", "rhum_l01", "uwnd_l04", "air_l11", "rhum_l08")
@@ -189,7 +191,7 @@ def test_criterion_7_learner_sanity():
         Xr, yr)
     single = fit_tree(Xr, yr, TreeConfig(min_samples_leaf=5))
     Xq = rng.standard_normal((40, 4))
-    np.testing.assert_array_equal(forest.predict_batch(Xq), single.predict_batch(Xq))
+    np.testing.assert_array_equal(forest.predict_batch(Xq), leaf_values(single, Xq)[0])
 
     # MLP analytic gradients match central finite differences
     worst = 0.0
@@ -291,7 +293,8 @@ def test_criterion_8_thirteen_point_report_shape(thirteen_point_run):
     kept, _ = prune_colinear(train.features, ColinearityConfig())
     model = fit_boosted(train.features[:, kept], train.precip,
                         BoostConfig(), seed=payload["seed"])
-    tree_total = sum(len(t.features_used()) for t in model.iter_trees())
+    tree_total = sum(len(features_used(tree)) for stage in model.stages
+                     for tree in trees_of(stage))
     assert payload["occurrence_total"] == tree_total
     recounted = rank_features(model)
     by_name = {FEATURE_NAMES[kept[pos]]: c for pos, c in recounted.items() if c > 0}

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hydrocast.cart import (
     fit_tree,
     forest_from_dict,
     forest_to_dict,
+    join,
     leaf_values,
     presort,
     tree_sum,
@@ -21,6 +26,8 @@ from hydrocast.learners.forest import fit_rf
 
 from oracles import (
     best_depth1_splits,
+    depth,
+    features_used,
     forest_block,
     forest_trees,
     full_columns,
@@ -29,11 +36,14 @@ from oracles import (
     reference_fit_tree,
     reference_predict,
     sparse_block,
+    trees_of,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def training_mse(tree, X, y) -> float:
-    return float(np.mean((y - tree.predict_batch(X)) ** 2))
+    return float(np.mean((y - leaf_values(tree, X)[0]) ** 2))
 
 
 def random_case(rng, max_n=8, max_d=3):
@@ -49,10 +59,9 @@ def nodes_of(tree):
 
 
 def read_tree(payload):
-    """The one tree of a forest of one given in the five node columns
-    (``node_columns``), written as the file stores it and read back."""
-    (tree,) = forest_from_dict(sparse_block(payload))
-    return tree
+    """A forest of one tree given in the five node columns (``node_columns``),
+    written as the file stores it and read back."""
+    return forest_from_dict(sparse_block(payload))
 
 
 def root_of(tree):
@@ -103,8 +112,8 @@ def test_constant_target_gives_single_leaf():
     root = root_of(tree)
     assert "value" in root
     assert root["value"] == 3.5
-    assert tree.predict_batch(np.array([99.0])[None])[0] == 3.5
-    assert tree.features_used() == set()
+    assert leaf_values(tree, np.array([99.0])[None])[0][0] == 3.5
+    assert features_used(tree) == set()
 
 
 def test_step_function_found_exactly():
@@ -116,9 +125,9 @@ def test_step_function_found_exactly():
     assert 4.0 < threshold <= 6.0  # between largest x<5 and smallest x>=5
     assert threshold == pytest.approx(5.0)
     assert training_mse(tree, x.reshape(-1, 1), y) == 0.0
-    assert tree.predict_batch(np.array([4.0])[None])[0] == 0.0
-    assert tree.predict_batch(np.array([6.0])[None])[0] == 10.0
-    assert tree.features_used() == {0}
+    assert leaf_values(tree, np.array([4.0])[None])[0][0] == 0.0
+    assert leaf_values(tree, np.array([6.0])[None])[0][0] == 10.0
+    assert features_used(tree) == {0}
 
 
 def test_two_samples_with_leaf_minimum_two():
@@ -137,8 +146,8 @@ def test_boundary_value_routes_left():
         {"value": -1.0, "n": 1},
         {"value": 1.0, "n": 1},
     ], 1))
-    assert tree.predict_batch(np.array([1.0])[None])[0] == -1.0
-    assert tree.predict_batch(np.array([1.0 + 1e-12])[None])[0] == 1.0
+    assert leaf_values(tree, np.array([1.0])[None])[0][0] == -1.0
+    assert leaf_values(tree, np.array([1.0 + 1e-12])[None])[0][0] == 1.0
 
 
 def test_training_mse_non_increasing_in_depth():
@@ -181,9 +190,9 @@ def test_max_depth_respected():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((200, 3))
     y = rng.standard_normal(200)
-    for depth in (1, 2, 3):
-        tree = fit_tree(X, y, TreeConfig(max_depth=depth))
-        assert tree.depth() <= depth
+    for max_depth in (1, 2, 3):
+        tree = fit_tree(X, y, TreeConfig(max_depth=max_depth))
+        assert depth(tree) <= max_depth
 
 
 def test_min_samples_leaf_respected():
@@ -201,7 +210,7 @@ def test_feature_subset_restricts_splits():
     X = rng.standard_normal((80, 5))
     y = X[:, 0] * 5.0  # feature 0 is the only signal
     tree = fit_tree(X, y, TreeConfig(max_depth=3, feature_subset=(2, 3)))
-    assert tree.features_used() <= {2, 3}
+    assert features_used(tree) <= {2, 3}
 
 
 def test_features_per_node_is_deterministic_given_seed():
@@ -212,16 +221,16 @@ def test_features_per_node_is_deterministic_given_seed():
     t1 = fit_tree(X, y, cfg)
     t2 = fit_tree(X, y, cfg)
     Xq = rng.standard_normal((40, 6))
-    np.testing.assert_array_equal(t1.predict_batch(Xq), t2.predict_batch(Xq))
+    np.testing.assert_array_equal(leaf_values(t1, Xq)[0], leaf_values(t2, Xq)[0])
     t3 = fit_tree(X, y, TreeConfig(max_depth=4, features_per_node=2, seed=6))
-    assert not np.array_equal(t1.predict_batch(Xq), t3.predict_batch(Xq))
+    assert not np.array_equal(leaf_values(t1, Xq)[0], leaf_values(t3, Xq)[0])
 
 
 def test_repeated_feature_counts_once_in_features_used():
     x = np.array([1.0, 2, 3, 4, 5, 6, 7, 8])
     y = np.array([0.0, 0, 5, 5, 9, 9, 14, 14])  # staircase on one feature
     tree = fit_tree(x.reshape(-1, 1), y, TreeConfig(max_depth=2))
-    assert tree.features_used() == {0}
+    assert features_used(tree) == {0}
     assert np.count_nonzero(tree.feature == 0) >= 2  # split on it twice or more
 
 
@@ -230,10 +239,10 @@ def test_json_round_trip():
     X = rng.standard_normal((50, 3))
     y = rng.standard_normal(50)
     tree = fit_tree(X, y, TreeConfig(max_depth=3))
-    (clone,) = forest_from_dict(json.loads(json.dumps(forest_to_dict([tree]))))
+    clone = forest_from_dict(json.loads(json.dumps(forest_to_dict(tree))))
     Xq = rng.standard_normal((20, 3))
-    np.testing.assert_array_equal(tree.predict_batch(Xq), clone.predict_batch(Xq))
-    assert forest_to_dict([clone]) == forest_to_dict([tree])
+    np.testing.assert_array_equal(leaf_values(tree, Xq)[0], leaf_values(clone, Xq)[0])
+    assert forest_to_dict(clone) == forest_to_dict(tree)
 
 
 @pytest.mark.parametrize("feature", [-1, 1])
@@ -260,8 +269,7 @@ def test_from_dict_rejects_child_links_not_past_the_parent(right):
     ]
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(node_columns(nodes, 1))
-    (tree,) = forest_from_dict(sparse_block(node_columns(nodes, 1)))
-    assert tree.right.tolist() == [2, -1, -1]
+    assert forest_from_dict(sparse_block(node_columns(nodes, 1))).right.tolist() == [2, -1, -1]
 
 
 def small_tree():
@@ -269,7 +277,7 @@ def small_tree():
 
 
 def test_to_dict_writes_the_forest_block():
-    payload = forest_to_dict([small_tree()])
+    payload = forest_to_dict(small_tree())
     assert payload == {
         "n_features": 1, "sizes": [3], "feature": [0, -1, -1], "threshold": [2.5],
         "value": [0.0, 1.0], "n": [2, 1],
@@ -284,10 +292,10 @@ def test_to_dict_writes_the_five_node_columns():
     tree = small_tree()
     columns = {"feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0], "right": [2, -1, -1],
                "value": [0.0, 0.0, 1.0], "n": [0, 2, 1]}
-    payload = forest_to_dict([tree])
+    payload = forest_to_dict(tree)
     (stored,) = forest_trees(payload)
     assert full_columns(stored) == {"n_features": 1, **columns}
-    (clone,) = forest_from_dict(payload)
+    clone = forest_from_dict(payload)
     for name, column in columns.items():
         assert getattr(tree, name).tolist() == column
         assert getattr(clone, name).tolist() == column
@@ -316,7 +324,7 @@ NOT_ONE_TREE = {
 @pytest.mark.parametrize("damage", NOT_ONE_TREE.values(), ids=NOT_ONE_TREE)
 def test_from_dict_refuses_flags_that_do_not_make_one_tree(damage):
     """Found on the last tree of a block, at that tree's offset."""
-    trees = forest_trees(forest_to_dict([small_tree()] * 3))
+    trees = forest_trees(forest_to_dict(join([small_tree()] * 3)))
     damage(trees[-1])
     splits = sum(feature >= 0 for feature in trees[-1]["feature"])  # the columns match the flags
     assert len(trees[-1]["threshold"]) == splits
@@ -340,7 +348,7 @@ def test_from_dict_refuses_flags_that_do_not_make_one_tree(damage):
 def test_from_dict_rejects_columns_not_one_length(damage):
     """Each column must be a flat list as long as its nodes: ``feature`` one entry
     per node, ``threshold`` one per split, ``value`` and ``n`` one per leaf."""
-    payload = forest_to_dict([small_tree()])
+    payload = forest_to_dict(small_tree())
     damage(payload)
     with pytest.raises(ShapeMismatch):
         forest_from_dict(payload)
@@ -356,10 +364,14 @@ def test_from_dict_rejects_columns_not_one_length(damage):
     lambda tree: tree["n"].__setitem__(0, 2**63),
     lambda tree: tree.update(n_features=1.5),
     lambda tree: tree.update(n_features=True),
+    lambda tree: tree.update(n_features=2, feature=[True, -1, -1]),
+    lambda tree: tree["value"].__setitem__(1, False),
+    lambda tree: tree["n"].__setitem__(1, True),
 ], ids=["n_fractional", "feature_fractional", "n_float", "value_null", "threshold_null",
-        "threshold_text", "n_past_int64", "n_features_fractional", "n_features_bool"])
+        "threshold_text", "n_past_int64", "n_features_fractional", "n_features_bool",
+        "feature_true", "value_false", "n_true"])
 def test_from_dict_refuses_numbers_it_would_change(damage):
-    payload = forest_to_dict([small_tree()])
+    payload = forest_to_dict(small_tree())
     damage(payload)
     with pytest.raises(ShapeMismatch):
         forest_from_dict(payload)
@@ -379,7 +391,7 @@ def test_from_dict_refuses_numbers_it_would_change(damage):
 def test_from_dict_checks_each_tree_at_its_own_offset(damage):
     """A damage to the last tree of a block is found at that tree's offset, not
     only at the start of the columns."""
-    trees = forest_trees(forest_to_dict([small_tree()] * 3))
+    trees = forest_trees(forest_to_dict(join([small_tree()] * 3)))
     damage(trees[-1])
     with pytest.raises(ShapeMismatch):
         forest_from_dict(forest_block(trees))
@@ -390,12 +402,12 @@ def test_from_dict_refuses_a_right_link_into_the_next_tree(right):
     """Only the five-column block of earlier versions could hold such a link,
     and it is refused; the stored block has no link to damage, and the reader
     derives each tree's links inside that tree."""
-    trees = forest_trees(forest_to_dict([small_tree()] * 2))
+    trees = forest_trees(forest_to_dict(join([small_tree()] * 2)))
     old = forest_block([full_columns(tree) for tree in trees])  # each root sends the rest to node 2
     old["right"][0] = right  # an index in the block's second tree, read from the first
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
-    clones = forest_from_dict(sparse_block(old))
+    clones = trees_of(forest_from_dict(sparse_block(old)))
     assert [clone.right.tolist() for clone in clones] == [[2, -1, -1]] * 2
 
 
@@ -408,7 +420,7 @@ def test_from_dict_refuses_a_right_link_into_the_next_tree(right):
                               "huge_negative", "null", "number", "text", "nested",
                               "ending_a_tree_early", "ending_a_tree_late", "joining_two_trees"])
 def test_from_dict_refuses_sizes_that_do_not_cut_the_columns_into_trees(sizes):
-    payload = forest_to_dict([small_tree()] * 2)
+    payload = forest_to_dict(join([small_tree()] * 2))
     payload["sizes"] = sizes
     with pytest.raises(ShapeMismatch):
         forest_from_dict(payload)
@@ -421,20 +433,20 @@ def test_from_dict_refuses_the_node_list_layout():
 
 
 def test_from_dict_refuses_a_tree_with_a_left_column():
-    (tree,) = forest_trees(forest_to_dict([small_tree()]))
+    (tree,) = forest_trees(forest_to_dict(small_tree()))
     old = [{**full_columns(tree), "left": [1, -1, -1]}]  # the six columns earlier versions wrote
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
 
 
 def test_from_dict_refuses_the_per_tree_layout():
-    old = [full_columns(tree) for tree in forest_trees(forest_to_dict([small_tree()] * 2))]
+    old = [full_columns(tree) for tree in forest_trees(forest_to_dict(join([small_tree()] * 2)))]
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
 
 
 def test_from_dict_refuses_the_five_column_block():
-    trees = forest_trees(forest_to_dict([small_tree()] * 2))
+    trees = forest_trees(forest_to_dict(join([small_tree()] * 2)))
     old = forest_block([full_columns(tree) for tree in trees])  # the block earlier versions wrote
     assert set(old) == {"n_features", "sizes", "feature", "threshold", "right", "value", "n"}
     with pytest.raises(DamagedArtifact, match="rerun train"):
@@ -446,19 +458,22 @@ def test_forest_codec_lays_the_trees_end_to_end(seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((120, 6))
     y = X[:, 0] - X[:, 2] ** 2 + rng.standard_normal(120)
-    trees = fit_rf(RFConfig(n_trees=12), X, y, list(range(6)), seed=seed).trees
-    payload = forest_to_dict(trees)
+    forest = fit_rf(RFConfig(n_trees=12), X, y, list(range(6)), seed=seed).trees
+    trees = trees_of(forest)
+    payload = forest_to_dict(forest)
     assert payload["sizes"] == [tree.feature.size for tree in trees]
     assert payload == sparse_block(forest_block([node_columns(node_list(tree), 6)
                                                  for tree in trees]))
-    clones = forest_from_dict(json.loads(json.dumps(payload)))
+    clone = forest_from_dict(json.loads(json.dumps(payload)))
     queries = np.vstack([X, rng.standard_normal((50, 6))])
-    assert leaf_values(clones, queries).tobytes() == leaf_values(trees, queries).tobytes()
-    assert [tree.features_used() for tree in clones] == [tree.features_used() for tree in trees]
-    assert [tree.n_leaves() for tree in clones] == [tree.n_leaves() for tree in trees]
-    assert {tree.n_features for tree in clones} == {6}
-    with pytest.raises(ValueError):  # each tree is a read-only view of its slice
-        clones[1].value[0] = 0.0
+    assert leaf_values(clone, queries).tobytes() == leaf_values(forest, queries).tobytes()
+    assert [features_used(tree) for tree in trees_of(clone)] == [features_used(tree)
+                                                                 for tree in trees]
+    assert clone.n_leaves() == forest.n_leaves() == sum(len(tree["value"])
+                                                        for tree in forest_trees(payload))
+    assert clone.n_features == 6
+    with pytest.raises(ValueError):  # the block read back is read-only
+        clone.value[0] = 0.0
 
 
 def test_shape_and_empty_errors():
@@ -472,11 +487,11 @@ def test_shape_and_empty_errors():
         fit_tree(np.array([[0.0], [np.inf]]), np.zeros(2))
     tree = fit_tree(np.arange(4.0).reshape(-1, 1), np.array([0.0, 0, 1, 1]))
     with pytest.raises(ShapeMismatch):
-        tree.predict_batch(np.zeros(2))
+        leaf_values(tree, np.zeros(2))
     with pytest.raises(ShapeMismatch):
-        tree.predict_batch(np.zeros((3, 2)))
+        leaf_values(tree, np.zeros((3, 2)))
     with pytest.raises(ShapeMismatch):
-        leaf_values([tree, fit_tree(np.zeros((4, 2)), np.arange(4.0))], np.zeros((3, 1)))
+        leaf_values(join([tree, tree]), np.zeros((3, 2)))
 
 
 def test_prediction_is_deterministic():
@@ -485,9 +500,9 @@ def test_prediction_is_deterministic():
     y = rng.standard_normal(30)
     tree = fit_tree(X, y, TreeConfig(max_depth=2))
     x = X[4]
-    assert tree.predict_batch(x[None])[0] == tree.predict_batch(x[None])[0]
+    assert leaf_values(tree, x[None])[0][0] == leaf_values(tree, x[None])[0][0]
     np.testing.assert_array_equal(
-        tree.predict_batch(X), np.array([tree.predict_batch(row[None])[0] for row in X])
+        leaf_values(tree, X)[0], np.array([leaf_values(tree, row[None])[0][0] for row in X])
     )
 
 
@@ -566,12 +581,12 @@ def test_fit_stage_matches_reference_tree_by_tree():
         subsets = [rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()
                    for _ in range(12)] + [[]]
         with np.errstate(over="ignore", invalid="ignore"):
-            trees, outputs = fit_stage(X, y, subsets, depth, min_leaf,
+            stage, outputs = fit_stage(X, y, subsets, depth, min_leaf,
                                        presort(X) if case % 2 else None)
             # every leaf wrote its value at exactly its rows, summed in tree order
-            assert outputs.tobytes() == tree_sum(trees, X).tobytes(), case
+            assert outputs.tobytes() == tree_sum(stage, X).tobytes(), case
             depths = defaultdict(set)
-            for subset, tree in zip(subsets, trees):
+            for subset, tree in zip(subsets, trees_of(stage), strict=True):
                 cfg = TreeConfig(max_depth=depth, min_samples_leaf=min_leaf,
                                  feature_subset=tuple(subset))
                 assert nodes_of(tree) == reference_fit_tree(X, y, cfg), (case, subset)
@@ -619,45 +634,69 @@ def test_degenerate_midpoint_still_splits(column, max_depth):
     assert len(nodes) == 3
     assert column[0] <= nodes[0]["threshold"] < column[1]
     assert [(node["value"], node["n"]) for node in nodes[1:]] == [(0.0, 1), (1.0, 1)]
-    np.testing.assert_array_equal(tree.predict_batch(X), [0.0, 1.0])
+    np.testing.assert_array_equal(leaf_values(tree, X)[0], [0.0, 1.0])
 
 
 def routing_case(rng):
-    """A mixed list of trees over one feature space, and query rows for them."""
+    """Forests over one feature space, in a mixed order: single trees and a random
+    forest, and query rows for them."""
     d = int(rng.integers(1, 5))
     n_train = int(rng.integers(2, 60))
     X = rng.integers(0, 5, size=(n_train, d)).astype(float)  # ties land on thresholds
     y = rng.standard_normal(n_train)
-    trees = [
+    forests = [
         read_tree(node_columns([{"value": float(y[0]), "n": 1}], d)),
         fit_tree(X, np.full(n_train, 2.0)),  # constant target: a single leaf
         fit_tree(X, y, TreeConfig(max_depth=1)),  # a stump, or a leaf on constant columns
         fit_tree(X, y, TreeConfig(max_depth=int(rng.integers(2, 5)), seed=1)),
+        fit_rf(RFConfig(n_trees=int(rng.integers(1, 6)), min_samples_leaf=1), X, y,
+               list(range(d)), seed=int(rng.integers(1000))).trees,
     ]
-    rf = RFConfig(n_trees=int(rng.integers(1, 6)), min_samples_leaf=1)
-    trees += fit_rf(rf, X, y, list(range(d)), seed=int(rng.integers(1000))).trees
-    trees = [trees[i] for i in rng.permutation(len(trees))]
+    forests = [forests[i] for i in rng.permutation(len(forests))]
     n = int(rng.choice([0, 1, int(rng.integers(2, 40))]))
     queries = np.vstack([X, rng.uniform(-1, 5, size=(n_train, d))])
-    return trees, queries[rng.choice(len(queries), size=n)]
+    return forests, queries[rng.choice(len(queries), size=n)]
 
 
 def test_leaf_values_equals_per_tree_routing_bit_for_bit():
     rng = np.random.default_rng(37)
     row_counts, depths = set(), set()
     for _ in range(150):
-        trees, X = routing_case(rng)
-        got = leaf_values(trees, X)
-        want = np.stack([reference_predict(tree, X) for tree in trees])
-        assert got.shape == want.shape == (len(trees), X.shape[0])
-        assert got.tobytes() == want.tobytes()
-        for tree in trees[:2]:
-            assert tree.predict_batch(X).tobytes() == reference_predict(tree, X).tobytes()
+        forests, X = routing_case(rng)
+        for forest in [*forests, join(forests)]:
+            got = leaf_values(forest, X)
+            want = np.stack([reference_predict(tree, X) for tree in trees_of(forest)])
+            assert got.shape == want.shape == (len(forest.sizes), X.shape[0])
+            assert got.tobytes() == want.tobytes()
         row_counts.add(min(X.shape[0], 2))
-        depths.update(tree.depth() for tree in trees)
+        depths.update(depth(tree) for tree in trees_of(join(forests)))
     assert row_counts == {0, 1, 2}
     assert {0, 1} <= depths and max(depths) >= 8
-    assert leaf_values([], np.zeros((3, 2))).shape == (0, 3)
+
+
+def test_routing_refuses_links_that_cycle():
+    """A root whose right link points back at itself would route a row forever;
+    routing stops after the largest tree's node count of steps. It runs in a
+    subprocess with a timeout, so that a missing bound fails this test instead
+    of hanging the suite."""
+    code = """if True:
+        import numpy as np
+        from hydrocast.cart import Forest, leaf_values
+        from hydrocast.errors import DamagedArtifact
+        forest = Forest(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([0, -1, -1]),
+                        np.array([0.0, 1.0, 2.0]), np.array([0, 1, 1]), np.array([3]), 1)
+        assert leaf_values(forest, np.array([[0.0]])).tolist() == [[1.0]]
+        try:
+            leaf_values(forest, np.array([[0.0], [1.0]]))
+        except DamagedArtifact as exc:
+            print(exc)
+    """
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "cycle" in proc.stdout
 
 
 def invariant_case(seed):
@@ -687,37 +726,41 @@ def test_reference_growth_puts_each_left_child_next():
 
 
 def test_fit_tree_stage_and_forest_route_like_the_reference():
+    """A stage, a random forest, single trees and all of them joined route every
+    row as each of their trees, cut out through ``sizes``, does alone."""
     for seed in range(4):
         X, y, (rf, boost) = invariant_case(seed)
         rng = np.random.default_rng(seed)
         queries = np.vstack([X, rng.standard_normal((60, 10))])
         subsets = [boost.feature_subset] + [rng.choice(10, 4, replace=False).tolist()
                                             for _ in range(7)]
-        trees = [fit_tree(X, y, rf), fit_tree(X, y, boost)]
-        trees += fit_stage(X, y, subsets, 3, 1)[0]
-        trees += fit_rf(RFConfig(n_trees=5), X, y, list(range(10)), seed=seed).trees
-        got = leaf_values(trees, queries)
-        want = np.stack([reference_predict(tree, queries) for tree in trees])
-        assert got.tobytes() == want.tobytes(), seed
+        forests = [fit_tree(X, y, rf), fit_tree(X, y, boost), fit_stage(X, y, subsets, 3, 1)[0],
+                   fit_rf(RFConfig(n_trees=5), X, y, list(range(10)), seed=seed).trees]
+        for forest in [*forests, join(forests)]:
+            got = leaf_values(forest, queries)
+            want = np.stack([reference_predict(tree, queries) for tree in trees_of(forest)])
+            assert got.tobytes() == want.tobytes(), seed
 
 
 def test_reader_derives_the_grower_links_and_routes_bit_for_bit():
-    """Read back from JSON, trees from ``fit_tree``, ``fit_stage`` and ``fit_rf``
-    hold the grower's five node arrays exactly, the derived ``right`` included,
+    """Read back from JSON, trees from ``fit_tree``, ``fit_stage`` and ``fit_rf``,
+    joined, hold the grower's node arrays exactly, the derived ``right`` included,
     and route every row to the same leaf value."""
     for seed in range(6):
         X, y, (rf, boost) = invariant_case(seed)
         rng = np.random.default_rng(seed)
         subsets = [rng.choice(10, int(rng.integers(1, 11)), replace=False).tolist()
                    for _ in range(6)]
-        trees = [fit_tree(X, y, rf), fit_tree(X, y, boost), fit_tree(X, np.full(150, 2.0))]
-        trees += fit_stage(X, y, subsets, 1 + seed % 4, 1 + seed % 3)[0]
-        trees += fit_rf(RFConfig(n_trees=8, min_samples_leaf=1 + seed % 3), X, y,
-                        list(range(10)), seed=seed).trees
-        clones = forest_from_dict(json.loads(json.dumps(forest_to_dict(trees))))
-        for tree, clone in zip(trees, clones, strict=True):
-            for name in ("feature", "threshold", "right", "value", "n"):
-                grown, read = getattr(tree, name), getattr(clone, name)
-                assert (read.dtype, read.tobytes()) == (grown.dtype, grown.tobytes()), (seed, name)
+        forest = join([
+            fit_tree(X, y, rf), fit_tree(X, y, boost), fit_tree(X, np.full(150, 2.0)),
+            fit_stage(X, y, subsets, 1 + seed % 4, 1 + seed % 3)[0],
+            fit_rf(RFConfig(n_trees=8, min_samples_leaf=1 + seed % 3), X, y, list(range(10)),
+                   seed=seed).trees,
+        ])
+        clone = forest_from_dict(json.loads(json.dumps(forest_to_dict(forest))))
+        for name in ("feature", "threshold", "right", "value", "n", "sizes"):
+            grown, read = getattr(forest, name), getattr(clone, name)
+            assert (read.dtype, read.tobytes()) == (grown.dtype, grown.tobytes()), (seed, name)
+        assert clone.n_features == forest.n_features == 10
         queries = np.vstack([X, rng.standard_normal((60, 10))])
-        assert leaf_values(clones, queries).tobytes() == leaf_values(trees, queries).tobytes()
+        assert leaf_values(clone, queries).tobytes() == leaf_values(forest, queries).tobytes()

@@ -1,14 +1,20 @@
 """Pinned digest of the artifacts of a small 1-point run.
 
-The digest covers only artifact parts computed without BLAS, so it is the
-same on every machine: the boosted ranking (``occurrence``,
-``top_features``, ``training_mse_per_stage`` of ``selection.json``) and
-the random forest, the nearest-neighbour model and the SVR
-(``models.json``'s ``rf``, ``knn`` and ``svr`` entries; KNN stores
-standardized training rows, whose mean and std are numpy reductions, not
-BLAS calls, and the SVR steps on Python floats). A change to tree
-growth, standardization, prediction or serialization that moves any byte
-of these fails here. Update the pin only with a change that means to alter artifacts.
+The digest covers only artifact parts that the run computes without BLAS:
+the boosted ranking (``occurrence``, ``top_features``,
+``training_mse_per_stage`` of ``selection.json``) and the random forest,
+the nearest-neighbour model and the SVR (``models.json``'s ``rf``, ``knn``
+and ``svr`` entries; KNN stores standardized training rows, whose mean and
+std are numpy reductions, not BLAS calls, and the SVR steps on Python
+floats). Its input CSV is not BLAS-free, though: ``synth`` forms the
+planted signal with a matrix product (``synthetic._signal``),
+which OpenBLAS rounds differently on different CPU kernels. So the digest
+holds only where OpenBLAS picks the kernel it was recorded on
+(``SkylakeX``); under ``OPENBLAS_CORETYPE=Haswell`` or ``Zen`` the CSV,
+and with it the pinned parts, differ and the test fails. ROADMAP item 2
+makes that sum BLAS-free. A change to tree growth, standardization,
+prediction or serialization that moves any byte of these parts fails
+here. Update the pin only with a change that means to alter artifacts.
 
 ``PINNED_SHA256`` was recorded when ``models.json`` wrote each tree as a
 list of node dicts, and it is still taken over that view of the ``rf``

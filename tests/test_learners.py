@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hydrocast.cart import TreeConfig, fit_tree
+from hydrocast.cart import TreeConfig, fit_tree, leaf_values
 from hydrocast.errors import (
     DamagedArtifact,
     DuplicateKind,
@@ -137,7 +137,7 @@ def test_rf_single_tree_no_bootstrap_equals_cart():
     forest = fit(LearnerSpec("rf", cfg, seed=123), X, y)
     tree = fit_tree(X, y, TreeConfig(max_depth=None, min_samples_leaf=5))
     Xq = rng.standard_normal((30, 4))
-    np.testing.assert_array_equal(forest.predict_batch(Xq), tree.predict_batch(Xq))
+    np.testing.assert_array_equal(forest.predict_batch(Xq), leaf_values(tree, Xq)[0])
 
 
 def test_rf_constant_target_predicts_constant():
@@ -159,7 +159,7 @@ def test_rf_variance_reduction_over_single_trees():
         forest = fit(LearnerSpec("rf", RFConfig(n_trees=40), seed=seed), X, y)
         forest_mse = np.mean((yq - forest.predict_batch(Xq)) ** 2)
         tree_mses = sorted(
-            np.mean((yq - t.predict_batch(Xq)) ** 2) for t in forest.trees
+            np.mean((yq - prediction) ** 2) for prediction in leaf_values(forest.trees, Xq)
         )
         median_tree = tree_mses[len(tree_mses) // 2]
         if forest_mse <= median_tree:
@@ -183,7 +183,7 @@ def test_rf_prediction_adds_the_trees_in_order():
     y = rng.standard_normal(70) * 10.0 ** rng.integers(-8, 9, size=70)  # order shows in the bits
     model = fit(LearnerSpec("rf", RFConfig(n_trees=25, min_samples_leaf=1), seed=4), X, y)
     Xq = np.vstack([X[:10], rng.uniform(-1, 4, size=(15, 5))])
-    want = reference_tree_sum(model.trees, Xq) / len(model.trees)
+    want = reference_tree_sum(model.trees, Xq) / len(model.trees.sizes)
     assert model.predict_batch(Xq).tobytes() == want.tobytes()
 
 

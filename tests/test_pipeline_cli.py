@@ -855,6 +855,10 @@ BAD_P02 = {
         ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, 10**30))),
         ["30_67.5:rf"],
     ),
+    "tree_split_feature_true": (  # numpy alone would read it as a split on feature 1
+        None, ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, True))),
+        ["30_67.5:rf"],
+    ),
     "selection_without_top_features": (
         None, ("selection.json", _edit_json(lambda p: p.pop("top_features"))), ["30_67.5"],
     ),
@@ -960,6 +964,7 @@ BAD_P02_MESSAGES = {
     "tree_leaf_flipped_to_split": "one full binary tree",
     "tree_threshold_long": "one entry per split",
     "tree_leaf_fitted_on_no_rows": "n must be at least 1",
+    "tree_split_feature_true": "must be integers",
 }
 
 

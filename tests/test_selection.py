@@ -20,7 +20,7 @@ from hydrocast.selection import (
 )
 from hydrocast.synthetic import generate_synthetic
 
-from oracles import reference_tree_sum
+from oracles import features_used, reference_tree_sum, trees_of
 
 
 # --- cosine similarity, as pruning reports it ---
@@ -226,8 +226,8 @@ def test_boosted_stage_sums_add_the_trees_in_order():
     assert len(model.stages) == 3
     current = np.full(60, y.mean())
     mse = [float(np.mean((y - current) ** 2))]
-    for trees in model.stages:
-        current = current + cfg.shrinkage * reference_tree_sum(trees, X) / len(trees)
+    for stage in model.stages:
+        current = current + cfg.shrinkage * reference_tree_sum(stage, X) / len(stage.sizes)
         mse.append(float(np.mean((y - current) ** 2)))
     assert model.training_mse_per_stage == mse
     assert model.predict_batch(X).tobytes() == current.tobytes()
@@ -239,7 +239,7 @@ def test_shrinkage_and_stage_budget_respected():
     y = X[:, 0] + rng.standard_normal(60)
     model = fit_boosted(X, y, BoostConfig(trees_per_stage=5, max_stages=4, stop_tolerance=0.0))
     assert len(model.stages) == 4
-    assert all(len(stage) == 5 for stage in model.stages)
+    assert all(len(stage.sizes) == 5 for stage in model.stages)
 
 
 # --- occurrence ranking ---
@@ -273,6 +273,25 @@ def test_forced_single_feature_gets_all_counts():
     model = fit_boosted(X, y, cfg)
     counts = rank_features(model)
     assert counts == {0: 0, 1: 0, 2: 100}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_rank_features_counts_each_tree_once_per_feature(seed):
+    """The counts equal a per-tree count over each stage's trees, cut out of its
+    block through ``sizes``."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((80, 7))
+    y = X[:, 0] * 3 - X[:, 4] ** 2 + rng.standard_normal(80)
+    cfg = BoostConfig(trees_per_stage=12, max_stages=3, tree_depth=3, min_samples_leaf=2,
+                      stop_tolerance=0.0)
+    model = fit_boosted(X, y, cfg, seed=seed)
+    want = dict.fromkeys(range(7), 0)
+    for stage in model.stages:
+        for tree in trees_of(stage):
+            for feature in features_used(tree):
+                want[feature] += 1
+    assert rank_features(model) == want
+    assert sum(want.values()) > len(model.stages) * 12  # trees that split on several
 
 
 def test_select_top_k_tie_break_and_truncation():
