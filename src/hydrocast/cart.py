@@ -13,14 +13,14 @@ midpoint of two neighbouring values ``a < b`` fails ``a <= t < b``
 
 A boosting stage, a random forest and a single tree are each one
 ``Forest``, one block of node columns. Growth appends each node as it
-visits it, so a split's left child is always the next node and only its
-right link is stored; a split fills it in once both subtrees are grown. A
-full binary tree in pre-order is fixed by which nodes split (Jacobson,
-"Space-efficient static trees and graphs", FOCS 1989), so
-``forest_to_dict`` writes no links, and ``forest_from_dict`` checks every
-node of the block in one vectorized pass and derives them: the forest in
-memory is the file's block plus its right links. Prediction moves every
-(tree, row) pair of a forest down one level per vectorized step.
+visits it, so a split's left child is always the next node, and no link
+is recorded. A full binary tree in pre-order is fixed by which nodes
+split (Jacobson, "Space-efficient static trees and graphs", FOCS 1989),
+so one constructor, ``_forest``, checks that shape and derives every
+split's right link, for grown, joined and read forests alike;
+``forest_to_dict`` writes no links. The forest in memory is the file's
+block plus its right links. Prediction moves every (tree, row) pair of a
+forest down one level per vectorized step.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): a stage stable-sorts its trees' columns
@@ -62,9 +62,9 @@ from .typed import fits, holds_bool
 FOREST_COLUMNS = ("feature", "threshold", "value", "n")
 #: The dtype kinds each column's JSON list may give: integers ("i"), or any number ("if").
 _COLUMN_KINDS = ("i", "if", "if", "i")
-#: A ``Forest``'s array fields, its five node columns and ``sizes``, and each one's dtype.
-_FIELD_DTYPES = {"feature": np.intp, "threshold": np.float64, "right": np.intp,
-                 "value": np.float64, "n": np.int64, "sizes": np.intp}
+#: The arrays ``_forest`` takes, each node-indexed but ``sizes``, and each one's dtype.
+_FIELD_DTYPES = {"feature": np.intp, "threshold": np.float64, "value": np.float64,
+                 "n": np.int64, "sizes": np.intp}
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ class Forest:
     Node ``i`` is a leaf when ``feature[i] < 0``; it then predicts ``value[i]``
     and was fitted on ``n[i]`` rows. Otherwise it sends ``x[feature[i]] <=
     threshold[i]`` to node ``i + 1``, the next node, and the rest to node
-    ``right[i]`` of the block. The unused fields hold -1 or 0. Treat the arrays
-    as read-only.
+    ``right[i]`` of the block. The unused fields hold -1 or 0. Every forest the
+    module returns comes from ``_forest``, which derives ``right`` and makes
+    the arrays read-only.
     """
 
     feature: np.ndarray
@@ -120,18 +121,41 @@ class Forest:
 
 def join(forests) -> Forest:
     """The forests' trees laid end to end, in list order, as one forest."""
-    fields = [np.concatenate([getattr(forest, name) for forest in forests])
-              for name in _FIELD_DTYPES]
-    return _linked(fields, [forest.feature.size for forest in forests], forests[0].n_features)
+    return _forest(*(np.concatenate([getattr(forest, name) for forest in forests])
+                     for name in _FIELD_DTYPES), forests[0].n_features)
 
 
-def _linked(fields, spans, n_features) -> Forest:
-    """A forest of its array fields, whose nodes come in parts of ``spans`` nodes with
-    right links that count from the first node of their own part."""
-    feature, threshold, right, value, n, sizes = (np.asarray(field, dtype=dtype) for field, dtype
-                                                  in zip(fields, _FIELD_DTYPES.values()))
-    split = feature >= 0
-    right[split] += np.repeat(np.cumsum(spans) - spans, spans)[split]
+def _forest(feature, threshold, value, n, sizes, n_features) -> Forest:
+    """The read-only forest of node-indexed columns, whose trees hold ``sizes`` nodes.
+
+    Each tree's split and leaf flags must form one full binary tree in
+    pre-order, or ``ShapeMismatch`` is raised. Each split's right link is then
+    derived from the flags: this is the one place links are computed.
+    """
+    feature, threshold, value, n, sizes = (np.asarray(column, dtype=dtype) for column, dtype
+                                           in zip((feature, threshold, value, n, sizes),
+                                                  _FIELD_DTYPES.values()))
+    # A full binary tree in pre-order: its count of open subtrees (+1 per split,
+    # -1 per leaf, after each node) stays at 0 or above until its last node and
+    # is -1 there. Each tree before it leaves -1 in the block's running sum.
+    step = np.where(feature < 0, -1, 1)
+    count = np.cumsum(step) + np.repeat(np.arange(sizes.size), sizes)
+    if (count[np.cumsum(sizes) - 1] != -1).any() or np.count_nonzero(count < 0) != sizes.size:
+        raise ShapeMismatch("tree columns: each tree's splits and leaves must form one full "
+                            "binary tree in pre-order")
+    # A split's right child is the node after its left subtree: the next node
+    # whose count before it equals the split's. A stable sort of those counts
+    # lists each count's nodes in node order; in the smallest dtype that holds
+    # them (the tree depth bounds them), numpy sorts them by radix.
+    before = count - step
+    order = np.argsort(before.astype(np.min_scalar_type(before.max())), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(feature.size)
+    split = np.flatnonzero(feature >= 0)
+    right = np.full(feature.size, -1, dtype=np.intp)
+    right[split] = order[rank[split] + 1]
+    for column in (feature, threshold, right, value, n, sizes):
+        column.flags.writeable = False
     return Forest(feature, threshold, right, value, n, sizes, n_features)
 
 
@@ -149,8 +173,9 @@ def forest_from_dict(payload: dict) -> Forest:
 
     Each column is converted once, and every node of every tree is checked in
     one vectorized pass: a damaged file raises, and never yields a tree that
-    routing could not walk to a leaf. The right links and the node-indexed
-    arrays are then derived from the split and leaf flags.
+    routing could not walk to a leaf. The sparse columns are spread out to one
+    entry per node, and ``_forest``, which builds grown forests too, checks the
+    tree shapes and derives the right links.
     """
     if isinstance(payload, list) or "right" in payload:
         raise DamagedArtifact("forest in a layout of earlier versions; rerun train")
@@ -176,8 +201,7 @@ def forest_from_dict(payload: dict) -> Forest:
                                     for name, column in zip(FOREST_COLUMNS, columns))
     if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
         raise ValueError("tree columns: thresholds and values must be finite")
-    leaf = feature < 0
-    split, leaves = np.flatnonzero(~leaf), np.flatnonzero(leaf)
+    split, leaves = np.flatnonzero(feature >= 0), np.flatnonzero(feature < 0)
     if threshold.size != split.size or not value.size == n.size == leaves.size:
         raise ShapeMismatch("tree columns: threshold must hold one entry per split, value and "
                             "n one per leaf")
@@ -188,34 +212,11 @@ def forest_from_dict(payload: dict) -> Forest:
         raise ShapeMismatch("tree columns: a split feature must lie in [0, n_features)")
     if (n < 1).any():
         raise ShapeMismatch("tree columns: n must be at least 1 at every leaf")
-    # A full binary tree in pre-order: its count of open subtrees (+1 per split,
-    # -1 per leaf, after each node) stays at 0 or above until its last node and
-    # is -1 there. Each tree before it leaves -1 in the block's running sum.
-    sizes = np.asarray(sizes, dtype=np.intp)
-    ends = np.cumsum(sizes)
-    tree = np.repeat(np.arange(sizes.size), sizes)
-    step = np.where(leaf, -1, 1)
-    count = np.cumsum(step) + tree
-    if (count[ends - 1] != -1).any() or np.count_nonzero(count < 0) != sizes.size:
-        raise ShapeMismatch("tree columns: each tree's splits and leaves must form one full "
-                            "binary tree in pre-order")
-    # A split's right child is the node after its left subtree: the next node
-    # whose count before it equals the split's. A stable sort of those counts
-    # lists each count's nodes in node order; in the smallest dtype that holds
-    # them (the tree depth bounds them), numpy sorts them by radix.
-    before = count - step
-    order = np.argsort(before.astype(np.min_scalar_type(before.max())), kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(total)
-    right = np.full(total, -1, dtype=np.intp)
-    right[split] = order[rank[split] + 1]
-    block = (feature, np.zeros(total), right, np.zeros(total), np.zeros(total, dtype=np.int64))
+    block = (feature, np.zeros(total), np.zeros(total), np.zeros(total, dtype=np.int64))
     block[1][split] = threshold
-    block[3][leaves] = value
-    block[4][leaves] = n
-    for column in (*block, sizes):
-        column.flags.writeable = False
-    return Forest(*block, sizes, payload["n_features"])
+    block[2][leaves] = value
+    block[3][leaves] = n
+    return _forest(*block, sizes, payload["n_features"])
 
 
 def leaf_values(forest: Forest, X) -> np.ndarray:
@@ -330,17 +331,17 @@ def _grow_stage(X, y, subsets, cfg: TreeConfig, presorted):
         order, values = presorted[0][union], presorted[1][union]
     stage = _StageGrower(np.ascontiguousarray(X.T), y, allowed, cfg)
     stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
-    sizes = [len(nodes) for nodes in stage.nodes]
     columns = zip(*(node for nodes in stage.nodes for node in nodes))
-    return _linked([*columns, sizes], sizes, n_features), stage.outputs
+    return _forest(*columns, [len(nodes) for nodes in stage.nodes], n_features), stage.outputs
 
 
 class _StageGrower:
     """Depth-first growth of a stage's trees, one row set at a time, as the module
     docstring describes. A tree's nodes are appended to its own list as it
-    visits them, so each list comes out in pre-order: a split's left child is
-    the next node, and its right child follows the left subtree. A leaf also
-    writes its value into its tree's row of ``outputs`` at its rows.
+    visits them, as (feature, threshold, value, n), so each list comes out in
+    pre-order: a split's left child is the next node, and its right child
+    follows the left subtree. A leaf also writes its value into its tree's row
+    of ``outputs`` at its rows.
     """
 
     def __init__(self, columns, y, allowed, cfg: TreeConfig):
@@ -354,7 +355,7 @@ class _StageGrower:
         self.outputs = np.empty((allowed.shape[0], y.size))
 
     def leaf(self, trees, idx, mean) -> None:
-        leaf = (-1, 0.0, -1, float(mean), idx.size)
+        leaf = (-1, 0.0, float(mean), idx.size)
         for t in trees:
             self.nodes[t].append(leaf)
             self.outputs[t][idx] = mean
@@ -411,10 +412,9 @@ class _StageGrower:
         column ``union[row]``, then its two subtrees, whose row sets carry the rows ``sub``
         of ``union`` (all of them when None)."""
         threshold = _threshold(values[row], cut)
-        slots = [len(self.nodes[t]) for t in trees]
-        for t in trees:
-            self.nodes[t].append(None)
         feature = int(union[row])
+        for t in trees:
+            self.nodes[t].append((feature, threshold, 0.0, 0))
         go_left = self.columns[feature] <= threshold
         left_rows = go_left[idx]
         children = (idx[left_rows], idx[~left_rows])
@@ -423,10 +423,7 @@ class _StageGrower:
         if sub is not None:
             union = union[sub]
         self.grow(trees, children[0], union, left_order, left_values, depth + 1)
-        rights = [len(self.nodes[t]) for t in trees]  # the left child is slot + 1, implied
         self.grow(trees, children[1], union, right_order, right_values, depth + 1)
-        for t, slot, right in zip(trees, slots, rights):
-            self.nodes[t][slot] = (feature, threshold, right, 0.0, 0)
 
 
 def _may_split(cfg: TreeConfig, n, depth) -> bool:

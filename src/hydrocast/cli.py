@@ -253,7 +253,6 @@ def cmd_synth(args) -> int:
 
 def cmd_stage(args) -> int:
     cfg = build_pipeline_config(args)
-    # stages are resolved through the pipeline module, where tests and perfbench hook them
     if args.command == "run":
         result = pipeline.run_pipeline(cfg)
         print(result.rendered, end="")

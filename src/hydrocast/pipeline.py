@@ -150,11 +150,15 @@ def _refuse_constant(literal: str):
 
 
 def _read_json(path: Path, **fields: type) -> dict:
-    """An artifact's payload; one that is not JSON, holds ``NaN`` or ``Infinity``,
-    or whose ``fields`` are missing or not of their given JSON type (``list`` or
-    ``dict``) is damaged."""
+    """An artifact's payload; one that is there but cannot be read (a directory, say),
+    is not JSON, holds ``NaN`` or ``Infinity``, or whose ``fields`` are missing or not
+    of their given JSON type (``list`` or ``dict``) is damaged."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    except FileNotFoundError:
+        raise  # a missing artifact is its caller's case: report says "no report.json found"
+    except OSError as exc:
+        raise DamagedArtifact(f"{path}: cannot be read ({exc.strerror or exc})") from None
     except ValueError as exc:  # undecodable bytes, invalid JSON or a non-finite literal
         raise DamagedArtifact(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
@@ -401,8 +405,7 @@ def run_stages(cfg: PipelineConfig, stages: tuple[str, ...],
                 if stage not in stages:
                     continue
                 stale = at
-                # looked up by name at call time, where perfbench's tracer and the tests
-                # hook the stages; goes with ROADMAP item 1
+                # looked up at call time, where perfbench's tracer hooks it (ROADMAP item 1)
                 done = globals()[f"stage_{stage}"](command, idx, point)
                 if done is None:
                     break

@@ -711,6 +711,19 @@ def invariant_case(seed):
     return X, y, (rf, boost)
 
 
+def test_grown_and_joined_forests_are_read_only():
+    """``fit_tree``, ``fit_stage``, ``join`` and ``fit_rf`` return forests whose
+    arrays are read-only, as ``forest_from_dict``'s are."""
+    X, y, (rf, boost) = invariant_case(0)
+    tree = fit_tree(X, y, rf)
+    forests = {"fit_tree": tree, "fit_stage": fit_stage(X, y, [[0, 3], [1, 2, 5]], 3, 1)[0],
+               "join": join([tree, fit_tree(X, y, boost)]),
+               "fit_rf": fit_rf(RFConfig(n_trees=3), X, y, list(range(10)), seed=0).trees}
+    for how, forest in forests.items():
+        for name in ("feature", "threshold", "right", "value", "n", "sizes"):
+            assert not getattr(forest, name).flags.writeable, (how, name)
+
+
 def test_reference_growth_puts_each_left_child_next():
     """The layout the node columns rely on: as the reference grower appends a
     split's left child it records that link, and it is always the split's index + 1."""
@@ -743,9 +756,14 @@ def test_fit_tree_stage_and_forest_route_like_the_reference():
 
 
 def test_reader_derives_the_grower_links_and_routes_bit_for_bit():
-    """Read back from JSON, trees from ``fit_tree``, ``fit_stage`` and ``fit_rf``,
-    joined, hold the grower's node arrays exactly, the derived ``right`` included,
-    and route every row to the same leaf value."""
+    """The JSON round trip of trees from ``fit_tree``, ``fit_stage`` and ``fit_rf``,
+    joined: read back, they hold the grown forest's node arrays in the same dtypes
+    and bytes, and route every row to the same leaf value, bit for bit.
+
+    Both sides take ``right`` from the one constructor, so this does not check
+    the links themselves; ``test_fit_tree_matches_per_feature_reference`` and
+    ``test_fit_stage_matches_reference_tree_by_tree`` do, against the links
+    the reference grower records."""
     for seed in range(6):
         X, y, (rf, boost) = invariant_case(seed)
         rng = np.random.default_rng(seed)

@@ -641,6 +641,30 @@ def test_a_damaged_selection_is_listed_in_point_order(tmp_path, monkeypatch):
     assert list(errors) == ["27.5_67.5", "30_67.5"]
 
 
+@pytest.mark.parametrize("command, unreadable, written", [
+    ("train", "selection.json", "models.json"),
+    ("evaluate", "models.json", "evaluation.json"),
+])
+def test_an_artifact_that_cannot_be_read_fails_only_its_point(tmp_path, capsys, command,
+                                                              unreadable, written):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    (out / "30_67.5" / written).unlink()
+    (out / "27.5_67.5" / unreadable).unlink()
+    (out / "27.5_67.5" / unreadable).mkdir()  # a directory where p01's file belongs
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [27.5_67.5]: ") and ": cannot be read (" in err
+    assert list(json.loads((out / "errors.json").read_text())) == ["27.5_67.5"]
+    assert (out / "30_67.5" / written).is_file()
+    if command == "evaluate":  # the report no longer scores p01's models
+        report = json.loads((out / "report.json").read_text())
+        assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(30, 67.5)}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_no_artifact_holds_a_non_finite_number(tmp_path):
