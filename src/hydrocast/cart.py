@@ -304,6 +304,8 @@ def fit_stage(X, residual, subsets, tree_depth: int, min_samples_leaf: int,
     on the training rows, which each leaf fills in for its rows as it is written.
     """
     X, y = _training_data(X, residual)
+    if not subsets:
+        raise EmptyInput("a stage needs at least one column subset")
     cfg = TreeConfig(max_depth=tree_depth, min_samples_leaf=min_samples_leaf)
     forest, outputs = _grow_stage(X, y, subsets, cfg, presorted)
     return forest, _sum_in_order(outputs)

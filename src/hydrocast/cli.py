@@ -174,11 +174,14 @@ def _section(settings: dict, name: str) -> dict:
 
 
 def _seed(settings: dict) -> int:
-    """The master seed; a seed given as text, such as "7", is converted."""
+    """The master seed; a seed given as text, such as "7", is converted. Sub-seeds
+    derive through numpy's ``SeedSequence``, which takes no negative seed."""
     seed = settings.get("seed")
     seed = PipelineConfig.seed if seed is None else int(seed) if isinstance(seed, str) else seed
     if not fits(seed, int):
         raise TypeError(f"seed must be int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be 0 or more, got {seed}")
     return seed
 
 

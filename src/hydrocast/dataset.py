@@ -70,6 +70,8 @@ class SplitSpec:
             )
         if self.mode not in (CHRONOLOGICAL, SEEDED_RANDOM):
             raise ValueError(f"unknown split mode: {self.mode!r}")
+        if self.seed < 0:  # numpy's random generators take no negative seed
+            raise ValueError(f"split seed must be 0 or more, got {self.seed}")
 
     def test_count(self, n_samples: int) -> int:
         # round half-up; the 1e-9 nudge absorbs float artifacts like

@@ -5,9 +5,19 @@ class; data/shape problems also derive from ``ValueError`` to stay friendly
 to generic error handling.
 """
 
+import copyreg
+
 
 class HydrocastError(ValueError):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Some subclasses take fields, not a message, so an error is rebuilt from its
+    class, its ``args`` and its attributes without calling ``__init__``: it
+    pickles and copies as it was.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- dataset loading / validation ---

@@ -4,11 +4,13 @@ Every stage reads and writes documented file artifacts under the output
 directory, so the stages can run as separate commands and the all-in-one
 runner is literally their composition: every file but errors.json comes out
 as the stages run one by one write it, and run's errors.json holds the errors
-of all its stages. Each command reads the input CSV once, then runs its
-stages for one point after another: a point stops at its first failing
-stage, and the other points go on. One master seed derives every sub-seed,
-and feature selection sees only training rows unless the configuration
-explicitly opts into selecting on all rows.
+of all its stages. Each command reads the input CSV once, then calls
+``run_point`` for one point after another: one call is one point's work. It
+runs the point's stages, touches files only in the point's directory and
+returns the point's own results and errors, so a point stops at its first
+failing stage and the other points go on. One master seed derives every
+sub-seed, and feature selection sees only training rows unless the
+configuration explicitly opts into selecting on all rows.
 
 Artifacts (all JSON unless noted):
     <output>/<lon>_<lat>/selection.json   pruning, occurrence counts, top features
@@ -66,6 +68,9 @@ _RENDERINGS = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: 
 #: What a point's selection.json gives later stages: its top columns, its occurrence counts.
 _Selected = tuple[list[int], dict[int, int]]
 
+#: A pooled selection and its seed, or the error that selection raised (None: not pooled).
+_Pooled = tuple[SelectionResult, int] | HydrocastError
+
 #: What the result keeps of a point's evaluate stage: its rows, and its selection if it has one.
 _Evaluated = tuple[list[EvalResult], _Selected | None]
 
@@ -98,16 +103,8 @@ class PipelineConfig:
     pooled_selection: bool = False
 
     def learner_specs(self, point_index: int) -> list[LearnerSpec]:
-        specs = []
-        for kind_index, (kind, hyper) in enumerate(self.learners):
-            specs.append(
-                LearnerSpec(
-                    kind,
-                    hyper,
-                    seed=derive_seed(self.seed, _SEED_LEARNER, point_index, kind_index),
-                )
-            )
-        return specs
+        return [LearnerSpec(kind, hyper, seed=derive_seed(self.seed, _SEED_LEARNER, point_index, k))
+                for k, (kind, hyper) in enumerate(self.learners)]
 
 
 @dataclass
@@ -203,8 +200,7 @@ def _selection_rows(cfg: PipelineConfig, data: Dataset) -> Dataset:
     return train
 
 
-def _pooled_selection(cfg: PipelineConfig,
-                      datasets: PointData) -> tuple[SelectionResult, int] | HydrocastError:
+def _pooled_selection(cfg: PipelineConfig, datasets: PointData) -> _Pooled:
     """One selection over the selection rows of every point whose rows load, and its
     seed; or the error that selection raised, which is then each point's error."""
     seed = derive_seed(cfg.seed, _SEED_BOOST, _POOLED_POINT_CODE)
@@ -224,26 +220,13 @@ def _pooled_selection(cfg: PipelineConfig,
         return exc
 
 
-@dataclass(frozen=True)
-class _Command:
-    """What the stages of one command share: its config, the rows of its points, the
-    pooled (selection, seed) or the error that selection raised (None unless
-    pooled), and the errors recorded so far."""
-
-    cfg: PipelineConfig
-    datasets: PointData
-    pooled: tuple[SelectionResult, int] | HydrocastError | None
-    errors: dict[str, str]
-
-
 # Each stage returns what the command's result keeps of it and the payload of the
-# point's artifact that run_stages writes, or None when the point skips the stage.
+# point's artifact that run_point writes, or None when the point skips the stage.
 
-def stage_select(command: _Command, idx: int,
-                 point: IndexPoint) -> tuple[SelectionResult, dict]:
+def stage_select(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: PointData,
+                 pooled: _Pooled | None) -> tuple[SelectionResult, dict]:
     """Prune and boost-rank one point's features, for its selection.json."""
-    cfg, pooled = command.cfg, command.pooled
-    rows = _selection_rows(cfg, command.datasets[point.label])
+    rows = _selection_rows(cfg, datasets[point.label])
     if pooled is None:
         seed = derive_seed(cfg.seed, _SEED_BOOST, idx)
         selection = run_selection(rows.features, rows.precip, cfg.selection, seed)
@@ -273,19 +256,19 @@ def stage_select(command: _Command, idx: int,
     }
 
 
-def stage_train(command: _Command, idx: int, point: IndexPoint) -> tuple[None, dict] | None:
+def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
+                datasets: PointData) -> tuple[None, dict] | None:
     """Fit the learners on one point's selected training columns, for its models.json.
 
     A point without a selection.json is skipped (None).
     """
-    cfg = command.cfg
     selection = _read_selection(Path(cfg.output_dir) / point.label)
     if selection is None:
         return None
     columns, _ = selection
     if not columns:
         raise HydrocastError("selection produced no features")
-    train, _ = split(command.datasets[point.label], cfg.split)
+    train, _ = split(datasets[point.label], cfg.split)
     models = fit_all(cfg.learner_specs(idx), train.features[:, columns], train.precip, columns)
     return None, {
         "point": _point_payload(point),
@@ -294,17 +277,16 @@ def stage_train(command: _Command, idx: int, point: IndexPoint) -> tuple[None, d
     }
 
 
-def stage_evaluate(command: _Command, idx: int,
-                   point: IndexPoint) -> tuple[_Evaluated, dict] | None:
+def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
+                   errors: dict[str, str]) -> tuple[_Evaluated, dict] | None:
     """Score one point's stored models on its test months, for its evaluation.json.
 
     Keeps the rows and the point's selection, read before any model is
     scored. A model that fails, or whose ``feature_indices`` are not the
-    columns that ``features`` names, goes into the command's errors as
+    columns that ``features`` names, goes into the point's ``errors`` as
     ``<label>:<kind>``; the rest are still scored. A point without a
     models.json is skipped (None).
     """
-    cfg = command.cfg
     point_dir = Path(cfg.output_dir) / point.label
     models_file = point_dir / "models.json"
     if not models_file.exists():
@@ -312,7 +294,7 @@ def stage_evaluate(command: _Command, idx: int,
     selection = _read_selection(point_dir)
     payload = _read_json(models_file, features=list, models=dict)
     columns = [column_of(name) for name in payload["features"]]
-    _, test = split(command.datasets[point.label], cfg.split)
+    _, test = split(datasets[point.label], cfg.split)
     X_test = test.features[:, columns]
     rows: list[EvalResult] = []
     for kind, _ in cfg.learners:
@@ -331,7 +313,7 @@ def stage_evaluate(command: _Command, idx: int,
                 len(test),
             ))
         except HydrocastError as exc:
-            command.errors[f"{point.label}:{kind}"] = str(exc)
+            errors[f"{point.label}:{kind}"] = str(exc)
     metrics = {r.model_kind: {"pearson": r.rho, "mae": r.mae, "std": r.std} for r in rows}
     return (rows, selection), {"point": _point_payload(point), "n_test": len(test),
                                "metrics": metrics}
@@ -371,59 +353,76 @@ def stage_report(output_dir, fmt: str = TEXT_TABLE) -> str:
     return rendered
 
 
+def run_point(cfg: PipelineConfig, stages: tuple[str, ...], idx: int, point: IndexPoint,
+              datasets: PointData, pooled: _Pooled | None) -> tuple[dict, dict[str, str]]:
+    """Run the named stages, in pipeline order, for the ``idx``-th configured point.
+
+    The point stops at its first error, recorded under its label, or at a
+    stage it skips. Its artifacts after the last one written here are
+    deleted, so no later command reads what an earlier run left there; no
+    file outside the point's directory is touched. Returns what the result
+    keeps of each stage written, by stage, and the point's own errors
+    (evaluate's ``<label>:<kind>`` keys, then ``<label>``).
+    """
+    point_dir = Path(cfg.output_dir) / point.label
+    kept, errors = {}, {}
+    inputs = {"select": (cfg, idx, point, datasets, pooled),  # each stage's arguments
+              "train": (cfg, idx, point, datasets), "evaluate": (cfg, point, datasets, errors)}
+    stale = len(STAGES)  # the point's artifacts from this index on are stale
+    try:
+        for at, (stage, artifact) in enumerate(STAGES):
+            if stage not in stages:
+                continue
+            stale = at
+            # looked up at call time, where perfbench's tracer hooks it (ROADMAP item 1)
+            done = globals()[f"stage_{stage}"](*inputs[stage])
+            if done is None:
+                break
+            point_dir.mkdir(parents=True, exist_ok=True)
+            _write_json(point_dir / artifact, done[1])
+            kept[stage] = done[0]
+            del done  # a models.json payload is hundreds of kB, and evaluate reads its own
+            stale = at + 1
+    except HydrocastError as exc:
+        errors[point.label] = str(exc)
+    for _, artifact in STAGES[stale:]:  # left by an earlier run, they no longer match
+        (point_dir / artifact).unlink(missing_ok=True)
+    return kept, errors
+
+
 def run_stages(cfg: PipelineConfig, stages: tuple[str, ...],
                formats: tuple[str, ...] = ()) -> PipelineResult:
-    """Run the named stages, in pipeline order, for one point after another.
+    """Run the named stages for one point after another (``run_point``).
 
-    The CSV is read once. A point stops at its first error, which is
-    recorded under its label while the other points go on, or at a stage
-    it skips. The point's artifacts after the last one this command wrote
-    for it are deleted (all from the failed or skipped stage on, or those of
-    the stages after the last one run), so no later command reads what an
-    earlier run left there. After the last point the root outputs are
-    replaced (``_replace_root``): report.json and selection_summary.json,
-    with report.json rendered in ``formats``, when ``stages`` evaluate and
-    score a row, and errors.json when a point or model failed. The root
-    outputs this command does not write are deleted, so errors.json holds
-    the errors of the last command that ran a point stage. The exception is
-    a command that evaluates no point and records no error (an ``evaluate``
-    of points without models.json): it leaves the root outputs as they were,
-    since it replaced no model that report.json scored.
+    The CSV is read once, and a pooled selection runs once before the
+    first point. A failed point does not stop the others. After the last
+    point the root outputs are replaced (``_replace_root``): report.json
+    and selection_summary.json, with report.json rendered in ``formats``,
+    when ``stages`` evaluate and score a row, and errors.json, the points'
+    errors in point order, when a point or model failed. The root outputs
+    this command does not write are deleted, so errors.json holds the
+    errors of the last command that ran a point stage. The exception is a
+    command that evaluates no point and records no error (an ``evaluate``
+    of points without models.json): it leaves the root outputs as they
+    were, since it replaced no model that report.json scored.
     """
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     datasets = load_csv(cfg.data_path, cfg.points)
     pooled = None
     if cfg.pooled_selection and "select" in stages:
         pooled = _pooled_selection(cfg, datasets)
-    command = _Command(cfg, datasets, pooled, {})
     kept = {stage: {} for stage, _ in STAGES}  # per stage, label -> what the result keeps
+    errors = {}
     for idx, point in enumerate(cfg.points):
-        point_dir = Path(cfg.output_dir) / point.label
-        stale = len(STAGES)  # the point's artifacts from this index on are stale
-        try:
-            for at, (stage, artifact) in enumerate(STAGES):
-                if stage not in stages:
-                    continue
-                stale = at
-                # looked up at call time, where perfbench's tracer hooks it (ROADMAP item 1)
-                done = globals()[f"stage_{stage}"](command, idx, point)
-                if done is None:
-                    break
-                point_dir.mkdir(exist_ok=True)
-                _write_json(point_dir / artifact, done[1])
-                kept[stage][point.label] = done[0]
-                del done  # a models.json payload is megabytes, and evaluate reads its own
-                stale = at + 1
-        except HydrocastError as exc:
-            command.errors[point.label] = str(exc)
-        for _, artifact in STAGES[stale:]:  # left by an earlier run, they no longer match
-            (point_dir / artifact).unlink(missing_ok=True)
+        point_kept, point_errors = run_point(cfg, stages, idx, point, datasets, pooled)
+        for stage, value in point_kept.items():
+            kept[stage][point.label] = value
+        errors.update(point_errors)
     report, rendered = None, ""
     # select and train delete the models that an earlier report.json scored
-    if kept["evaluate"] or command.errors or "evaluate" not in stages:
-        report, rendered = _replace_root(cfg.output_dir, kept["evaluate"], command.errors,
-                                         formats)
-    return PipelineResult(kept["select"], report, command.errors, list(kept["train"]), rendered)
+    if kept["evaluate"] or errors or "evaluate" not in stages:
+        report, rendered = _replace_root(cfg.output_dir, kept["evaluate"], errors, formats)
+    return PipelineResult(kept["select"], report, errors, list(kept["train"]), rendered)
 
 
 def _replace_root(output_dir, evaluated: dict[str, _Evaluated], errors: dict[str, str],

@@ -612,6 +612,11 @@ def test_fit_stage_errors():
         fit_stage(X, y, [[0]], 0, 1)
 
 
+def test_fit_stage_refuses_a_stage_without_column_subsets():
+    with pytest.raises(EmptyInput, match="at least one column subset"):
+        fit_stage(np.zeros((4, 2)), np.zeros(4), [], 3, 1)
+
+
 def test_empty_feature_subset_gives_single_leaf():
     X = np.arange(12.0).reshape(6, 2)
     y = np.array([0.0, 0, 0, 1, 1, 1])

@@ -587,6 +587,56 @@ def test_errors_json_lists_points_in_configured_order(tmp_path, monkeypatch):
     assert list(errors) == ["27.5_67.5:knn", "30_67.5"]
 
 
+def _config_and_rows(cfg_file):
+    cfg = build_pipeline_config(build_parser().parse_args(["run", "--config", str(cfg_file)]))
+    return cfg, load_csv(cfg.data_path, cfg.points)
+
+
+def test_run_point_alone_writes_what_run_writes_for_the_point(tmp_path):
+    data = synth(tmp_path)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    cfg_a = write_config(tmp_path, small_config(data, out_a), "a.json")
+    assert main(["run", "--config", str(cfg_a)]) == 0
+    cfg, datasets = _config_and_rows(write_config(tmp_path, small_config(data, out_b), "b.json"))
+    stages = tuple(stage for stage, _ in pipeline.STAGES)
+    kept, errors = pipeline.run_point(cfg, stages, 1, cfg.points[1], datasets, None)
+    assert list(kept) == ["select", "train", "evaluate"] and errors == {}
+    assert read_tree(out_b) == {name: body for name, body in read_tree(out_a).items()
+                                if name.startswith("30_67.5/")}
+
+
+def test_a_failing_run_point_returns_only_its_errors_and_deletes_its_stale_artifacts(tmp_path):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg_file = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg_file)]) == 0
+    before = read_tree(out)
+    _zero_p02_column("air_l05")(data)  # p02's selection now fails: a zero-norm column
+    cfg, datasets = _config_and_rows(cfg_file)
+    kept, errors = pipeline.run_point(cfg, ("select", "train"), 1, cfg.points[1], datasets, None)
+    assert kept == {} and list(errors) == ["30_67.5"] and "zero norm" in errors["30_67.5"]
+    assert read_tree(out) == {name: body for name, body in before.items()
+                              if not name.startswith("30_67.5/")}
+
+
+def test_a_point_that_fails_to_load_is_skipped_by_stages_that_read_no_rows(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    _edit_p02_row("air_l01", "nan")(data)
+    (out / "30_67.5" / "selection.json").unlink()
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 0  # p02 has no selection to train on
+    assert main(["evaluate", "--config", str(cfg)]) == 0  # nor models to score
+    captured = capsys.readouterr()
+    assert captured.out == ("trained 1 points x 5 models\n"
+                            "evaluated 5 (point, model) pairs\n")
+    assert captured.err == ""
+    assert not (out / "errors.json").exists()
+    assert list((out / "30_67.5").iterdir()) == []
+
+
 def _name_unknown_feature(payload):
     payload["occurrence"]["not_a_feature"] = 3
 
@@ -1085,6 +1135,8 @@ BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit cod
     "pooled_text": ([], {"pooled": "no"}, 1),
     "seed_fraction": ([], {"seed": 2.5}, 1),
     "seed_true": ([], {"seed": True}, 1),
+    "seed_negative": (["--seed", "-3"], {}, 1),  # numpy's SeedSequence takes none
+    "split_seed_negative": (["--split-mode", "seeded_random", "--split-seed", "-1"], {}, 1),
     "data_not_text": ([], {"data": 5}, 1),
     "output_not_text": ([], {"output": 5}, 1),
     "rf_max_depth_0": ([], {"learners": {"rf": {"max_depth": 0}}}, 1),
@@ -1189,8 +1241,9 @@ def test_csv_cell_past_the_field_limit_fails_every_point(tmp_path, capsys):
     (["--noise-sigma", "1e308"], 1, "noise_sigma"),  # the noisy target overflows
     (["--noise-sigma", "nan"], 1, "noise_sigma"),
     (["--noise-rel", "-0.5"], 1, "noise_rel"),
+    (["--seed", "-5"], 1, "seed must be 0 or more"),  # the rule of every command
 ], ids=["negative_sigma", "eleven_planted", "five_samples", "nothing_planted",
-        "infinite_rel", "overflowing_sigma", "nan_sigma", "negative_rel"])
+        "infinite_rel", "overflowing_sigma", "nan_sigma", "negative_rel", "negative_seed"])
 def test_synth_refuses_a_bad_setting_without_a_traceback(tmp_path, capsys, flags, code, names):
     out = tmp_path / "data.csv"
     assert main(["synth", "--points", "p01", "--out", str(out), *flags]) == code
