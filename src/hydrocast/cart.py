@@ -55,13 +55,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
-from .typed import fits, holds_bool
+from .typed import decode, encode, fits
 
 #: A forest block's node columns, in the order ``forest_to_dict`` writes them: ``feature``
 #: has an entry per node, ``threshold`` per split, ``value`` and ``n`` per leaf.
 FOREST_COLUMNS = ("feature", "threshold", "value", "n")
-#: The dtype kinds each column's JSON list may give: integers ("i"), or any number ("if").
-_COLUMN_KINDS = ("i", "if", "if", "i")
+#: The kind of number each column holds, as ``typed.decode`` reads it: "i" integers, "f" floats.
+_COLUMN_KINDS = ("i", "f", "f", "i")
 #: The arrays ``_forest`` takes, each node-indexed but ``sizes``, and each one's dtype.
 _FIELD_DTYPES = {"feature": np.intp, "threshold": np.float64, "value": np.float64,
                  "n": np.int64, "sizes": np.intp}
@@ -161,35 +161,37 @@ def _forest(feature, threshold, value, n, sizes, n_features) -> Forest:
 
 def forest_to_dict(forest: Forest) -> dict:
     """A forest as one block: ``n_features``, each tree's node count in ``sizes``,
-    then the node columns, each holding only the nodes that use it. See README."""
+    then the node columns as encoded arrays (``typed.encode``), each holding only
+    the nodes that use it. See README."""
     split = forest.feature >= 0
     return {"n_features": forest.n_features, "sizes": forest.sizes.tolist(),
-            "feature": forest.feature.tolist(), "threshold": forest.threshold[split].tolist(),
-            "value": forest.value[~split].tolist(), "n": forest.n[~split].tolist()}
+            "feature": encode(forest.feature), "threshold": encode(forest.threshold[split]),
+            "value": encode(forest.value[~split]), "n": encode(forest.n[~split])}
 
 
 def forest_from_dict(payload: dict) -> Forest:
     """The read-only forest of a ``forest_to_dict`` block.
 
-    Each column is converted once, and every node of every tree is checked in
+    Each column is decoded once, and every node of every tree is checked in
     one vectorized pass: a damaged file raises, and never yields a tree that
-    routing could not walk to a leaf. The sparse columns are spread out to one
-    entry per node, and ``_forest``, which builds grown forests too, checks the
-    tree shapes and derives the right links.
+    routing could not walk to a leaf. A column that is not an encoded array of
+    its kind raises ``ShapeMismatch``, and one written by an earlier version
+    ``DamagedArtifact``. The sparse columns are spread out to one entry per
+    node, and ``_forest``, which builds grown forests too, checks the tree
+    shapes and derives the right links.
     """
-    if isinstance(payload, list) or "right" in payload:
+    if not isinstance(payload, dict):  # earlier versions wrote a list of trees
         raise DamagedArtifact("forest in a layout of earlier versions; rerun train")
-    columns = [np.asarray(payload[name]) for name in FOREST_COLUMNS]
-    if not columns[0].size or any(column.ndim != 1 for column in columns):
-        raise ShapeMismatch("tree columns must be flat lists, and feature non-empty")
-    # A fraction where an integer belongs would be truncated, a null would
-    # become NaN, a true or false beside numbers 1 or 0, and none is what was written.
-    if (any(column.dtype.kind not in kinds or holds_bool(payload[name])
-            for name, column, kinds in zip(FOREST_COLUMNS, columns, _COLUMN_KINDS))
-            or not fits(payload["n_features"], int)):
-        raise ShapeMismatch("tree columns: features, counts and n_features must be integers, "
-                            "thresholds and values numbers")
-    total = columns[0].size
+    try:
+        feature, threshold, value, n = (decode(payload[name], kind, 1)
+                                        for name, kind in zip(FOREST_COLUMNS, _COLUMN_KINDS))
+    except TypeError as exc:
+        raise ShapeMismatch(f"tree columns: {exc}") from None
+    if not fits(payload["n_features"], int):
+        raise ShapeMismatch("tree columns: n_features must be an integer")
+    if not feature.size:
+        raise ShapeMismatch("tree columns: feature must not be empty")
+    total = feature.size
     sizes = payload["sizes"]
     # Summed in Python before any array is built from them, so that a crafted
     # size cannot make the reader allocate past the columns the file holds.
@@ -197,10 +199,6 @@ def forest_from_dict(payload: dict) -> Forest:
             and min(sizes) > 0 and sum(sizes) == total):
         raise ShapeMismatch("forest sizes must be positive integers that add up to the "
                             "feature column's length")
-    feature, threshold, value, n = (column.astype(_FIELD_DTYPES[name], copy=False)
-                                    for name, column in zip(FOREST_COLUMNS, columns))
-    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
-        raise ValueError("tree columns: thresholds and values must be finite")
     split, leaves = np.flatnonzero(feature >= 0), np.flatnonzero(feature < 0)
     if threshold.size != split.size or not value.size == n.size == leaves.size:
         raise ShapeMismatch("tree columns: threshold must hold one entry per split, value and "

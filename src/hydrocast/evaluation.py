@@ -4,14 +4,17 @@ Three numbers per (index point, model): Pearson correlation between the
 observed and predicted series, mean absolute error, and the sample
 standard deviation of the absolute errors. Covariance and standard
 deviations use the n-1 convention throughout. Each metric refuses a
-non-finite value, so no NaN reaches a report.
+non-finite input, and a result that overflows float range, so no NaN or
+infinity reaches a report.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,21 @@ def _pair(actual, predicted, min_len):
     return a, p
 
 
+def _metric(func):
+    """``func`` run without numpy's overflow warnings: a value that does not come out
+    finite, as when predictions are so large that their squares overflow, raises
+    ``NonFiniteInput`` instead."""
+    @functools.wraps(func)
+    def metric(actual, predicted) -> float:
+        with np.errstate(all="ignore"):
+            value = func(actual, predicted)
+        if not math.isfinite(value):
+            raise NonFiniteInput(f"{func.__name__} overflows float range")
+        return value
+    return metric
+
+
+@_metric
 def pearson(actual, predicted) -> float:
     """Sample correlation coefficient, clamped to [-1, 1] against rounding."""
     a, p = _pair(actual, predicted, 2)
@@ -43,16 +61,20 @@ def pearson(actual, predicted) -> float:
     var_p = float(dp @ dp)
     if var_a == 0.0 or var_p == 0.0:
         raise ZeroVariance("correlation undefined for a constant series")
+    if not math.isfinite(var_a * var_p):  # the clamp below would hide the NaN or 0 it gives
+        return math.nan
     rho = float(da @ dp) / np.sqrt(var_a * var_p)
     return float(min(1.0, max(-1.0, rho)))
 
 
+@_metric
 def mae(actual, predicted) -> float:
     """Mean absolute prediction error."""
     a, p = _pair(actual, predicted, 1)
     return float(np.mean(np.abs(a - p)))
 
 
+@_metric
 def error_std(actual, predicted) -> float:
     """Sample standard deviation (n-1) of the absolute errors."""
     a, p = _pair(actual, predicted, 2)

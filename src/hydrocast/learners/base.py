@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..typed import build, float_array, reader
+from ..typed import build, decode, encode, reader
 
 RF = "rf"
 KNN = "knn"
@@ -98,6 +99,10 @@ class Standardization:
         std = np.where(std == 0.0, 1.0, std)  # constant columns pass through centered
         return cls(tuple(mean.tolist()), tuple(std.tolist()))
 
+    def __post_init__(self):
+        if min(self.std, default=1.0) <= 0.0:  # fit maps a zero spread to 1.0
+            raise ValueError("every std must be > 0")
+
     @classmethod
     def identity(cls, d: int) -> "Standardization":
         return cls((0.0,) * d, (1.0,) * d)
@@ -106,8 +111,12 @@ class Standardization:
         return (X - np.asarray(self.mean)) / np.asarray(self.std)
 
 
-#: (read, write) for a float array field: JSON nested lists <-> ndarray.
-ARRAY = (float_array, lambda array: array.tolist())
+def float_array(ndim: int) -> tuple:
+    """(read, write) for a float array field of rank ``ndim``: an encoded array
+    (``typed.encode``) <-> ndarray."""
+    return partial(decode, kind="f", ndim=ndim), encode
+
+
 #: (read, write) for a float scalar field: a finite JSON number <-> float.
 FLOAT = (reader(float), float)
 

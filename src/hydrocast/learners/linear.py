@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SingularSystem
-from .base import ARRAY, FLOAT, LR, FittedModel, LRConfig, Standardization
+from .base import FLOAT, LR, FittedModel, LRConfig, Standardization, float_array
 
 RIDGE = 1e-8  # the fallback's penalty on every weight but the intercept
 
@@ -22,7 +22,7 @@ RIDGE = 1e-8  # the fallback's penalty on every weight but the intercept
 class LinearModel(FittedModel):
     """An affine map of the standardized inputs, shared by LR and SVR."""
 
-    state = (("weights", ARRAY), ("bias", FLOAT))
+    state = (("weights", float_array(1)), ("bias", FLOAT))
 
     def predict_batch(self, X) -> np.ndarray:
         return self.standardization.transform(self._check_batch(X)) @ self.weights + self.bias

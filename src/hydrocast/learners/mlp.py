@@ -12,15 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NonConvergence
-from ..typed import float_array
+from ..typed import decode, encode
 from .base import FLOAT, MLP, FittedModel, MLPConfig, Standardization
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and guard, as Kingma & Ba recommend
 
-#: (read, write) for the layers: one {"W", "b"} object per (W, b) pair.
+#: (read, write) for the layers: one {"W", "b"} object of encoded arrays per (W, b) pair.
 LAYERS = (
-    lambda payload: [(float_array(layer["W"]), float_array(layer["b"])) for layer in payload],
-    lambda layers: [{"W": W.tolist(), "b": b.tolist()} for W, b in layers],
+    lambda payload: [(decode(layer["W"], "f", 2), decode(layer["b"], "f", 1))
+                     for layer in payload],
+    lambda layers: [{"W": encode(W), "b": encode(b)} for W, b in layers],
 )
 
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ARRAY, KNN, FittedModel, KNNConfig, Standardization
+from .base import KNN, FittedModel, KNNConfig, Standardization, float_array
 
 
 class KNNModel(FittedModel):
     kind = KNN
     config = KNNConfig
-    state = (("train_z", ARRAY), ("train_y", ARRAY))
+    state = (("train_z", float_array(2)), ("train_y", float_array(1)))
 
     def predict_batch(self, X) -> np.ndarray:
         Z = self.standardization.transform(self._check_batch(X))

@@ -117,13 +117,14 @@ class PipelineResult:
 
 
 def _write_json(path: Path, payload) -> None:
-    """Write an artifact; a payload holding a non-finite number is damaged and is not
-    written, since no reader takes ``NaN`` or ``Infinity``. ``models.json``, whose
-    forests are most of a run's bytes, is written on one line without spaces; every
-    other artifact is indented."""
+    """Write an artifact; a fitted model in ``payload`` is written as its
+    ``model_to_dict``. A payload holding a non-finite number, as a JSON number or
+    inside a model's encoded array, is damaged and is not written, since no reader
+    takes one. ``models.json``, whose forests are most of a run's bytes, is written
+    on one line without spaces; every other artifact is indented."""
     layout = {"separators": (",", ":")} if path.name == "models.json" else {"indent": 2}
-    try:
-        text = json.dumps(payload, allow_nan=False, **layout)
+    try:  # the encoder refuses a non-finite float with ValueError, as allow_nan=False does
+        text = json.dumps(payload, allow_nan=False, default=model_to_dict, **layout)
     except ValueError:
         raise DamagedArtifact(f"{path}: not written, as it holds a non-finite number") from None
     _write_text(path, text + "\n")
@@ -273,7 +274,7 @@ def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
     return None, {
         "point": _point_payload(point),
         "features": [FEATURE_NAMES[f] for f in columns],
-        "models": {kind: model_to_dict(models[kind]) for kind, _ in cfg.learners},
+        "models": {kind: models[kind] for kind, _ in cfg.learners},
     }
 
 
@@ -282,9 +283,10 @@ def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
     """Score one point's stored models on its test months, for its evaluation.json.
 
     Keeps the rows and the point's selection, read before any model is
-    scored. A model that fails, or whose ``feature_indices`` are not the
-    columns that ``features`` names, goes into the point's ``errors`` as
-    ``<label>:<kind>``; the rest are still scored. A point without a
+    scored. A model that fails, whose ``feature_indices`` are not the
+    columns that ``features`` names, or whose predictions or metrics overflow
+    float range, goes into the point's ``errors`` as ``<label>:<kind>``; the
+    rest are still scored. A point without a
     models.json is skipped (None).
     """
     point_dir = Path(cfg.output_dir) / point.label
@@ -303,7 +305,8 @@ def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
             if list(model.feature_indices) != columns:
                 raise DamagedArtifact(f"{models_file}: the {kind} model's feature_indices "
                                       "are not the columns of its features")
-            predicted = model.predict_batch(X_test)
+            with np.errstate(all="ignore"):  # a prediction past float range is refused
+                predicted = model.predict_batch(X_test)
             rows.append(EvalResult(
                 point,
                 kind,

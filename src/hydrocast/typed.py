@@ -1,14 +1,16 @@
-"""The one checked path from JSON to the program's dataclasses and float arrays."""
+"""The one checked path from JSON to the program's dataclasses and numeric arrays."""
 
 from __future__ import annotations
 
+import base64
 import functools
-import itertools
 import math
 import reprlib
 import typing
 
 import numpy as np
+
+from .errors import DamagedArtifact
 
 _hints = functools.cache(typing.get_type_hints)
 
@@ -63,22 +65,67 @@ def reader(hint):
     return read
 
 
-def holds_bool(value, depth: int = 1) -> bool:
-    """Whether a JSON list nested ``depth`` deep (0 for a scalar) holds a true or false,
-    which numpy reads as 1 or 0 beside numbers. The entries are looked at in C loops."""
-    entries = [value]
-    for _ in range(depth):
-        entries = itertools.chain.from_iterable(entries)
-    return bool in set(map(type, entries))
+#: The dtypes ``encode`` writes, by the kind of number they hold: little-endian float64
+#: for floats, and for integers each signed width, narrowest first.
+DTYPES = {"f": ("<f8",), "i": ("<i1", "<i2", "<i4", "<i8")}
 
 
-def float_array(value) -> np.ndarray:
-    """A JSON number or (nested) list of numbers as a float array. A null, true, false or
-    string in it, a number past float range (read as an infinity), or a ragged list raises
-    ``ValueError``, where a float conversion reads null as NaN, true as 1 and a string as
-    its number."""
-    array = np.asarray(value)
-    if (array.dtype.kind not in "iuf" or holds_bool(value, array.ndim)
-            or not np.isfinite(array).all()):
-        raise ValueError(f"expected finite numbers, got {reprlib.repr(value)}")
-    return array.astype(np.float64, copy=False)
+def encode(array) -> dict:
+    """A float or integer array as ``{"dtype", "shape", "data"}``, ``data`` being base64
+    of its little-endian bytes in C order: ``<f8`` for floats, and for integers the
+    narrowest of ``<i1``, ``<i2``, ``<i4`` and ``<i8`` that holds every entry. A
+    non-finite float raises ``ValueError``, as ``json.dumps(allow_nan=False)`` does for
+    one outside an array."""
+    array = np.asarray(array)
+    if array.dtype.kind == "f":
+        if not np.isfinite(array).all():
+            raise ValueError("an array holds a non-finite float")
+        dtype = "<f8"
+    else:
+        low, high = (int(array.min()), int(array.max())) if array.size else (0, 0)
+        dtype = next(name for name in DTYPES["i"]
+                     if np.iinfo(name).min <= low and high <= np.iinfo(name).max)
+    return {"dtype": dtype, "shape": list(array.shape),
+            "data": base64.b64encode(array.astype(dtype, copy=False).tobytes()).decode("ascii")}
+
+
+def decode(value, kind: str, ndim: int) -> np.ndarray:
+    """The read-only array that ``encode`` wrote as ``value``: float64 for ``kind`` "f",
+    int64 for "i", of rank ``ndim``.
+
+    A value that is not a JSON object is a list of numbers, as earlier versions
+    wrote arrays: ``DamagedArtifact``, "rerun train". An object that is not an
+    encoded array of the field's kind and rank raises ``TypeError``: keys other than
+    ``dtype``, ``shape`` and ``data``, a ``dtype`` not of ``DTYPES[kind]``, a
+    ``shape`` that is not ``ndim`` non-negative integers, or ``data`` that is not
+    strict base64 of exactly the shape's bytes (checked before any array is made).
+    A non-finite float raises ``ValueError``.
+    """
+    if not isinstance(value, dict):
+        raise DamagedArtifact(f"expected an encoded array, got {reprlib.repr(value)}: "
+                              "written by an earlier version; rerun train")
+    if value.keys() != {"dtype", "shape", "data"}:
+        raise TypeError(f"an encoded array has the keys dtype, shape and data, got "
+                        f"{reprlib.repr(sorted(value))}")
+    dtype, shape, data = value["dtype"], value["shape"], value["data"]
+    if dtype not in DTYPES[kind]:
+        raise TypeError(f"dtype {reprlib.repr(dtype)}: the field's entries must be "
+                        f"{'floats' if kind == 'f' else 'integers'} ({', '.join(DTYPES[kind])})")
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(size) is int and size >= 0 for size in shape)):
+        raise TypeError(f"shape {reprlib.repr(shape)}: the field's shape is a list of {ndim} "
+                        "non-negative integers")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError):  # not a string, not ASCII, or not strict base64
+        raise TypeError(f"data {reprlib.repr(data)} is not strict base64") from None
+    if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise TypeError(f"data holds {len(raw)} bytes, not the {dtype} bytes of shape {shape}")
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if kind == "f":
+        if not np.isfinite(array).all():
+            raise ValueError("an encoded array holds a non-finite float")
+        return array
+    array = array.astype(np.int64)
+    array.flags.writeable = False
+    return array

@@ -5,6 +5,7 @@ loops, direct formulas) so the tests never share code paths with the
 implementations they verify.
 """
 
+import base64
 import math
 from types import SimpleNamespace
 
@@ -274,6 +275,47 @@ def forest_block(trees):
     return {"n_features": trees[0]["n_features"], "sizes": [len(tree["feature"]) for tree in trees],
             **{name: [v for tree in trees for v in tree[name]]
                for name in _COLUMNS if all(name in tree for tree in trees)}}
+
+
+def packed(values, dtype=None):
+    """``values`` as an encoded array, ``{"dtype", "shape", "data"}`` with ``data`` the
+    base64 of their bytes in ``dtype``: by default ``<f8`` for floats and the
+    narrowest of ``<i1`` ... ``<i8`` that holds integers. Any other numpy dtype
+    may be named, to spell an array the reader must refuse."""
+    array = np.asarray(values)
+    if dtype is None and array.dtype.kind == "f":
+        dtype = "<f8"
+    elif dtype is None:
+        low, high = (int(array.min()), int(array.max())) if array.size else (0, 0)
+        dtype = next(f"<i{width}" for width in (1, 2, 4, 8)
+                     if -(2 ** (8 * width - 1)) <= low and high < 2 ** (8 * width - 1))
+    return {"dtype": dtype, "shape": list(array.shape),
+            "data": base64.b64encode(array.astype(dtype).tobytes()).decode("ascii")}
+
+
+def unpacked(value):
+    """``value`` with every encoded array in it, however deep, read back into
+    (nested) JSON lists straight from its base64 bytes."""
+    if isinstance(value, dict) and set(value) == {"dtype", "shape", "data"}:
+        raw = base64.b64decode(value["data"])
+        return np.frombuffer(raw, dtype=value["dtype"]).reshape(value["shape"]).tolist()
+    if isinstance(value, dict):
+        return {key: unpacked(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [unpacked(v) for v in value]
+    return value
+
+
+#: The dtype an empty node column is written in.
+_EMPTY = {"feature": "<i1", "threshold": "<f8", "value": "<f8", "n": "<i1"}
+
+
+def encoded(forest):
+    """A serialized forest whose node columns are lists (``unpacked``, the layout
+    earlier versions wrote) with each column encoded again, as the file stores
+    it. An integer column holding a fraction is written as floats."""
+    return {key: packed(v, None if np.size(v) else _EMPTY[key]) if key in _BLOCK else v
+            for key, v in forest.items()}
 
 
 def trees_of(forest):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,16 +28,19 @@ from hydrocast.learners.forest import fit_rf
 from oracles import (
     best_depth1_splits,
     depth,
+    encoded,
     features_used,
     forest_block,
     forest_trees,
     full_columns,
     node_columns,
     node_list,
+    packed,
     reference_fit_tree,
     reference_predict,
     sparse_block,
     trees_of,
+    unpacked,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,7 +65,7 @@ def nodes_of(tree):
 def read_tree(payload):
     """A forest of one tree given in the five node columns (``node_columns``),
     written as the file stores it and read back."""
-    return forest_from_dict(sparse_block(payload))
+    return forest_from_dict(encoded(sparse_block(payload)))
 
 
 def root_of(tree):
@@ -247,11 +251,11 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("feature", [-1, 1])
 def test_from_dict_rejects_a_split_feature_outside_n_features(feature):
-    payload = sparse_block(node_columns([
+    payload = encoded(sparse_block(node_columns([
         {"feature": feature, "threshold": 0.5, "left": 1, "right": 2},
         {"value": 0.0, "n": 1},
         {"value": 1.0, "n": 1},
-    ], 1))
+    ], 1)))
     with pytest.raises(ShapeMismatch):
         forest_from_dict(payload)
 
@@ -269,7 +273,8 @@ def test_from_dict_rejects_child_links_not_past_the_parent(right):
     ]
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(node_columns(nodes, 1))
-    assert forest_from_dict(sparse_block(node_columns(nodes, 1))).right.tolist() == [2, -1, -1]
+    assert (forest_from_dict(encoded(sparse_block(node_columns(nodes, 1)))).right.tolist()
+            == [2, -1, -1])
 
 
 def small_tree():
@@ -278,11 +283,12 @@ def small_tree():
 
 def test_to_dict_writes_the_forest_block():
     payload = forest_to_dict(small_tree())
-    assert payload == {
+    assert unpacked(payload) == {
         "n_features": 1, "sizes": [3], "feature": [0, -1, -1], "threshold": [2.5],
         "value": [0.0, 1.0], "n": [2, 1],
     }
     assert tuple(payload)[2:] == FOREST_COLUMNS
+    assert [payload[name]["dtype"] for name in FOREST_COLUMNS] == ["<i1", "<f8", "<f8", "<i1"]
 
 
 def test_to_dict_writes_the_five_node_columns():
@@ -293,7 +299,7 @@ def test_to_dict_writes_the_five_node_columns():
     columns = {"feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0], "right": [2, -1, -1],
                "value": [0.0, 0.0, 1.0], "n": [0, 2, 1]}
     payload = forest_to_dict(tree)
-    (stored,) = forest_trees(payload)
+    (stored,) = forest_trees(unpacked(payload))
     assert full_columns(stored) == {"n_features": 1, **columns}
     clone = forest_from_dict(payload)
     for name, column in columns.items():
@@ -324,13 +330,13 @@ NOT_ONE_TREE = {
 @pytest.mark.parametrize("damage", NOT_ONE_TREE.values(), ids=NOT_ONE_TREE)
 def test_from_dict_refuses_flags_that_do_not_make_one_tree(damage):
     """Found on the last tree of a block, at that tree's offset."""
-    trees = forest_trees(forest_to_dict(join([small_tree()] * 3)))
+    trees = forest_trees(unpacked(forest_to_dict(join([small_tree()] * 3))))
     damage(trees[-1])
     splits = sum(feature >= 0 for feature in trees[-1]["feature"])  # the columns match the flags
     assert len(trees[-1]["threshold"]) == splits
     assert len(trees[-1]["value"]) == len(trees[-1]["n"]) == len(trees[-1]["feature"]) - splits
     with pytest.raises(ShapeMismatch, match="one full binary tree"):
-        forest_from_dict(forest_block(trees))
+        forest_from_dict(encoded(forest_block(trees)))
 
 
 @pytest.mark.parametrize("damage", [
@@ -346,31 +352,47 @@ def test_from_dict_refuses_flags_that_do_not_make_one_tree(damage):
 ], ids=["value_short", "threshold_long", "all_empty", "n_nested", "threshold_scalar",
         "threshold_short", "value_long", "n_short", "n_long"])
 def test_from_dict_rejects_columns_not_one_length(damage):
-    """Each column must be a flat list as long as its nodes: ``feature`` one entry
-    per node, ``threshold`` one per split, ``value`` and ``n`` one per leaf."""
-    payload = forest_to_dict(small_tree())
+    """Each column must be an encoded array of rank 1 as long as its nodes:
+    ``feature`` one entry per node, ``threshold`` one per split, ``value`` and
+    ``n`` one per leaf."""
+    payload = unpacked(forest_to_dict(small_tree()))
     damage(payload)
     with pytest.raises(ShapeMismatch):
-        forest_from_dict(payload)
+        forest_from_dict(encoded(payload))
+
+
+def spell(name, values, dtype):
+    """A damage that writes column ``name`` as ``values`` in ``dtype``, a dtype the
+    encoder would not pick for it."""
+    return lambda tree: tree.update({name: packed(values, dtype)})
+
+
+def set_header(name, **fields):
+    """A damage that sets ``fields`` of column ``name``'s encoded header."""
+    return lambda tree: tree[name].update(fields)
 
 
 @pytest.mark.parametrize("damage", [
-    lambda tree: tree["n"].__setitem__(0, 2.5),
-    lambda tree: tree["feature"].__setitem__(0, 0.5),
-    lambda tree: tree["n"].__setitem__(0, 2.0),
-    lambda tree: tree["value"].__setitem__(0, None),
-    lambda tree: tree["threshold"].__setitem__(0, None),
-    lambda tree: tree["threshold"].__setitem__(0, "2.5"),
-    lambda tree: tree["n"].__setitem__(0, 2**63),
+    spell("n", [2.5, 1.0], "<f8"),
+    spell("feature", [0.5, -1.0, -1.0], "<f8"),
+    spell("n", [2.0, 1.0], "<f8"),
+    set_header("value", data=None),
+    set_header("threshold", dtype=None),
+    set_header("threshold", data="2.5"),
+    spell("n", [2**63, 1], "<u8"),
     lambda tree: tree.update(n_features=1.5),
     lambda tree: tree.update(n_features=True),
-    lambda tree: tree.update(n_features=2, feature=[True, -1, -1]),
-    lambda tree: tree["value"].__setitem__(1, False),
-    lambda tree: tree["n"].__setitem__(1, True),
+    lambda tree: tree.update(n_features=2, feature=packed([True, False, False], "|b1")),
+    spell("value", [0.0, False], "|b1"),
+    spell("n", [2, True], "|b1"),
 ], ids=["n_fractional", "feature_fractional", "n_float", "value_null", "threshold_null",
         "threshold_text", "n_past_int64", "n_features_fractional", "n_features_bool",
         "feature_true", "value_false", "n_true"])
 def test_from_dict_refuses_numbers_it_would_change(damage):
+    """A fraction, a null, a true or false or a string cannot stand inside an
+    encoded array, so each case is a column whose dtype is not of its kind
+    (floats where integers belong, bools, unsigned integers) or whose header
+    is damaged; ``n_features`` stays a JSON number."""
     payload = forest_to_dict(small_tree())
     damage(payload)
     with pytest.raises(ShapeMismatch):
@@ -380,8 +402,8 @@ def test_from_dict_refuses_numbers_it_would_change(damage):
 @pytest.mark.parametrize("damage", [
     lambda tree: tree["feature"].__setitem__(0, 1),
     lambda tree: tree["feature"].__setitem__(1, -2),
-    lambda tree: tree["n"].__setitem__(0, 2.5),
-    lambda tree: tree["n"].__setitem__(0, None),
+    lambda tree: tree["n"].__setitem__(0, 2.5),  # the column is then written as floats
+    lambda tree: tree["n"].__setitem__(0, math.nan),  # as floats too, the nearest to a null
     lambda tree: tree["n"].__setitem__(0, 0),
     lambda tree: tree["n"].__setitem__(0, -3),
     lambda tree: tree["threshold"].pop(),
@@ -391,10 +413,10 @@ def test_from_dict_refuses_numbers_it_would_change(damage):
 def test_from_dict_checks_each_tree_at_its_own_offset(damage):
     """A damage to the last tree of a block is found at that tree's offset, not
     only at the start of the columns."""
-    trees = forest_trees(forest_to_dict(join([small_tree()] * 3)))
+    trees = forest_trees(unpacked(forest_to_dict(join([small_tree()] * 3))))
     damage(trees[-1])
     with pytest.raises(ShapeMismatch):
-        forest_from_dict(forest_block(trees))
+        forest_from_dict(encoded(forest_block(trees)))
 
 
 @pytest.mark.parametrize("right", [3, 4, 5], ids=["next_root", "next_left", "next_right"])
@@ -402,12 +424,12 @@ def test_from_dict_refuses_a_right_link_into_the_next_tree(right):
     """Only the five-column block of earlier versions could hold such a link,
     and it is refused; the stored block has no link to damage, and the reader
     derives each tree's links inside that tree."""
-    trees = forest_trees(forest_to_dict(join([small_tree()] * 2)))
+    trees = forest_trees(unpacked(forest_to_dict(join([small_tree()] * 2))))
     old = forest_block([full_columns(tree) for tree in trees])  # each root sends the rest to node 2
     old["right"][0] = right  # an index in the block's second tree, read from the first
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
-    clones = trees_of(forest_from_dict(sparse_block(old)))
+    clones = trees_of(forest_from_dict(encoded(sparse_block(old))))
     assert [clone.right.tolist() for clone in clones] == [[2, -1, -1]] * 2
 
 
@@ -433,22 +455,30 @@ def test_from_dict_refuses_the_node_list_layout():
 
 
 def test_from_dict_refuses_a_tree_with_a_left_column():
-    (tree,) = forest_trees(forest_to_dict(small_tree()))
+    (tree,) = forest_trees(unpacked(forest_to_dict(small_tree())))
     old = [{**full_columns(tree), "left": [1, -1, -1]}]  # the six columns earlier versions wrote
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
 
 
 def test_from_dict_refuses_the_per_tree_layout():
-    old = [full_columns(tree) for tree in forest_trees(forest_to_dict(join([small_tree()] * 2)))]
+    old = [full_columns(tree)
+           for tree in forest_trees(unpacked(forest_to_dict(join([small_tree()] * 2))))]
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
 
 
 def test_from_dict_refuses_the_five_column_block():
-    trees = forest_trees(forest_to_dict(join([small_tree()] * 2)))
+    trees = forest_trees(unpacked(forest_to_dict(join([small_tree()] * 2))))
     old = forest_block([full_columns(tree) for tree in trees])  # the block earlier versions wrote
     assert set(old) == {"n_features", "sizes", "feature", "threshold", "right", "value", "n"}
+    with pytest.raises(DamagedArtifact, match="rerun train"):
+        forest_from_dict(old)
+
+
+def test_from_dict_refuses_the_block_of_json_lists():
+    old = unpacked(forest_to_dict(join([small_tree()] * 2)))  # the block earlier versions wrote
+    assert old["feature"] == [0, -1, -1, 0, -1, -1]
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
 
@@ -462,15 +492,15 @@ def test_forest_codec_lays_the_trees_end_to_end(seed):
     trees = trees_of(forest)
     payload = forest_to_dict(forest)
     assert payload["sizes"] == [tree.feature.size for tree in trees]
-    assert payload == sparse_block(forest_block([node_columns(node_list(tree), 6)
-                                                 for tree in trees]))
+    assert unpacked(payload) == sparse_block(forest_block([node_columns(node_list(tree), 6)
+                                                           for tree in trees]))
     clone = forest_from_dict(json.loads(json.dumps(payload)))
     queries = np.vstack([X, rng.standard_normal((50, 6))])
     assert leaf_values(clone, queries).tobytes() == leaf_values(forest, queries).tobytes()
     assert [features_used(tree) for tree in trees_of(clone)] == [features_used(tree)
                                                                  for tree in trees]
-    assert clone.n_leaves() == forest.n_leaves() == sum(len(tree["value"])
-                                                        for tree in forest_trees(payload))
+    assert clone.n_leaves() == forest.n_leaves() == sum(
+        len(tree["value"]) for tree in forest_trees(unpacked(payload)))
     assert clone.n_features == 6
     with pytest.raises(ValueError):  # the block read back is read-only
         clone.value[0] = 0.0

@@ -17,10 +17,12 @@ prediction or serialization that moves any byte of these parts fails
 here. Update the pin only with a change that means to alter artifacts.
 
 ``PINNED_SHA256`` was recorded when ``models.json`` wrote each tree as a
-list of node dicts, and it is still taken over that view of the ``rf``
-trees: each tree is cut from the forest's block through ``sizes``
-(``oracles.forest_trees``) and spelled out as node dicts
-(``oracles.node_list``). The trees themselves have not changed since.
+list of node dicts and every array as JSON lists of numbers, and it is
+still taken over that view: each encoded array is read back into lists
+(``oracles.unpacked``), and each tree is cut from the forest's block
+through ``sizes`` (``oracles.forest_trees``) and spelled out as node dicts
+(``oracles.node_list``). The trees and arrays themselves have not changed
+since.
 ``WRITTEN_SHA256`` pins the same parts as the file writes them. It moved
 when the ``left`` column left the file (a left child is always the next
 node, so the column held nothing the others do not imply), and again when
@@ -28,8 +30,12 @@ a forest's trees became one block of node columns laid end to end, with
 ``n_features`` written once and each tree's node count in ``sizes``, and a
 third time when the block kept only the fields each node uses: no ``right``
 links, which pre-order fixes from the split and leaf flags, ``threshold``
-at the splits only, and ``value`` and ``n`` at the leaves only. Each time
-only the layout moved, and the node-list view is the same for every
+at the splits only, and ``value`` and ``n`` at the leaves only. It moved a
+fourth time when every numeric array (the node columns, ``knn``'s
+``train_z`` and ``train_y``, ``svr``'s ``weights``) came to be written as
+``{"dtype", "shape", "data"}``, ``data`` being base64 of the array's
+little-endian bytes, which reads back without parsing decimal text. Each
+time only the layout moved, and the node-list view is the same for every
 layout, so ``PINNED_SHA256`` did not move. The test also checks that the
 written block is the five node columns of those node lists with the
 unused fields dropped (``oracles.sparse_block``).
@@ -41,10 +47,10 @@ import json
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast.cli import main
 
-from oracles import forest_block, forest_trees, node_columns, node_list, sparse_block
+from oracles import forest_block, forest_trees, node_columns, node_list, sparse_block, unpacked
 
 PINNED_SHA256 = "0d850a4396f1d63a7d44a915ba2a8d0cca38e03c02b70c50648e5d642d65024d"
-WRITTEN_SHA256 = "bf2296b32a6aa780370734cd71ad9f6d13e42eb3981743d37f8f326f5e5da2d1"
+WRITTEN_SHA256 = "97d53b70b018104bd7f71bde7cfe62304c55b141a46535adb75e961a5cdf160d"
 
 
 def _sha256(payload) -> str:
@@ -88,9 +94,10 @@ def test_one_point_run_artifact_digest(tmp_path):
     assert selection["n_stages"] == 2
     assert len(pinned["rf"]["trees"]["sizes"]) == 10
     assert _sha256(pinned) == WRITTEN_SHA256
+    listed = unpacked(pinned)  # every encoded array as the JSON lists earlier versions wrote
     node_lists = [{"n_features": tree["n_features"], "nodes": node_list(tree)}
-                  for tree in forest_trees(pinned["rf"]["trees"])]
-    assert _sha256({**pinned, "rf": {**pinned["rf"], "trees": node_lists}}) == PINNED_SHA256
+                  for tree in forest_trees(listed["rf"]["trees"])]
+    assert _sha256({**listed, "rf": {**listed["rf"], "trees": node_lists}}) == PINNED_SHA256
     five_columns = forest_block([node_columns(tree["nodes"], tree["n_features"])
                                  for tree in node_lists])
-    assert sparse_block(five_columns) == pinned["rf"]["trees"]
+    assert sparse_block(five_columns) == listed["rf"]["trees"]

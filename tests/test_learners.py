@@ -391,15 +391,17 @@ def test_serialization_round_trip(kind, hyper):
 
 
 @pytest.mark.parametrize("kind,hyper,damage", [
-    ("lr", None, lambda p: p["weights"].__setitem__(0, None)),
-    ("lr", None, lambda p: p["weights"].__setitem__(0, "1.5")),
-    ("svr", SVRConfig(epochs=5), lambda p: p["weights"].__setitem__(0, None)),
-    ("knn", KNNConfig(k=2), lambda p: p["train_z"][0].__setitem__(0, None)),
-    ("knn", KNNConfig(k=2), lambda p: p["train_y"].__setitem__(0, "x")),
-    ("mlp", MLPConfig(epochs=5), lambda p: p["layers"][0]["W"][0].__setitem__(0, None)),
-    ("mlp", MLPConfig(epochs=5), lambda p: p["layers"][0]["b"].__setitem__(0, None)),
+    ("lr", None, lambda p: p["weights"].update(data=None)),
+    ("lr", None, lambda p: p["weights"].update(data="1.5")),
+    ("svr", SVRConfig(epochs=5), lambda p: p["weights"].update(dtype=None)),
+    ("knn", KNNConfig(k=2), lambda p: p["train_z"].update(data=None)),
+    ("knn", KNNConfig(k=2), lambda p: p["train_y"].update(dtype="x")),
+    ("mlp", MLPConfig(epochs=5), lambda p: p["layers"][0]["W"].update(data=None)),
+    ("mlp", MLPConfig(epochs=5), lambda p: p["layers"][0]["b"].update(dtype=None)),
 ], ids=["lr_null", "lr_text", "svr_null", "knn_z_null", "knn_y_text", "mlp_w_null", "mlp_b_null"])
 def test_float_state_refuses_what_is_not_a_number(kind, hyper, damage):
+    """A null or a string cannot stand inside an encoded array, so each case puts
+    one in the array's header instead."""
     rng = np.random.default_rng(16)
     X = rng.standard_normal((20, 2))
     payload = model_to_dict(fit(LearnerSpec(kind, hyper, seed=3), X, X[:, 0]))

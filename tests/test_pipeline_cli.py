@@ -11,14 +11,23 @@ import pytest
 
 from hydrocast.cart import FOREST_COLUMNS
 from hydrocast.catalog import REFERENCE_POINTS
-from hydrocast import pipeline
+from hydrocast import learners, pipeline
 from hydrocast.cli import build_parser, build_pipeline_config, main
 from hydrocast.dataset import CSV_COLUMNS, SplitSpec, load_csv, split, write_csv
 from hydrocast.learners import MODELS
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
 from hydrocast.selection import BoostConfig, SelectionConfig, run_selection
 
-from oracles import forest_block, forest_trees, full_columns, node_list, sparse_block
+from oracles import (
+    encoded,
+    forest_block,
+    forest_trees,
+    full_columns,
+    node_list,
+    packed,
+    sparse_block,
+    unpacked,
+)
 
 POINTS = "p01,p02"
 
@@ -570,6 +579,52 @@ def test_evaluate_refuses_the_per_tree_layout_of_earlier_versions(tmp_path, caps
     assert len(json.loads((out / "report.json").read_text())["rows"]) == 4
 
 
+def test_a_models_json_of_json_lists_fails_all_five_kinds_and_no_other_point(tmp_path, capsys):
+    """Earlier versions wrote every numeric array as JSON lists: each kind of such
+    a file fails alone with "rerun train", and the other point still scores."""
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    models = out / "27.5_67.5" / "models.json"
+    payload = json.loads(models.read_text())
+    old = json.loads(json.dumps(payload))
+    for layout in ("list_column_block", "list_train_z", "list_weights", "list_layers"):
+        EARLIER_LAYOUTS[layout](old)
+    assert old == unpacked(payload)  # the four edits give back every array as lists
+    models.write_text(json.dumps(old))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == [f"27.5_67.5:{kind}" for kind in MODELS]
+    assert all("rerun train" in message for message in errors.values())
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [(row["lat"], row["lon"]) for row in rows] == [(67.5, 30)] * len(MODELS)
+
+
+def _set_model(kind, **state):
+    """A ``fit_<kind>`` that fits as usual, then sets the fitted model's ``state``."""
+    fit_kind = getattr(learners, f"fit_{kind}")
+
+    def fit(*args):
+        model = fit_kind(*args)
+        model.__dict__.update(state)
+        return model
+    return fit
+
+
+def test_a_model_with_an_infinite_weight_is_not_written(tmp_path, monkeypatch):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out, points="p01"))
+    monkeypatch.setattr(learners, "fit_lr", _set_model("lr", weights=np.array([math.inf] * 10)))
+    assert main(["run", "--config", str(cfg)]) == 2
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == ["27.5_67.5"]
+    assert errors["27.5_67.5"].endswith("models.json: not written, as it holds a non-finite number")
+    assert sorted(path.name for path in (out / "27.5_67.5").iterdir()) == ["selection.json"]
+
+
 def test_errors_json_lists_points_in_configured_order(tmp_path, monkeypatch):
     data = synth(tmp_path)
     _zero_p02_column("air_l05")(data)  # p02 fails select
@@ -775,29 +830,38 @@ def _edit_json(change):
 
 
 def _edit_first_tree(change):
-    """Apply ``change`` to the first tree's five node columns: the block is cut
-    into its trees, the first is spelled out in the five columns and changed,
-    stored as the file stores it (``sparse_block``), and the trees are laid end
-    to end again under the block's unchanged ``sizes``."""
+    """Apply ``change`` to the first tree's five node columns: the block's columns
+    are read into lists, the block is cut into its trees, the first is spelled
+    out in the five columns and changed, stored as the file stores it
+    (``sparse_block``), and the trees are laid end to end and encoded again
+    under the block's unchanged ``sizes``."""
     def edit(payload):
         rf = payload["models"]["rf"]
-        trees = forest_trees(rf["trees"])
+        trees = forest_trees(unpacked(rf["trees"]))
         first = full_columns(trees[0])
         change(first)
         trees[0] = sparse_block(first)
-        rf["trees"] = {**forest_block(trees), "sizes": rf["trees"]["sizes"]}
+        rf["trees"] = encoded({**forest_block(trees), "sizes": rf["trees"]["sizes"]})
+    return _edit_json(edit)
+
+
+def _edit_array(locate, change, dtype=None):
+    """Apply ``change`` to the (nested) list of the encoded array at the (object,
+    key) that ``locate`` finds in the payload, and encode the list again, in
+    ``dtype`` when one is given. ``change`` edits the list in place, or returns
+    the list to encode instead."""
+    def edit(payload):
+        holder, key = locate(payload)
+        values = unpacked(holder[key])
+        holder[key] = packed(change(values) or values, dtype)
     return _edit_json(edit)
 
 
 def _overflow(locate):
-    """Write 1e400, a number past float range, at the (list, index) that ``locate``
-    finds in the payload, by editing the file's text."""
-    def edit(path):
-        payload = json.loads(path.read_text())
-        numbers, at = locate(payload)
-        numbers[at] = "overflow"
-        path.write_text(json.dumps(payload).replace('"overflow"', "1e400"))
-    return edit
+    """Write an infinity, which is what a number past float range such as 1e400
+    reads as, over the first entry of the encoded float array at the (object,
+    key) that ``locate`` finds in the payload."""
+    return _edit_array(locate, lambda values: values.__setitem__(0, math.inf))
 
 
 def _widen(rows):
@@ -811,9 +875,17 @@ def _per_tree(spell, block=False):
     ``block``."""
     def edit(payload):
         rf = payload["models"]["rf"]
-        rf["trees"] = [spell(tree) for tree in forest_trees(rf["trees"])]
+        rf["trees"] = [spell(tree) for tree in forest_trees(unpacked(rf["trees"]))]
         if block:
             rf["trees"] = forest_block(rf["trees"])
+    return edit
+
+
+def _as_lists(*fields):
+    """Rewrite each (kind, field) of ``fields`` as the JSON lists earlier versions wrote."""
+    def edit(payload):
+        for kind, field in fields:
+            payload["models"][kind][field] = unpacked(payload["models"][kind][field])
     return edit
 
 
@@ -829,11 +901,15 @@ EARLIER_LAYOUTS = {
     "node_list": _per_tree(lambda tree: {"n_features": tree["n_features"],
                                          "nodes": node_list(tree)}),
     "five_column_block": _per_tree(full_columns, block=True),
+    "list_column_block": _as_lists(("rf", "trees")),
+    "list_train_z": _as_lists(("knn", "train_z"), ("knn", "train_y")),
+    "list_weights": _as_lists(("svr", "weights"), ("lr", "weights")),
+    "list_layers": _as_lists(("mlp", "layers")),
 }
 
 
 def _first_leaf_value(payload):  # the first leaf of the block is the first tree's
-    return payload["models"]["rf"]["trees"]["value"], 0
+    return payload["models"]["rf"]["trees"], "value"
 
 
 BAD_P02 = {
@@ -866,7 +942,8 @@ BAD_P02 = {
     ),
     "tree_threshold_long": (
         None,
-        ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"]["threshold"].append(0.5))),
+        ("models.json", _edit_array(lambda p: (p["models"]["rf"]["trees"], "threshold"),
+                                    lambda values: values.append(0.5))),
         ["30_67.5:rf"],
     ),
     "tree_leaf_fitted_on_no_rows": (
@@ -893,18 +970,18 @@ BAD_P02 = {
             tree["feature"].index(-1), 1.5))),
         ["30_67.5:rf"],
     ),
-    "tree_leaf_value_null": (
+    "tree_leaf_value_null": (  # no null fits in an encoded array: the header's data is null
         None,
-        ("models.json", _edit_first_tree(lambda tree: tree["value"].__setitem__(
-            tree["feature"].index(-1), None))),
+        ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"]["value"].update(
+            data=None))),
         ["30_67.5:rf"],
     ),
     "forest_with_a_left_column": (
         None, ("models.json", _edit_json(EARLIER_LAYOUTS["left_column"])), ["30_67.5:rf"],
     ),
-    "lr_weight_null": (
+    "lr_weight_null": (  # no null fits in an encoded array: the header's dtype is null
         None,
-        ("models.json", _edit_json(lambda p: p["models"]["lr"]["weights"].__setitem__(0, None))),
+        ("models.json", _edit_json(lambda p: p["models"]["lr"]["weights"].update(dtype=None))),
         ["30_67.5:lr"],
     ),
     "lr_bias_text": (
@@ -921,16 +998,19 @@ BAD_P02 = {
         None, ("models.json", _overflow(_first_leaf_value)), ["30_67.5:rf"],
     ),
     "knn_train_y_overflow": (
-        None, ("models.json", _overflow(lambda p: (p["models"]["knn"]["train_y"], 0))),
+        None, ("models.json", _overflow(lambda p: (p["models"]["knn"], "train_y"))),
         ["30_67.5:knn"],
     ),
-    "tree_index_past_int64": (
+    "tree_index_past_int64": (  # only an unsigned dtype holds it
         None,
-        ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, 10**30))),
+        ("models.json", _edit_array(lambda p: (p["models"]["rf"]["trees"], "feature"),
+                                    lambda values: values.__setitem__(0, 2**63), "<u8")),
         ["30_67.5:rf"],
     ),
-    "tree_split_feature_true": (  # numpy alone would read it as a split on feature 1
-        None, ("models.json", _edit_first_tree(lambda tree: tree["feature"].__setitem__(0, True))),
+    "tree_split_feature_true": (  # numpy alone would read a true as a split on feature 1
+        None,
+        ("models.json", _edit_array(lambda p: (p["models"]["rf"]["trees"], "feature"),
+                                    lambda values: [value >= 0 for value in values], "|b1")),
         ["30_67.5:rf"],
     ),
     "selection_without_top_features": (
@@ -945,7 +1025,7 @@ BAD_P02 = {
     "empty_forest": (  # predicts NaN, which no metric may score
         None,
         ("models.json", _edit_json(lambda p: p["models"]["rf"]["trees"].update(
-            sizes=[], **{name: [] for name in FOREST_COLUMNS}))),
+            encoded({"sizes": [], **{name: [] for name in FOREST_COLUMNS}})))),
         ["30_67.5:rf"],
     ),
     "forest_sizes_short": (
@@ -981,21 +1061,23 @@ BAD_P02 = {
     "selection_nested_too_deeply": (None, ("selection.json", _nest_deeply), ["30_67.5"]),
     "models_nested_too_deeply": (None, ("models.json", _nest_deeply), ["30_67.5"]),
     "knn_train_z_wider": (
-        None, ("models.json", _edit_json(lambda p: _widen(p["models"]["knn"]["train_z"]))),
+        None, ("models.json", _edit_array(lambda p: (p["models"]["knn"], "train_z"), _widen)),
         ["30_67.5:knn"],
     ),
     "knn_train_y_shorter": (
         None,
-        ("models.json", _edit_json(lambda p: p["models"]["knn"].update(
-            train_y=p["models"]["knn"]["train_y"][:2]))),
+        ("models.json", _edit_array(lambda p: (p["models"]["knn"], "train_y"),
+                                    lambda values: values[:2])),
         ["30_67.5:knn"],
     ),
     "lr_weights_longer": (
-        None, ("models.json", _edit_json(lambda p: p["models"]["lr"]["weights"].append(0.0))),
+        None, ("models.json", _edit_array(lambda p: (p["models"]["lr"], "weights"),
+                                          lambda values: values.append(0.0))),
         ["30_67.5:lr"],
     ),
     "mlp_first_w_wider": (
-        None, ("models.json", _edit_json(lambda p: _widen(p["models"]["mlp"]["layers"][0]["W"]))),
+        None, ("models.json", _edit_array(lambda p: (p["models"]["mlp"]["layers"][0], "W"),
+                                          _widen)),
         ["30_67.5:mlp"],
     ),
     "svr_standardization_shorter": (
@@ -1073,6 +1155,34 @@ def test_bad_point_fails_alone(tmp_path, monkeypatch, case):
         assert BAD_P02_MESSAGES[case] in errors[expected_keys[0]]
     for name in ("selection.json", "models.json", "evaluation.json"):
         assert (out / "27.5_67.5" / name).read_bytes() == (clean / "27.5_67.5" / name).read_bytes()
+
+
+#: Damage to one model that a reader takes, but that cannot be scored, as an edit of
+#: models.json and the model it fails.
+UNSCORABLE = {
+    "svr_weight_past_the_metrics_range": (  # finite, but the squared errors overflow
+        _edit_array(lambda p: (p["models"]["svr"], "weights"),
+                    lambda values: values.__setitem__(0, 1e300)), "svr", "overflows"),
+    "knn_std_zero": (  # Standardization.fit never writes one; it divides by zero
+        _edit_json(lambda p: p["models"]["knn"]["standardization"]["std"].__setitem__(0, 0.0)),
+        "knn", "std must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSCORABLE))
+def test_a_model_that_cannot_be_scored_fails_alone(tmp_path, capsys, case):
+    damage, kind, message = UNSCORABLE[case]
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out))
+    assert main(["run", "--config", str(cfg)]) == 0
+    damage(out / "27.5_67.5" / "models.json")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2  # any numpy warning would be an error
+    assert "Warning" not in capsys.readouterr().err
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == [f"27.5_67.5:{kind}"] and message in errors[f"27.5_67.5:{kind}"]
+    assert len(json.loads((out / "report.json").read_text())["rows"]) == 2 * len(MODELS) - 1
 
 
 @pytest.mark.parametrize("failing", ["selection.json", "report.json", "report.txt"])
