@@ -57,14 +57,11 @@ import numpy as np
 from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
 from .typed import decode, encode, fits
 
-#: A forest block's node columns, in the order ``forest_to_dict`` writes them: ``feature``
-#: has an entry per node, ``threshold`` per split, ``value`` and ``n`` per leaf.
-FOREST_COLUMNS = ("feature", "threshold", "value", "n")
-#: The kind of number each column holds, as ``typed.decode`` reads it: "i" integers, "f" floats.
-_COLUMN_KINDS = ("i", "f", "f", "i")
-#: The arrays ``_forest`` takes, each node-indexed but ``sizes``, and each one's dtype.
-_FIELD_DTYPES = {"feature": np.intp, "threshold": np.float64, "value": np.float64,
-                 "n": np.int64, "sizes": np.intp}
+#: A forest block's node columns and each one's dtype, in the order ``forest_to_dict``
+#: writes them: ``feature`` has an entry per node, ``threshold`` per split, ``value`` and
+#: ``n`` per leaf.
+FOREST_COLUMNS = {"feature": np.intp, "threshold": np.float64, "value": np.float64,
+                  "n": np.int64}
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ class Forest:
 def join(forests) -> Forest:
     """The forests' trees laid end to end, in list order, as one forest."""
     return _forest(*(np.concatenate([getattr(forest, name) for forest in forests])
-                     for name in _FIELD_DTYPES), forests[0].n_features)
+                     for name in (*FOREST_COLUMNS, "sizes")), forests[0].n_features)
 
 
 def _forest(feature, threshold, value, n, sizes, n_features) -> Forest:
@@ -134,7 +131,7 @@ def _forest(feature, threshold, value, n, sizes, n_features) -> Forest:
     """
     feature, threshold, value, n, sizes = (np.asarray(column, dtype=dtype) for column, dtype
                                            in zip((feature, threshold, value, n, sizes),
-                                                  _FIELD_DTYPES.values()))
+                                                  (*FOREST_COLUMNS.values(), np.intp)))
     # A full binary tree in pre-order: its count of open subtrees (+1 per split,
     # -1 per leaf, after each node) stays at 0 or above until its last node and
     # is -1 there. Each tree before it leaves -1 in the block's running sum.
@@ -183,8 +180,8 @@ def forest_from_dict(payload: dict) -> Forest:
     if not isinstance(payload, dict):  # earlier versions wrote a list of trees
         raise DamagedArtifact("forest in a layout of earlier versions; rerun train")
     try:
-        feature, threshold, value, n = (decode(payload[name], kind, 1)
-                                        for name, kind in zip(FOREST_COLUMNS, _COLUMN_KINDS))
+        feature, threshold, value, n = (decode(payload[name], np.dtype(dtype).kind, 1)
+                                        for name, dtype in FOREST_COLUMNS.items())
     except TypeError as exc:
         raise ShapeMismatch(f"tree columns: {exc}") from None
     if not fits(payload["n_features"], int):

@@ -14,9 +14,7 @@ import csv
 import math
 import re
 import warnings
-from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -34,7 +32,8 @@ from .errors import (
     UnknownColumn,
 )
 
-#: Exact CSV column order: date, coordinates, the 85 predictors, target.
+#: The CSV columns in the order ``write_csv`` writes them and the C reader takes them:
+#: date, coordinates, the 85 predictors, target. The row reader takes any order.
 CSV_COLUMNS = ("date", "lon", "lat", "elev") + FEATURE_NAMES + ("precip",)
 
 #: The C reader's columns (``lon``, ``lat``, the predictors, ``precip``), the only
@@ -211,11 +210,11 @@ def _read_plain(path, targets) -> PointData | None:
         return None
     rows = {}
     for label, p in targets.items():
-        at = np.flatnonzero((np.abs(lon - p.lon) <= 1e-6) & (np.abs(lat - p.lat) <= 1e-6))
-        features, precip = table[at, 2:-1], table[at, -1]
-        if not (np.isfinite(features).all() and np.isfinite(precip).all()):
+        at = np.flatnonzero(_at(p, lon, lat))
+        values = table[at, 2:]
+        if not np.isfinite(values).all():
             return None
-        rows[label] = ([dates[i] for i in at], features, precip)
+        rows[label] = ([dates[i] for i in at], values)
     return _point_data(path, targets, rows, {})
 
 
@@ -234,9 +233,10 @@ def _plain_lines(lines, dates: list[str]):
 
 
 def _read_rows(path, targets) -> PointData:
-    """The points' data through the csv module, one row at a time, naming the
-    first bad cell of a row that fails."""
-    found = {label: ([], array("d")) for label in targets}  # timestamps, values per row
+    """The points' data through the csv module, one row at a time. A requested
+    row's cells are converted once each, in catalog order, by ``_parse_float``,
+    which names the first bad one."""
+    found = {label: ([], []) for label in targets}  # timestamps, value rows
     failed: dict[str, HydrocastError] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -255,78 +255,58 @@ def _read_rows(path, targets) -> PointData:
                     raise DuplicateColumn(name)
             col = {name: header.index(name) for name in CSV_COLUMNS}
             value_cols = [(col[name], name) for name in FEATURE_NAMES + ("precip",)]
-            take_values = itemgetter(*(c for c, _ in value_cols))
-            near: dict[tuple[str, str], list[str]] = {}  # coordinate cells -> points there
 
             for row_no, row in enumerate(reader, start=1):
                 if not row:
                     continue
                 labels = targets  # a row with bad coordinates could be any point's
                 try:
-                    cells = row[col["lon"]], row[col["lat"]]
-                except IndexError:
-                    cells = None
-                try:
-                    if cells not in near:
-                        lon = _parse_float(row, col["lon"], row_no, "lon")
-                        lat = _parse_float(row, col["lat"], row_no, "lat")
-                        near[cells] = [label for label, p in targets.items()
-                                       if abs(lon - p.lon) <= 1e-6 and abs(lat - p.lat) <= 1e-6]
-                    labels = [label for label in near[cells] if label not in failed]
+                    lon = _parse_float(row, col["lon"], row_no, "lon")
+                    lat = _parse_float(row, col["lat"], row_no, "lat")
+                    labels = [label for label, p in targets.items()
+                              if label not in failed and _at(p, lon, lat)]
                     if labels:
                         if col["date"] >= len(row):
                             raise NonFiniteValue(row_no, "date")
                         timestamp = row[col["date"]].strip()
-                        values = _parse_values(row, take_values, value_cols, row_no)
+                        values = [_parse_float(row, c, row_no, name) for c, name in value_cols]
                 except HydrocastError as exc:
                     failed.update((label, exc) for label in labels if label not in failed)
                     continue
                 for label in labels:
                     found[label][0].append(timestamp)
-                    found[label][1].extend(values)
+                    found[label][1].append(values)
     except UnicodeDecodeError:
         return PointData.fromkeys(targets, HydrocastError(f"{path}: not UTF-8 text"))
     except csv.Error as exc:  # a cell past the csv module's field size limit, say
         return PointData.fromkeys(targets, HydrocastError(f"{path}: not readable as CSV ({exc})"))
     except HydrocastError as exc:  # a header error
         return PointData.fromkeys(targets, exc)
+    return _point_data(path, targets, found, failed)
 
-    rows = {}
-    for label, (timestamps, values) in found.items():
-        table = np.frombuffer(values).reshape(-1, CATALOG_SIZE + 1)
-        rows[label] = (timestamps, table[:, :-1].copy(), table[:, -1].copy())
-    return _point_data(path, targets, rows, failed)
+
+def _at(point, lon, lat):
+    """Whether a row at ``lon``, ``lat`` belongs to ``point``: it lies within 1e-6 of
+    both its coordinates. Elementwise for numpy arrays of coordinates."""
+    return (abs(lon - point.lon) <= 1e-6) & (abs(lat - point.lat) <= 1e-6)
 
 
 def _point_data(path, targets, rows, failed) -> PointData:
-    """Each point's ``Dataset`` from its (timestamps, features, precip) rows, or
-    the error that its rows raised."""
+    """Each point's ``Dataset`` from its timestamps and its rows of values (the
+    predictors, then ``precip``), or the error that its rows raised."""
     datasets = PointData(failed)
     for label, point in targets.items():
         if label in failed:
             continue
-        timestamps, features, precip = rows[label]
+        timestamps, values = rows[label]
         try:
             if not timestamps:
                 raise EmptyDataset(f"{path}: no rows for point ({point.lon}, {point.lat})")
-            datasets[label] = Dataset(point, timestamps, features, precip)
+            table = np.asarray(values, dtype=np.float64)
+            datasets[label] = Dataset(point, timestamps, table[:, :-1].copy(), table[:, -1].copy())
         except HydrocastError as exc:
             datasets[label] = exc
     return datasets
-
-
-def _parse_values(row, take_values, value_cols, row_no) -> list[float]:
-    """A row's value cells as floats, converted in one call.
-
-    When that fails, the cell-by-cell pass names the first bad column.
-    """
-    try:
-        values = list(map(float, take_values(row)))
-        if all(map(math.isfinite, values)):
-            return values
-    except (ValueError, IndexError):
-        pass
-    return [_parse_float(row, c, row_no, name) for c, name in value_cols]
 
 
 def _parse_float(row, col_idx, row_no, col_name) -> float:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +68,9 @@ _RENDERINGS = {TEXT_TABLE: "report.txt", CSV_FORMAT: "report.csv", JSON_FORMAT: 
 #: What a point's selection.json gives later stages: its top columns, its occurrence counts.
 _Selected = tuple[list[int], dict[int, int]]
 
-#: A pooled selection and its seed, or the error that selection raised (None: not pooled).
-_Pooled = tuple[SelectionResult, int] | HydrocastError
+#: A pooled selection, its seed and the count of pooled rows it ran on, or the error that
+#: selection raised (None: not pooled).
+_Pooled = tuple[SelectionResult, int, int] | HydrocastError
 
 #: What the result keeps of a point's evaluate stage: its rows, and its selection if it has one.
 _Evaluated = tuple[list[EvalResult], _Selected | None]
@@ -190,10 +191,6 @@ def _by_rank(counts: dict[int, int]) -> dict[str, int]:
     return {FEATURE_NAMES[f]: counts[f] for f in ranked(counts)}
 
 
-def _point_payload(point: IndexPoint) -> dict:
-    return {"lon": point.lon, "lat": point.lat, "elev": point.elev, "id": point.id}
-
-
 def _selection_rows(cfg: PipelineConfig, data: Dataset) -> Dataset:
     if cfg.select_on_all:
         return data
@@ -202,8 +199,9 @@ def _selection_rows(cfg: PipelineConfig, data: Dataset) -> Dataset:
 
 
 def _pooled_selection(cfg: PipelineConfig, datasets: PointData) -> _Pooled:
-    """One selection over the selection rows of every point whose rows load, and its
-    seed; or the error that selection raised, which is then each point's error."""
+    """One selection over the selection rows of every point whose rows load, its seed
+    and its row count; or the error that selection raised, which is then each point's
+    error."""
     seed = derive_seed(cfg.seed, _SEED_BOOST, _POOLED_POINT_CODE)
     rows = []
     for point in cfg.points:
@@ -216,7 +214,7 @@ def _pooled_selection(cfg: PipelineConfig, datasets: PointData) -> _Pooled:
     X = np.vstack([r.features for r in rows])
     y = np.concatenate([r.precip for r in rows])
     try:
-        return run_selection(X, y, cfg.selection, seed), seed
+        return run_selection(X, y, cfg.selection, seed), seed, len(y)
     except HydrocastError as exc:
         return exc
 
@@ -231,16 +229,17 @@ def stage_select(cfg: PipelineConfig, idx: int, point: IndexPoint, datasets: Poi
     if pooled is None:
         seed = derive_seed(cfg.seed, _SEED_BOOST, idx)
         selection = run_selection(rows.features, rows.precip, cfg.selection, seed)
+        n_rows = len(rows)
     elif isinstance(pooled, HydrocastError):
         raise pooled
     else:
-        selection, seed = pooled
+        selection, seed, n_rows = pooled
     return selection, {
-        "point": _point_payload(point),
+        "point": asdict(point),
         "seed": seed,
         "selected_on": "all" if cfg.select_on_all else "train",
         "pooled": pooled is not None,
-        "n_rows_used": len(rows),
+        "n_rows_used": n_rows,
         "gamma": cfg.selection.colinearity.gamma,
         "norm": cfg.selection.colinearity.norm,
         "kappa": cfg.selection.kappa,
@@ -272,7 +271,7 @@ def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
     train, _ = split(datasets[point.label], cfg.split)
     models = fit_all(cfg.learner_specs(idx), train.features[:, columns], train.precip, columns)
     return None, {
-        "point": _point_payload(point),
+        "point": asdict(point),
         "features": [FEATURE_NAMES[f] for f in columns],
         "models": {kind: models[kind] for kind, _ in cfg.learners},
     }
@@ -318,7 +317,7 @@ def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
         except HydrocastError as exc:
             errors[f"{point.label}:{kind}"] = str(exc)
     metrics = {r.model_kind: {"pearson": r.rho, "mae": r.mae, "std": r.std} for r in rows}
-    return (rows, selection), {"point": _point_payload(point), "n_test": len(test),
+    return (rows, selection), {"point": asdict(point), "n_test": len(test),
                                "metrics": metrics}
 
 

@@ -287,7 +287,7 @@ def test_to_dict_writes_the_forest_block():
         "n_features": 1, "sizes": [3], "feature": [0, -1, -1], "threshold": [2.5],
         "value": [0.0, 1.0], "n": [2, 1],
     }
-    assert tuple(payload)[2:] == FOREST_COLUMNS
+    assert tuple(payload)[2:] == tuple(FOREST_COLUMNS)
     assert [payload[name]["dtype"] for name in FOREST_COLUMNS] == ["<i1", "<f8", "<f8", "<i1"]
 
 

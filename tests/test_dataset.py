@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,38 @@ def test_negative_precip_rejected():
         Dataset(POINT, data.timestamps, data.features, precip)
 
 
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda t, X, y: (t, X[:, :84], y), ValueError, "feature matrix must be (M, 85)"),
+    (lambda t, X, y: (t, np.hstack([X, X[:, :1]]), y), ValueError,
+     "feature matrix must be (M, 85)"),
+    (lambda t, X, y: (t[:-1], X, y), ValueError, "must have equal length"),
+    (lambda t, X, y: (t, X, y[:-1]), ValueError, "must have equal length"),
+    (lambda t, X, y: ((), X[:0], y[:0]), EmptyDataset, "no samples"),
+    (lambda t, X, y: (t, np.where(np.arange(85) == 4, np.inf, X), y), ValueError, "non-finite"),
+    (lambda t, X, y: (t, X, np.where(np.arange(len(y)) == 2, np.nan, y)), ValueError,
+     "non-finite"),
+], ids=["84_columns", "86_columns", "one_timestamp_short", "one_precip_short", "no_rows",
+        "infinite_feature", "nan_precip"])
+def test_dataset_refuses_a_bad_table(edit, error, message):
+    data = make_dataset(20)
+    with pytest.raises(error, match=re.escape(message)):
+        Dataset(POINT, *edit(data.timestamps, data.features, data.precip))
+
+
+def test_take_of_no_rows_is_empty():
+    with pytest.raises(EmptyDataset, match="no samples"):
+        make_dataset(20).take([])
+
+
+def test_an_empty_file_fails_every_point_as_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    loaded = load_csv(path, REFERENCE_POINTS[:2])
+    for point in REFERENCE_POINTS[:2]:
+        with pytest.raises(EmptyDataset, match="file is empty"):
+            loaded[point.label]
+
+
 def test_split_exact_tenth():
     data = make_dataset(20).take(range(10))
     train, test = split(data, SplitSpec())
@@ -363,6 +397,7 @@ DIFFERENTIAL = {
     "cell_past_field_limit": (lambda lines: _text(_cell(lines, 3, "elev", "1" * 131073)),
                               FOUR[:2], False),
     "header_only": (lambda lines: _text(lines[:1]), FOUR[:2], False),
+    "empty_file": (lambda lines: b"", FOUR[:2], False),
     "not_utf8": (lambda lines: _text(lines).replace(b"1981-03", b"1981-03\xff", 1), FOUR[:2],
                  False),
     "bom": (lambda lines: b"\xef\xbb\xbf" + _text(lines), FOUR[:2], False),

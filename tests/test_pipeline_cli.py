@@ -267,6 +267,16 @@ def test_a_failed_pooled_selection_is_each_points_error(tmp_path):
     assert not (out / "27.5_67.5" / "selection.json").exists()
 
 
+@pytest.mark.parametrize("select_on_all, n_rows", [(False, 108), (True, 120)])
+def test_pooled_selection_json_counts_the_pooled_rows(tmp_path, select_on_all, n_rows):
+    data = synth(tmp_path)  # 60 months for each of p01 and p02
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out, pooled=True, select_on_all=select_on_all))
+    assert main(["select", "--config", str(cfg)]) == 0
+    for label in ("27.5_67.5", "30_67.5"):
+        assert json.loads((out / label / "selection.json").read_text())["n_rows_used"] == n_rows
+
+
 def test_flags_override_config_file(tmp_path):
     data = synth(tmp_path)
     out = tmp_path / "out"
@@ -1264,6 +1274,13 @@ BAD_CONFIG = {  # extra flags, config file payload (None: a JSON list), exit cod
     "mlp_beta1_above_1": ([], {"learners": {"mlp": {"beta1": 1.5}}}, 1),  # Adam's are constants
     "mlp_eps_negative": ([], {"learners": {"mlp": {"eps": -1.0}}}, 1),
     "lr_ridge": ([], {"learners": {"lr": {"ridge": 1e-6}}}, 1),  # so is the ridge fallback's
+    "trees_per_stage_0": ([], {"boost": {"trees_per_stage": 0}}, 1),
+    "shrinkage_0": ([], {"boost": {"shrinkage": 0.0}}, 1),
+    "stop_tolerance_negative": ([], {"boost": {"stop_tolerance": -1.0}}, 1),
+    "rf_feature_mode_unknown": ([], {"learners": {"rf": {"feature_mode": "x"}}}, 1),
+    "svr_c_0": ([], {"learners": {"svr": {"c": 0.0}}}, 1),
+    "norm_unknown": ([], {"norm": "l3"}, 1),  # argparse's choices see only the flag
+    "split_mode_unknown": ([], {"split": {"mode": "x"}}, 1),
     "train_fraction_above_1": (["--train-fraction", "1.5"], {}, 2),  # a data error, as before
 }
 
@@ -1369,6 +1386,23 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "{tmp}/missing.json"], "config file not found"),
+    (["run", "--config", "{tmp}/broken.json"], "config file is not valid JSON"),
+    (["run", "--data", "{tmp}/data.csv"], "no output given"),
+    (["run", "--data", "{tmp}/data.csv", "--output", "{tmp}/out", "--points", "p99"],
+     "unknown bundled point id: 'p99'"),
+    (["synth", "--points", "p01"], "no output CSV path given"),
+], ids=["config_missing", "config_not_json", "run_without_output", "unknown_point_id",
+        "synth_without_out"])
+def test_usage_error_returns_1_and_names_it(tmp_path, capsys, argv, message):
+    (tmp_path / "broken.json").write_text('{"seed": 7,')
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hydrocast: ") and message in err and "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["broken.json"]
 
 
 def test_data_error_exits_2(tmp_path):
