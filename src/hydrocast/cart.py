@@ -266,12 +266,10 @@ def presort(X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``(X, y)`` as float arrays, X two-dimensional; empty, mismatched or
-    non-finite data is refused."""
+    """``(X, y)`` as float arrays; empty, mismatched or non-finite data, or an X that is
+    not two-dimensional, is refused."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
     if X.size == 0 or y.size == 0:
         raise EmptyInput("cannot fit a tree on empty input")
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:

@@ -23,7 +23,7 @@ from .errors import HydrocastError
 from .evaluation import CSV_FORMAT, JSON_FORMAT, TEXT_TABLE
 from .learners import MODELS
 from .pipeline import PipelineConfig, synth_seed
-from .selection import BoostConfig, ColinearityConfig, SelectionConfig
+from .selection import L1_AS_PRINTED, L2, BoostConfig, ColinearityConfig, SelectionConfig
 from .synthetic import generate_synthetic
 from .typed import build, fits
 
@@ -55,7 +55,7 @@ def _add_common(parser):
 
 def _add_pipeline_flags(parser):
     parser.add_argument("--gamma", type=float, help="colinearity threshold")
-    parser.add_argument("--norm", choices=["l2", "l1_as_printed"], help="cosine norm")
+    parser.add_argument("--norm", choices=[L2, L1_AS_PRINTED], help="cosine norm")
     parser.add_argument("--kappa", type=int, help="number of features to keep")
     parser.add_argument("--train-fraction", dest="split.train_fraction", metavar="FRACTION",
                         type=float, help="training share of rows")

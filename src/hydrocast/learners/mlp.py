@@ -102,15 +102,16 @@ def fit_mlp(cfg: MLPConfig, X, y, feature_indices, seed: int) -> MLPModel:
     m = [np.zeros_like(p) for p in flat]
     v = [np.zeros_like(p) for p in flat]
     for step in range(1, cfg.epochs + 1):
-        loss, grads = loss_and_grads(params, Z, t_targets)
-        if not np.isfinite(loss):
-            raise NonConvergence("MLP loss became non-finite")
-        bc1 = 1.0 - BETA1**step
-        bc2 = 1.0 - BETA2**step
-        for i, g in enumerate(g for layer in grads for g in layer):
-            m[i] = BETA1 * m[i] + (1 - BETA1) * g
-            v[i] = BETA2 * v[i] + (1 - BETA2) * g * g
-            flat[i] = flat[i] - cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + EPS)
+        with np.errstate(all="ignore"):  # a diverging step shows in the loss, checked below
+            loss, grads = loss_and_grads(params, Z, t_targets)
+            if not np.isfinite(loss):
+                raise NonConvergence("MLP loss became non-finite")
+            bc1 = 1.0 - BETA1**step
+            bc2 = 1.0 - BETA2**step
+            for i, g in enumerate(g for layer in grads for g in layer):
+                m[i] = BETA1 * m[i] + (1 - BETA1) * g
+                v[i] = BETA2 * v[i] + (1 - BETA2) * g * g
+                flat[i] = flat[i] - cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + EPS)
         params = list(zip(flat[::2], flat[1::2]))
 
     return MLPModel(cfg, feature_indices, stats, layers=params, y_mean=y_mean, y_std=y_std)

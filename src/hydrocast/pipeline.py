@@ -169,14 +169,25 @@ def _read_json(path: Path, **fields: type) -> dict:
     return payload
 
 
-def _read_selection(point_dir: Path) -> _Selected | None:
+def _read_own(path: Path, point: IndexPoint, **fields: type) -> dict:
+    """``_read_json``'s payload of one of ``point``'s artifacts; one whose ``point`` is not
+    an object with this point's ``lon`` and ``lat``, its directory's keys, is damaged."""
+    payload = _read_json(path, **fields)
+    stamp = payload.get("point")
+    if not (isinstance(stamp, dict)
+            and (stamp.get("lon"), stamp.get("lat")) == (point.lon, point.lat)):
+        raise DamagedArtifact(f"{path}: written for another point; rerun select")
+    return payload
+
+
+def _read_selection(point_dir: Path, point: IndexPoint) -> _Selected | None:
     """A point's top columns and its occurrence counts by column, or None when it has
-    no selection.json; one that names a feature outside the catalog, holds a count
-    that is not a positive integer or names a top feature twice is damaged."""
+    no selection.json; one written for another point or that names a feature outside the
+    catalog, holds a count that is not a positive int or names a top feature twice is damaged."""
     path = point_dir / "selection.json"
     if not path.exists():
         return None
-    payload = _read_json(path, top_features=list, occurrence=dict)
+    payload = _read_own(path, point, top_features=list, occurrence=dict)
     counts = {column_of(name): count for name, count in payload["occurrence"].items()}
     if any(type(c) is not int or c < 1 for c in counts.values()):
         raise DamagedArtifact(f"{path}: an occurrence count is not a positive int")
@@ -262,7 +273,7 @@ def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
 
     A point without a selection.json is skipped (None).
     """
-    selection = _read_selection(Path(cfg.output_dir) / point.label)
+    selection = _read_selection(Path(cfg.output_dir) / point.label, point)
     if selection is None:
         return None
     columns, _ = selection
@@ -270,11 +281,8 @@ def stage_train(cfg: PipelineConfig, idx: int, point: IndexPoint,
         raise HydrocastError("selection produced no features")
     train, _ = split(datasets[point.label], cfg.split)
     models = fit_all(cfg.learner_specs(idx), train.features[:, columns], train.precip, columns)
-    return None, {
-        "point": asdict(point),
-        "features": [FEATURE_NAMES[f] for f in columns],
-        "models": {kind: models[kind] for kind, _ in cfg.learners},
-    }
+    return None, {"point": asdict(point), "features": [FEATURE_NAMES[f] for f in columns],
+                  "models": models}
 
 
 def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
@@ -282,18 +290,18 @@ def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
     """Score one point's stored models on its test months, for its evaluation.json.
 
     Keeps the rows and the point's selection, read before any model is
-    scored. A model that fails, whose ``feature_indices`` are not the
-    columns that ``features`` names, or whose predictions or metrics overflow
-    float range, goes into the point's ``errors`` as ``<label>:<kind>``; the
-    rest are still scored. A point without a
-    models.json is skipped (None).
+    scored. A models.json written for another point fails the point. A
+    model that fails, whose ``feature_indices`` are not the columns that
+    ``features`` names, or whose predictions or metrics overflow float
+    range, goes into the point's ``errors`` as ``<label>:<kind>``; the rest
+    are still scored. A point without a models.json is skipped (None).
     """
     point_dir = Path(cfg.output_dir) / point.label
     models_file = point_dir / "models.json"
     if not models_file.exists():
         return None
-    selection = _read_selection(point_dir)
-    payload = _read_json(models_file, features=list, models=dict)
+    selection = _read_selection(point_dir, point)
+    payload = _read_own(models_file, point, features=list, models=dict)
     columns = [column_of(name) for name in payload["features"]]
     _, test = split(datasets[point.label], cfg.split)
     X_test = test.features[:, columns]

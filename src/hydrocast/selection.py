@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import Forest, _training_data, fit_stage, presort, tree_sum
-from .errors import EmptyInput, NonFiniteResidual, TooFewSamples, ZeroNormColumn
+from .cart import Forest, _training_data, fit_stage, presort
+from .errors import EmptyInput, NonFiniteInput, NonFiniteResidual, TooFewSamples, ZeroNormColumn
 
 L2 = "l2"
 L1_AS_PRINTED = "l1_as_printed"
@@ -103,23 +103,13 @@ class SelectionResult:
         return sum(self.occurrence.values())
 
 
+@dataclass
 class BoostedModel:
-    """Stagewise sum: mean(y) plus shrinkage times each stage's tree average."""
+    """The fitted stages, a Forest each, and the training MSE before the first and after each."""
 
-    def __init__(self, base: float, stages, shrinkage: float, n_features: int,
-                 training_mse_per_stage):
-        self.base = base
-        self.stages = stages  # a Forest per stage
-        self.shrinkage = shrinkage
-        self.n_features = n_features
-        self.training_mse_per_stage = list(training_mse_per_stage)
-
-    def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.full(X.shape[0], self.base, dtype=np.float64)
-        for stage in self.stages:
-            out += self.shrinkage * tree_sum(stage, X) / len(stage.sizes)
-        return out
+    stages: list[Forest]
+    n_features: int
+    training_mse_per_stage: list[float]
 
 
 def prune_colinear(X, cfg: ColinearityConfig = ColinearityConfig()):
@@ -136,15 +126,15 @@ def prune_colinear(X, cfg: ColinearityConfig = ColinearityConfig()):
     if X.shape[0] < 1:
         raise EmptyInput("cannot prune an empty matrix")
 
-    if cfg.norm == L2:
-        norms = np.linalg.norm(X, axis=0)
-    else:
-        norms = np.abs(X).sum(axis=0)
+    with np.errstate(all="ignore"):  # a zero norm or an overflow is refused below
+        norms = np.linalg.norm(X, axis=0) if cfg.norm == L2 else np.abs(X).sum(axis=0)
+        cos = (X.T @ X) / np.outer(norms, norms)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise ZeroNormColumn(int(zero[0]))
+    if not np.isfinite(cos).all():
+        raise NonFiniteInput("cosine similarity overflows float range")
 
-    cos = (X.T @ X) / np.outer(norms, norms)
     d = X.shape[1]
     dropped = np.zeros(d, dtype=bool)
     pairs: list[tuple[int, int, float]] = []
@@ -175,8 +165,7 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig(), seed: int = 0) -> Booste
         raise TooFewSamples("boosting needs at least 2 samples")
 
     n, d = X.shape
-    subset_size = cfg.feature_subset_size or math.ceil(math.sqrt(d))
-    subset_size = min(subset_size, d)
+    subset_size = min(cfg.feature_subset_size or math.ceil(math.sqrt(d)), d)
 
     sorted_X = presort(X)  # shared by every stage
     current = np.full(n, y.mean())
@@ -203,7 +192,7 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig(), seed: int = 0) -> Booste
         if prev > 0 and (prev - new) / prev < cfg.stop_tolerance:
             break
 
-    return BoostedModel(float(y.mean()), stages, cfg.shrinkage, d, mse)
+    return BoostedModel(stages, d, mse)
 
 
 def rank_features(model: BoostedModel) -> dict[int, int]:
@@ -223,13 +212,6 @@ def ranked(counts: dict[int, int]) -> list[int]:
     """The one ranking rule: the columns with a positive count, highest count first,
     ties to the lower column."""
     return sorted((f for f, c in counts.items() if c > 0), key=lambda f: (-counts[f], f))
-
-
-def select_top_k(occurrence: dict[int, int], kappa: int) -> tuple[int, ...]:
-    """The ``kappa`` columns that rank first."""
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    return tuple(ranked(occurrence)[:kappa])
 
 
 @dataclass(frozen=True)
@@ -253,14 +235,12 @@ def run_selection(X, y, cfg: SelectionConfig = SelectionConfig(),
     X = np.asarray(X, dtype=np.float64)
     kept, dropped = prune_colinear(X, cfg.colinearity)
     model = fit_boosted(X[:, kept], y, cfg.boost, seed)
-    pruned_counts = rank_features(model)
-    occurrence = {kept[pos]: count for pos, count in pruned_counts.items()}
-    top = select_top_k(occurrence, cfg.kappa)
+    occurrence = {kept[pos]: count for pos, count in rank_features(model).items()}
     return SelectionResult(
         kept_after_prune=kept,
         dropped_pairs=dropped,
         occurrence=occurrence,
-        top_k=top,
+        top_k=tuple(ranked(occurrence)[:cfg.kappa]),
         training_mse_per_stage=tuple(model.training_mse_per_stage),
         n_stages=len(model.stages),
     )

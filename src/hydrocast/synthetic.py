@@ -19,7 +19,7 @@ planted. Generation is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,23 +55,14 @@ class SyntheticTruth:
     seed: int
 
     def signal(self, features: np.ndarray) -> np.ndarray:
-        """Noiseless planted signal g for a (M, 85) feature matrix."""
-        return _signal(
-            np.atleast_2d(np.asarray(features, dtype=np.float64)), self.planted_columns,
-            self.linear_coefficients, self.product_pair, self.product_coefficient,
-            self.threshold_column, self.threshold_at, self.threshold_coefficient, self.linear_only,
-        )
-
-
-def _signal(features, planted_columns, linear_coefficients, product_pair, product_coefficient,
-            threshold_column, threshold_at, threshold_coefficient, linear_only) -> np.ndarray:
-    """The planted signal g of the module docstring, from a truth's fields."""
-    g = features[:, list(planted_columns)] @ np.asarray(linear_coefficients)
-    if not linear_only:
-        a, b = product_pair
-        g = g + product_coefficient * features[:, a] * features[:, b]
-        g = g + threshold_coefficient * (features[:, threshold_column] > threshold_at)
-    return g
+        """Noiseless planted signal g of the module docstring for a (M, 85) feature matrix."""
+        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        g = x[:, list(self.planted_columns)] @ np.asarray(self.linear_coefficients)
+        if not self.linear_only:
+            a, b = self.product_pair
+            g = g + self.product_coefficient * x[:, a] * x[:, b]
+            g = g + self.threshold_coefficient * (x[:, self.threshold_column] > self.threshold_at)
+        return g
 
 
 def generate_synthetic(
@@ -112,7 +103,7 @@ def generate_synthetic(
     features = feature_rng.standard_normal((n_samples, CATALOG_SIZE))
 
     k = len(columns)
-    formula = dict(
+    truth = SyntheticTruth(
         planted_columns=tuple(columns),
         linear_coefficients=tuple(LINEAR_BASE - LINEAR_STEP * i for i in range(k)),
         product_pair=(columns[0], columns[1]) if k >= 2 else (columns[0], columns[0]),
@@ -121,8 +112,10 @@ def generate_synthetic(
         threshold_at=THRESHOLD_AT,
         threshold_coefficient=THRESHOLD_COEFF,
         linear_only=linear_only,
+        seed=seed,
+        offset=0.0, noise_sigma=0.0, signal_std=0.0,  # filled in once the target is drawn
     )
-    g = _signal(features, **formula)
+    g = truth.signal(features)
     spread = float(g.std())
     sigma = noise_sigma if noise_rel is None else noise_rel * spread
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
@@ -132,8 +125,7 @@ def generate_synthetic(
         raise ValueError(f"{name} must give a finite, nonnegative noise std that keeps "
                          f"the target finite; it gives {sigma!r}")
     offset = float(-raw.min()) if raw.min() < 0 else 0.0
-    truth = SyntheticTruth(**formula, offset=offset, noise_sigma=sigma,
-                           signal_std=spread, seed=seed)
+    truth = replace(truth, offset=offset, noise_sigma=sigma, signal_std=spread)
 
     data = Dataset(
         point if point is not None else REFERENCE_POINTS[0],

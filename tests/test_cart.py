@@ -642,6 +642,13 @@ def test_fit_stage_errors():
         fit_stage(X, y, [[0]], 0, 1)
 
 
+@pytest.mark.parametrize("setting", [{"max_depth": 0}, {"min_samples_leaf": 0},
+                                     {"features_per_node": 0}])
+def test_tree_config_refuses_a_setting_below_one(setting):
+    with pytest.raises(ValueError, match=f"{next(iter(setting))} must be >= 1"):
+        TreeConfig(**setting)
+
+
 def test_fit_stage_refuses_a_stage_without_column_subsets():
     with pytest.raises(EmptyInput, match="at least one column subset"):
         fit_stage(np.zeros((4, 2)), np.zeros(4), [], 3, 1)

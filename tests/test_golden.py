@@ -7,7 +7,7 @@ the nearest-neighbour model and the SVR (``models.json``'s ``rf``, ``knn``
 and ``svr`` entries; KNN stores standardized training rows, whose mean and
 std are numpy reductions, not BLAS calls, and the SVR steps on Python
 floats). Its input CSV is not BLAS-free, though: ``synth`` forms the
-planted signal with a matrix product (``synthetic._signal``),
+planted signal with a matrix product (``SyntheticTruth.signal``),
 which OpenBLAS rounds differently on different CPU kernels. So the digest
 holds only where OpenBLAS picks the kernel it was recorded on
 (``SkylakeX``); under ``OPENBLAS_CORETYPE=Haswell`` or ``Zen`` the CSV,

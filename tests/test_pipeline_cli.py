@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 from dataclasses import fields
 from functools import reduce
 from pathlib import Path
@@ -831,6 +832,10 @@ def _nest_deeply(path):  # valid JSON that the decoder cannot follow down
     path.write_text("[" * 100000 + "]" * 100000)
 
 
+def _copy_from_p01(path):  # p01 runs first, so its artifact of the same name is there
+    shutil.copyfile(path.parent.parent / "27.5_67.5" / path.name, path)
+
+
 def _edit_json(change):
     def edit(path):
         payload = json.loads(path.read_text())
@@ -927,6 +932,12 @@ BAD_P02 = {
     "bad_date": (_edit_p02_row("date", "2020-13"), None, ["30_67.5"]),
     "duplicate_timestamp": (_edit_p02_row("date", "1981-01"), None, ["30_67.5"]),  # p02's first month
     "non_numeric_feature": (_edit_p02_row("air_l05", "n/a"), None, ["30_67.5"]),
+    "overflowing_cosine": (_edit_p02_row("air_l05", "1e300"), None, ["30_67.5"]),
+    "constant_precip": (_zero_p02_column("precip"), None, ["30_67.5"]),  # no tree splits
+    "selection_from_another_point": (None, ("selection.json", _copy_from_p01), ["30_67.5"]),
+    "models_from_another_point": (None, ("models.json", _copy_from_p01), ["30_67.5"]),
+    "models_point_true": (None, ("models.json", _edit_json(lambda p: p.update(point=True))),
+                          ["30_67.5"]),
     "truncated_selection": (None, ("selection.json", _truncate), ["30_67.5"]),
     "truncated_models": (None, ("models.json", _truncate), ["30_67.5"]),
     "tree_without_threshold_column": (
@@ -1111,6 +1122,11 @@ BAD_P02 = {
 
 #: Text that a case's error message must hold, for cases whose message is checked.
 BAD_P02_MESSAGES = {
+    "overflowing_cosine": "cosine similarity overflows float range",
+    "constant_precip": "selection produced no features",
+    "selection_from_another_point": "selection.json: written for another point; rerun select",
+    "models_from_another_point": "models.json: written for another point; rerun select",
+    "models_point_true": "models.json: written for another point; rerun select",
     "lr_weight_null": "malformed lr model payload",
     "rf_leaf_value_overflow": "malformed rf model payload",
     "knn_train_y_overflow": "malformed knn model payload",
@@ -1193,6 +1209,18 @@ def test_a_model_that_cannot_be_scored_fails_alone(tmp_path, capsys, case):
     errors = json.loads((out / "errors.json").read_text())
     assert list(errors) == [f"27.5_67.5:{kind}"] and message in errors[f"27.5_67.5:{kind}"]
     assert len(json.loads((out / "report.json").read_text())["rows"]) == 2 * len(MODELS) - 1
+
+
+def test_a_diverging_mlp_fails_each_point_with_its_error_line_only(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    payload = small_config(data, out)
+    payload["learners"]["mlp"]["learning_rate"] = 1e300  # Adam's first step leaves float range
+    cfg = write_config(tmp_path, payload)
+    assert main(["run", "--config", str(cfg)]) == 2  # any numpy warning would be an error
+    assert "Warning" not in capsys.readouterr().err
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == dict.fromkeys(["27.5_67.5", "30_67.5"], "[mlp] MLP loss became non-finite")
 
 
 @pytest.mark.parametrize("failing", ["selection.json", "report.json", "report.txt"])
