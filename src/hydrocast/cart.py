@@ -218,24 +218,27 @@ def leaf_values(forest: Forest, X) -> np.ndarray:
     """Every tree's prediction for every row of an (n, d) matrix, as a (trees, n) array.
 
     One vectorized step moves every (tree, row) pair that is still at a split
-    down one level: to the next node, its left child, or to its right link. A
-    tree is shallower than its node count, so a pair still at a split after the
+    down one level: to the next node, its left child, or to its right link.
+    Each pair reads its cell of X by flat index (its row's first cell plus the
+    node's feature), with ``take`` rather than 2-d fancy indexing. A tree is
+    shallower than its node count, so a pair still at a split after the
     largest tree's node count of steps is caught in links that cycle, and
     ``DamagedArtifact`` is raised.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64, order="C")
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ShapeMismatch(f"expected (n, {forest.n_features}) matrix, got {X.shape}")
-    n, feature = X.shape[0], forest.feature
+    n, feature, cells = X.shape[0], forest.feature, X.ravel()
     node = np.repeat(np.cumsum(forest.sizes) - forest.sizes, n)  # pair t * n + r: tree t, row r
-    live = np.flatnonzero(feature[node] >= 0)
+    row = np.tile(np.arange(n) * X.shape[1], forest.sizes.size)  # the pair's row's first cell
+    live = np.flatnonzero(feature.take(node) >= 0)
     for _ in range(forest.sizes.max()):
         if not live.size:
             break
-        at = node[live]
-        go_left = X[live % n, feature[at]] <= forest.threshold[at]
-        node[live] = np.where(go_left, at + 1, forest.right[at])
-        live = live[feature[node[live]] >= 0]
+        at = node.take(live)
+        go_left = cells.take(row.take(live) + feature.take(at)) <= forest.threshold.take(at)
+        node[live] = np.where(go_left, at + 1, forest.right.take(at))
+        live = live[feature.take(node.take(live)) >= 0]
     if live.size:
         raise DamagedArtifact("tree links form a cycle: routing reached no leaf")
     return forest.value[node].reshape(forest.sizes.size, n)

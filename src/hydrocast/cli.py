@@ -45,15 +45,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser):
+def _common_flags() -> argparse.ArgumentParser:
+    """Every subcommand's flags, on a parent parser that the subcommands share."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--seed", type=int, help="master seed deriving all sub-seeds")
     parser.add_argument("--output", help="artifact directory")
     parser.add_argument("--data", help="input CSV path")
     parser.add_argument("--points", help="comma-separated bundled point ids, or 'all'")
+    return parser
 
 
-def _add_pipeline_flags(parser):
+def _pipeline_flags() -> argparse.ArgumentParser:
+    """The flags of the stages that select, train and evaluate, on a shared parent parser."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--gamma", type=float, help="colinearity threshold")
     parser.add_argument("--norm", choices=[L2, L1_AS_PRINTED], help="cosine norm")
     parser.add_argument("--kappa", type=int, help="number of features to keep")
@@ -70,14 +75,17 @@ def _add_pipeline_flags(parser):
                         help="let selection see all rows, not just training rows")
     parser.add_argument("--pooled", action="store_true", default=None,
                         help="one selection over all points' training rows")
+    return parser
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hydrocast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = _common_flags()
+    stage = [common, _pipeline_flags()]
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic CSV with planted signal")
-    _add_common(p_synth)
+    p_synth = sub.add_parser("synth", help="generate a synthetic CSV with planted signal",
+                             parents=[common])
     p_synth.add_argument("--samples", type=int, default=444)
     p_synth.add_argument("--planted", default=DEFAULT_PLANTED,
                          help="comma-separated feature names carrying signal")
@@ -94,12 +102,9 @@ def build_parser() -> _Parser:
         ("evaluate", "score stored models on the held-out months"),
         ("run", "select + train + evaluate + report in one go"),
     ]:
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        _add_pipeline_flags(p)
+        sub.add_parser(name, help=helptext, parents=stage)
 
-    p_report = sub.add_parser("report", help="render the evaluation report")
-    _add_common(p_report)
+    p_report = sub.add_parser("report", help="render the evaluation report", parents=[common])
     p_report.add_argument("--format", choices=[CSV_FORMAT, JSON_FORMAT, TEXT_TABLE],
                           default=TEXT_TABLE)
 

@@ -337,7 +337,19 @@ def write_csv(datasets, path) -> None:
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Disjoint (train, test) partition preserving chronological order."""
-    m = len(data)
+    test_rows = _test_rows(len(data), spec)
+    held = set(test_rows)
+    return data.take([i for i in range(len(data)) if i not in held]), data.take(test_rows)
+
+
+def held_out(data: Dataset, spec: SplitSpec) -> Dataset:
+    """The test part of ``split(data, spec)``, without building the training part."""
+    return data.take(_test_rows(len(data), spec))
+
+
+def _test_rows(m: int, spec: SplitSpec):
+    """The held-out rows of ``m`` samples, ascending: the one split rule. Every other
+    row trains, and a split that leaves none to train raises ``FractionOutOfRange``."""
     n_test = spec.test_count(m)
     n_train = m - n_test
     if n_train < 1:
@@ -345,10 +357,6 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             f"cannot split {m} samples into nonempty train and test portions"
         )
     if spec.mode == CHRONOLOGICAL:
-        test_idx = range(n_train, m)
-    else:
-        rng = np.random.default_rng(spec.seed)
-        test_idx = sorted(rng.choice(m, size=n_test, replace=False).tolist())
-    test_set = set(test_idx)
-    train_idx = [i for i in range(m) if i not in test_set]
-    return data.take(train_idx), data.take(test_idx)
+        return range(n_train, m)
+    rng = np.random.default_rng(spec.seed)
+    return sorted(rng.choice(m, size=n_test, replace=False).tolist())

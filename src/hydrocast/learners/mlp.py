@@ -96,22 +96,24 @@ def fit_mlp(cfg: MLPConfig, X, y, feature_indices, seed: int) -> MLPModel:
 
     rng = np.random.default_rng(seed)
     sizes = [Z.shape[1], *cfg.hidden_sizes, 1]
-    params = init_params(sizes, rng)
+    arrays = [array for layer in init_params(sizes, rng) for array in layer]  # W0, b0, W1, ...
+    theta = np.concatenate([array.ravel() for array in arrays])  # every parameter, in that order
+    ends = np.cumsum([array.size for array in arrays])
+    views = [part.reshape(array.shape) for part, array in zip(np.split(theta, ends[:-1]), arrays)]
+    params = list(zip(views[::2], views[1::2]))  # updated in place through theta
 
-    flat = [array for layer in params for array in layer]  # W0, b0, W1, b1, ...
-    m = [np.zeros_like(p) for p in flat]
-    v = [np.zeros_like(p) for p in flat]
-    for step in range(1, cfg.epochs + 1):
-        with np.errstate(all="ignore"):  # a diverging step shows in the loss, checked below
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    with np.errstate(all="ignore"):  # a diverging step shows in the loss, checked below
+        for step in range(1, cfg.epochs + 1):
             loss, grads = loss_and_grads(params, Z, t_targets)
             if not np.isfinite(loss):
                 raise NonConvergence("MLP loss became non-finite")
+            g = np.concatenate([g.ravel() for layer in grads for g in layer])
             bc1 = 1.0 - BETA1**step
             bc2 = 1.0 - BETA2**step
-            for i, g in enumerate(g for layer in grads for g in layer):
-                m[i] = BETA1 * m[i] + (1 - BETA1) * g
-                v[i] = BETA2 * v[i] + (1 - BETA2) * g * g
-                flat[i] = flat[i] - cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + EPS)
-        params = list(zip(flat[::2], flat[1::2]))
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
+            theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     return MLPModel(cfg, feature_indices, stats, layers=params, y_mean=y_mean, y_std=y_std)

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import FEATURE_NAMES, IndexPoint, REFERENCE_POINTS, column_of
-from .dataset import Dataset, PointData, SplitSpec, load_csv, split
+from .dataset import Dataset, PointData, SplitSpec, held_out, load_csv, split
 from .errors import DamagedArtifact, EmptyDataset, HydrocastError
 from .evaluation import (
     CSV_FORMAT,
@@ -303,7 +303,7 @@ def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
     selection = _read_selection(point_dir, point)
     payload = _read_own(models_file, point, features=list, models=dict)
     columns = [column_of(name) for name in payload["features"]]
-    _, test = split(datasets[point.label], cfg.split)
+    test = held_out(datasets[point.label], cfg.split)
     X_test = test.features[:, columns]
     rows: list[EvalResult] = []
     for kind, _ in cfg.learners:

@@ -126,6 +126,11 @@ def prune_colinear(X, cfg: ColinearityConfig = ColinearityConfig()):
     if X.shape[0] < 1:
         raise EmptyInput("cannot prune an empty matrix")
 
+    # A column whose largest magnitude is below 0.5 is scaled up by a power of two,
+    # which leaves every cosine as it is but keeps a tiny column's squares from
+    # underflowing to a zero norm. No column is scaled down.
+    _, exponent = np.frexp(np.abs(X).max(axis=0))
+    X = np.ldexp(X, np.maximum(-exponent, 0))
     with np.errstate(all="ignore"):  # a zero norm or an overflow is refused below
         norms = np.linalg.norm(X, axis=0) if cfg.norm == L2 else np.abs(X).sum(axis=0)
         cos = (X.T @ X) / np.outer(norms, norms)

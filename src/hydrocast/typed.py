@@ -15,15 +15,22 @@ from .errors import DamagedArtifact
 _hints = functools.cache(typing.get_type_hints)
 
 
+@functools.cache
+def _kinds(hint) -> tuple[object, tuple]:
+    """A field type, analysed once: the element type of ``tuple[X, ...]`` (None for any
+    other type), and the classes a scalar of the type may be (float adding int)."""
+    if typing.get_origin(hint) is tuple:  # tuple[int, ...] is a JSON list of integers
+        return typing.get_args(hint)[0], ()
+    kinds = typing.get_args(hint) or (hint,)  # int | None gives (int, NoneType)
+    return None, (kinds + (int,) if float in kinds else kinds)
+
+
 def fits(value, hint) -> bool:
     """Whether a JSON value is of a field's type; a float field also takes an integer
     but no NaN or infinity, and only a bool field takes true or false."""
-    if typing.get_origin(hint) is tuple:  # tuple[int, ...] is a JSON list of integers
-        return isinstance(value, (list, tuple)) and all(fits(v, typing.get_args(hint)[0])
-                                                        for v in value)
-    kinds = typing.get_args(hint) or (hint,)  # int | None gives (int, NoneType)
-    if float in kinds:
-        kinds += (int,)
+    item, kinds = _kinds(hint)
+    if item is not None:
+        return isinstance(value, (list, tuple)) and all(fits(v, item) for v in value)
     return (isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
             and (not isinstance(value, float) or math.isfinite(value)))
 
@@ -34,9 +41,10 @@ def _name(hint) -> str:
 
 def _stored(value, hint):
     """A value that fits ``hint`` as its field keeps it: a list as a tuple, an int as a float."""
-    if typing.get_origin(hint) is tuple:
-        return tuple(_stored(v, typing.get_args(hint)[0]) for v in value)
-    if type(value) is int and float in (typing.get_args(hint) or (hint,)):
+    item, kinds = _kinds(hint)
+    if item is not None:
+        return tuple(_stored(v, item) for v in value)
+    if type(value) is int and float in kinds:
         return float(value)
     return value
 

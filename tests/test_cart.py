@@ -733,12 +733,37 @@ def test_routing_refuses_links_that_cycle():
         except DamagedArtifact as exc:
             print(exc)
     """
+    assert "cycle" in run_isolated(code)
+
+
+def test_routing_refuses_a_cycle_in_a_later_tree():
+    """A cycle in the second tree of a block is caught at that tree's offset, from
+    a query matrix in Fortran order, after the first tree has routed every row."""
+    code = """if True:
+        import numpy as np
+        from hydrocast.cart import Forest, leaf_values
+        from hydrocast.errors import DamagedArtifact
+        forest = Forest(np.array([-1, 0, -1, -1]), np.array([0.0, 0.5, 0.0, 0.0]),
+                        np.array([-1, 1, -1, -1]), np.array([5.0, 0.0, 1.0, 2.0]),
+                        np.array([1, 0, 1, 1]), np.array([1, 3]), 1)
+        assert leaf_values(forest, np.array([[0.0]])).tolist() == [[5.0], [1.0]]
+        try:
+            leaf_values(forest, np.asfortranarray([[0.0], [1.0]]))
+        except DamagedArtifact as exc:
+            print(exc)
+    """
+    assert "cycle" in run_isolated(code)
+
+
+def run_isolated(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter with a timeout, so
+    that routing that never ends fails a test instead of hanging the suite."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "cycle" in proc.stdout
+    return proc.stdout
 
 
 def invariant_case(seed):
@@ -795,6 +820,22 @@ def test_fit_tree_stage_and_forest_route_like_the_reference():
             got = leaf_values(forest, queries)
             want = np.stack([reference_predict(tree, queries) for tree in trees_of(forest)])
             assert got.tobytes() == want.tobytes(), seed
+
+
+def test_routing_reads_any_layout_of_the_queries_like_the_reference():
+    """Routing reads each pair's cell by its flat index in a C-ordered copy, so a
+    Fortran-ordered, strided, integer, one-row or empty query matrix routes as
+    each tree, walked row by row, does alone."""
+    X, y, (rf, boost) = invariant_case(7)
+    forest = join([fit_tree(X, y, rf), fit_tree(X, y, boost),
+                   fit_rf(RFConfig(n_trees=4), X, y, list(range(10)), seed=7).trees])
+    wide = np.random.default_rng(7).standard_normal((30, 20))
+    for queries in (np.asfortranarray(wide[:, :10]), wide[::2, ::2],
+                    np.rint(3.0 * wide[:, 5:15]).astype(int), wide[:1, 10:], np.empty((0, 10))):
+        got = leaf_values(forest, queries)
+        want = np.stack([reference_predict(tree, queries) for tree in trees_of(forest)])
+        assert got.shape == (len(forest.sizes), len(queries))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_reader_derives_the_grower_links_and_routes_bit_for_bit():

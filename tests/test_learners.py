@@ -28,6 +28,7 @@ from hydrocast.learners.base import (
     SVRConfig,
 )
 from hydrocast.learners.mlp import init_params, loss_and_grads
+from hydrocast.learners.neighbors import nearest
 from hydrocast.learners.svm import SVRModel, fit_svr
 
 from oracles import knn_direct, reference_fit_svr, reference_tree_sum
@@ -124,6 +125,27 @@ def test_knn_batch_matches_per_row_reference():
         Zq = model.standardization.transform(Xq)
         expected = [knn_direct(model.train_z, model.train_y, model.hyper.k, z) for z in Zq]
         np.testing.assert_array_equal(model.predict_batch(Xq), expected)
+
+
+def test_knn_selection_is_the_first_k_of_a_stable_sort():
+    """``nearest`` picks the columns a stable sort of every distance puts first, in
+    that order: ties go to the lower training row, infinite distances come after
+    finite ones and NaN after both, and a k of at least the training rows sorts
+    them all."""
+    rng = np.random.default_rng(43)
+    for case in range(600):
+        m, n = int(rng.integers(0, 30)), int(rng.integers(1, 50))
+        if case % 3:  # few distinct values make ties at the k-th distance common
+            dist = rng.integers(0, int(rng.integers(1, 5)), size=(m, n)).astype(float)
+        else:
+            dist = rng.random((m, n))
+        if case % 4 == 1:
+            dist[rng.random((m, n)) < 0.3] = np.inf
+        if case % 8 == 3:
+            dist[rng.random((m, n)) < 0.2] = np.nan
+        k = int(rng.integers(1, n + 4))
+        np.testing.assert_array_equal(nearest(dist, k),
+                                      np.argsort(dist, axis=1, kind="stable")[:, :k])
 
 
 # --- random forest ---

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast import learners, pipeline
 from hydrocast.cli import build_parser, build_pipeline_config, main
 from hydrocast.dataset import CSV_COLUMNS, SplitSpec, load_csv, split, write_csv
+from hydrocast.errors import FractionOutOfRange
 from hydrocast.learners import MODELS
 from hydrocast.pipeline import PipelineConfig, derive_seed, run_pipeline, synth_seed
 from hydrocast.selection import BoostConfig, SelectionConfig, run_selection
@@ -1405,6 +1407,61 @@ def test_synth_refuses_a_bad_setting_without_a_traceback(tmp_path, capsys, flags
     err = capsys.readouterr().err
     assert err.startswith("hydrocast: ") and names in err
     assert not out.exists()
+
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--seed", "--output", "--data", "--points"}
+STAGE_OPTIONS = COMMON_OPTIONS | {
+    "--gamma", "--norm", "--kappa", "--train-fraction", "--split-mode", "--split-seed",
+    "--trees-per-stage", "--max-stages", "--stop-tolerance", "--tree-depth", "--select-on-all",
+    "--pooled",
+}
+OPTIONS = {  # every subcommand's option strings, in the order the subcommands are listed
+    "synth": COMMON_OPTIONS | {"--samples", "--planted", "--noise-sigma", "--noise-rel",
+                               "--linear", "--out"},
+    "select": STAGE_OPTIONS,
+    "train": STAGE_OPTIONS,
+    "evaluate": STAGE_OPTIONS,
+    "run": STAGE_OPTIONS,
+    "report": COMMON_OPTIONS | {"--format"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    """The subcommands share the common and pipeline flags through parent parsers;
+    each takes exactly its own option strings, and a flag of another subcommand is
+    a usage error."""
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subcommands.choices) == list(OPTIONS)
+    for name, sub in subcommands.choices.items():
+        assert set(sub._option_string_actions) == OPTIONS[name], name
+    for argv in (["synth", "--gamma", "0.5"], ["report", "--samples", "9"],
+                 ["run", "--format", "csv"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+
+
+def test_evaluate_of_a_point_too_short_to_split_fails_it_alone(tmp_path):
+    """evaluate builds only a point's test rows, under the split rule that refuses
+    a point with no row left to train; that point fails, and the other is scored."""
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, small_config(data, out)))]) == 0
+    loaded = load_csv(data, REFERENCE_POINTS[:2])
+    healthy, short = (loaded[p.label] for p in REFERENCE_POINTS[:2])
+    mixed = tmp_path / "mixed.csv"
+    write_csv([healthy, short.take([0])], mixed)
+    cfg = write_config(tmp_path, small_config(mixed, out), "mixed.json")
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    errors = json.loads((out / "errors.json").read_text())
+    assert list(errors) == ["30_67.5"]
+    assert "cannot split 1 samples into nonempty train and test portions" in errors["30_67.5"]
+    pipeline_cfg = build_pipeline_config(build_parser().parse_args(["evaluate", "--config",
+                                                                    str(cfg)]))
+    with pytest.raises(FractionOutOfRange):
+        pipeline.stage_evaluate(pipeline_cfg, REFERENCE_POINTS[1],
+                                load_csv(mixed, REFERENCE_POINTS[:2]), {})
 
 
 def test_usage_error_exits_1():

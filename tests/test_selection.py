@@ -86,6 +86,33 @@ def test_cosine_overflow_is_refused(norm, scaled):
         prune_colinear(X, ColinearityConfig(norm=norm))
 
 
+@pytest.mark.parametrize("norm", ["l2", "l1_as_printed"])
+@pytest.mark.parametrize("scale", [2.0**-565, 2.0**-665, 1e-170, 1e-200])
+def test_a_tiny_column_prunes_like_the_unscaled_matrix(norm, scale):
+    """A column whose squares underflow is not a zero-norm column: scaled by a
+    power of two, it gives the unscaled matrix's pruning and cosines bit for bit,
+    and by a power of ten, the same pruning with cosines equal to rounding. At the
+    smallest gamma, column 0 records its cosine with every other column. A column
+    of zeros is still refused."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((20, 4))
+    X[:, 2] = 2.0 * X[:, 1] + 0.01 * rng.standard_normal(20)
+    tiny = X.copy()
+    tiny[:, 1] *= scale
+    for cfg in (ColinearityConfig(norm=norm), ColinearityConfig(gamma=5e-324, norm=norm)):
+        kept, pairs = prune_colinear(X, cfg)
+        got_kept, got_pairs = prune_colinear(tiny, cfg)
+        assert got_kept == kept
+        assert [(i, j) for i, j, _ in got_pairs] == [(i, j) for i, j, _ in pairs]
+        if math.frexp(scale)[0] == 0.5:
+            assert got_pairs == pairs
+        else:
+            assert [c for *_, c in got_pairs] == pytest.approx([c for *_, c in pairs], rel=1e-12)
+    tiny[:, 3] = 0.0
+    with pytest.raises(ZeroNormColumn, match="column 3"):
+        prune_colinear(tiny, cfg)
+
+
 # --- colinearity pruning ---
 
 def test_duplicate_column_dropped():
