@@ -7,9 +7,10 @@ consecutive distinct sorted values, and the split minimizing the summed
 squared error of the two children wins. Ties go to the lowest feature
 index, then the smallest threshold, so fitting is deterministic. A
 candidate whose best SSE is NaN or +inf (overflow on huge targets) never
-wins. Routing sends ``value <= threshold`` to the left child. When the
-midpoint of two neighbouring values ``a < b`` fails ``a <= t < b``
-(adjacent floats, or an overflow past 1.8e308), the threshold is ``a``.
+wins, and its overflow prints no warning. Routing sends ``value <=
+threshold`` to the left child. When the midpoint of two neighbouring
+values ``a < b`` fails ``a <= t < b`` (adjacent floats, or an overflow
+past 1.8e308), the threshold is ``a``.
 
 A boosting stage, a random forest and a single tree are each one
 ``Forest``, one block of node columns. Growth appends each node as it
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
+from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch, TooFewSamples
 from .typed import decode, encode, fits
 
 #: A forest block's node columns and each one's dtype, in the order ``forest_to_dict``
@@ -269,14 +270,19 @@ def presort(X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``(X, y)`` as float arrays; empty, mismatched or non-finite data, or an X that is
-    not two-dimensional, is refused."""
+    """``(X, y)`` as float arrays, under the one rule for training input that trees,
+    boosting and every learner share. In this order: an X that is not 2-d, a y that is
+    not a vector of X's rows, or an X with no column raises ``ShapeMismatch``; no rows
+    raise ``EmptyInput``; one row raises ``TooFewSamples``; a value that is not finite
+    raises ``NonFiniteInput``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.size == 0 or y.size == 0:
-        raise EmptyInput("cannot fit a tree on empty input")
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or y.shape != X.shape[:1] or X.shape[1] < 1:
         raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
+    if X.shape[0] == 0:
+        raise EmptyInput("cannot fit on empty input")
+    if X.shape[0] == 1:
+        raise TooFewSamples("need at least 2 training samples")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFiniteInput("training data must be finite")
     return X, y
@@ -328,7 +334,8 @@ def _grow_stage(X, y, subsets, cfg: TreeConfig, presorted):
     else:
         order, values = presorted[0][union], presorted[1][union]
     stage = _StageGrower(np.ascontiguousarray(X.T), y, allowed, cfg)
-    stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing score never wins
+        stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
     columns = zip(*(node for nodes in stage.nodes for node in nodes))
     return _forest(*columns, [len(nodes) for nodes in stage.nodes], n_features), stage.outputs
 

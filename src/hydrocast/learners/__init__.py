@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    DamagedArtifact,
-    DuplicateKind,
-    HydrocastError,
-    NonFiniteInput,
-    ShapeMismatch,
-    TooFewSamples,
-)
+from ..cart import _training_data
+from ..errors import DamagedArtifact, DuplicateKind, HydrocastError, ShapeMismatch
 from .base import FittedModel, Standardization
 from .forest import RFModel, fit_rf
 from .linear import LRModel, fit_lr
@@ -62,17 +56,9 @@ def default_specs(seed: int = 0) -> list[LearnerSpec]:
 
 
 def fit(spec: LearnerSpec, X_train, y_train, feature_indices=None) -> FittedModel:
-    """Train one model on the feature-restricted training matrix."""
-    X = np.asarray(X_train, dtype=np.float64)
-    y = np.asarray(y_train, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
-    if X.shape[0] < 2:
-        raise TooFewSamples("need at least 2 training samples")
-    if X.shape[1] < 1:
-        raise ShapeMismatch("need at least 1 feature")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NonFiniteInput("training data must be finite")
+    """Train one model on the feature-restricted training matrix, which
+    ``cart._training_data`` checks."""
+    X, y = _training_data(X_train, y_train)
     if feature_indices is None:
         feature_indices = range(X.shape[1])
     feature_indices = tuple(feature_indices)

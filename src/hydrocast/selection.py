@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cart import Forest, _training_data, fit_stage, presort
-from .errors import EmptyInput, NonFiniteInput, NonFiniteResidual, TooFewSamples, ZeroNormColumn
+from .errors import EmptyInput, NonFiniteInput, NonFiniteResidual, ZeroNormColumn
 
 L2 = "l2"
 L1_AS_PRINTED = "l1_as_printed"
@@ -164,38 +164,39 @@ def fit_boosted(X, y, cfg: BoostConfig = BoostConfig(), seed: int = 0) -> Booste
     ``shrinkage * h``. The recorded training MSE per stage never increases:
     every tree's leaf means cannot raise the SSE of the residuals they fit,
     and neither can their convex average.
+
+    After the input check (``cart._training_data``) there is one exit test,
+    on each training MSE as it is recorded: one that is not finite (a target
+    or step that overflows) raises ``NonFiniteResidual``; otherwise boosting
+    stops at ``max_stages``, at a zero MSE, or when the relative gain falls
+    below ``stop_tolerance``. No overflow on the way prints a warning.
     """
     X, y = _training_data(X, y)
-    if X.shape[0] < 2:
-        raise TooFewSamples("boosting needs at least 2 samples")
-
     n, d = X.shape
     subset_size = min(cfg.feature_subset_size or math.ceil(math.sqrt(d)), d)
 
     sorted_X = presort(X)  # shared by every stage
-    current = np.full(n, y.mean())
-    mse = [float(np.mean((y - current) ** 2))]
     stages: list[Forest] = []
-
-    for stage in range(cfg.max_stages):
-        if mse[-1] == 0.0:
-            break
-        residual = y - current
-        if not np.isfinite(residual).all():
-            raise NonFiniteResidual(f"residuals diverged at stage {stage}")
-        subsets = [
-            np.random.default_rng(np.random.SeedSequence([seed, stage, t]))
-            .choice(d, size=subset_size, replace=False).tolist()
-            for t in range(cfg.trees_per_stage)
-        ]
-        forest, outputs = fit_stage(X, residual, subsets, cfg.tree_depth, cfg.min_samples_leaf,
-                                    sorted_X)
-        current = current + cfg.shrinkage * outputs / cfg.trees_per_stage
-        stages.append(forest)
-        mse.append(float(np.mean((y - current) ** 2)))
-        prev, new = mse[-2], mse[-1]
-        if prev > 0 and (prev - new) / prev < cfg.stop_tolerance:
-            break
+    mse: list[float] = []
+    with np.errstate(all="ignore"):  # a non-finite MSE is refused as it is recorded
+        current = np.full(n, y.mean())
+        while True:
+            mse.append(float(np.mean((y - current) ** 2)))
+            stage = len(stages)
+            if not math.isfinite(mse[-1]):
+                raise NonFiniteResidual(f"the training MSE is not finite at stage {stage}")
+            if (stage == cfg.max_stages or mse[-1] == 0.0
+                    or stage > 0 and (mse[-2] - mse[-1]) / mse[-2] < cfg.stop_tolerance):
+                break
+            subsets = [
+                np.random.default_rng(np.random.SeedSequence([seed, stage, t]))
+                .choice(d, size=subset_size, replace=False).tolist()
+                for t in range(cfg.trees_per_stage)
+            ]
+            forest, outputs = fit_stage(X, y - current, subsets, cfg.tree_depth,
+                                        cfg.min_samples_leaf, sorted_X)
+            current = current + cfg.shrinkage * outputs / cfg.trees_per_stage
+            stages.append(forest)
 
     return BoostedModel(stages, d, mse)
 

@@ -654,6 +654,15 @@ def test_fit_stage_refuses_a_stage_without_column_subsets():
         fit_stage(np.zeros((4, 2)), np.zeros(4), [], 3, 1)
 
 
+def test_growth_on_overflowing_targets_prints_no_warning():
+    X = np.arange(8.0)[:, None]
+    y = np.array([1e154, 1e154, 0, 0, 1, 2, 3, 4])  # the squared errors overflow
+    tree = fit_tree(X, y)  # the suite turns any warning into an error
+    with np.errstate(over="ignore", invalid="ignore"):  # for the oracle's own arithmetic
+        assert nodes_of(tree) == reference_fit_tree(X, y, TreeConfig())
+    assert root_of(tree)["threshold"] == 1.5  # the two huge targets split off first
+
+
 def test_empty_feature_subset_gives_single_leaf():
     X = np.arange(12.0).reshape(6, 2)
     y = np.array([0.0, 0, 0, 1, 1, 1])

@@ -5,6 +5,7 @@ from hydrocast.cart import TreeConfig, fit_tree, leaf_values
 from hydrocast.errors import (
     DamagedArtifact,
     DuplicateKind,
+    EmptyInput,
     NonFiniteInput,
     ShapeMismatch,
     SingularSystem,
@@ -30,6 +31,7 @@ from hydrocast.learners.base import (
 from hydrocast.learners.mlp import init_params, loss_and_grads
 from hydrocast.learners.neighbors import nearest
 from hydrocast.learners.svm import SVRModel, fit_svr
+from hydrocast.selection import fit_boosted
 
 from oracles import knn_direct, reference_fit_svr, reference_tree_sum
 
@@ -362,6 +364,33 @@ def test_fit_data_errors():
         fit(spec, np.array([[1.0], [np.inf], [2.0]]), np.ones(3))
     with pytest.raises(ShapeMismatch):
         fit(spec, np.ones((3, 2)), np.ones(3), feature_indices=(0,))
+
+
+#: Bad training input, and the class that trees, boosting and every learner raise for it.
+BAD_TRAINING_INPUT = {
+    "x_a_vector": (np.ones(5), np.ones(5), ShapeMismatch),
+    "x_three_dimensional": (np.ones((5, 2, 1)), np.ones(5), ShapeMismatch),
+    "y_a_column": (np.ones((5, 2)), np.ones((5, 1)), ShapeMismatch),
+    "y_shorter": (np.ones((5, 2)), np.ones(4), ShapeMismatch),
+    "y_empty": (np.ones((5, 2)), np.empty(0), ShapeMismatch),
+    "no_column": (np.empty((5, 0)), np.zeros(5), ShapeMismatch),
+    "no_column_no_row": (np.empty((0, 0)), np.empty(0), ShapeMismatch),
+    "no_row": (np.empty((0, 2)), np.empty(0), EmptyInput),
+    "one_row": (np.ones((1, 2)), np.ones(1), TooFewSamples),
+    "nan_in_x": (np.array([[1.0], [np.nan], [2.0]]), np.ones(3), NonFiniteInput),
+    "inf_in_y": (np.ones((3, 1)), np.array([0.0, np.inf, 1.0]), NonFiniteInput),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAINING_INPUT))
+@pytest.mark.parametrize("train", ["fit_tree", "fit_boosted", *KIND_ORDER])
+def test_bad_training_input_raises_one_class_everywhere(train, case):
+    X, y, error = BAD_TRAINING_INPUT[case]
+    with pytest.raises(error):
+        if train in KIND_ORDER:
+            fit(LearnerSpec(train), X, y)
+        else:
+            {"fit_tree": fit_tree, "fit_boosted": fit_boosted}[train](X, y)
 
 
 def test_spec_validation():

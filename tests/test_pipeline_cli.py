@@ -254,6 +254,16 @@ def test_pooled_run_fails_a_point_whose_rows_fail_alone(tmp_path):
         assert (both / "27.5_67.5" / name).read_bytes() == (alone / "27.5_67.5" / name).read_bytes()
 
 
+def test_a_pooled_run_where_no_point_has_rows_fails_each_at_its_load(tmp_path):
+    data = synth(tmp_path)  # p01 and p02 only
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(data, out, points="p03,p04", pooled=True))
+    assert main(["run", "--config", str(cfg)]) == 2
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == {label: f"{data}: no rows for point ({lon}, {lat})"
+                      for label, lon, lat in (("30_70", 30.0, 70.0), ("30_72.5", 30.0, 72.5))}
+
+
 def test_a_failed_pooled_selection_is_each_points_error(tmp_path):
     data = synth(tmp_path)
     lines = [line.split(",") for line in data.read_text().splitlines()]
@@ -783,8 +793,6 @@ def test_an_artifact_that_cannot_be_read_fails_only_its_point(tmp_path, capsys, 
         assert {(r["lon"], r["lat"]) for r in report["rows"]} == {(30, 67.5)}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_no_artifact_holds_a_non_finite_number(tmp_path):
     data = synth(tmp_path)
     lines = [line.split(",") for line in data.read_text().splitlines()]
@@ -794,11 +802,25 @@ def test_no_artifact_holds_a_non_finite_number(tmp_path):
     data.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, small_config(data, out, points="p01"))
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert list(json.loads((out / "errors.json").read_text())) == ["27.5_67.5"]
+    assert main(["run", "--config", str(cfg)]) == 2  # any numpy warning would be an error
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == {"27.5_67.5": "the training MSE is not finite at stage 0"}
     for path in out.rglob("*"):
         if path.is_file():
             assert "NaN" not in path.read_text() and "Infinity" not in path.read_text(), path
+
+
+def test_a_boosting_step_that_overflows_fails_each_point_at_select(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    payload = small_config(data, out)
+    payload["boost"]["shrinkage"] = 1e308  # the first stage's step leaves float range
+    assert main(["run", "--config", str(write_config(tmp_path, payload))]) == 2
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert err.splitlines() == [f"error [{label}]: the training MSE is not finite at stage 1"
+                                for label in ("27.5_67.5", "30_67.5")]
+    assert [path.name for path in out.iterdir()] == ["errors.json"]  # no empty point directory
 
 
 REFUSED = {  # argv, the refused path, exit code; under {tmp}, "file" is a regular file,
@@ -935,6 +957,9 @@ BAD_P02 = {
     "duplicate_timestamp": (_edit_p02_row("date", "1981-01"), None, ["30_67.5"]),  # p02's first month
     "non_numeric_feature": (_edit_p02_row("air_l05", "n/a"), None, ["30_67.5"]),
     "overflowing_cosine": (_edit_p02_row("air_l05", "1e300"), None, ["30_67.5"]),
+    "precip_near_1e160": (_edit_p02_row("precip", "1e160"), None, ["30_67.5"]),  # MSE overflows
+    "precip_near_1e154": (  # the MSE stays finite, some split scores overflow, the fits pass
+        _edit_p02_row("precip", "1e154"), None, ["30_67.5:svr", "30_67.5:lr", "30_67.5:mlp"]),
     "constant_precip": (_zero_p02_column("precip"), None, ["30_67.5"]),  # no tree splits
     "selection_from_another_point": (None, ("selection.json", _copy_from_p01), ["30_67.5"]),
     "models_from_another_point": (None, ("models.json", _copy_from_p01), ["30_67.5"]),
@@ -1125,6 +1150,7 @@ BAD_P02 = {
 #: Text that a case's error message must hold, for cases whose message is checked.
 BAD_P02_MESSAGES = {
     "overflowing_cosine": "cosine similarity overflows float range",
+    "precip_near_1e160": "the training MSE is not finite at stage 0",
     "constant_precip": "selection produced no features",
     "selection_from_another_point": "selection.json: written for another point; rerun select",
     "models_from_another_point": "models.json: written for another point; rerun select",
@@ -1223,6 +1249,18 @@ def test_a_diverging_mlp_fails_each_point_with_its_error_line_only(tmp_path, cap
     assert "Warning" not in capsys.readouterr().err
     errors = json.loads((out / "errors.json").read_text())
     assert errors == dict.fromkeys(["27.5_67.5", "30_67.5"], "[mlp] MLP loss became non-finite")
+
+
+def test_a_diverging_svr_fails_each_point_with_its_error_line_only(tmp_path, capsys):
+    data = synth(tmp_path)
+    out = tmp_path / "out"
+    payload = small_config(data, out)
+    payload["learners"]["svr"]["step"] = 1e300  # the first epoch leaves float range
+    assert main(["run", "--config", str(write_config(tmp_path, payload))]) == 2
+    assert "Warning" not in capsys.readouterr().err
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == dict.fromkeys(["27.5_67.5", "30_67.5"],
+                                   "[svr] SVR parameters diverged in epoch 0")
 
 
 @pytest.mark.parametrize("failing", ["selection.json", "report.json", "report.txt"])

@@ -6,6 +6,7 @@ import pytest
 from hydrocast.errors import (
     EmptyInput,
     NonFiniteInput,
+    NonFiniteResidual,
     TooFewSamples,
     ZeroNormColumn,
 )
@@ -205,6 +206,18 @@ def test_boosting_data_errors():
         fit_boosted(np.ones((1, 3)), np.ones(1))
     with pytest.raises(NonFiniteInput):
         fit_boosted(np.array([[1.0], [np.nan]]), np.ones(2))
+
+
+@pytest.mark.parametrize("y, shrinkage, stage", [
+    (np.r_[1e160, np.zeros(39)], 1.0, 0),  # the first MSE overflows
+    (np.r_[1e308, 1e308, np.zeros(38)], 1.0, 0),  # so does the target's mean
+    (np.arange(40.0), 1e308, 1),  # the first stage's step overflows
+])
+def test_a_training_mse_that_is_not_finite_is_refused_at_its_stage(y, shrinkage, stage):
+    X = np.arange(80.0).reshape(40, 2) % 7
+    cfg = BoostConfig(trees_per_stage=5, max_stages=3, shrinkage=shrinkage)
+    with pytest.raises(NonFiniteResidual, match=f"training MSE is not finite at stage {stage}$"):
+        fit_boosted(X, y, cfg)  # and prints no warning, which the suite would raise
 
 
 def test_gamma_validation():
