@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch, TooFewSamples
-from .typed import decode, encode, fits
+from .typed import at_least, decode, encode, fits
 
 #: A forest block's node columns and each one's dtype, in the order ``forest_to_dict``
 #: writes them: ``feature`` has an entry per node, ``threshold`` per split, ``value`` and
@@ -82,12 +82,7 @@ class TreeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.features_per_node is not None and self.features_per_node < 1:
-            raise ValueError("features_per_node must be >= 1 or None")
+        at_least(self, 1, "max_depth", "min_samples_leaf", "features_per_node")
         if self.feature_subset is not None:
             object.__setattr__(self, "feature_subset", tuple(sorted(set(self.feature_subset))))
 

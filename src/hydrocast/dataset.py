@@ -31,6 +31,7 @@ from .errors import (
     NonFiniteValue,
     UnknownColumn,
 )
+from .typed import at_least
 
 #: The CSV columns in the order ``write_csv`` writes them and the C reader takes them:
 #: date, coordinates, the 85 predictors, target. The row reader takes any order.
@@ -69,8 +70,7 @@ class SplitSpec:
             )
         if self.mode not in (CHRONOLOGICAL, SEEDED_RANDOM):
             raise ValueError(f"unknown split mode: {self.mode!r}")
-        if self.seed < 0:  # numpy's random generators take no negative seed
-            raise ValueError(f"split seed must be 0 or more, got {self.seed}")
+        at_least(self, 0, "seed")  # numpy's random generators take no negative seed
 
     def test_count(self, n_samples: int) -> int:
         # round half-up; the 1e-9 nudge absorbs float artifacts like

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..typed import build, decode, encode, reader
+from ..typed import above, at_least, build, decode, encode, reader
 
 RF = "rf"
 KNN = "knn"
@@ -27,8 +27,7 @@ class KNNConfig:
     k: int = 3
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        at_least(self, 1, "k")
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,7 @@ class RFConfig:
     feature_mode: str = "sqrt"  # "sqrt": per-node subset of ceil(sqrt(d)); "all": no sampling
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        at_least(self, 1, "n_trees", "max_depth", "min_samples_leaf")
         if self.feature_mode not in ("sqrt", "all"):
             raise ValueError(f"unknown feature_mode: {self.feature_mode!r}")
 
@@ -58,14 +52,9 @@ class SVRConfig:
     step: float = 0.5
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
+        at_least(self, 0, "epsilon")
+        above(self, 0, "c", "step")
+        at_least(self, 1, "epochs")
 
 
 @dataclass(frozen=True)
@@ -79,10 +68,8 @@ class MLPConfig:
             raise ValueError("hidden_sizes must not be empty")
         if min(self.hidden_sizes) < 1:
             raise ValueError("every hidden size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        at_least(self, 1, "epochs")
+        above(self, 0, "learning_rate")
 
 
 @dataclass(frozen=True)
@@ -100,7 +87,7 @@ class Standardization:
         return cls(tuple(mean.tolist()), tuple(std.tolist()))
 
     def __post_init__(self):
-        if min(self.std, default=1.0) <= 0.0:  # fit maps a zero spread to 1.0
+        if not all(s > 0.0 for s in self.std):  # fit maps a zero spread to 1.0; NaN fails
             raise ValueError("every std must be > 0")
 
     @classmethod

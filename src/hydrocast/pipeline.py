@@ -289,12 +289,12 @@ def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
                    errors: dict[str, str]) -> tuple[_Evaluated, dict] | None:
     """Score one point's stored models on its test months, for its evaluation.json.
 
-    Keeps the rows and the point's selection, read before any model is
-    scored. A models.json written for another point fails the point. A
-    model that fails, whose ``feature_indices`` are not the columns that
-    ``features`` names, or whose predictions or metrics overflow float
-    range, goes into the point's ``errors`` as ``<label>:<kind>``; the rest
-    are still scored. A point without a models.json is skipped (None).
+    Keeps the rows and the point's selection, read before any model is scored. A
+    models.json written for another point fails the point. A model that fails, that is
+    not of its entry's kind, whose ``feature_indices`` are not the columns that
+    ``features`` names, or whose predictions or metrics overflow float range, goes into
+    the point's ``errors`` as ``<label>:<kind>``; the rest are still scored. A point
+    without a models.json is skipped (None).
     """
     point_dir = Path(cfg.output_dir) / point.label
     models_file = point_dir / "models.json"
@@ -309,6 +309,8 @@ def stage_evaluate(cfg: PipelineConfig, point: IndexPoint, datasets: PointData,
     for kind, _ in cfg.learners:
         try:
             model = model_from_dict(payload["models"].get(kind))
+            if model.kind != kind:
+                raise DamagedArtifact(f"{models_file}: the {kind} entry holds a {model.kind} model")
             if list(model.feature_indices) != columns:
                 raise DamagedArtifact(f"{models_file}: the {kind} model's feature_indices "
                                       "are not the columns of its features")

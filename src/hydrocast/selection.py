@@ -19,6 +19,7 @@ import numpy as np
 
 from .cart import Forest, _training_data, fit_stage, presort
 from .errors import EmptyInput, NonFiniteInput, NonFiniteResidual, ZeroNormColumn
+from .typed import above, at_least
 
 L2 = "l2"
 L1_AS_PRINTED = "l1_as_printed"
@@ -67,18 +68,10 @@ class BoostConfig:
     feature_subset_size: int | None = None
 
     def __post_init__(self):
-        if self.trees_per_stage < 1:
-            raise ValueError("trees_per_stage must be >= 1")
-        if self.max_stages < 1:
-            raise ValueError("max_stages must be >= 1")
-        if self.shrinkage <= 0:
-            raise ValueError("shrinkage must be > 0")
-        if self.stop_tolerance < 0:
-            raise ValueError("stop_tolerance must be >= 0")
-        if self.tree_depth < 1 or self.min_samples_leaf < 1:
-            raise ValueError("tree_depth and min_samples_leaf must be >= 1")
-        if self.feature_subset_size is not None and self.feature_subset_size < 1:
-            raise ValueError("feature_subset_size must be >= 1 or None")
+        at_least(self, 1, "trees_per_stage", "max_stages")
+        above(self, 0, "shrinkage")
+        at_least(self, 0, "stop_tolerance")
+        at_least(self, 1, "tree_depth", "min_samples_leaf", "feature_subset_size")
 
 
 @dataclass(frozen=True)
@@ -227,8 +220,7 @@ class SelectionConfig:
     kappa: int = 10
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        at_least(self, 1, "kappa")
 
 
 def run_selection(X, y, cfg: SelectionConfig = SelectionConfig(),

@@ -63,6 +63,24 @@ def build(cls, /, **fields):
     return cls(**given)
 
 
+def at_least(owner, low, *fields, sign=">="):
+    """Refuse each named field of the dataclass ``owner`` that is below ``low`` (with
+    ``sign`` ">", not above it) or NaN, with ``ValueError`` "<Class>.<field> must be
+    <sign> <low>, got <value>". A field of type ``X | None`` may be None; any other
+    field that is None raises ``TypeError``."""
+    for name in fields:
+        value = getattr(owner, name)
+        if value is None and type(None) in _kinds(_hints(type(owner))[name])[1]:
+            continue
+        if not (value > low if sign == ">" else value >= low):  # NaN fails either test
+            raise ValueError(f"{type(owner).__name__}.{name} must be {sign} {low}, got {value}")
+
+
+def above(owner, low, *fields):
+    """``at_least``'s rule for fields that must exceed ``low`` ("must be > <low>")."""
+    at_least(owner, low, *fields, sign=">")
+
+
 def reader(hint):
     """A function that returns a JSON value of type ``hint`` as a field of it holds it,
     and raises ``ValueError`` for any other value."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from hydrocast.learners.base import (
     Standardization,
     SVRConfig,
 )
+from hydrocast.learners.linear import LRModel
 from hydrocast.learners.mlp import init_params, loss_and_grads
 from hydrocast.learners.neighbors import nearest
 from hydrocast.learners.svm import SVRModel, fit_svr
@@ -404,6 +407,12 @@ def test_spec_validation():
         RFConfig(n_trees=0)
     with pytest.raises(ValueError):
         SVRConfig(epsilon=-0.1)
+
+
+def test_a_model_refuses_state_other_than_its_kinds():
+    with pytest.raises(TypeError, match=re.escape(
+            "LRModel takes state ['weights', 'bias'], got ['weights']")):
+        LRModel(LRConfig(), (0,), Standardization.identity(1), weights=np.zeros(1))
 
 
 # models.json keys per kind, in file order, as README documents them

@@ -1064,6 +1064,10 @@ BAD_P02 = {
     "selection_without_top_features": (
         None, ("selection.json", _edit_json(lambda p: p.pop("top_features"))), ["30_67.5"],
     ),
+    "models_entry_of_another_kind": (
+        None, ("models.json", _edit_json(lambda p: p["models"].update(rf=p["models"]["knn"]))),
+        ["30_67.5:rf"],
+    ),
     "missing_knn_model": (
         None, ("models.json", _edit_json(lambda p: p["models"].pop("knn"))), ["30_67.5:knn"],
     ),
@@ -1163,6 +1167,7 @@ BAD_P02_MESSAGES = {
     "lr_weights_longer": "malformed lr model payload",
     "mlp_first_w_wider": "malformed mlp model payload",
     "svr_standardization_shorter": "malformed svr model payload",
+    "models_entry_of_another_kind": "models.json: the rf entry holds a knn model",
     "features_reversed": "are not the columns of its features",
     "forest_with_a_left_column": "rerun train",
     "forest_in_node_list_layout": "rerun train",

@@ -1,14 +1,17 @@
 import json
 import math
+import typing
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from hydrocast.cart import TreeConfig
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast.dataset import SplitSpec
 from hydrocast.learners import MODELS, Standardization
-from hydrocast.selection import BoostConfig, ColinearityConfig
+from hydrocast.learners.base import KNNConfig, MLPConfig, RFConfig, SVRConfig
+from hydrocast.selection import BoostConfig, ColinearityConfig, SelectionConfig
 from hydrocast.errors import DamagedArtifact
 from hydrocast.typed import build, decode, encode
 
@@ -149,3 +152,86 @@ def test_decode_refuses_keys_other_than_the_three(value):
 def test_decode_refuses_what_earlier_versions_wrote(value):
     with pytest.raises(DamagedArtifact, match="rerun train"):
         decode(value, "f", 1)
+
+
+#: Every bounded setting: its class, field, bound, and whether the bound itself is
+#: refused (">") or taken (">=").
+BOUNDS = [
+    (TreeConfig, "max_depth", 1, ">="),
+    (TreeConfig, "min_samples_leaf", 1, ">="),
+    (TreeConfig, "features_per_node", 1, ">="),
+    (KNNConfig, "k", 1, ">="),
+    (RFConfig, "n_trees", 1, ">="),
+    (RFConfig, "max_depth", 1, ">="),
+    (RFConfig, "min_samples_leaf", 1, ">="),
+    (SVRConfig, "c", 0, ">"),
+    (SVRConfig, "epsilon", 0, ">="),
+    (SVRConfig, "epochs", 1, ">="),
+    (SVRConfig, "step", 0, ">"),
+    (MLPConfig, "epochs", 1, ">="),
+    (MLPConfig, "learning_rate", 0, ">"),
+    (BoostConfig, "trees_per_stage", 1, ">="),
+    (BoostConfig, "max_stages", 1, ">="),
+    (BoostConfig, "shrinkage", 0, ">"),
+    (BoostConfig, "stop_tolerance", 0, ">="),
+    (BoostConfig, "tree_depth", 1, ">="),
+    (BoostConfig, "min_samples_leaf", 1, ">="),
+    (BoostConfig, "feature_subset_size", 1, ">="),
+    (SelectionConfig, "kappa", 1, ">="),
+    (SplitSpec, "seed", 0, ">="),
+]
+OPTIONAL = {(TreeConfig, "max_depth"), (TreeConfig, "features_per_node"),
+            (RFConfig, "max_depth"), (BoostConfig, "feature_subset_size")}
+
+
+def _bound_id(case):
+    return f"{case[0].__name__}.{case[1]}"
+
+
+def _is_float(cls, name):
+    return isinstance(getattr(cls(), name), float)
+
+
+def _refused(cls, name, low, sign):
+    """The values one step past the bound, and NaN for a float field."""
+    if not _is_float(cls, name):
+        return [low - 1]
+    return [low if sign == ">" else math.nextafter(low, -math.inf), math.nan]
+
+
+def _taken(cls, name, low, sign):
+    if not _is_float(cls, name):
+        return low
+    return math.nextafter(low, math.inf) if sign == ">" else float(low)
+
+
+@pytest.mark.parametrize("case", BOUNDS, ids=_bound_id)
+def test_a_setting_past_its_bound_is_refused_by_name(case):
+    cls, name, low, sign = case
+    for value in _refused(cls, name, low, sign):
+        with pytest.raises(ValueError) as refusal:
+            cls(**{name: value})
+        assert str(refusal.value) == f"{cls.__name__}.{name} must be {sign} {low}, got {value}"
+    assert getattr(cls(**{name: _taken(cls, name, low, sign)}), name) == _taken(cls, name, low, sign)
+
+
+@pytest.mark.parametrize("case", BOUNDS, ids=_bound_id)
+def test_only_an_optional_setting_takes_none(case):
+    cls, name = case[:2]
+    if (cls, name) in OPTIONAL:
+        assert getattr(cls(**{name: None}), name) is None
+    else:
+        with pytest.raises(TypeError):
+            cls(**{name: None})
+
+
+def test_every_optional_bounded_setting_is_listed():
+    assert OPTIONAL == {(cls, name) for cls, name, *_ in BOUNDS
+                        if type(None) in typing.get_args(typing.get_type_hints(cls)[name])}
+
+
+@pytest.mark.parametrize("std", [(1.0, math.nan), (1.0, 0.0), (-1.0, 1.0)],
+                         ids=["nan", "zero", "negative"])
+def test_standardization_refuses_a_std_that_is_not_positive(std):
+    with pytest.raises(ValueError, match="every std must be > 0"):
+        Standardization((0.0, 0.0), std)
