@@ -18,10 +18,11 @@ visits it, so a split's left child is always the next node, and no link
 is recorded. A full binary tree in pre-order is fixed by which nodes
 split (Jacobson, "Space-efficient static trees and graphs", FOCS 1989),
 so one constructor, ``_forest``, checks that shape and derives every
-split's right link, for grown, joined and read forests alike;
-``forest_to_dict`` writes no links. The forest in memory is the file's
-block plus its right links. Prediction moves every (tree, row) pair of a
-forest down one level per vectorized step.
+split's right link and every node's index among the splits or among the
+leaves, for grown, joined and read forests alike; ``forest_to_dict``
+writes no links. The forest in memory is the file's block plus those two
+derived arrays. Prediction moves every (tree, row) pair of a forest down
+one level per vectorized step.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): a stage stable-sorts its trees' columns
@@ -58,9 +59,9 @@ import numpy as np
 from .errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch, TooFewSamples
 from .typed import at_least, decode, encode, fits
 
-#: A forest block's node columns and each one's dtype, in the order ``forest_to_dict``
-#: writes them: ``feature`` has an entry per node, ``threshold`` per split, ``value`` and
-#: ``n`` per leaf.
+#: A forest's node columns and each one's dtype, in the order ``Forest`` holds them and
+#: ``forest_to_dict`` writes them: ``feature`` has an entry per node, ``threshold`` per
+#: split, ``value`` and ``n`` per leaf.
 FOREST_COLUMNS = {"feature": np.intp, "threshold": np.float64, "value": np.float64,
                   "n": np.int64}
 
@@ -83,33 +84,37 @@ class TreeConfig:
 
     def __post_init__(self):
         at_least(self, 1, "max_depth", "min_samples_leaf", "features_per_node")
+        at_least(self, 0, "seed")
         if self.feature_subset is not None:
             object.__setattr__(self, "feature_subset", tuple(sorted(set(self.feature_subset))))
 
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    """Fitted trees as one block of node columns, the trees laid end to end in order.
+    """Fitted trees as the block ``forest_to_dict`` writes, the trees laid end to end
+    in order, plus two arrays derived from it.
 
     Tree ``t`` holds the next ``sizes[t]`` nodes, in pre-order, root first.
-    Node ``i`` is a leaf when ``feature[i] < 0``; it then predicts ``value[i]``
-    and was fitted on ``n[i]`` rows. Otherwise it sends ``x[feature[i]] <=
-    threshold[i]`` to node ``i + 1``, the next node, and the rest to node
-    ``right[i]`` of the block. The unused fields hold -1 or 0. Every forest the
-    module returns comes from ``_forest``, which derives ``right`` and makes
-    the arrays read-only.
+    Node ``i`` is a leaf when ``feature[i] < 0``, and ``slot[i]`` is its index
+    among the block's leaves: it predicts ``value[slot[i]]`` and was fitted on
+    ``n[slot[i]]`` rows. Otherwise ``slot[i]`` is its index among the splits,
+    and it sends ``x[feature[i]] <= threshold[slot[i]]`` to node ``i + 1``, the
+    next node, and the rest to node ``right[slot[i]]`` of the block. Every
+    forest the module returns comes from ``_forest``, which derives ``right``
+    and ``slot`` and makes the arrays read-only.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     n: np.ndarray
     sizes: np.ndarray
     n_features: int
+    right: np.ndarray
+    slot: np.ndarray
 
     def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature < 0))
+        return int(self.value.size)
 
 
 def join(forests) -> Forest:
@@ -119,15 +124,20 @@ def join(forests) -> Forest:
 
 
 def _forest(feature, threshold, value, n, sizes, n_features) -> Forest:
-    """The read-only forest of node-indexed columns, whose trees hold ``sizes`` nodes.
+    """The read-only forest of a block's columns, whose trees hold ``sizes`` nodes.
 
-    Each tree's split and leaf flags must form one full binary tree in
-    pre-order, or ``ShapeMismatch`` is raised. Each split's right link is then
-    derived from the flags: this is the one place links are computed.
+    ``threshold`` must hold one entry per split and ``value`` and ``n`` one
+    per leaf, and each tree's split and leaf flags must form one full binary
+    tree in pre-order, or ``ShapeMismatch`` is raised. Each split's right link
+    and each node's slot are then derived from the flags: this is the one
+    place either is computed.
     """
     feature, threshold, value, n, sizes = (np.asarray(column, dtype=dtype) for column, dtype
                                            in zip((feature, threshold, value, n, sizes),
                                                   (*FOREST_COLUMNS.values(), np.intp)))
+    if not feature.size - threshold.size == value.size == n.size == np.count_nonzero(feature < 0):
+        raise ShapeMismatch("tree columns: threshold must hold one entry per split, value and "
+                            "n one per leaf")
     # A full binary tree in pre-order: its count of open subtrees (+1 per split,
     # -1 per leaf, after each node) stays at 0 or above until its last node and
     # is -1 there. Each tree before it leaves -1 in the block's running sum.
@@ -144,22 +154,20 @@ def _forest(feature, threshold, value, n, sizes, n_features) -> Forest:
     order = np.argsort(before.astype(np.min_scalar_type(before.max())), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(feature.size)
-    split = np.flatnonzero(feature >= 0)
-    right = np.full(feature.size, -1, dtype=np.intp)
-    right[split] = order[rank[split] + 1]
-    for column in (feature, threshold, right, value, n, sizes):
+    split = step > 0
+    right = order[rank[split] + 1]
+    slot = np.where(split, np.cumsum(split), np.cumsum(~split)) - 1  # index among its kind
+    for column in (feature, threshold, value, n, sizes, right, slot):
         column.flags.writeable = False
-    return Forest(feature, threshold, right, value, n, sizes, n_features)
+    return Forest(feature, threshold, value, n, sizes, n_features, right, slot)
 
 
 def forest_to_dict(forest: Forest) -> dict:
     """A forest as one block: ``n_features``, each tree's node count in ``sizes``,
     then the node columns as encoded arrays (``typed.encode``), each holding only
     the nodes that use it. See README."""
-    split = forest.feature >= 0
     return {"n_features": forest.n_features, "sizes": forest.sizes.tolist(),
-            "feature": encode(forest.feature), "threshold": encode(forest.threshold[split]),
-            "value": encode(forest.value[~split]), "n": encode(forest.n[~split])}
+            **{name: encode(getattr(forest, name)) for name in FOREST_COLUMNS}}
 
 
 def forest_from_dict(payload: dict) -> Forest:
@@ -169,9 +177,8 @@ def forest_from_dict(payload: dict) -> Forest:
     one vectorized pass: a damaged file raises, and never yields a tree that
     routing could not walk to a leaf. A column that is not an encoded array of
     its kind raises ``ShapeMismatch``, and one written by an earlier version
-    ``DamagedArtifact``. The sparse columns are spread out to one entry per
-    node, and ``_forest``, which builds grown forests too, checks the tree
-    shapes and derives the right links.
+    ``DamagedArtifact``. ``_forest``, which builds grown forests too, checks
+    each column's count and the tree shapes, and derives the links and slots.
     """
     if not isinstance(payload, dict):  # earlier versions wrote a list of trees
         raise DamagedArtifact("forest in a layout of earlier versions; rerun train")
@@ -182,49 +189,39 @@ def forest_from_dict(payload: dict) -> Forest:
         raise ShapeMismatch(f"tree columns: {exc}") from None
     if not fits(payload["n_features"], int):
         raise ShapeMismatch("tree columns: n_features must be an integer")
-    if not feature.size:
-        raise ShapeMismatch("tree columns: feature must not be empty")
-    total = feature.size
     sizes = payload["sizes"]
     # Summed in Python before any array is built from them, so that a crafted
-    # size cannot make the reader allocate past the columns the file holds.
+    # size cannot make the reader allocate past the columns the file holds. An
+    # empty feature column fails here too: positive sizes add up to at least 1.
     if not (isinstance(sizes, list) and sizes and all(type(size) is int for size in sizes)
-            and min(sizes) > 0 and sum(sizes) == total):
+            and min(sizes) > 0 and sum(sizes) == feature.size):
         raise ShapeMismatch("forest sizes must be positive integers that add up to the "
                             "feature column's length")
-    split, leaves = np.flatnonzero(feature >= 0), np.flatnonzero(feature < 0)
-    if threshold.size != split.size or not value.size == n.size == leaves.size:
-        raise ShapeMismatch("tree columns: threshold must hold one entry per split, value and "
-                            "n one per leaf")
     # A split whose feature was damaged to a negative number would read as a leaf.
     if feature.min() < -1:
         raise ShapeMismatch("tree columns: a leaf's feature must be -1")
-    if (feature[split] >= payload["n_features"]).any():
+    if (feature[feature >= 0] >= payload["n_features"]).any():
         raise ShapeMismatch("tree columns: a split feature must lie in [0, n_features)")
     if (n < 1).any():
         raise ShapeMismatch("tree columns: n must be at least 1 at every leaf")
-    block = (feature, np.zeros(total), np.zeros(total), np.zeros(total, dtype=np.int64))
-    block[1][split] = threshold
-    block[2][leaves] = value
-    block[3][leaves] = n
-    return _forest(*block, sizes, payload["n_features"])
+    return _forest(feature, threshold, value, n, sizes, payload["n_features"])
 
 
 def leaf_values(forest: Forest, X) -> np.ndarray:
     """Every tree's prediction for every row of an (n, d) matrix, as a (trees, n) array.
 
     One vectorized step moves every (tree, row) pair that is still at a split
-    down one level: to the next node, its left child, or to its right link.
-    Each pair reads its cell of X by flat index (its row's first cell plus the
-    node's feature), with ``take`` rather than 2-d fancy indexing. A tree is
-    shallower than its node count, so a pair still at a split after the
-    largest tree's node count of steps is caught in links that cycle, and
-    ``DamagedArtifact`` is raised.
+    down one level: to the next node, its left child, or to its right link,
+    reading the split's threshold and link at its slot. Each pair reads its
+    cell of X by flat index (its row's first cell plus the node's feature),
+    with ``take`` rather than 2-d fancy indexing. A tree is shallower than its
+    node count, so a pair still at a split after the largest tree's node count
+    of steps is caught in links that cycle, and ``DamagedArtifact`` is raised.
     """
     X = np.asarray(X, dtype=np.float64, order="C")
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ShapeMismatch(f"expected (n, {forest.n_features}) matrix, got {X.shape}")
-    n, feature, cells = X.shape[0], forest.feature, X.ravel()
+    n, feature, slot, cells = X.shape[0], forest.feature, forest.slot, X.ravel()
     node = np.repeat(np.cumsum(forest.sizes) - forest.sizes, n)  # pair t * n + r: tree t, row r
     row = np.tile(np.arange(n) * X.shape[1], forest.sizes.size)  # the pair's row's first cell
     live = np.flatnonzero(feature.take(node) >= 0)
@@ -232,12 +229,14 @@ def leaf_values(forest: Forest, X) -> np.ndarray:
         if not live.size:
             break
         at = node.take(live)
-        go_left = cells.take(row.take(live) + feature.take(at)) <= forest.threshold.take(at)
-        node[live] = np.where(go_left, at + 1, forest.right.take(at))
-        live = live[feature.take(node.take(live)) >= 0]
+        split = slot.take(at)
+        go_left = cells.take(row.take(live) + feature.take(at)) <= forest.threshold.take(split)
+        at = np.where(go_left, at + 1, forest.right.take(split))
+        node[live] = at
+        live = live[feature.take(at) >= 0]
     if live.size:
         raise DamagedArtifact("tree links form a cycle: routing reached no leaf")
-    return forest.value[node].reshape(forest.sizes.size, n)
+    return forest.value[slot[node]].reshape(forest.sizes.size, n)
 
 
 def tree_sum(forest: Forest, X) -> np.ndarray:
@@ -331,17 +330,19 @@ def _grow_stage(X, y, subsets, cfg: TreeConfig, presorted):
     stage = _StageGrower(np.ascontiguousarray(X.T), y, allowed, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing score never wins
         stage.grow(list(range(len(subsets))), np.arange(n_rows), union, order, values, 0)
-    columns = zip(*(node for nodes in stage.nodes for node in nodes))
-    return _forest(*columns, [len(nodes) for nodes in stage.nodes], n_features), stage.outputs
+    columns = ([entry for tree in stage.trees for entry in tree[name]] for name in FOREST_COLUMNS)
+    sizes = [len(tree["feature"]) for tree in stage.trees]
+    return _forest(*columns, sizes, n_features), stage.outputs
 
 
 class _StageGrower:
     """Depth-first growth of a stage's trees, one row set at a time, as the module
-    docstring describes. A tree's nodes are appended to its own list as it
-    visits them, as (feature, threshold, value, n), so each list comes out in
-    pre-order: a split's left child is the next node, and its right child
-    follows the left subtree. A leaf also writes its value into its tree's row
-    of ``outputs`` at its rows.
+    docstring describes. Each tree appends its nodes to its own lists, one per
+    ``FOREST_COLUMNS`` column, as it visits them: a split to ``feature`` and
+    ``threshold`` and a leaf to ``feature``, ``value`` and ``n``, so each tree
+    comes out in pre-order: a split's left child is the next node, and its
+    right child follows the left subtree. A leaf also writes its value into
+    its tree's row of ``outputs`` at its rows.
     """
 
     def __init__(self, columns, y, allowed, cfg: TreeConfig):
@@ -351,13 +352,14 @@ class _StageGrower:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         self.counts = np.arange(y.size + 1, dtype=np.float64)
-        self.nodes: list[list[tuple]] = [[] for _ in range(allowed.shape[0])]
+        self.trees = [{name: [] for name in FOREST_COLUMNS} for _ in range(allowed.shape[0])]
         self.outputs = np.empty((allowed.shape[0], y.size))
 
     def leaf(self, trees, idx, mean) -> None:
-        leaf = (-1, 0.0, float(mean), idx.size)
         for t in trees:
-            self.nodes[t].append(leaf)
+            self.trees[t]["feature"].append(-1)
+            self.trees[t]["value"].append(mean)
+            self.trees[t]["n"].append(idx.size)
             self.outputs[t][idx] = mean
 
     def grow(self, trees, idx, union, order, values, depth) -> None:
@@ -414,7 +416,8 @@ class _StageGrower:
         threshold = _threshold(values[row], cut)
         feature = int(union[row])
         for t in trees:
-            self.nodes[t].append((feature, threshold, 0.0, 0))
+            self.trees[t]["feature"].append(feature)
+            self.trees[t]["threshold"].append(threshold)
         go_left = self.columns[feature] <= threshold
         left_rows = go_left[idx]
         children = (idx[left_rows], idx[~left_rows])

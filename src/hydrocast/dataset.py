@@ -197,7 +197,7 @@ def _read_plain(path, targets) -> PointData | None:
     """
     dates: list[str] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # such as numpy's for a file with no data rows
             if fh.readline() not in (_HEADER + "\n", _HEADER + "\r\n"):
                 return None
@@ -239,7 +239,7 @@ def _read_rows(path, targets) -> PointData:
     found = {label: ([], []) for label in targets}  # timestamps, value rows
     failed: dict[str, HydrocastError] = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

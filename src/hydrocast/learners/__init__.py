@@ -17,6 +17,7 @@ import numpy as np
 
 from ..cart import _training_data
 from ..errors import DamagedArtifact, DuplicateKind, HydrocastError, ShapeMismatch
+from ..typed import at_least
 from .base import FittedModel, Standardization
 from .forest import RFModel, fit_rf
 from .linear import LRModel, fit_lr
@@ -45,6 +46,7 @@ class LearnerSpec:
             object.__setattr__(self, "hyper", config())
         elif not isinstance(self.hyper, config):
             raise ValueError(f"hyper for {self.kind!r} must be {config.__name__}")
+        at_least(self, 0, "seed")
 
 
 def default_specs(seed: int = 0) -> list[LearnerSpec]:

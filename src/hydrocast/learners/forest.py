@@ -19,7 +19,7 @@ from .base import RF, FittedModel, RFConfig, Standardization
 class RFModel(FittedModel):
     kind = RF
     config = RFConfig
-    state = (("trees", (forest_from_dict, forest_to_dict)),)  # one block, in memory as on disk
+    state = (("trees", (forest_from_dict, forest_to_dict)),)  # the stored block, links derived
 
     def predict_batch(self, X) -> np.ndarray:  # routing checks X's shape
         return tree_sum(self.trees, X) / len(self.trees.sizes)

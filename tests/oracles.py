@@ -11,7 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-#: A forest's node columns in memory, in the order ``Forest`` takes them.
+#: The five node columns of ``node_columns``, one entry per node, in the order
+#: earlier versions' files listed them.
 _COLUMNS = ("feature", "threshold", "right", "value", "n")
 #: The node columns of a serialized forest, in the order the file lists them.
 _BLOCK = ("feature", "threshold", "value", "n")
@@ -170,20 +171,21 @@ def node_list(tree):
     split ``{"feature", "threshold", "left", "right"}``, the layout
     ``reference_fit_tree`` returns.
 
-    ``tree`` is a ``Forest`` of one tree or one tree of ``trees_of``, whose five
-    node columns are read node by node (a negative ``feature`` is a leaf, and
-    ``left`` is the next node, ``i + 1``), or one tree of a serialized forest
-    (``forest_trees``), whose nodes are read one at a time in pre-order: a split
-    takes the next entry of ``threshold`` and then its left and right subtrees,
-    a leaf the next entries of ``value`` and ``n``.
+    ``tree`` is a ``Forest`` of one tree or one tree of ``trees_of``, whose
+    nodes are read node by node (a negative ``feature`` is a leaf, and ``left``
+    is the next node, ``i + 1``), each reading ``threshold`` and ``right`` (a
+    split) or ``value`` and ``n`` (a leaf) at its ``slot``; or one tree of a
+    serialized forest (``forest_trees``), whose nodes are read one at a time in
+    pre-order: a split takes the next entry of ``threshold`` and then its left
+    and right subtrees, a leaf the next entries of ``value`` and ``n``.
     """
     if not isinstance(tree, dict):
         assert len(getattr(tree, "sizes", [0])) == 1, "cut a forest of several trees with trees_of"
-        columns = {name: getattr(tree, name).tolist() for name in _COLUMNS}
-        return [{"value": columns["value"][i], "n": columns["n"][i]} if feature < 0 else
-                {"feature": feature, "threshold": columns["threshold"][i], "left": i + 1,
-                 "right": columns["right"][i]}
-                for i, feature in enumerate(columns["feature"])]
+        columns = {name: getattr(tree, name).tolist() for name in (*_COLUMNS, "slot")}
+        return [{"value": columns["value"][slot], "n": columns["n"][slot]} if feature < 0 else
+                {"feature": feature, "threshold": columns["threshold"][slot], "left": i + 1,
+                 "right": columns["right"][slot]}
+                for i, (feature, slot) in enumerate(zip(columns["feature"], columns["slot"]))]
     features, thresholds = iter(tree["feature"]), iter(tree["threshold"])
     leaves = zip(tree["value"], tree["n"])
     nodes = []
@@ -205,9 +207,9 @@ def node_list(tree):
 
 
 def node_columns(nodes, n_features):
-    """The inverse of ``node_list``: a forest of one tree in the five node columns
-    that ``Forest`` holds, built from node dicts; ``sparse_block`` turns it into
-    what the file stores.
+    """The inverse of ``node_list``: a forest of one tree in the five node columns,
+    one entry per node, as earlier versions stored it, built from node dicts;
+    ``sparse_block`` turns it into what the file stores now.
 
     A leaf's unused fields hold -1 (right link, feature) or 0.0 (threshold),
     and an internal node's hold 0.0 (value) or 0 (n). An internal node's
@@ -319,15 +321,26 @@ def encoded(forest):
 
 
 def trees_of(forest):
-    """A ``Forest``'s trees, cut from its block through ``sizes``: each its own five
-    node columns as arrays, with ``n_features``, and its right links counted from
-    its own root."""
+    """A ``Forest``'s trees, cut from its block through ``sizes``, each in the
+    ``Forest``'s own layout with ``n_features``: ``feature`` and ``slot`` per
+    node, ``threshold`` and ``right`` per split, ``value`` and ``n`` per leaf.
+    Each node's entries are read at its ``slot`` in the forest, and each tree
+    counts its slots from its own first split and leaf and its right links
+    from its own root."""
     trees, start = [], 0
+    block = {name: getattr(forest, name).tolist() for name in (*_COLUMNS, "slot")}
     for size in forest.sizes.tolist():
-        tree = SimpleNamespace(n_features=forest.n_features, **{
-            name: getattr(forest, name)[start:start + size].copy() for name in _COLUMNS})
-        tree.right[tree.feature >= 0] -= start
-        trees.append(tree)
+        columns = {name: [] for name in block}
+        for i in range(start, start + size):
+            names = ("threshold", "right") if block["feature"][i] >= 0 else ("value", "n")
+            columns["slot"].append(len(columns[names[0]]))
+            columns["feature"].append(block["feature"][i])
+            for name in names:
+                columns[name].append(block[name][block["slot"][i]])
+        columns["right"] = [right - start for right in columns["right"]]
+        trees.append(SimpleNamespace(n_features=forest.n_features, **{
+            name: np.array(column, dtype=getattr(forest, name).dtype)
+            for name, column in columns.items()}))
         start += size
     return trees
 
@@ -355,16 +368,18 @@ def reference_predict(tree, X):
     ``tree`` is a ``Forest`` of one tree or one tree of ``trees_of``. A split
     sends ``x[feature] <= threshold`` to the next node, its left child in
     pre-order, and the rest to node ``right``; a node with a negative
-    ``feature`` is a leaf.
+    ``feature`` is a leaf. A node reads ``threshold``, ``right`` and ``value``
+    at its ``slot``.
     """
-    feature, threshold, right, value = (tree.feature.tolist(), tree.threshold.tolist(),
-                                        tree.right.tolist(), tree.value.tolist())
+    feature, threshold, right, value, slot = (tree.feature.tolist(), tree.threshold.tolist(),
+                                              tree.right.tolist(), tree.value.tolist(),
+                                              tree.slot.tolist())
     out = []
     for x in np.asarray(X, dtype=np.float64).tolist():
         i = 0
         while feature[i] >= 0:
-            i = i + 1 if x[feature[i]] <= threshold[i] else right[i]
-        out.append(value[i])
+            i = i + 1 if x[feature[i]] <= threshold[slot[i]] else right[slot[i]]
+        out.append(value[slot[i]])
     return np.array(out, dtype=np.float64)
 
 

@@ -24,6 +24,7 @@ from hydrocast.cart import (
 from hydrocast.errors import DamagedArtifact, EmptyInput, NonFiniteInput, ShapeMismatch
 from hydrocast.learners.base import RFConfig
 from hydrocast.learners.forest import fit_rf
+from hydrocast.typed import decode
 
 from oracles import (
     best_depth1_splits,
@@ -273,8 +274,7 @@ def test_from_dict_rejects_child_links_not_past_the_parent(right):
     ]
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(node_columns(nodes, 1))
-    assert (forest_from_dict(encoded(sparse_block(node_columns(nodes, 1)))).right.tolist()
-            == [2, -1, -1])
+    assert forest_from_dict(encoded(sparse_block(node_columns(nodes, 1)))).right.tolist() == [2]
 
 
 def small_tree():
@@ -293,14 +293,17 @@ def test_to_dict_writes_the_forest_block():
 
 def test_to_dict_writes_the_five_node_columns():
     """The block keeps each of the five node columns at the nodes that use it:
-    spelled out again, and read back with ``right`` derived, it gives all five
-    as the grower holds them."""
+    spelled out again, it gives all five, and the grown tree and the tree read
+    back hold the block as it is, with ``right`` per split and ``slot`` per node
+    derived."""
     tree = small_tree()
-    columns = {"feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0], "right": [2, -1, -1],
-               "value": [0.0, 0.0, 1.0], "n": [0, 2, 1]}
     payload = forest_to_dict(tree)
     (stored,) = forest_trees(unpacked(payload))
-    assert full_columns(stored) == {"n_features": 1, **columns}
+    assert full_columns(stored) == {
+        "n_features": 1, "feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0],
+        "right": [2, -1, -1], "value": [0.0, 0.0, 1.0], "n": [0, 2, 1]}
+    columns = {"feature": [0, -1, -1], "threshold": [2.5], "value": [0.0, 1.0], "n": [2, 1],
+               "right": [2], "slot": [0, 0, 1]}
     clone = forest_from_dict(payload)
     for name, column in columns.items():
         assert getattr(tree, name).tolist() == column
@@ -430,7 +433,7 @@ def test_from_dict_refuses_a_right_link_into_the_next_tree(right):
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
     clones = trees_of(forest_from_dict(encoded(sparse_block(old))))
-    assert [clone.right.tolist() for clone in clones] == [[2, -1, -1]] * 2
+    assert [clone.right.tolist() for clone in clones] == [[2]] * 2
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 6], [3, 0, 3], [-1, 7], [1.5, 4.5], [True, 5],
@@ -734,8 +737,8 @@ def test_routing_refuses_links_that_cycle():
         import numpy as np
         from hydrocast.cart import Forest, leaf_values
         from hydrocast.errors import DamagedArtifact
-        forest = Forest(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([0, -1, -1]),
-                        np.array([0.0, 1.0, 2.0]), np.array([0, 1, 1]), np.array([3]), 1)
+        forest = Forest(np.array([0, -1, -1]), np.array([0.5]), np.array([1.0, 2.0]),
+                        np.array([1, 1]), np.array([3]), 1, np.array([0]), np.array([0, 0, 1]))
         assert leaf_values(forest, np.array([[0.0]])).tolist() == [[1.0]]
         try:
             leaf_values(forest, np.array([[0.0], [1.0]]))
@@ -752,9 +755,9 @@ def test_routing_refuses_a_cycle_in_a_later_tree():
         import numpy as np
         from hydrocast.cart import Forest, leaf_values
         from hydrocast.errors import DamagedArtifact
-        forest = Forest(np.array([-1, 0, -1, -1]), np.array([0.0, 0.5, 0.0, 0.0]),
-                        np.array([-1, 1, -1, -1]), np.array([5.0, 0.0, 1.0, 2.0]),
-                        np.array([1, 0, 1, 1]), np.array([1, 3]), 1)
+        forest = Forest(np.array([-1, 0, -1, -1]), np.array([0.5]), np.array([5.0, 1.0, 2.0]),
+                        np.array([1, 1, 1]), np.array([1, 3]), 1, np.array([1]),
+                        np.array([0, 0, 1, 2]))
         assert leaf_values(forest, np.array([[0.0]])).tolist() == [[5.0], [1.0]]
         try:
             leaf_values(forest, np.asfortranarray([[0.0], [1.0]]))
@@ -796,8 +799,27 @@ def test_grown_and_joined_forests_are_read_only():
                "join": join([tree, fit_tree(X, y, boost)]),
                "fit_rf": fit_rf(RFConfig(n_trees=3), X, y, list(range(10)), seed=0).trees}
     for how, forest in forests.items():
-        for name in ("feature", "threshold", "right", "value", "n", "sizes"):
+        for name in (*FOREST_COLUMNS, "sizes", "right", "slot"):
             assert not getattr(forest, name).flags.writeable, (how, name)
+
+
+def test_forest_holds_the_columns_it_writes():
+    """A forest in memory is the block ``forest_to_dict`` writes: however it was
+    made, each node column equals its decoded entry, in dtype and bytes."""
+    X, y, (rf, boost) = invariant_case(1)
+    tree = fit_tree(X, y, rf)
+    forests = {"fit_tree": fit_tree(X, y, boost), "fit_tree_per_node": tree,
+               "fit_stage": fit_stage(X, y, [[0, 3], [1, 2, 5], [4]], 3, 1)[0],
+               "fit_rf": fit_rf(RFConfig(n_trees=3), X, y, list(range(10)), seed=0).trees,
+               "join": join([tree, fit_tree(X, y, boost)]),
+               "json": forest_from_dict(json.loads(json.dumps(forest_to_dict(tree))))}
+    for how, forest in forests.items():
+        payload = forest_to_dict(forest)
+        for name, dtype in FOREST_COLUMNS.items():
+            column = getattr(forest, name)
+            stored = decode(payload[name], np.dtype(dtype).kind, 1)
+            assert column.dtype == stored.dtype, (how, name)
+            assert column.tobytes() == stored.tobytes(), (how, name)
 
 
 def test_reference_growth_puts_each_left_child_next():

@@ -400,7 +400,7 @@ DIFFERENTIAL = {
     "empty_file": (lambda lines: b"", FOUR[:2], False),
     "not_utf8": (lambda lines: _text(lines).replace(b"1981-03", b"1981-03\xff", 1), FOUR[:2],
                  False),
-    "bom": (lambda lines: b"\xef\xbb\xbf" + _text(lines), FOUR[:2], False),
+    "bom": (lambda lines: b"\xef\xbb\xbf" + _text(lines), FOUR[:2], True),
     "reordered_header": (lambda lines: _text([",".join(line.split(",")[::-1]) for line in lines]),
                          FOUR[:2], False),
     "short_row": (lambda lines: _text(lines[:3] + [lines[3].rsplit(",", 5)[0]] + lines[4:]),
@@ -433,6 +433,24 @@ def test_load_csv_equals_the_row_reader(tmp_path, four_point_lines, case):
             for name in ("features", "precip"):
                 a, b = getattr(got, name), getattr(expected, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "row_reader"])
+def test_a_byte_order_mark_is_skipped(tmp_path, four_point_lines, quoted):
+    """A file that starts with a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
+    writes, loads the arrays of the same file without it, through either reader
+    (one quoted cell sends the file to the row reader)."""
+    lines = _cell(four_point_lines, 3, "air_l02", '"1.5"') if quoted else four_point_lines
+    original, marked = tmp_path / "data.csv", tmp_path / "bom.csv"
+    original.write_bytes(_text(lines))
+    marked.write_bytes(b"\xef\xbb\xbf" + _text(lines))
+    assert (dataset._read_plain(marked, {p.label: p for p in FOUR}) is None) == quoted
+    want, got = load_csv(original, FOUR), load_csv(marked, FOUR)
+    for p in FOUR:
+        assert got[p.label].timestamps == want[p.label].timestamps
+        for name in ("features", "precip"):
+            a, b = getattr(got[p.label], name), getattr(want[p.label], name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_a_clean_file_is_read_without_the_row_reader(tmp_path, monkeypatch):

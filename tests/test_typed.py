@@ -9,7 +9,7 @@ import pytest
 from hydrocast.cart import TreeConfig
 from hydrocast.catalog import REFERENCE_POINTS
 from hydrocast.dataset import SplitSpec
-from hydrocast.learners import MODELS, Standardization
+from hydrocast.learners import MODELS, LearnerSpec, Standardization
 from hydrocast.learners.base import KNNConfig, MLPConfig, RFConfig, SVRConfig
 from hydrocast.selection import BoostConfig, ColinearityConfig, SelectionConfig
 from hydrocast.errors import DamagedArtifact
@@ -160,6 +160,8 @@ BOUNDS = [
     (TreeConfig, "max_depth", 1, ">="),
     (TreeConfig, "min_samples_leaf", 1, ">="),
     (TreeConfig, "features_per_node", 1, ">="),
+    (TreeConfig, "seed", 0, ">="),
+    (LearnerSpec, "seed", 0, ">="),
     (KNNConfig, "k", 1, ">="),
     (RFConfig, "n_trees", 1, ">="),
     (RFConfig, "max_depth", 1, ">="),
@@ -182,6 +184,12 @@ BOUNDS = [
 ]
 OPTIONAL = {(TreeConfig, "max_depth"), (TreeConfig, "features_per_node"),
             (RFConfig, "max_depth"), (BoostConfig, "feature_subset_size")}
+#: The fields a bounded class needs besides the one under test.
+REQUIRED = {LearnerSpec: {"kind": "rf"}}
+
+
+def _make(cls, **fields):
+    return cls(**REQUIRED.get(cls, {}), **fields)
 
 
 def _bound_id(case):
@@ -189,7 +197,7 @@ def _bound_id(case):
 
 
 def _is_float(cls, name):
-    return isinstance(getattr(cls(), name), float)
+    return isinstance(getattr(_make(cls), name), float)
 
 
 def _refused(cls, name, low, sign):
@@ -210,19 +218,20 @@ def test_a_setting_past_its_bound_is_refused_by_name(case):
     cls, name, low, sign = case
     for value in _refused(cls, name, low, sign):
         with pytest.raises(ValueError) as refusal:
-            cls(**{name: value})
+            _make(cls, **{name: value})
         assert str(refusal.value) == f"{cls.__name__}.{name} must be {sign} {low}, got {value}"
-    assert getattr(cls(**{name: _taken(cls, name, low, sign)}), name) == _taken(cls, name, low, sign)
+    taken = _taken(cls, name, low, sign)
+    assert getattr(_make(cls, **{name: taken}), name) == taken
 
 
 @pytest.mark.parametrize("case", BOUNDS, ids=_bound_id)
 def test_only_an_optional_setting_takes_none(case):
     cls, name = case[:2]
     if (cls, name) in OPTIONAL:
-        assert getattr(cls(**{name: None}), name) is None
+        assert getattr(_make(cls, **{name: None}), name) is None
     else:
         with pytest.raises(TypeError):
-            cls(**{name: None})
+            _make(cls, **{name: None})
 
 
 def test_every_optional_bounded_setting_is_listed():
