@@ -17,12 +17,13 @@ A boosting stage, a random forest and a single tree are each one
 visits it, so a split's left child is always the next node, and no link
 is recorded. A full binary tree in pre-order is fixed by which nodes
 split (Jacobson, "Space-efficient static trees and graphs", FOCS 1989),
-so one constructor, ``_forest``, checks that shape and derives every
-split's right link and every node's index among the splits or among the
-leaves, for grown, joined and read forests alike; ``forest_to_dict``
-writes no links. The forest in memory is the file's block plus those two
+so one constructor, ``_forest``, checks that shape and derives, for grown,
+joined and read forests alike, each split's feature and child codes and
+each tree's root code; ``forest_to_dict`` writes no links. A node's code
+is its index among the splits, or its index among the leaves negated
+bitwise (so negative). The forest in memory is the file's block plus those
 derived arrays. Prediction moves every (tree, row) pair of a forest down
-one level per vectorized step.
+one level per vectorized step, reading split-indexed arrays only.
 
 The search is exact, in the presort form of XGBoost's exact greedy
 algorithm (Chen & Guestrin 2016): a stage stable-sorts its trees' columns
@@ -92,16 +93,19 @@ class TreeConfig:
 @dataclass(frozen=True, eq=False)
 class Forest:
     """Fitted trees as the block ``forest_to_dict`` writes, the trees laid end to end
-    in order, plus two arrays derived from it.
+    in order, plus arrays derived from it.
 
     Tree ``t`` holds the next ``sizes[t]`` nodes, in pre-order, root first.
-    Node ``i`` is a leaf when ``feature[i] < 0``, and ``slot[i]`` is its index
-    among the block's leaves: it predicts ``value[slot[i]]`` and was fitted on
-    ``n[slot[i]]`` rows. Otherwise ``slot[i]`` is its index among the splits,
-    and it sends ``x[feature[i]] <= threshold[slot[i]]`` to node ``i + 1``, the
-    next node, and the rest to node ``right[slot[i]]`` of the block. Every
-    forest the module returns comes from ``_forest``, which derives ``right``
-    and ``slot`` and makes the arrays read-only.
+    Node ``i`` is a leaf when ``feature[i] < 0``; a leaf predicts its entry of
+    ``value`` and was fitted on its entry of ``n`` rows, and a split sends
+    ``x[feature[i]] <= `` its entry of ``threshold`` to node ``i + 1``, the next
+    node, and the rest to the node after its left subtree. The derived arrays
+    name nodes by code: the ``s``-th split of the block is ``s``, and the
+    ``l``-th leaf is ``~l``. Split ``s`` tests feature ``split_feature[s]``
+    against ``threshold[s]`` and sends a row to ``left[s]`` or ``right[s]``;
+    leaf ``~l`` predicts ``value[l]``; tree ``t`` starts at ``root[t]``. Every
+    forest the module returns comes from ``_forest``, which derives these
+    and makes the arrays read-only.
     """
 
     feature: np.ndarray
@@ -110,8 +114,10 @@ class Forest:
     n: np.ndarray
     sizes: np.ndarray
     n_features: int
+    split_feature: np.ndarray
+    left: np.ndarray
     right: np.ndarray
-    slot: np.ndarray
+    root: np.ndarray
 
     def n_leaves(self) -> int:
         return int(self.value.size)
@@ -128,9 +134,9 @@ def _forest(feature, threshold, value, n, sizes, n_features) -> Forest:
 
     ``threshold`` must hold one entry per split and ``value`` and ``n`` one
     per leaf, and each tree's split and leaf flags must form one full binary
-    tree in pre-order, or ``ShapeMismatch`` is raised. Each split's right link
-    and each node's slot are then derived from the flags: this is the one
-    place either is computed.
+    tree in pre-order, or ``ShapeMismatch`` is raised. The node codes (see
+    ``Forest``) are then derived from the flags: this is the one place they
+    are computed.
     """
     feature, threshold, value, n, sizes = (np.asarray(column, dtype=dtype) for column, dtype
                                            in zip((feature, threshold, value, n, sizes),
@@ -155,11 +161,15 @@ def _forest(feature, threshold, value, n, sizes, n_features) -> Forest:
     rank = np.empty_like(order)
     rank[order] = np.arange(feature.size)
     split = step > 0
-    right = order[rank[split] + 1]
-    slot = np.where(split, np.cumsum(split), np.cumsum(~split)) - 1  # index among its kind
-    for column in (feature, threshold, value, n, sizes, right, slot):
+    # Node i has splits_to[i] splits up to it and i + 1 - splits_to[i] leaves.
+    splits_to = np.cumsum(split)
+    code = np.where(split, splits_to - 1, splits_to - np.arange(feature.size) - 1)
+    at = np.flatnonzero(split)
+    derived = (feature[at], code[at + 1], code[order[rank[at] + 1]],
+               code[np.cumsum(sizes) - sizes])
+    for column in (feature, threshold, value, n, sizes, *derived):
         column.flags.writeable = False
-    return Forest(feature, threshold, value, n, sizes, n_features, right, slot)
+    return Forest(feature, threshold, value, n, sizes, n_features, *derived)
 
 
 def forest_to_dict(forest: Forest) -> dict:
@@ -178,7 +188,7 @@ def forest_from_dict(payload: dict) -> Forest:
     routing could not walk to a leaf. A column that is not an encoded array of
     its kind raises ``ShapeMismatch``, and one written by an earlier version
     ``DamagedArtifact``. ``_forest``, which builds grown forests too, checks
-    each column's count and the tree shapes, and derives the links and slots.
+    each column's count and the tree shapes, and derives the node codes.
     """
     if not isinstance(payload, dict):  # earlier versions wrote a list of trees
         raise DamagedArtifact("forest in a layout of earlier versions; rerun train")
@@ -210,33 +220,34 @@ def forest_from_dict(payload: dict) -> Forest:
 def leaf_values(forest: Forest, X) -> np.ndarray:
     """Every tree's prediction for every row of an (n, d) matrix, as a (trees, n) array.
 
-    One vectorized step moves every (tree, row) pair that is still at a split
-    down one level: to the next node, its left child, or to its right link,
-    reading the split's threshold and link at its slot. Each pair reads its
-    cell of X by flat index (its row's first cell plus the node's feature),
-    with ``take`` rather than 2-d fancy indexing. A tree is shallower than its
-    node count, so a pair still at a split after the largest tree's node count
-    of steps is caught in links that cycle, and ``DamagedArtifact`` is raised.
+    Each (tree, row) pair holds the code of its node (see ``Forest``), from its
+    tree's root. One vectorized step moves every pair that is still at a split
+    down one level, gathering the split's feature, threshold and both children
+    from the split-indexed arrays. Each pair reads its cell of X by flat index
+    (its row's first cell plus the split's feature), with ``take`` rather than
+    2-d fancy indexing. A tree is shallower than its node count, so a pair
+    still at a split after the largest tree's node count of steps is caught in
+    links that cycle, and ``DamagedArtifact`` is raised.
     """
     X = np.asarray(X, dtype=np.float64, order="C")
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ShapeMismatch(f"expected (n, {forest.n_features}) matrix, got {X.shape}")
-    n, feature, slot, cells = X.shape[0], forest.feature, forest.slot, X.ravel()
-    node = np.repeat(np.cumsum(forest.sizes) - forest.sizes, n)  # pair t * n + r: tree t, row r
+    n, cells = X.shape[0], X.ravel()
+    code = np.repeat(forest.root, n)  # pair t * n + r: tree t, row r
     row = np.tile(np.arange(n) * X.shape[1], forest.sizes.size)  # the pair's row's first cell
-    live = np.flatnonzero(feature.take(node) >= 0)
+    live = np.flatnonzero(code >= 0)
     for _ in range(forest.sizes.max()):
         if not live.size:
             break
-        at = node.take(live)
-        split = slot.take(at)
-        go_left = cells.take(row.take(live) + feature.take(at)) <= forest.threshold.take(split)
-        at = np.where(go_left, at + 1, forest.right.take(split))
-        node[live] = at
-        live = live[feature.take(at) >= 0]
+        at = code.take(live)
+        go_left = (cells.take(row.take(live) + forest.split_feature.take(at))
+                   <= forest.threshold.take(at))
+        at = np.where(go_left, forest.left.take(at), forest.right.take(at))
+        code[live] = at
+        live = live[at >= 0]
     if live.size:
         raise DamagedArtifact("tree links form a cycle: routing reached no leaf")
-    return forest.value[slot[node]].reshape(forest.sizes.size, n)
+    return forest.value[~code].reshape(forest.sizes.size, n)
 
 
 def tree_sum(forest: Forest, X) -> np.ndarray:

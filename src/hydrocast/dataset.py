@@ -43,7 +43,7 @@ _VALUE_COLUMNS = tuple(i for i, name in enumerate(CSV_COLUMNS) if name not in ("
 _HEADER = ",".join(CSV_COLUMNS)
 _ROW_READER_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})")  # fullmatch: ASCII digits, no trailing newline
 
 CHRONOLOGICAL = "chronological"
 SEEDED_RANDOM = "seeded_random"
@@ -138,7 +138,7 @@ class Dataset:
 
 
 def _month_key(timestamp: str) -> int:
-    m = _DATE_RE.match(timestamp)
+    m = _DATE_RE.fullmatch(timestamp)
     if not m or not 1 <= int(m.group(2)) <= 12:
         raise InvalidTimestamp(timestamp)
     return int(m.group(1)) * 12 + int(m.group(2)) - 1
@@ -211,10 +211,10 @@ def _read_plain(path, targets) -> PointData | None:
     rows = {}
     for label, p in targets.items():
         at = np.flatnonzero(_at(p, lon, lat))
-        values = table[at, 2:]
-        if not np.isfinite(values).all():
+        features, precip = table[at, 2:-1], table[at, -1]
+        if not (np.isfinite(features).all() and np.isfinite(precip).all()):
             return None
-        rows[label] = ([dates[i] for i in at], values)
+        rows[label] = ([dates[i] for i in at], features, precip)
     return _point_data(path, targets, rows, {})
 
 
@@ -236,7 +236,7 @@ def _read_rows(path, targets) -> PointData:
     """The points' data through the csv module, one row at a time. A requested
     row's cells are converted once each, in catalog order, by ``_parse_float``,
     which names the first bad one."""
-    found = {label: ([], []) for label in targets}  # timestamps, value rows
+    found = {label: ([], [], []) for label in targets}  # timestamps, feature rows, precip
     failed: dict[str, HydrocastError] = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -254,7 +254,7 @@ def _read_rows(path, targets) -> PointData:
                 if header.count(name) > 1:
                     raise DuplicateColumn(name)
             col = {name: header.index(name) for name in CSV_COLUMNS}
-            value_cols = [(col[name], name) for name in FEATURE_NAMES + ("precip",)]
+            feature_cols = [(col[name], name) for name in FEATURE_NAMES]
 
             for row_no, row in enumerate(reader, start=1):
                 if not row:
@@ -269,13 +269,15 @@ def _read_rows(path, targets) -> PointData:
                         if col["date"] >= len(row):
                             raise NonFiniteValue(row_no, "date")
                         timestamp = row[col["date"]].strip()
-                        values = [_parse_float(row, c, row_no, name) for c, name in value_cols]
+                        features = [_parse_float(row, c, row_no, name) for c, name in feature_cols]
+                        precip = _parse_float(row, col["precip"], row_no, "precip")
                 except HydrocastError as exc:
                     failed.update((label, exc) for label in labels if label not in failed)
                     continue
                 for label in labels:
                     found[label][0].append(timestamp)
-                    found[label][1].append(values)
+                    found[label][1].append(features)
+                    found[label][2].append(precip)
     except UnicodeDecodeError:
         return PointData.fromkeys(targets, HydrocastError(f"{path}: not UTF-8 text"))
     except csv.Error as exc:  # a cell past the csv module's field size limit, say
@@ -292,18 +294,18 @@ def _at(point, lon, lat):
 
 
 def _point_data(path, targets, rows, failed) -> PointData:
-    """Each point's ``Dataset`` from its timestamps and its rows of values (the
-    predictors, then ``precip``), or the error that its rows raised."""
+    """Each point's ``Dataset`` from its timestamps, its predictor rows and its
+    ``precip`` values, or the error that its rows raised. ``Dataset`` holds
+    arrays as given, so each reader's are the only copy of the values."""
     datasets = PointData(failed)
     for label, point in targets.items():
         if label in failed:
             continue
-        timestamps, values = rows[label]
+        timestamps, features, precip = rows[label]
         try:
             if not timestamps:
                 raise EmptyDataset(f"{path}: no rows for point ({point.lon}, {point.lat})")
-            table = np.asarray(values, dtype=np.float64)
-            datasets[label] = Dataset(point, timestamps, table[:, :-1].copy(), table[:, -1].copy())
+            datasets[label] = Dataset(point, timestamps, features, precip)
         except HydrocastError as exc:
             datasets[label] = exc
     return datasets
@@ -320,19 +322,23 @@ def _parse_float(row, col_idx, row_no, col_name) -> float:
 
 
 def write_csv(datasets, path) -> None:
-    """Write one or more datasets to a single catalog-schema CSV file."""
+    """Write one or more datasets to a single catalog-schema CSV file.
+
+    Each row is joined by hand, which gives the bytes ``csv.writer`` would: a
+    timestamp is ``YYYY-MM`` and a float's repr holds no comma, quote or
+    newline, so no field needs quoting.
+    """
     if isinstance(datasets, Dataset):
         datasets = [datasets]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        fh.write(_HEADER + "\n")
         for data in datasets:
             p = data.point
-            for i in range(len(data)):
-                row = [data.timestamps[i], repr(p.lon), repr(p.lat), repr(p.elev)]
-                row.extend(repr(v) for v in data.features[i].tolist())
-                row.append(repr(float(data.precip[i])))
-                writer.writerow(row)
+            coordinates = (repr(p.lon), repr(p.lat), repr(p.elev))
+            for timestamp, features, precip in zip(data.timestamps, data.features.tolist(),
+                                                   data.precip.tolist()):
+                fh.write(",".join((timestamp, *coordinates, *map(repr, features), repr(precip)))
+                         + "\n")
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -1,12 +1,14 @@
 """K-nearest-neighbor regression on standardized features.
 
 Prediction is the unweighted mean of the K nearest training targets under
-Euclidean distance. Distance ties resolve by training-row order (ties go to
-the lower training row), which keeps predictions reproducible. The K are
-selected, not sorted out of all rows: ``np.partition`` finds each query's
-K-th distance, the rows nearer than it and then the first rows at it make up
-the K, and only those K are sorted, stably. That gives the first K of a
-stable sort of every distance.
+Euclidean distance. Distances are computed one test row at a time, so for q
+test rows and m training rows of d features the work arrays beside the
+(q, m) distances take O(m·d) memory, not O(q·m·d). Distance ties resolve by
+training-row order (ties go to the lower training row), which keeps
+predictions reproducible. The K are selected, not sorted out of all rows:
+``np.partition`` finds each query's K-th distance, the rows nearer than it
+and then the first rows at it make up the K, and only those K are sorted,
+stably. That gives the first K of a stable sort of every distance.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ class KNNModel(FittedModel):
 
     def predict_batch(self, X) -> np.ndarray:
         Z = self.standardization.transform(self._check_batch(X))
-        dist = np.sqrt(np.sum((self.train_z[None, :, :] - Z[:, None, :]) ** 2, axis=2))
+        dist = np.empty((Z.shape[0], self.train_z.shape[0]))
+        for row, z in zip(dist, Z):
+            np.sqrt(np.sum((self.train_z - z) ** 2, axis=1), out=row)
         return self.train_y[nearest(dist, self.hyper.k)].mean(axis=1)
 
     def _fits(self, d: int) -> bool:

@@ -7,6 +7,7 @@ implementations they verify.
 
 import base64
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,20 @@ import numpy as np
 _COLUMNS = ("feature", "threshold", "right", "value", "n")
 #: The node columns of a serialized forest, in the order the file lists them.
 _BLOCK = ("feature", "threshold", "value", "n")
+
+
+def traced_peak(call):
+    """``call()``'s result and the most memory that ``tracemalloc`` traced while it
+    ran, in bytes above what was traced when it started, the result included."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return call(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def pearson_direct(a, p):
@@ -171,21 +186,15 @@ def node_list(tree):
     split ``{"feature", "threshold", "left", "right"}``, the layout
     ``reference_fit_tree`` returns.
 
-    ``tree`` is a ``Forest`` of one tree or one tree of ``trees_of``, whose
-    nodes are read node by node (a negative ``feature`` is a leaf, and ``left``
-    is the next node, ``i + 1``), each reading ``threshold`` and ``right`` (a
-    split) or ``value`` and ``n`` (a leaf) at its ``slot``; or one tree of a
-    serialized forest (``forest_trees``), whose nodes are read one at a time in
-    pre-order: a split takes the next entry of ``threshold`` and then its left
-    and right subtrees, a leaf the next entries of ``value`` and ``n``.
+    ``tree`` is one tree of a serialized forest (``forest_trees``), a ``Forest``
+    of one tree or one tree of ``trees_of``. Its nodes are read one at a time in
+    pre-order from its block columns alone, never from a ``Forest``'s derived
+    arrays: a split takes the next entry of ``threshold`` and then its left and
+    right subtrees, a leaf the next entries of ``value`` and ``n``.
     """
     if not isinstance(tree, dict):
         assert len(getattr(tree, "sizes", [0])) == 1, "cut a forest of several trees with trees_of"
-        columns = {name: getattr(tree, name).tolist() for name in (*_COLUMNS, "slot")}
-        return [{"value": columns["value"][slot], "n": columns["n"][slot]} if feature < 0 else
-                {"feature": feature, "threshold": columns["threshold"][slot], "left": i + 1,
-                 "right": columns["right"][slot]}
-                for i, (feature, slot) in enumerate(zip(columns["feature"], columns["slot"]))]
+        tree = {name: getattr(tree, name).tolist() for name in _BLOCK}
     features, thresholds = iter(tree["feature"]), iter(tree["threshold"])
     leaves = zip(tree["value"], tree["n"])
     nodes = []
@@ -321,28 +330,15 @@ def encoded(forest):
 
 
 def trees_of(forest):
-    """A ``Forest``'s trees, cut from its block through ``sizes``, each in the
-    ``Forest``'s own layout with ``n_features``: ``feature`` and ``slot`` per
-    node, ``threshold`` and ``right`` per split, ``value`` and ``n`` per leaf.
-    Each node's entries are read at its ``slot`` in the forest, and each tree
-    counts its slots from its own first split and leaf and its right links
-    from its own root."""
-    trees, start = [], 0
-    block = {name: getattr(forest, name).tolist() for name in (*_COLUMNS, "slot")}
-    for size in forest.sizes.tolist():
-        columns = {name: [] for name in block}
-        for i in range(start, start + size):
-            names = ("threshold", "right") if block["feature"][i] >= 0 else ("value", "n")
-            columns["slot"].append(len(columns[names[0]]))
-            columns["feature"].append(block["feature"][i])
-            for name in names:
-                columns[name].append(block[name][block["slot"][i]])
-        columns["right"] = [right - start for right in columns["right"]]
-        trees.append(SimpleNamespace(n_features=forest.n_features, **{
-            name: np.array(column, dtype=getattr(forest, name).dtype)
-            for name, column in columns.items()}))
-        start += size
-    return trees
+    """A ``Forest``'s trees, cut from its block through ``sizes`` as
+    ``forest_trees`` cuts a serialized one, each with ``n_features`` and its
+    own entries of the block columns as arrays of the forest's dtypes:
+    ``feature`` per node, ``threshold`` per split, ``value`` and ``n`` per leaf."""
+    block = {"n_features": forest.n_features, "sizes": forest.sizes.tolist(),
+             **{name: getattr(forest, name).tolist() for name in _BLOCK}}
+    return [SimpleNamespace(n_features=forest.n_features, **{
+        name: np.array(tree[name], dtype=getattr(forest, name).dtype) for name in _BLOCK})
+        for tree in forest_trees(block)]
 
 
 def features_used(tree):
@@ -365,21 +361,17 @@ def reference_predict(tree, X):
     """One tree's prediction for every row of X, each row walked down from the
     root on its own.
 
-    ``tree`` is a ``Forest`` of one tree or one tree of ``trees_of``. A split
-    sends ``x[feature] <= threshold`` to the next node, its left child in
-    pre-order, and the rest to node ``right``; a node with a negative
-    ``feature`` is a leaf. A node reads ``threshold``, ``right`` and ``value``
-    at its ``slot``.
+    ``tree`` is a ``Forest`` of one tree or one tree of ``trees_of``, read as
+    ``node_list`` reads it: a split sends ``x[feature] <= threshold`` to its
+    left child and the rest to its right child.
     """
-    feature, threshold, right, value, slot = (tree.feature.tolist(), tree.threshold.tolist(),
-                                              tree.right.tolist(), tree.value.tolist(),
-                                              tree.slot.tolist())
+    nodes = node_list(tree)
     out = []
     for x in np.asarray(X, dtype=np.float64).tolist():
-        i = 0
-        while feature[i] >= 0:
-            i = i + 1 if x[feature[i]] <= threshold[slot[i]] else right[slot[i]]
-        out.append(value[slot[i]])
+        node = nodes[0]
+        while "feature" in node:
+            node = nodes[node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]]
+        out.append(node["value"])
     return np.array(out, dtype=np.float64)
 
 

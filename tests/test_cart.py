@@ -274,7 +274,9 @@ def test_from_dict_rejects_child_links_not_past_the_parent(right):
     ]
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(node_columns(nodes, 1))
-    assert forest_from_dict(encoded(sparse_block(node_columns(nodes, 1)))).right.tolist() == [2]
+    forest = forest_from_dict(encoded(sparse_block(node_columns(nodes, 1))))
+    # the root is split 0; its children are leaves 0 and 1, coded ~0 and ~1
+    assert (forest.root.tolist(), forest.left.tolist(), forest.right.tolist()) == ([0], [~0], [~1])
 
 
 def small_tree():
@@ -294,8 +296,8 @@ def test_to_dict_writes_the_forest_block():
 def test_to_dict_writes_the_five_node_columns():
     """The block keeps each of the five node columns at the nodes that use it:
     spelled out again, it gives all five, and the grown tree and the tree read
-    back hold the block as it is, with ``right`` per split and ``slot`` per node
-    derived."""
+    back hold the block as it is, with ``split_feature``, ``left`` and ``right``
+    per split and ``root`` per tree derived."""
     tree = small_tree()
     payload = forest_to_dict(tree)
     (stored,) = forest_trees(unpacked(payload))
@@ -303,7 +305,7 @@ def test_to_dict_writes_the_five_node_columns():
         "n_features": 1, "feature": [0, -1, -1], "threshold": [2.5, 0.0, 0.0],
         "right": [2, -1, -1], "value": [0.0, 0.0, 1.0], "n": [0, 2, 1]}
     columns = {"feature": [0, -1, -1], "threshold": [2.5], "value": [0.0, 1.0], "n": [2, 1],
-               "right": [2], "slot": [0, 0, 1]}
+               "split_feature": [0], "left": [~0], "right": [~1], "root": [0]}
     clone = forest_from_dict(payload)
     for name, column in columns.items():
         assert getattr(tree, name).tolist() == column
@@ -432,8 +434,9 @@ def test_from_dict_refuses_a_right_link_into_the_next_tree(right):
     old["right"][0] = right  # an index in the block's second tree, read from the first
     with pytest.raises(DamagedArtifact, match="rerun train"):
         forest_from_dict(old)
-    clones = trees_of(forest_from_dict(encoded(sparse_block(old))))
-    assert [clone.right.tolist() for clone in clones] == [[2]] * 2
+    clone = forest_from_dict(encoded(sparse_block(old)))
+    # each root (splits 0 and 1) sends the rest to its own tree's second leaf
+    assert (clone.root.tolist(), clone.right.tolist()) == ([0, 1], [~1, ~3])
 
 
 @pytest.mark.parametrize("sizes", [[], [0, 6], [3, 0, 3], [-1, 7], [1.5, 4.5], [True, 5],
@@ -737,8 +740,10 @@ def test_routing_refuses_links_that_cycle():
         import numpy as np
         from hydrocast.cart import Forest, leaf_values
         from hydrocast.errors import DamagedArtifact
+        # split 0 sends x <= 0.5 to leaf 0 and the rest back to itself
         forest = Forest(np.array([0, -1, -1]), np.array([0.5]), np.array([1.0, 2.0]),
-                        np.array([1, 1]), np.array([3]), 1, np.array([0]), np.array([0, 0, 1]))
+                        np.array([1, 1]), np.array([3]), 1, np.array([0]), np.array([~0]),
+                        np.array([0]), np.array([0]))
         assert leaf_values(forest, np.array([[0.0]])).tolist() == [[1.0]]
         try:
             leaf_values(forest, np.array([[0.0], [1.0]]))
@@ -755,9 +760,10 @@ def test_routing_refuses_a_cycle_in_a_later_tree():
         import numpy as np
         from hydrocast.cart import Forest, leaf_values
         from hydrocast.errors import DamagedArtifact
+        # tree 0 is leaf 0; tree 1's split 0 sends x <= 0.5 to leaf 1, the rest to itself
         forest = Forest(np.array([-1, 0, -1, -1]), np.array([0.5]), np.array([5.0, 1.0, 2.0]),
-                        np.array([1, 1, 1]), np.array([1, 3]), 1, np.array([1]),
-                        np.array([0, 0, 1, 2]))
+                        np.array([1, 1, 1]), np.array([1, 3]), 1, np.array([0]),
+                        np.array([~1]), np.array([0]), np.array([~0, 0]))
         assert leaf_values(forest, np.array([[0.0]])).tolist() == [[5.0], [1.0]]
         try:
             leaf_values(forest, np.asfortranarray([[0.0], [1.0]]))
@@ -799,7 +805,7 @@ def test_grown_and_joined_forests_are_read_only():
                "join": join([tree, fit_tree(X, y, boost)]),
                "fit_rf": fit_rf(RFConfig(n_trees=3), X, y, list(range(10)), seed=0).trees}
     for how, forest in forests.items():
-        for name in (*FOREST_COLUMNS, "sizes", "right", "slot"):
+        for name in (*FOREST_COLUMNS, "sizes", "split_feature", "left", "right", "root"):
             assert not getattr(forest, name).flags.writeable, (how, name)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import numpy as np
@@ -23,6 +25,7 @@ from hydrocast.errors import (
     EmptyDataset,
     FractionOutOfRange,
     HydrocastError,
+    InvalidTimestamp,
     MissingColumn,
     NegativePrecipitation,
     NonFiniteValue,
@@ -30,6 +33,8 @@ from hydrocast.errors import (
     UnknownColumn,
 )
 from hydrocast.synthetic import generate_synthetic
+
+from oracles import traced_peak
 
 POINT = REFERENCE_POINTS[0]
 
@@ -237,6 +242,43 @@ def test_dataset_refuses_a_bad_table(edit, error, message):
     data = make_dataset(20)
     with pytest.raises(error, match=re.escape(message)):
         Dataset(POINT, *edit(data.timestamps, data.features, data.precip))
+
+
+@pytest.mark.parametrize("timestamp", ["1981-01\n", "\u0661\u0669\u0668\u0661-\u0660\u0661",
+                                       "1981-13", "1981-1", " 1981-01", "1981-01-01"],
+                         ids=["trailing_newline", "arabic_indic_digits", "month_13",
+                              "one_digit_month", "leading_space", "a_day"])
+def test_a_timestamp_is_ascii_yyyy_mm(timestamp):
+    data = make_dataset(20)
+    with pytest.raises(InvalidTimestamp):
+        Dataset(POINT, (timestamp, *data.timestamps[1:]), data.features, data.precip)
+
+
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    """Rows joined by hand give the bytes of ``csv.writer``, with the extreme
+    float reprs among the values: signed zero, the least subnormal, exponent
+    forms and the largest double."""
+    extremes = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+    datasets = []
+    for i, point in enumerate(REFERENCE_POINTS[:2]):
+        data = make_dataset(20, point=point, seed=i)
+        features = data.features.copy()
+        features[:5, :5] = extremes
+        precip = data.precip.copy()
+        precip[:5] = extremes  # -0.0 is not below 0
+        datasets.append(Dataset(point, data.timestamps, features, precip))
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for data in datasets:
+        p = data.point
+        for i in range(len(data)):
+            writer.writerow([data.timestamps[i], repr(p.lon), repr(p.lat), repr(p.elev),
+                             *map(repr, data.features[i].tolist()),
+                             repr(float(data.precip[i]))])
+    path = tmp_path / "data.csv"
+    write_csv(datasets, path)
+    assert path.read_bytes() == buffer.getvalue().encode("utf-8")
 
 
 def test_take_of_no_rows_is_empty():
@@ -451,6 +493,18 @@ def test_a_byte_order_mark_is_skipped(tmp_path, four_point_lines, quoted):
         for name in ("features", "precip"):
             a, b = getattr(got[p.label], name), getattr(want[p.label], name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_load_csv_cuts_each_points_arrays_once(tmp_path):
+    """The plain reader cuts each point's features and precip once from the parsed
+    table: at its peak, loading a 4-point file holds the table and the datasets,
+    about twice what the datasets hold, not further copies of their values."""
+    path = tmp_path / "data.csv"
+    assert main(["synth", "--samples", "444", "--seed", "11", "--points", "p01,p02,p03,p04",
+                 "--out", str(path)]) == 0
+    loaded, peak = traced_peak(lambda: load_csv(path, FOUR))
+    held = sum(loaded[p.label].features.nbytes + loaded[p.label].precip.nbytes for p in FOUR)
+    assert peak < 2.6 * held
 
 
 def test_a_clean_file_is_read_without_the_row_reader(tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ from hydrocast.learners.neighbors import nearest
 from hydrocast.learners.svm import SVRModel, fit_svr
 from hydrocast.selection import fit_boosted
 
-from oracles import knn_direct, reference_fit_svr, reference_tree_sum
+from oracles import knn_direct, reference_fit_svr, reference_tree_sum, traced_peak
 
 
 # --- linear regression ---
@@ -120,9 +120,13 @@ def test_knn_k_larger_than_train_uses_all():
 
 
 def test_knn_batch_matches_per_row_reference():
+    """100 random widths, then 8, 9, 16, 17 and 85 features twice each: the edges
+    of numpy's pairwise-sum blocks of 8, and the catalog's width."""
     rng = np.random.default_rng(41)
-    for case in range(100):
+    for case in range(110):
         n, d = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        if case >= 100:
+            d = (8, 9, 16, 17, 85)[case % 5]
         # few distinct values make distance ties common
         X = rng.integers(0, 3, size=(n, d)).astype(float) if case % 2 else rng.standard_normal((n, d))
         model = fit(LearnerSpec("knn", KNNConfig(k=int(rng.integers(1, 20)))), X, rng.standard_normal(n))
@@ -130,6 +134,18 @@ def test_knn_batch_matches_per_row_reference():
         Zq = model.standardization.transform(Xq)
         expected = [knn_direct(model.train_z, model.train_y, model.hyper.k, z) for z in Zq]
         np.testing.assert_array_equal(model.predict_batch(Xq), expected)
+
+
+def test_knn_scoring_holds_one_test_row_of_differences():
+    """Distances are computed one test row at a time: 44 queries against 400
+    training rows of 85 features trace well under the 12 MB that every (query,
+    training row, feature) difference at once takes."""
+    rng = np.random.default_rng(47)
+    model = fit(LearnerSpec("knn", KNNConfig(k=10)), rng.standard_normal((400, 85)),
+                rng.standard_normal(400))
+    queries = rng.standard_normal((44, 85))
+    _, peak = traced_peak(lambda: model.predict_batch(queries))
+    assert peak < 2_000_000
 
 
 def test_knn_selection_is_the_first_k_of_a_stable_sort():
